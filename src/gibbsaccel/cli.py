@@ -106,7 +106,10 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         meta, traces = parse_sweep_csv(fh.read())
     if not traces:
         raise InsufficientDataError("no traces found in input")
-    fn = get_function(meta.get("fn", "sws"), p=meta.get("p"), phi=meta.get("phi"))
+    try:
+        fn = get_function(meta.get("fn", "sws"), p=meta.get("p"), phi=meta.get("phi"))
+    except KeyError as exc:  # an unknown fn= in the input file
+        raise ConfigError(str(exc)) from exc
     for trace in traces:
         amplitude, q_hat = fit_envelope(trace)
         line = (
@@ -180,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientDataError as exc:

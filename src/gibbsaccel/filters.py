@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 _TWO_PI = 2.0 * math.pi
+_LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 
 #: Largest erfc argument worth evaluating; beyond it the weight is exactly
 #: 0 or 1 in double precision.
@@ -33,6 +34,12 @@ _ERFC_ARG_CLAMP = 40.0
 
 #: HDAF truncation-depth divisor (Tanner's kappa = 1/15).
 _HDAF_DEPTH_DIVISOR = 15.0
+
+#: Depths at and beyond 2^53 have no exact double j = J, J+1.
+_HDAF_MAX_DEPTH = 2.0**53
+
+#: Relative size at which the HDAF series terms stop contributing.
+_HDAF_SERIES_TOL = 2.0**-54
 
 VALID_KINDS = ("identity", "euler", "erfclog", "hdaf")
 
@@ -59,11 +66,11 @@ class FilterSpec:
 
 
 def euler_mu(M: int, k: int) -> float:
-    """Euler partial-sum weight M!/(2^M k!(M-k)!).
+    """Euler partial-sum weight M!/(2^M k!(M-k)!), the Binomial(M, 1/2) pmf.
 
-    Computed by the multiplicative recurrence
-    mu(M, k+1) = mu(M, k)*(M-k)/(k+1) from mu(M, 0) = 2^-M, which stays
-    overflow-free and ~1e-13 accurate for M up to at least 1000.
+    Accurate to a few ulps wherever the value is a normal double, at any M;
+    values below the smallest normal double lose relative accuracy and
+    round to 0 far in the tails.
     """
     if not 0 <= k <= M:
         raise ValueError(f"k={k} outside [0, M={M}]")
@@ -72,28 +79,39 @@ def euler_mu(M: int, k: int) -> float:
 
 @lru_cache(maxsize=256)
 def _euler_mu_row(M: int) -> np.ndarray:
+    """mu(M, k) for k = 0..M.
+
+    The ratios mu(k+1)/mu(k) = (M-k)/(k+1) are multiplied outward from the
+    mode k = M//2, where the row is largest, and the row is normalized by
+    its sum.  No start value such as 2^-M is formed, so nothing underflows
+    before the tails themselves do.
+    """
     if M < 0:
         raise ValueError("M must be >= 0")
-    mu = np.empty(M + 1)
-    mu[0] = 0.5**M
-    for k in range(M):
-        mu[k + 1] = mu[k] * (M - k) / (k + 1)
+    mode = M // 2
+    k = np.arange(M + 1, dtype=float)
+    row = np.empty(M + 1)
+    row[mode] = 1.0
+    up = k[mode + 1 :]  # mu(k)/mu(k-1) = (M-k+1)/k
+    row[mode + 1 :] = np.cumprod((M - up + 1.0) / up)
+    down = k[:mode][::-1]  # mu(k)/mu(k+1) = (k+1)/(M-k)
+    row[:mode] = np.cumprod((down + 1.0) / (M - down))[::-1]
+    mu = row / row.sum()
     mu.flags.writeable = False
     return mu
 
 
 @lru_cache(maxsize=256)
 def _euler_sigma_table(M: int) -> np.ndarray:
-    """sigma_E at arguments j/(M+1) for j = 0..M+1."""
-    mu = _euler_mu_row(M)
+    """sigma_E at arguments j/(M+1) for j = 0..M+1.
+
+    sigma_E(j) is the tail sum of mu(M, k) over k >= j, accumulated from
+    the small end; dividing by the full sum makes sigma_E(0) exactly 1 and
+    keeps the table nonincreasing and inside [0, 1].
+    """
+    tails = np.cumsum(_euler_mu_row(M)[::-1])[::-1]
     sigma = np.zeros(M + 2)
-    sigma[0] = 1.0
-    # backward cumulative sum keeps each row-tail a plain ordered sum
-    acc = 0.0
-    for j in range(M, 0, -1):
-        acc += mu[j]
-        sigma[j] = acc
-    sigma[M + 1] = 0.0
+    sigma[: M + 1] = tails / tails[0]
     sigma.flags.writeable = False
     return sigma
 
@@ -146,25 +164,73 @@ def erfclog_order(x_dist: float, N: int) -> float:
     return 1.0 + N * abs(x_dist) / _TWO_PI
 
 
-def hdaf_sigma(theta: float, N: int, x_dist: float) -> float:
-    """HDAF filter weight exp(-s) * sum_{j<=J} s^j/j!.
+def _stirling_error(j: int) -> float:
+    """log(j!) - log(sqrt(2 pi j) (j/e)^j) for j >= 1."""
+    if j < 16:
+        return math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _LOG_SQRT_TWO_PI
+    r = 1.0 / (j * j)
+    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / j
+
+
+def _log_poisson_pmf(j: int, s: np.ndarray) -> np.ndarray:
+    """log(exp(-s) s^j / j!) for s >= 0.
+
+    Written as -j*(r - log1p(r)) - log(sqrt(2 pi j)) - the Stirling error
+    of j!, with s = j*(1+r), so the large terms j*log(s), s and log(j!)
+    never cancel: the rounding error stays near eps*|s - j| instead of
+    eps*j*log(s).
+    """
+    if j == 0:
+        return -s
+    r = (s - j) / j
+    log_peak = 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
+    return -j * (r - np.log1p(r)) - log_peak
+
+
+def hdaf_sigma(theta, N: int, x_dist: float):
+    """HDAF filter weight exp(-s) * sum_{j<=J} s^j/j! at theta (float or array).
 
     s = N*x_dist*theta^2/2 and J = floor(N*x_dist/15).  ``x_dist`` is the
     distance to the nearest real singularity; x_dist = 0 degenerates to
     the identity weight.
+
+    The weight is P(Poisson(s) <= J), the regularized upper incomplete
+    gamma function Q(J+1, s) (Tanner, Math. Comp. 2006).  It is summed
+    from the Poisson term next to the cut, taken in log space, towards
+    the far end, so neither s^j/j! nor exp(-s) is formed: for s < J+1 the
+    weight is 1 minus the terms above J, otherwise the terms up to J.
+    Either way it is finite and lies in [0, 1].  Raises ValueError when
+    N*x_dist/15 is not finite or reaches 2^53, where J and J+1 are no
+    longer distinct doubles.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if x_dist < 0:
         raise ValueError("x_dist must be nonnegative")
-    s = N * x_dist * theta * theta / 2.0
-    depth = int(math.floor(N * x_dist / _HDAF_DEPTH_DIVISOR))
-    term = 1.0
-    total = 1.0
-    for j in range(1, depth + 1):
-        term *= s / j
+    width = N * x_dist / _HDAF_DEPTH_DIVISOR
+    if not width < _HDAF_MAX_DEPTH:
+        raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
+    depth = math.floor(width)
+    s = N * x_dist * np.square(theta, dtype=float) / 2.0
+    below = s < depth + 1
+    with np.errstate(divide="ignore"):
+        lead = np.exp(
+            np.where(below, _log_poisson_pmf(depth + 1, s), _log_poisson_pmf(depth, s))
+        )
+    # ratios of neighbouring terms, moving away from the cut:
+    # pmf(J+1+k)/pmf(J+k) = s/(J+1+k) and pmf(J-k)/pmf(J+1-k) = (J+1-k)/s
+    s_above = np.where(below, 1.0, s)  # s >= J+1 >= 1 where it divides
+    term = np.ones_like(s)
+    total = np.ones_like(s)
+    k = 0
+    while (term > _HDAF_SERIES_TOL * total).any():
+        k += 1
+        down = max(depth + 1.0 - k, 0.0) / s_above
+        term *= np.where(below, s / (depth + 1.0 + k), down)
         total += term
-    return math.exp(-s) * total
+    tail = lead * total
+    w = np.where(below, 1.0 - tail, tail)
+    return float(w) if w.ndim == 0 else w
 
 
 def filter_weights(spec: FilterSpec, N: int, x_dist: float = 0.0) -> np.ndarray:
@@ -182,12 +248,7 @@ def filter_weights(spec: FilterSpec, N: int, x_dist: float = 0.0) -> np.ndarray:
         return _euler_sigma_table(N)[: N + 1].copy()
     if N == 0:
         return np.ones(1)
-    w = np.empty(N + 1)
-    if spec.kind == "erfclog":
-        p = spec.order if spec.order is not None else erfclog_order(x_dist, N)
-        for n in range(N + 1):
-            w[n] = erfclog_sigma(n / N, p)
-    else:  # hdaf
-        for n in range(N + 1):
-            w[n] = hdaf_sigma(n / N, N, abs(x_dist))
-    return w
+    if spec.kind == "hdaf":
+        return hdaf_sigma(np.arange(N + 1) / N, N, abs(x_dist))
+    p = spec.order if spec.order is not None else erfclog_order(x_dist, N)
+    return np.array([erfclog_sigma(n / N, p) for n in range(N + 1)])

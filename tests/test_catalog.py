@@ -165,6 +165,15 @@ class TestRegistry:
         fn = get_function("sws+lorentzian", p=0.25)
         assert fn.series.exact_eval(math.pi) == pytest.approx(5.0 / 3.0)
 
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_array_call_matches_scalar_calls(self, key):
+        coeff = get_function(key).series.coeff
+        ns = np.arange(-60, 61).reshape(11, 11)
+        got = coeff(ns)
+        assert got.shape == ns.shape and got.dtype == complex
+        want = np.array([[complex(coeff(int(n))) for n in row] for row in ns])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
     def test_conjugate_symmetry_of_real_entries(self):
         for key in ("sws", "delta", "lorentzian", "sws+lorentzian"):
             series = get_function(key).series

@@ -1,7 +1,11 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsaccel.filters import (
     FilterSpec,
@@ -38,6 +42,15 @@ class TestEulerMu:
             euler_mu(4, -1)
 
 
+def exact_euler_tails(M):
+    """sum_{k>=j} C(M, k) / 2^M for j = 0..M: integer tails, correctly rounded."""
+    row = [1]
+    for k in range(M):
+        row.append(row[-1] * (M - k) // (k + 1))
+    tails = list(itertools.accumulate(reversed(row)))[::-1]
+    return np.array([t / 2**M for t in tails])
+
+
 class TestEulerSigma:
     def test_endpoints(self):
         for M in (1, 2, 7, 40):
@@ -57,6 +70,14 @@ class TestEulerSigma:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             euler_sigma(4, 2)
+
+    @pytest.mark.parametrize("M", [1074, 1075, 1600])
+    def test_matches_exact_integer_tails_past_underflow(self, M):
+        # 0.5**M underflows to 0 from M = 1075 on; the table must not care
+        sigma = filter_weights(FilterSpec("euler"), M)
+        exact = exact_euler_tails(M)
+        np.testing.assert_allclose(sigma, exact, rtol=1e-14, atol=1e-300)
+        assert sigma[M // 2] == pytest.approx(0.5, abs=0.05)
 
 
 class TestErfcLog:
@@ -111,6 +132,37 @@ class TestHdaf:
         for theta in (0.25, 0.6):
             assert hdaf_sigma(-theta, 20, 0.8) == hdaf_sigma(theta, 20, 0.8)
 
+    def test_array_matches_scalar_calls(self):
+        theta = np.linspace(-1.0, 1.0, 41)
+        w = hdaf_sigma(theta, 300, 2.2)
+        assert w.shape == theta.shape
+        assert np.array_equal(w, [hdaf_sigma(t, 300, 2.2) for t in theta])
+
+    def test_matches_mpmath_where_terms_overflow(self):
+        # s^j/j! overflows a double here; the weight is Q(J+1, s) all the same
+        N, x_dist = 2000, 3.0
+        depth = math.floor(N * x_dist / 15)
+        w = filter_weights(FilterSpec("hdaf"), N, x_dist)
+        with mpmath.workdps(30):
+            ref = [
+                float(
+                    mpmath.gammainc(
+                        depth + 1,
+                        mpmath.mpf(N) * x_dist * (mpmath.mpf(n) / N) ** 2 / 2,
+                        mpmath.inf,
+                        regularized=True,
+                    )
+                )
+                for n in range(N + 1)
+            ]
+        np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-14)
+
+    def test_unrepresentable_depth_rejected(self):
+        with pytest.raises(ValueError):
+            hdaf_sigma(0.5, 10**17, 2.0)
+        with pytest.raises(ValueError):
+            hdaf_sigma(0.5, 100, math.inf)
+
 
 class TestFilterWeights:
     def test_identity(self):
@@ -134,6 +186,27 @@ class TestFilterWeights:
     def test_fixed_order_erfclog(self):
         w = filter_weights(FilterSpec("erfclog", order=4.0), 10, x_dist=2.0)
         assert w[5] == pytest.approx(erfclog_sigma(0.5, 4.0), abs=1e-15)
+
+
+class TestWeightProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["identity", "euler", "erfclog", "hdaf"]),
+        N=st.integers(0, 2500),
+        x_dist=st.floats(0.0, math.pi),
+    )
+    def test_finite_in_unit_interval_and_one_at_zero(self, kind, N, x_dist):
+        w = filter_weights(FilterSpec(kind), N, x_dist)
+        assert w.shape == (N + 1,)
+        assert np.isfinite(w).all()
+        assert ((0.0 <= w) & (w <= 1.0)).all()
+        assert w[0] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=st.integers(0, 4000))
+    def test_euler_monotone_in_n(self, M):
+        sigma = filter_weights(FilterSpec("euler"), M)
+        assert (np.diff(sigma) <= 0.0).all()
 
 
 class TestFilterOrderSanity:

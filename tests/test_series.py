@@ -1,16 +1,24 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from gibbsaccel.catalog import make_composite, make_delta, make_sws
-from gibbsaccel.filters import FilterSpec
+from gibbsaccel.catalog import (
+    FUNCTION_KEYS,
+    get_function,
+    make_composite,
+    make_delta,
+    make_sws,
+)
+from gibbsaccel.filters import FilterSpec, filter_weights
 from gibbsaccel.rates import delta_truncation_error, rho_of_x
 from gibbsaccel.series import (
     FourierSeries,
     filtered_partial_sum,
     partial_sum,
     pointwise_error,
+    saturation_floor,
 )
 
 EULER = FilterSpec("euler")
@@ -21,10 +29,9 @@ def random_series(rng, n_max, real_valued=False):
     values = rng.standard_normal(n_max + 1) + 1j * rng.standard_normal(n_max + 1)
 
     def coeff(n):
-        c = values[abs(n)]
-        if n < 0:
-            return c.conjugate() if real_valued else c * 0.7 - 0.1j
-        return c
+        c = values[np.abs(n)]
+        mirrored = c.conjugate() if real_valued else c * 0.7 - 0.1j
+        return np.where(np.asarray(n) < 0, mirrored, c)
 
     if real_valued:
         values[0] = values[0].real
@@ -50,6 +57,32 @@ class TestPartialSum:
         series = FourierSeries(coeff=lambda n: 1.0, n_max=10)
         with pytest.raises(ValueError):
             partial_sum(series, 0.3, 11)
+
+
+class TestArraySum:
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    @pytest.mark.parametrize("kind", ["identity", "euler", "hdaf"])
+    def test_matches_per_term_fsum(self, key, kind):
+        # the pairwise reduction stays within one saturation floor of an
+        # exactly rounded sum of scalar coefficient calls
+        series = get_function(key).series
+        spec = FilterSpec(kind)
+        for x, N in ((0.7, 1), (2.3, 37), (-1.9, 400)):
+            w = filter_weights(spec, N, series.real_singularity_distance(x))
+            terms = [
+                w[abs(n)] * complex(series.coeff(n)) * cmath.exp(1j * n * x)
+                for n in range(-N, N + 1)
+            ]
+            ref = complex(
+                math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
+            )
+            got = filtered_partial_sum(series, x, N, spec)
+            assert abs(got - ref) <= saturation_floor(series, N)
+
+    def test_constant_coefficients_broadcast(self):
+        series = FourierSeries(coeff=lambda n: 1.0, n_max=10)
+        assert partial_sum(series, 0.0, 10) == pytest.approx(21.0, abs=1e-14)
+        assert saturation_floor(series, 10, 1.0) == 21.0 * np.finfo(float).eps
 
 
 class TestFilteredPartialSum:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gibbsaccel import cli
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
 from gibbsaccel.rates import SingularitySet, delta_truncation_error, rho_of_x
 from gibbsaccel.sweeps import (
@@ -290,6 +291,23 @@ class TestCli:
               "--n-min", "50", "--n-max", "80", "--out", str(out)])
         capsys.readouterr()
         assert main(["envelope", "--in", str(out)]) == EXIT_INSUFFICIENT
+
+    def test_unknown_function_in_input_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        out.write_text(out.read_text().replace("fn=sws", "fn=heaviside"))
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        assert "heaviside" in capsys.readouterr().err
+
+    def test_internal_key_error_propagates(self, monkeypatch):
+        def broken(config):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "sweep_errors", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["sweep", "--fn", "sws", "--x", "0.9", "--n-max", "40"])
 
     def test_missing_input_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"
