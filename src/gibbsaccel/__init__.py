@@ -21,13 +21,13 @@ The package provides:
 """
 
 from .conformal import (
+    MOBIUS2,
     MobiusMap,
     PowerSeries,
     abel_extend_eval,
     accelerate_sum,
     estimate_radius,
     euler_equivalence_check,
-    mobius_forward,
     recoefficient,
 )
 from .filters import (
@@ -60,6 +60,7 @@ from .series import (
 __all__ = [
     "FilterSpec",
     "FourierSeries",
+    "MOBIUS2",
     "MobiusMap",
     "PowerSeries",
     "RatePrediction",
@@ -78,7 +79,6 @@ __all__ = [
     "filter_weights",
     "filtered_partial_sum",
     "hdaf_sigma",
-    "mobius_forward",
     "partial_sum",
     "pointwise_error",
     "predicted_envelope",

@@ -115,7 +115,7 @@ def log2_series(n_max: int = 64) -> PowerSeries:
     a geometric factor of 2 (or 3 with the balanced map).
     """
     coeffs = [0.0] + [(-1.0) ** (n + 1) / n for n in range(1, n_max + 1)]
-    return PowerSeries(tuple(coeffs), radius_hint=1.0)
+    return PowerSeries(tuple(coeffs))
 
 
 def _check_p(p: float) -> None:

@@ -2,19 +2,29 @@
 
 The engine behind the acceleration: a one-sided sum S = sum a_n is
 inflated to a power series in a dummy variable z (its "Abel extension"),
-z is replaced by an analytic map z = Z(w) with Z(0) = 0 and Z(1) = 1, the
-composite is re-expanded in powers of w, and the w partial sum is
-evaluated at w = 1.  Because Z has no constant term, the first N
-re-expanded coefficients depend only on the first N original ones.
+z is replaced by the map z = Z_c(w) = (c-1)w/(c-w), with Z(0) = 0 and
+Z(1) = 1, the composite is re-expanded in powers of w, and the w partial
+sum is evaluated at w = 1.
 
-With the map w/(2 - w) this procedure reproduces the classical Euler
-summation weights exactly; ``euler_equivalence_check`` measures the
-difference between the two pipelines.
+The re-expansion is a lower-triangular weight table applied to the
+coefficients, b_m = sum_n T_c[m, n] a_n, with the closed form
+
+    T_c[m, n] = [w^m] Z_c(w)^n = ((c-1)/c)^n c^-(m-n) C(m-1, n-1)
+
+and T_c[0, 0] = 1.  Row m depends only on c and m, so the first N
+re-expanded coefficients depend only on the first N original ones.
+``recoefficient`` builds the rows one order at a time from the
+all-positive recurrence T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1]:
+O(N^2) flops and O(N) memory, with no N x N table held.
+
+With c = 2 the column sums sum_{m<=N} T_2[m, n] are the classical Euler
+summation weights sigma_N(n) (``filters._euler_sigma_table``), so the
+map-accelerated sum is Euler summation; ``euler_equivalence_check``
+measures the difference between the two pipelines.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +43,12 @@ class PowerSeries:
     """Truncated power series sum_{n<=N} a_n z^n with immutable coefficients."""
 
     coeffs: tuple[complex, ...]
-    radius_hint: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("need at least the constant coefficient")
-        if not all(np.isfinite([c.real, c.imag]).all() for c in self.coeffs):
+        if not np.isfinite(np.array(self.coeffs)).all():
             raise ValueError("coefficients must be finite")
 
     @property
@@ -74,52 +83,38 @@ class MobiusMap:
             raise ZeroDivisionError("inverse map pole")
         return self.c * z / (self.c - 1.0 + z)
 
-    def series_coeffs(self, K: int) -> np.ndarray:
-        """First K+1 Taylor coefficients of the map at 0 (geometric, exact)."""
-        out = np.zeros(K + 1)
-        scale = (self.c - 1.0) / self.c
-        for k in range(1, K + 1):
-            out[k] = scale
-            scale /= self.c
-        return out
-
 
 MOBIUS2 = MobiusMap(2.0)
-
-
-def mobius_forward(w: complex) -> complex:
-    """The classical map w/(2 - w); inverse is w = 2z/(1 + z)."""
-    return MOBIUS2.forward(w)
 
 
 def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSeries:
     """Re-expand sum a_n Z(w)^n as sum b_m w^m through order w^N.
 
-    Maintains the truncated powers of Z(w) with one truncated polynomial
-    multiply per input term (O(N^2) arithmetic).  b_0 = a_0, and the
-    output prefix never changes when more input terms become available.
+    b_0 = a_0 and b_m = sum_{n=1..m} T_c[m, n] a_n, where row m of the
+    table, T_c[m, n] = ((c-1)/c)^n c^-(m-n) C(m-1, n-1), is built from
+    row m-1 by the all-positive recurrence
+    T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1], starting at
+    T[0, 0] = 1.  Each order costs one vector update and one dot
+    product: O(N^2) flops, O(N) memory.  The row depends only on c and
+    m, so the output prefix never changes when more input terms become
+    available.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     if N > series.n_max:
         raise ValueError(f"N={N} exceeds available coefficients {series.n_max}")
-    zc = mapping.series_coeffs(N)
-    a = series.coeffs
-    b = np.zeros(N + 1, dtype=complex)
+    c = mapping.c
+    r = (c - 1.0) / c
+    a = np.array(series.coeffs[: N + 1])
+    b = np.empty(N + 1, dtype=complex)
     b[0] = a[0]
-    power = np.zeros(N + 1, dtype=complex)
-    power[0] = 1.0
-    for n in range(1, N + 1):
-        # power <- power * zc, truncated at degree N; zc[0] = 0 so the
-        # product gains a factor of w and dies after n > N steps
-        updated = np.zeros(N + 1, dtype=complex)
-        for m in range(N - 1, -1, -1):
-            if power[m] != 0:
-                updated[m + 1 : N + 1] += power[m] * zc[1 : N + 1 - m]
-        power = updated
-        if a[n] != 0:
-            b += a[n] * power
-    return PowerSeries(tuple(b), radius_hint=series.radius_hint)
+    row = np.zeros(N + 1)
+    row[0] = 1.0
+    for m in range(1, N + 1):
+        row[1 : m + 1] = row[1 : m + 1] / c + r * row[:m]
+        row[0] = 0.0  # column 0 of T is 1 at m = 0 and 0 after
+        b[m] = a[1 : m + 1] @ row[1 : m + 1]
+    return PowerSeries(tuple(b))
 
 
 def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:
@@ -130,8 +125,9 @@ def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:
 def euler_equivalence_check(series: PowerSeries, N: int) -> float:
     """|map-accelerated sum - Euler-weighted sum| for the same input.
 
-    The two pipelines are mathematically identical; the returned residual
-    is pure floating-point noise, bounded by ~1e-12 times sum |a_n|.
+    The two pipelines are mathematically identical (the column sums of
+    T_2 are the Euler weights); the returned residual is pure
+    floating-point noise, below 1e-14 times sum |a_n|.
     """
     accelerated = accelerate_sum(series, MOBIUS2, N)
     sigma = _euler_sigma_table(N)
