@@ -114,8 +114,7 @@ def log2_series(n_max: int = 64) -> PowerSeries:
     partial sums converge only like 1/N while the re-summed series gains
     a geometric factor of 2 (or 3 with the balanced map).
     """
-    coeffs = [0.0] + [(-1.0) ** (n + 1) / n for n in range(1, n_max + 1)]
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries(tuple(log2_coeff(np.arange(n_max + 1))))
 
 
 def _check_p(p: float) -> None:

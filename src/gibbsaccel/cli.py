@@ -9,9 +9,13 @@ Subcommands:
 * ``envelope`` -- refit the envelope of a previously written sweep CSV
   and report the empirical rate against the prediction.
 
-All tabular output is CSV with ``#`` comment lines carrying the config
-echo and fit results.  Exit codes: 0 success, 2 configuration error,
-3 insufficient data.
+All tabular output is CSV with ``#`` comment lines of ``key=value``
+tokens carrying the config echo and fit results.  A trace whose fit was
+skipped has a ``fit`` line with empty ``A`` and ``q_hat`` and its number
+of ``hull_points``.  Rows are flagged ``saturated`` when their error is
+below the fixed floor 100*eps*sum|c_n| (``series.saturation_floor``).
+Exit codes: 0 success, 2 configuration error (also a missing input
+file), 3 insufficient data.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .sweeps import (
     InsufficientDataError,
     compare_filters,
     fit_envelope,
+    meta_line,
     parse_sweep_csv,
     render_csv,
     rho_curve,
@@ -50,34 +55,35 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    if args.filter != "euler":
-        raise ConfigError("weight tables are only printed for the euler filter")
     if args.M < 1:
         raise ConfigError("M must be >= 1")
     sigma = _euler_sigma_table(args.M)
     mu = _euler_mu_row(args.M)
-    rows = []
-    for j in range(args.M + 2):
-        rows.append([j, float(sigma[j]), float(mu[j]) if j <= args.M else ""])
-    text = render_csv([f"filter=euler M={args.M}"], ["j", "sigma", "mu"], rows)
+    rows = [
+        [j, float(sigma[j]), float(mu[j]) if j <= args.M else None]
+        for j in range(args.M + 2)
+    ]
+    text = render_csv([meta_line(filter="euler", M=args.M)], ["j", "sigma", "mu"], rows)
     _write(text, args.out)
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
+def _config(args: argparse.Namespace, filters: tuple[str, ...]) -> ExperimentConfig:
+    return ExperimentConfig(
         function_key=args.fn,
-        filters=(args.filter,),
+        filters=filters,
         xs=(args.x,),
         n_min=args.n_min,
         n_max=args.n_max,
         n_stride=args.stride,
         p=args.p,
         phi=args.phi,
-        saturation_scale=args.saturation_scale,
     )
-    traces = sweep_errors(config)
-    _write(sweep_csv(config, traces), args.out)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    config = _config(args, (args.filter,))
+    _write(sweep_csv(config, sweep_errors(config)), args.out)
     return EXIT_OK
 
 
@@ -87,17 +93,7 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        function_key=args.fn,
-        filters=tuple(args.filters.split(",")),
-        xs=(args.x,),
-        n_min=args.n_min,
-        n_max=args.n_max,
-        n_stride=args.stride,
-        p=args.p,
-        saturation_scale=args.saturation_scale,
-    )
-    _write(compare_filters(config), args.out)
+    _write(compare_filters(_config(args, tuple(args.filters.split(",")))), args.out)
     return EXIT_OK
 
 
@@ -110,18 +106,15 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         fn = get_function(meta.get("fn", "sws"), p=meta.get("p"), phi=meta.get("phi"))
     except KeyError as exc:  # an unknown fn= in the input file
         raise ConfigError(str(exc)) from exc
+    sings = fn.series.singularities
     for trace in traces:
         amplitude, q_hat = fit_envelope(trace)
-        line = (
-            f"x={trace.x!r} filter={trace.filter_kind} "
-            f"A={amplitude!r} q_hat={q_hat!r}"
-        )
-        sings = fn.series.singularities
+        fields = dict(x=trace.x, filter=trace.filter_kind, A=amplitude, q_hat=q_hat)
         if sings is not None:
             q_pred = rho_of_x(sings, trace.x).q
             gap = abs(q_hat - q_pred) / q_pred if q_pred != 0 else math.inf
-            line += f" q_predicted={q_pred!r} rel_gap={gap!r}"
-        print(line)
+            fields.update(q_predicted=q_pred, rel_gap=gap)
+        print(meta_line(**fields))
     return EXIT_OK
 
 
@@ -133,22 +126,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("weights", help="print a filter weight table")
-    w.add_argument("--filter", default="euler", choices=VALID_KINDS)
+    w.add_argument("--filter", default="euler", choices=("euler",))
     w.add_argument("--M", type=int, required=True)
     w.add_argument("--out", default=None)
     w.set_defaults(run=_cmd_weights)
 
-    s = sub.add_parser("sweep", help="error sweep over truncation degree")
-    s.add_argument("--fn", required=True, choices=FUNCTION_KEYS)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--fn", required=True, choices=FUNCTION_KEYS)
+    run.add_argument("--x", type=float, required=True)
+    run.add_argument("--n-min", type=int, default=2)
+    run.add_argument("--n-max", type=int, required=True)
+    run.add_argument("--stride", type=int, default=1)
+    run.add_argument("--p", type=float, default=None)
+    run.add_argument("--out", default=None)
+
+    s = sub.add_parser(
+        "sweep", parents=[run], help="error sweep over truncation degree"
+    )
     s.add_argument("--filter", default="euler", choices=VALID_KINDS)
-    s.add_argument("--x", type=float, required=True)
-    s.add_argument("--n-min", type=int, default=2)
-    s.add_argument("--n-max", type=int, required=True)
-    s.add_argument("--stride", type=int, default=1)
-    s.add_argument("--p", type=float, default=None)
     s.add_argument("--phi", type=float, default=None)
-    s.add_argument("--saturation-scale", type=float, default=100.0)
-    s.add_argument("--out", default=None)
     s.set_defaults(run=_cmd_sweep)
 
     r = sub.add_parser("rho", help="predicted convergence factor over x")
@@ -159,17 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", default=None)
     r.set_defaults(run=_cmd_rho)
 
-    c = sub.add_parser("compare", help="compare filters at one x")
-    c.add_argument("--fn", required=True, choices=FUNCTION_KEYS)
-    c.add_argument("--x", type=float, required=True)
+    c = sub.add_parser("compare", parents=[run], help="compare filters at one x")
     c.add_argument("--filters", default="euler,erfclog,hdaf")
-    c.add_argument("--n-min", type=int, default=2)
-    c.add_argument("--n-max", type=int, required=True)
-    c.add_argument("--stride", type=int, default=1)
-    c.add_argument("--p", type=float, default=None)
-    c.add_argument("--saturation-scale", type=float, default=100.0)
-    c.add_argument("--out", default=None)
-    c.set_defaults(run=_cmd_compare)
+    c.set_defaults(run=_cmd_compare, phi=None)
 
     e = sub.add_parser("envelope", help="refit the envelope of a sweep CSV")
     e.add_argument("--in", required=True)
@@ -183,15 +171,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

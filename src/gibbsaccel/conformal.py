@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _euler_sigma_table
-from .series import FourierSeries, compensated_complex_sum
+from .series import FourierSeries
 
 #: Default relative noise floor for radius estimation; re-expanded
 #: coefficients below this fraction of the largest one are double-precision
@@ -119,7 +119,7 @@ def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSerie
 
 def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:
     """Partial sum of the re-expanded series at w = 1 through order N."""
-    return compensated_complex_sum(recoefficient(series, mapping, N).coeffs)
+    return complex(np.sum(recoefficient(series, mapping, N).coeffs))
 
 
 def euler_equivalence_check(series: PowerSeries, N: int) -> float:
@@ -130,10 +130,8 @@ def euler_equivalence_check(series: PowerSeries, N: int) -> float:
     floating-point noise, below 1e-14 times sum |a_n|.
     """
     accelerated = accelerate_sum(series, MOBIUS2, N)
-    sigma = _euler_sigma_table(N)
-    weighted = compensated_complex_sum(
-        sigma[n] * series.coeffs[n] for n in range(N + 1)
-    )
+    sigma = _euler_sigma_table(N)[: N + 1]
+    weighted = complex(np.sum(sigma * np.array(series.coeffs[: N + 1])))
     return abs(accelerated - weighted)
 
 
@@ -162,7 +160,7 @@ def abel_extend_eval(
             running += abs(term)
             if abs(term) < rel_tol * max(running, 1e-300):
                 break
-        total += compensated_complex_sum(terms)
+        total += complex(np.sum(terms))
     return total
 
 

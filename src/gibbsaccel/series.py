@@ -11,7 +11,6 @@ and results are bit-identical from run to run with the same numpy build.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,14 +20,6 @@ from .filters import FilterSpec, filter_weights
 from .rates import SingularitySet, periodic_distance
 
 _SYMMETRY_PROBE = 8  # coefficients c(-8)..c(8) checked for conjugate symmetry
-
-
-def compensated_complex_sum(terms) -> complex:
-    """Exactly rounded sum of complex terms (componentwise fsum)."""
-    terms = list(terms)
-    return complex(
-        math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-    )
 
 
 @dataclass(frozen=True)
@@ -124,11 +115,23 @@ def pointwise_error(
     return abs(complex(series.exact_eval(x)) - filtered_partial_sum(series, x, N, spec))
 
 
-def saturation_floor(series: FourierSeries, N: int, scale: float = 100.0) -> float:
+def saturation_floor(
+    series: FourierSeries, N: int | np.ndarray, scale: float = 100.0
+) -> float | np.ndarray:
     """Error level below which double precision cannot resolve the sum.
 
     ``scale`` times machine epsilon times sum of |c_n| over |n| <= N;
-    measured errors under this floor are roundoff, not truncation.
+    measured errors under this floor are roundoff, not truncation.  N is
+    an int, giving a float, or an integer array of degrees, giving the
+    floors of the same shape from one coefficient call at the largest
+    degree and a cumulative sum over |n|.
     """
-    total = float(np.abs(series.coefficients(N)).sum())
-    return scale * np.finfo(float).eps * total
+    degrees = np.asarray(N)
+    if degrees.min() < 0:
+        raise ValueError("truncation degree must be >= 0")
+    top = int(degrees.max())
+    mag = np.abs(series.coefficients(top))  # mag[top + n] = |c_n|
+    pairs = mag[top + 1 :] + mag[:top][::-1]  # |c_n| + |c_-n|, n = 1..top
+    totals = mag[top] + np.concatenate(([0.0], np.cumsum(pairs)))
+    floors = scale * np.finfo(float).eps * totals[degrees]
+    return float(floors) if floors.ndim == 0 else floors

@@ -5,6 +5,9 @@ of truncation degrees, extracts the monotone upper hull of the error
 sequence (its envelope), and fits the model A * exp(-q*N)/N to it.  The
 fitted slope q-hat is the empirical convergence rate to compare against
 the prediction from the singularity set.
+
+CSV outputs carry their configuration and fit results in ``#`` lines of
+``key=value`` tokens, written by ``meta_line`` and read by ``parse_meta``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .rates import acceleration_penalty_region, rho_of_x, zeta_image_modulus, z_
 from .series import pointwise_error, saturation_floor
 
 MIN_ENVELOPE_POINTS = 5
+SWEEP_HEADER = ["x", "filter", "N", "error", "saturated"]
 
 
 class ConfigError(ValueError):
@@ -66,28 +70,30 @@ class ExperimentConfig:
     n_stride: int = 1
     p: float | None = None
     phi: float | None = None
-    saturation_scale: float = 100.0
 
     def degrees(self) -> list[int]:
         return list(range(self.n_min, self.n_max + 1, self.n_stride))
 
-    def resolve_function(self) -> TestFunction:
-        if self.function_key not in FUNCTION_KEYS:
-            raise ConfigError(f"unknown function key {self.function_key!r}")
-        return get_function(self.function_key, p=self.p, phi=self.phi)
-
-    def validate(self) -> None:
+    def validate(self) -> TestFunction:
+        """Check the request; returns the catalog entry it names."""
         if not self.degrees():
             raise ConfigError("empty truncation-degree range")
         if self.n_stride < 1:
             raise ConfigError("stride must be >= 1")
         for kind in self.filters:
             FilterSpec(kind)  # raises on unknown kinds
-        fn = self.resolve_function()
+        fn = _resolve_function(self.function_key, self.p, self.phi)
         sings = fn.series.singularities
         for x in self.xs:
             if sings is not None and sings.real_distance(x) == 0.0:
                 raise ConfigError(f"x={x} sits on the real singularity")
+        return fn
+
+
+def _resolve_function(key: str, p: float | None, phi: float | None) -> TestFunction:
+    if key not in FUNCTION_KEYS:
+        raise ConfigError(f"unknown function key {key!r}")
+    return get_function(key, p=p, phi=phi)
 
 
 def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
@@ -95,19 +101,20 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
 
     Rows are produced in ascending N for each trace and traces in the
     order (x outer, filter inner), so identical configs give identical
-    output.  Each trace is envelope-fitted when possible; traces whose
-    errors are entirely saturated keep ``fit = None``.
+    output.  Each trace is envelope-fitted when possible; a trace with
+    too few unsaturated hull points keeps ``fit = None`` and its
+    ``envelope``, which the CSV writers report as a skipped fit.
     """
-    config.validate()
-    fn = config.resolve_function()
+    fn = config.validate()
+    degrees = config.degrees()
+    floors = saturation_floor(fn.series, np.array(degrees))
     traces = []
     for x in config.xs:
         for kind in config.filters:
             spec = FilterSpec(kind)
             trace = ErrorTrace(x=x, filter_kind=kind)
-            for N in config.degrees():
+            for N, floor in zip(degrees, floors):
                 err = pointwise_error(fn.series, x, N, spec)
-                floor = saturation_floor(fn.series, N, config.saturation_scale)
                 trace.rows.append(ErrorRow(N, err, err < floor))
             try:
                 fit_envelope(trace)
@@ -125,7 +132,9 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     slope comes from ordinary least squares on (N, log error + log N);
     the prefactor is then raised until the model bounds every envelope
     point, making A*exp(-q*N)/N a tight upper envelope of the whole
-    trace.  Stores the result on the trace and returns (A, q_hat).
+    trace.  Stores the hull on ``trace.envelope`` (also when it has too
+    few points and InsufficientDataError is raised) and the fit on
+    ``trace.fit``, and returns (A, q_hat).
     """
     usable = [
         (i, r) for i, r in enumerate(trace.rows) if not r.saturated and r.error > 0.0
@@ -138,6 +147,7 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
             best = logerr
             hull.append((i, row))
     hull.reverse()
+    trace.envelope = [i for i, _ in hull]
     if len(hull) < MIN_ENVELOPE_POINTS:
         raise InsufficientDataError(
             f"only {len(hull)} unsaturated envelope points; need "
@@ -150,48 +160,87 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     # anchor the prefactor so the model bounds every envelope point
     log_a = max(ys + q_hat * ns)
     amplitude = math.exp(log_a)
-    trace.envelope = [i for i, _ in hull]
     trace.fit = (amplitude, q_hat)
     return amplitude, q_hat
 
 
-def _fmt(value: float) -> str:
-    """Shortest round-trip decimal for CSV output."""
-    return repr(float(value))
+def _text(value) -> str:
+    """A CSV cell or metadata value: shortest round-trip repr for floats,
+    empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def meta_line(*tags: str, **fields) -> str:
+    """One metadata line: bare tags, then ``key=value`` tokens.
+
+    Floats are written as their shortest round-trip repr and None as an
+    empty value.  ``parse_meta`` reads the line back.  Every ``#`` line of
+    the CSV outputs and the ``envelope`` report line is written here.
+    """
+    return " ".join([*tags, *(f"{k}={_text(v)}" for k, v in fields.items())])
+
+
+def parse_meta(line: str) -> tuple[list[str], dict]:
+    """Split a ``meta_line`` into its tags and its typed values.
+
+    A value is read as an int, else a float, else kept as a string; an
+    empty value is None.
+    """
+    tokens = [token.partition("=") for token in line.split()]
+    tags = [key for key, eq, _ in tokens if not eq]
+    return tags, {key: _typed(text) for key, eq, text in tokens if eq}
+
+
+def _typed(text: str):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text or None
+
+
+def _echo(key: str, p: float | None, phi: float | None, *lines: str) -> list[str]:
+    """The config echo: the fn line, ``lines``, then p and phi when set."""
+    params = [meta_line(**{k: v}) for k, v in (("p", p), ("phi", phi)) if v is not None]
+    return [meta_line(fn=key), *lines, *params]
+
+
+def _config_echo(config: ExperimentConfig, *lines: str) -> list[str]:
+    """``_echo`` of a sweep config, with its N range after ``lines``."""
+    span = meta_line(n_min=config.n_min, n_max=config.n_max, stride=config.n_stride)
+    return _echo(config.function_key, config.p, config.phi, *lines, span)
+
+
+def _fit_line(trace: ErrorTrace, **where) -> str:
+    """The trace's fit, or empty A and q_hat plus its hull size if skipped."""
+    if trace.fit is None:
+        skipped = {"A": None, "q_hat": None, "hull_points": len(trace.envelope)}
+        return meta_line("fit", **where, **skipped)
+    return meta_line("fit", **where, A=trace.fit[0], q_hat=trace.fit[1])
 
 
 def render_csv(comments: list[str], header: list[str], rows: list[list]) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(_text(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def sweep_csv(config: ExperimentConfig, traces: list[ErrorTrace]) -> str:
-    comments = [
-        f"fn={config.function_key}",
-        f"n_min={config.n_min} n_max={config.n_max} stride={config.n_stride}",
+    comments = _config_echo(config)
+    for t in traces:
+        comments.append(meta_line("trace", x=t.x, filter=t.filter_kind))
+        comments.append(_fit_line(t, x=t.x, filter=t.filter_kind))
+    rows = [
+        [t.x, t.filter_kind, r.N, r.error, int(r.saturated)]
+        for t in traces
+        for r in t.rows
     ]
-    if config.p is not None:
-        comments.append(f"p={_fmt(config.p)}")
-    if config.phi is not None:
-        comments.append(f"phi={_fmt(config.phi)}")
-    for t in traces:
-        comments.append(f"trace x={_fmt(t.x)} filter={t.filter_kind}")
-        if t.fit is not None:
-            comments.append(
-                f"fit x={_fmt(t.x)} filter={t.filter_kind} "
-                f"A={_fmt(t.fit[0])} q_hat={_fmt(t.fit[1])}"
-            )
-    header = ["x", "filter", "N", "error", "saturated"]
-    rows = []
-    for t in traces:
-        for r in t.rows:
-            rows.append([t.x, t.filter_kind, r.N, r.error, int(r.saturated)])
-    return render_csv(comments, header, rows)
+    return render_csv(comments, SWEEP_HEADER, rows)
 
 
 def rho_curve(
@@ -208,9 +257,7 @@ def rho_curve(
     """
     if resolution < 2:
         raise ConfigError("resolution must be >= 2")
-    if function_key not in FUNCTION_KEYS:
-        raise ConfigError(f"unknown function key {function_key!r}")
-    fn = get_function(function_key, p=p, phi=phi)
+    fn = _resolve_function(function_key, p, phi)
     sings = fn.series.singularities
     if sings is None:
         raise ConfigError(f"{function_key} declares no singularity set")
@@ -235,11 +282,7 @@ def rho_curve(
         if penalties is not None:
             row.append(int(penalties[i].flagged))
         rows.append(row)
-    comments = [f"fn={function_key}", f"resolution={resolution}"]
-    if p is not None:
-        comments.append(f"p={_fmt(p)}")
-    if phi is not None:
-        comments.append(f"phi={_fmt(phi)}")
+    comments = _echo(function_key, p, phi, meta_line(resolution=resolution))
     return render_csv(comments, header, rows)
 
 
@@ -247,52 +290,36 @@ def compare_filters(config: ExperimentConfig) -> str:
     """Run every configured filter at one x; one error column per filter.
 
     Fitted rates are recorded in trailing comment lines, one per filter
-    (fit failures are recorded as empty)."""
+    (a skipped fit has empty A and q_hat and its number of hull points)."""
     if len(config.xs) != 1:
         raise ConfigError("filter comparison wants exactly one x")
     traces = sweep_errors(config)
     header = ["N"] + [f"err_{t.filter_kind}" for t in traces]
-    rows: list[list] = []
-    for k, N in enumerate(config.degrees()):
-        rows.append([N] + [t.rows[k].error for t in traces])
-    comments = [
-        f"fn={config.function_key}",
-        f"x={_fmt(config.xs[0])}",
-        f"n_min={config.n_min} n_max={config.n_max} stride={config.n_stride}",
-    ]
-    if config.p is not None:
-        comments.append(f"p={_fmt(config.p)}")
-    for t in traces:
-        if t.fit is not None:
-            comments.append(
-                f"fit filter={t.filter_kind} A={_fmt(t.fit[0])} "
-                f"q_hat={_fmt(t.fit[1])}"
-            )
-        else:
-            comments.append(f"fit filter={t.filter_kind} A= q_hat=")
+    degrees = config.degrees()
+    rows = [[N] + [t.rows[k].error for t in traces] for k, N in enumerate(degrees)]
+    comments = _config_echo(config, meta_line(x=config.xs[0]))
+    comments += [_fit_line(t, filter=t.filter_kind) for t in traces]
     return render_csv(comments, header, rows)
 
 
 def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
-    """Read back a sweep CSV: config echo from comments, rows into traces."""
+    """Read back a sweep CSV: config echo from comments, rows into traces.
+
+    The returned dict holds the values of the untagged comment lines (fn,
+    n_min, n_max, stride, and p and phi when set).
+    """
     meta: dict = {}
     traces: dict[tuple[float, str], ErrorTrace] = {}
     for line in text.splitlines():
-        if not line.strip():
-            continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            for token in body.split():
-                if "=" in token:
-                    key, _, value = token.partition("=")
-                    if body.startswith("fn=") and key == "fn":
-                        meta["fn"] = value
-                    elif key in ("p", "phi") and not body.startswith(("trace", "fit")):
-                        meta[key] = float(value)
+            tags, fields = parse_meta(line[1:])
+            if not tags:
+                meta.update(fields)
             continue
-        if line.startswith("x,"):
+        cells = line.split(",")
+        if cells == SWEEP_HEADER or not line.strip():
             continue
-        x_s, kind, n_s, err_s, sat_s = line.split(",")
+        x_s, kind, n_s, err_s, sat_s = cells
         key = (float(x_s), kind)
         if key not in traces:
             traces[key] = ErrorTrace(x=float(x_s), filter_kind=kind)

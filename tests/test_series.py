@@ -85,6 +85,26 @@ class TestArraySum:
         assert saturation_floor(series, 10, 1.0) == 21.0 * np.finfo(float).eps
 
 
+class TestSaturationFloor:
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_array_matches_per_degree(self, key):
+        series = get_function(key).series
+        degrees = np.array([0, 1, 2, 37, 400, 1600])
+        floors = saturation_floor(series, degrees)
+        assert floors.shape == degrees.shape
+        eps = np.finfo(float).eps
+        for N, floor in zip(degrees.tolist(), floors):
+            direct = 100.0 * eps * np.abs(series.coefficients(N)).sum()
+            per_degree = saturation_floor(series, N)
+            assert floor == pytest.approx(per_degree, rel=1e-14, abs=0.0)
+            assert floor == pytest.approx(direct, rel=1e-14, abs=0.0)
+
+    def test_negative_degree_rejected(self):
+        series = make_delta().series
+        with pytest.raises(ValueError):
+            saturation_floor(series, np.array([3, -1]))
+
+
 class TestFilteredPartialSum:
     def test_identity_filter_is_plain_sum(self):
         sws = make_sws().series

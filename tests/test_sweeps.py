@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gibbsaccel import cli
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
@@ -14,6 +16,8 @@ from gibbsaccel.sweeps import (
     InsufficientDataError,
     compare_filters,
     fit_envelope,
+    meta_line,
+    parse_meta,
     parse_sweep_csv,
     rho_curve,
     sweep_csv,
@@ -72,8 +76,11 @@ class TestFitEnvelope:
             fit_envelope(trace)
 
     def test_too_few_points_raises(self):
+        trace = synthetic_trace(2.0, 0.5, range(5, 9))
         with pytest.raises(InsufficientDataError):
-            fit_envelope(synthetic_trace(2.0, 0.5, range(5, 9)))
+            fit_envelope(trace)
+        # the hull is kept, so a skipped fit can report its size
+        assert trace.envelope == [0, 1, 2, 3] and trace.fit is None
 
 
 class TestSweepErrors:
@@ -138,6 +145,41 @@ class TestSweepErrors:
         assert refit == pytest.approx(original)
 
 
+def _is_number(text):
+    for cast in (int, float):
+        try:
+            cast(text)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
+# a single token: nonempty, no whitespace, no "="
+_WORD = st.text(min_size=1).filter(lambda s: s.split() == [s] and "=" not in s)
+_META_VALUE = (
+    st.integers()
+    | st.floats(allow_nan=False)
+    | st.none()
+    | _WORD.filter(lambda s: not _is_number(s))
+)
+
+
+class TestMetadataLines:
+    @given(st.lists(_WORD, max_size=3), st.dictionaries(_WORD, _META_VALUE))
+    def test_round_trip(self, tags, fields):
+        got_tags, got_fields = parse_meta(meta_line(*tags, **fields))
+        assert got_tags == tags
+        assert got_fields == fields
+        assert [type(v) for v in got_fields.values()] == [
+            type(v) for v in fields.values()
+        ]
+
+    def test_float_and_none_format(self):
+        line = meta_line("fit", x=0.1, N=3, A=None, q_hat=math.inf)
+        assert line == "fit x=0.1 N=3 A= q_hat=inf"
+
+
 class TestRhoCurve:
     @staticmethod
     def parse(text):
@@ -196,16 +238,10 @@ class TestCompareFilters:
     def fits(text):
         out = {}
         for line in text.splitlines():
-            if line.startswith("# fit filter="):
-                parts = dict(
-                    token.partition("=")[::2]
-                    for token in line[2:].split()
-                    if "=" in token
-                )
-                out[parts["filter"]] = (
-                    float(parts["A"]) if parts["A"] else None,
-                    float(parts["q_hat"]) if parts["q_hat"] else None,
-                )
+            if line.startswith("#"):
+                tags, fields = parse_meta(line[1:])
+                if tags == ["fit"]:
+                    out[fields["filter"]] = (fields["A"], fields["q_hat"])
         return out
 
     def test_adaptive_filters_beat_euler_near_jump(self):
@@ -261,9 +297,9 @@ class TestCli:
         capsys.readouterr()
         assert main(["envelope", "--in", str(out)]) == EXIT_OK
         text = capsys.readouterr().out
-        assert "q_hat=" in text and "q_predicted=" in text
-        rel_gap = float(text.split("rel_gap=")[1].split()[0])
-        assert rel_gap < 0.05
+        _, fields = parse_meta(text)
+        assert "q_hat" in fields and "q_predicted" in fields
+        assert fields["rel_gap"] < 0.05
 
     def test_rho_command(self, capsys):
         assert main(["rho", "--fn", "lorentzian", "--resolution", "33"]) == EXIT_OK
@@ -282,6 +318,9 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--fn", "sws", "--x", "0.0", "--n-max", "40"]) == EXIT_CONFIG
         assert main(["weights", "--filter", "euler", "--M", "0"]) == EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", "--filter", "hdaf", "--M", "2"])
+        assert exc.value.code == EXIT_CONFIG
         capsys.readouterr()
 
     def test_insufficient_data_exit_code(self, tmp_path, capsys):
@@ -290,6 +329,18 @@ class TestCli:
         main(["sweep", "--fn", "lorentzian", "--p", "0.01", "--x", "0.5",
               "--n-min", "50", "--n-max", "80", "--out", str(out)])
         capsys.readouterr()
+        # the skipped fit is written, with the hull size that was too small
+        fit_lines = [
+            parse_meta(line[1:])[1]
+            for line in out.read_text().splitlines()
+            if line.startswith("# fit ")
+        ]
+        assert len(fit_lines) == 1
+        assert fit_lines[0]["A"] is None and fit_lines[0]["q_hat"] is None
+        assert fit_lines[0]["hull_points"] < 5
+        meta, traces = parse_sweep_csv(out.read_text())
+        assert meta["fn"] == "lorentzian" and meta["p"] == 0.01
+        assert len(traces) == 1 and len(traces[0].rows) == 31
         assert main(["envelope", "--in", str(out)]) == EXIT_INSUFFICIENT
 
     def test_unknown_function_in_input_is_config_error(self, tmp_path, capsys):
