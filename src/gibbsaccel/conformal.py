@@ -17,10 +17,15 @@ re-expanded coefficients depend only on the first N original ones.
 all-positive recurrence T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1]:
 O(N^2) flops and O(N) memory, with no N x N table held.
 
-With c = 2 the column sums sum_{m<=N} T_2[m, n] are the classical Euler
-summation weights sigma_N(n) (``filters._euler_sigma_table``), so the
-map-accelerated sum is Euler summation; ``euler_equivalence_check``
-measures the difference between the two pipelines.
+With p = (c-1)/c, T_c[m, n] = p^n (1-p)^(m-n) C(m-1, n-1) is the
+probability that the n-th success of Bernoulli(p) trials falls on trial
+m, so the column sums sum_{m<=N} T_c[m, n] are the Euler-Knopp weights
+P(Binomial(N, p) >= n) (``filters._euler_sigma_table(N, p)``).  The
+accelerated sum is therefore one weight vector times the coefficient
+vector, with no re-expansion; with c = 2 (p = 1/2) the weights are the
+classical Euler summation weights.  ``euler_equivalence_check`` compares
+the two constructions of the table: the row recurrence and the binomial
+tails.
 """
 
 from __future__ import annotations
@@ -87,6 +92,13 @@ class MobiusMap:
 MOBIUS2 = MobiusMap(2.0)
 
 
+def _prefix(series: PowerSeries, N: int) -> np.ndarray:
+    """a_0..a_N as an array; raises ValueError unless 0 <= N <= n_max."""
+    if not 0 <= N <= series.n_max:
+        raise ValueError(f"N={N} outside [0, n_max={series.n_max}]")
+    return np.array(series.coeffs[: N + 1])
+
+
 def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSeries:
     """Re-expand sum a_n Z(w)^n as sum b_m w^m through order w^N.
 
@@ -99,13 +111,9 @@ def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSerie
     m, so the output prefix never changes when more input terms become
     available.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    if N > series.n_max:
-        raise ValueError(f"N={N} exceeds available coefficients {series.n_max}")
+    a = _prefix(series, N)
     c = mapping.c
     r = (c - 1.0) / c
-    a = np.array(series.coeffs[: N + 1])
     b = np.empty(N + 1, dtype=complex)
     b[0] = a[0]
     row = np.zeros(N + 1)
@@ -118,21 +126,28 @@ def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSerie
 
 
 def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:
-    """Partial sum of the re-expanded series at w = 1 through order N."""
-    return complex(np.sum(recoefficient(series, mapping, N).coeffs))
+    """Partial sum of the re-expanded series at w = 1 through order N.
+
+    sum_{m<=N} b_m = sum_n sigma(n) a_n with the Euler-Knopp weights
+    sigma(n) = P(Binomial(N, (c-1)/c) >= n), the column sums of T_c: one
+    O(N) weight vector, no re-expansion.
+    """
+    a = _prefix(series, N)
+    sigma = _euler_sigma_table(N, (mapping.c - 1.0) / mapping.c)[: N + 1]
+    return complex(np.sum(sigma * a))
 
 
 def euler_equivalence_check(series: PowerSeries, N: int) -> float:
-    """|map-accelerated sum - Euler-weighted sum| for the same input.
+    """|Möbius(2) sum by the row recurrence - Euler-weighted sum|.
 
-    The two pipelines are mathematically identical (the column sums of
-    T_2 are the Euler weights); the returned residual is pure
-    floating-point noise, below 1e-14 times sum |a_n|.
+    The sum of ``recoefficient``'s b_m against sigma_E . a with the
+    binomial Euler table: two independent constructions of the same
+    weights, so the residual is pure floating-point noise, below 1e-14
+    times sum |a_n|.
     """
-    accelerated = accelerate_sum(series, MOBIUS2, N)
-    sigma = _euler_sigma_table(N)[: N + 1]
-    weighted = complex(np.sum(sigma * np.array(series.coeffs[: N + 1])))
-    return abs(accelerated - weighted)
+    mapped = np.sum(recoefficient(series, MOBIUS2, N).coeffs)
+    weighted = np.sum(_euler_sigma_table(N)[: N + 1] * _prefix(series, N))
+    return abs(complex(mapped - weighted))
 
 
 def abel_extend_eval(

@@ -6,8 +6,12 @@ provided:
 
 * Euler: the classical binomial summation weights.  Indexed on
   j/(M+1), so a truncation at degree N uses ``euler_sigma(|n|, N)``.
+  They are the p = 1/2 case of the Euler-Knopp weights
+  P(Binomial(M, p) >= j) (``_euler_sigma_table(M, p)``), which with
+  p = (c-1)/c are the column sums of the Möbius(c) re-expansion table
+  (see ``conformal``).
 * Erfc-Log: a compactly supported erfc-based weight with a logarithmic
-  correction and a spatially varying order p.
+  correction and a spatially varying order p; one array call per table.
 * HDAF: a truncated-exponential-series weight with an x-adaptive
   truncation depth (fixed shape parameters alpha = 1, kappa = 1/15).
 
@@ -32,6 +36,9 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 #: 0 or 1 in double precision.
 _ERFC_ARG_CLAMP = 40.0
 
+#: math.erfc applied elementwise (numpy has no erfc).
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
 #: HDAF truncation-depth divisor (Tanner's kappa = 1/15).
 _HDAF_DEPTH_DIVISOR = 15.0
 
@@ -46,23 +53,17 @@ VALID_KINDS = ("identity", "euler", "erfclog", "hdaf")
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Selects a filter family and its free parameters.
-
-    ``order`` fixes the Erfc-Log order p; leave it ``None`` to use the
-    adaptive rule p = 1 + N*d/(2*pi) with d the distance to the real
-    singularity.  HDAF and Euler have no free parameters.
-    """
+    """Selects a filter family.  Euler and HDAF have no free parameters;
+    Erfc-Log uses the adaptive order p = 1 + N*d/(2*pi) with d the
+    distance to the real singularity."""
 
     kind: str = "identity"
-    order: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in VALID_KINDS:
             raise ValueError(
                 f"unknown filter kind {self.kind!r}; expected one of {VALID_KINDS}"
             )
-        if self.order is not None and self.order <= 0:
-            raise ValueError("filter order must be positive")
 
 
 def euler_mu(M: int, k: int) -> float:
@@ -78,38 +79,43 @@ def euler_mu(M: int, k: int) -> float:
 
 
 @lru_cache(maxsize=256)
-def _euler_mu_row(M: int) -> np.ndarray:
-    """mu(M, k) for k = 0..M.
+def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
+    """The Binomial(M, p) pmf mu(M, k) for k = 0..M.
 
-    The ratios mu(k+1)/mu(k) = (M-k)/(k+1) are multiplied outward from the
-    mode k = M//2, where the row is largest, and the row is normalized by
-    its sum.  No start value such as 2^-M is formed, so nothing underflows
-    before the tails themselves do.
+    The ratios mu(k+1)/mu(k) = (M-k)/(k+1) * p/(1-p) are multiplied
+    outward from k = floor(M*p), next to the mode, where the row is
+    largest, and the row is normalized by its sum.  No start value such
+    as 2^-M is formed, so nothing underflows before the tails themselves
+    do.  At p = 1/2 the odds factor is exactly 1.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
-    mode = M // 2
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"success probability p={p} outside (0, 1)")
+    odds = p / (1.0 - p)
+    mode = int(M * p)
     k = np.arange(M + 1, dtype=float)
     row = np.empty(M + 1)
     row[mode] = 1.0
-    up = k[mode + 1 :]  # mu(k)/mu(k-1) = (M-k+1)/k
-    row[mode + 1 :] = np.cumprod((M - up + 1.0) / up)
-    down = k[:mode][::-1]  # mu(k)/mu(k+1) = (k+1)/(M-k)
-    row[:mode] = np.cumprod((down + 1.0) / (M - down))[::-1]
+    up = k[mode + 1 :]  # mu(k)/mu(k-1) = (M-k+1)/k * odds
+    row[mode + 1 :] = np.cumprod((M - up + 1.0) / up * odds)
+    down = k[:mode][::-1]  # mu(k)/mu(k+1) = (k+1)/(M-k) / odds
+    row[:mode] = np.cumprod((down + 1.0) / (M - down) / odds)[::-1]
     mu = row / row.sum()
     mu.flags.writeable = False
     return mu
 
 
 @lru_cache(maxsize=256)
-def _euler_sigma_table(M: int) -> np.ndarray:
-    """sigma_E at arguments j/(M+1) for j = 0..M+1.
+def _euler_sigma_table(M: int, p: float = 0.5) -> np.ndarray:
+    """Euler-Knopp weights P(Binomial(M, p) >= j) for j = 0..M+1.
 
-    sigma_E(j) is the tail sum of mu(M, k) over k >= j, accumulated from
-    the small end; dividing by the full sum makes sigma_E(0) exactly 1 and
-    keeps the table nonincreasing and inside [0, 1].
+    At p = 1/2 these are sigma_E at arguments j/(M+1).  The tail sums of
+    mu(M, k) over k >= j are accumulated from the small end; dividing by
+    the full sum makes sigma_E(0) exactly 1 and keeps the table
+    nonincreasing and inside [0, 1].
     """
-    tails = np.cumsum(_euler_mu_row(M)[::-1])[::-1]
+    tails = np.cumsum(_euler_mu_row(M, p)[::-1])[::-1]
     sigma = np.zeros(M + 2)
     sigma[: M + 1] = tails / tails[0]
     sigma.flags.writeable = False
@@ -123,34 +129,29 @@ def euler_sigma(j: int, M: int) -> float:
     return float(_euler_sigma_table(M)[j])
 
 
-def erfclog_sigma(theta: float, p: float) -> float:
-    """Erfc-Log filter weight at theta in [-1, 1] with order p > 0.
+def erfclog_sigma(theta, p: float):
+    """Erfc-Log filter weight at theta in [-1, 1] (float or array), order p > 0.
 
     With tb = |theta| - 1/2 the weight is
     erfc(2*sqrt(p)*tb*L(tb))/2 where L(tb) = sqrt(-log(1-4 tb^2)/(4 tb^2)),
-    continued by its limit L = 1 at tb = 0.  Exactly 1 at theta = 0 and
-    exactly 0 at |theta| = 1.
+    continued by its limit L = 1 at tb = 0.  The erfc argument is clamped
+    to [-40, 40], where the weight is already exactly 1 or 0 in double
+    precision; L is infinite at theta = 0 and |theta| = 1, so the weight
+    there is exactly 1 and 0.
     """
     if p <= 0:
         raise ValueError("order p must be positive")
-    at = abs(theta)
-    if at > 1.0:
-        raise ValueError(f"|theta|={at} > 1")
-    if at == 0.0:
-        return 1.0
-    if at == 1.0:
-        return 0.0
+    at = np.abs(np.asarray(theta, dtype=float))
+    if (at > 1.0).any():
+        raise ValueError(f"|theta|={at.max()} > 1")
     tb = at - 0.5
-    if abs(tb) < 1e-14:
-        log_factor = 1.0
-    else:
-        log_factor = math.sqrt(-math.log1p(-4.0 * tb * tb) / (4.0 * tb * tb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t2 = 4.0 * tb * tb
+        log_factor = np.where(np.abs(tb) < 1e-14, 1.0, np.sqrt(-np.log1p(-t2) / t2))
     arg = 2.0 * math.sqrt(p) * tb * log_factor
-    if arg >= _ERFC_ARG_CLAMP:
-        return 0.0
-    if arg <= -_ERFC_ARG_CLAMP:
-        return 1.0
-    return 0.5 * math.erfc(arg)
+    arg = np.clip(arg, -_ERFC_ARG_CLAMP, _ERFC_ARG_CLAMP)
+    w = 0.5 * np.asarray(_erfc(arg), dtype=float)
+    return float(w) if w.ndim == 0 else w
 
 
 def erfclog_order(x_dist: float, N: int) -> float:
@@ -250,5 +251,4 @@ def filter_weights(spec: FilterSpec, N: int, x_dist: float = 0.0) -> np.ndarray:
         return np.ones(1)
     if spec.kind == "hdaf":
         return hdaf_sigma(np.arange(N + 1) / N, N, abs(x_dist))
-    p = spec.order if spec.order is not None else erfclog_order(x_dist, N)
-    return np.array([erfclog_sigma(n / N, p) for n in range(N + 1)])
+    return erfclog_sigma(np.arange(N + 1) / N, erfclog_order(x_dist, N))

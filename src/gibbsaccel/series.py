@@ -3,9 +3,11 @@
 Coefficients are supplied by a generator function (closed form in n)
 rather than a stored array, so very large truncation degrees cost nothing
 up front.  The generator takes the whole index range at once as an integer
-array, so a sum over |n| <= N is a handful of array operations.  Sums are
-reduced with numpy's pairwise summation: the rounding error is about
-log2(2N+1)*eps*sum|c_n|, below the saturation floor of 100*eps*sum|c_n|,
+array, so a sum over |n| <= N is a handful of array operations.  A sum is
+folded onto the one-sided terms a_n = c_n e^{inx} + c_-n e^{-inx},
+n = 0..N (``FourierSeries.folded``), weighted, and reduced over those N+1
+terms with numpy's pairwise summation: the rounding error is about
+log2(N+1)*eps*sum|c_n|, below the saturation floor of 100*eps*sum|c_n|,
 and results are bit-identical from run to run with the same numpy build.
 """
 
@@ -60,13 +62,20 @@ class FourierSeries:
         c = np.asarray(self.coeff(ns), dtype=complex)
         return c if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
 
-    def check_degree(self, N: int) -> None:
-        if N < 0:
-            raise ValueError("truncation degree must be >= 0")
-        if N > self.n_max:
-            raise ValueError(
-                f"truncation degree {N} exceeds n_max={self.n_max}"
-            )
+    def folded(self, x: float, N: int) -> np.ndarray:
+        """The one-sided terms a_0 = c_0, a_n = c_n e^{inx} + c_-n e^{-inx}.
+
+        The partial sum over |n| <= N at x is sum a_n for n = 0..N, and a
+        filter with weights sigma(|n|) gives sum sigma(n) a_n.  Raises
+        ValueError unless 0 <= N <= n_max.
+        """
+        if not 0 <= N <= self.n_max:
+            raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
+        c = self.coefficients(N)  # c[N + n] = c_n
+        phase = np.exp(1j * np.arange(N + 1) * x)
+        a = c[N:] * phase + c[N::-1] * phase.conj()
+        a[0] = c[N]
+        return a
 
     def real_singularity_distance(self, x: float) -> float:
         """Periodic distance from x to the declared real singularity.
@@ -92,15 +101,15 @@ def filtered_partial_sum(
 ) -> complex:
     """Filtered partial sum sum sigma(|n|) c_n exp(inx) over |n| <= N.
 
+    Summed as sum sigma(n) a_n over the N+1 folded terms (``folded``).
+
     Adaptive filters (Erfc-Log, HDAF) receive the periodic distance from
     x to the series' real singularity; Euler and identity weights depend
     only on |n| and N.
     """
-    series.check_degree(N)
+    a = series.folded(x, N)
     w = filter_weights(spec, N, series.real_singularity_distance(x))
-    ns = np.arange(-N, N + 1)
-    terms = w[np.abs(ns)] * series.coefficients(N) * np.exp(1j * ns * x)
-    return complex(terms.sum())
+    return complex(np.sum(w * a))
 
 
 def pointwise_error(
@@ -115,12 +124,10 @@ def pointwise_error(
     return abs(complex(series.exact_eval(x)) - filtered_partial_sum(series, x, N, spec))
 
 
-def saturation_floor(
-    series: FourierSeries, N: int | np.ndarray, scale: float = 100.0
-) -> float | np.ndarray:
+def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.ndarray:
     """Error level below which double precision cannot resolve the sum.
 
-    ``scale`` times machine epsilon times sum of |c_n| over |n| <= N;
+    100 times machine epsilon times sum of |c_n| over |n| <= N;
     measured errors under this floor are roundoff, not truncation.  N is
     an int, giving a float, or an integer array of degrees, giving the
     floors of the same shape from one coefficient call at the largest
@@ -133,5 +140,5 @@ def saturation_floor(
     mag = np.abs(series.coefficients(top))  # mag[top + n] = |c_n|
     pairs = mag[top + 1 :] + mag[:top][::-1]  # |c_n| + |c_-n|, n = 1..top
     totals = mag[top] + np.concatenate(([0.0], np.cumsum(pairs)))
-    floors = scale * np.finfo(float).eps * totals[degrees]
+    floors = 100.0 * np.finfo(float).eps * totals[degrees]
     return float(floors) if floors.ndim == 0 else floors

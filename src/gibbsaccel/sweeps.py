@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import FUNCTION_KEYS, TestFunction, get_function
-from .filters import FilterSpec
+from .filters import VALID_KINDS, FilterSpec
 from .rates import acceleration_penalty_region, rho_of_x, zeta_image_modulus, z_image
 from .series import pointwise_error, saturation_floor
 
@@ -76,15 +76,21 @@ class ExperimentConfig:
 
     def validate(self) -> TestFunction:
         """Check the request; returns the catalog entry it names."""
-        if not self.degrees():
-            raise ConfigError("empty truncation-degree range")
         if self.n_stride < 1:
             raise ConfigError("stride must be >= 1")
+        degrees = self.degrees()
+        if not degrees:
+            raise ConfigError("empty truncation-degree range")
         for kind in self.filters:
-            FilterSpec(kind)  # raises on unknown kinds
+            if kind not in VALID_KINDS:
+                raise ConfigError(f"unknown filter kind {kind!r}")
         fn = _resolve_function(self.function_key, self.p, self.phi)
+        if degrees[0] < 0 or degrees[-1] > fn.series.n_max:
+            raise ConfigError(f"truncation degree outside [0, n_max={fn.series.n_max}]")
         sings = fn.series.singularities
         for x in self.xs:
+            if not math.isfinite(x):
+                raise ConfigError(f"x={x} is not finite")
             if sings is not None and sings.real_distance(x) == 0.0:
                 raise ConfigError(f"x={x} sits on the real singularity")
         return fn
@@ -306,20 +312,20 @@ def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
     """Read back a sweep CSV: config echo from comments, rows into traces.
 
     The returned dict holds the values of the untagged comment lines (fn,
-    n_min, n_max, stride, and p and phi when set).
+    n_min, n_max, stride, and p and phi when set).  Raises ConfigError
+    when the first non-comment line is not the sweep header (a
+    ``compare`` output, for one).
     """
     meta: dict = {}
     traces: dict[tuple[float, str], ErrorTrace] = {}
-    for line in text.splitlines():
-        if line.startswith("#"):
-            tags, fields = parse_meta(line[1:])
-            if not tags:
-                meta.update(fields)
-            continue
-        cells = line.split(",")
-        if cells == SWEEP_HEADER or not line.strip():
-            continue
-        x_s, kind, n_s, err_s, sat_s = cells
+    lines = [line for line in text.splitlines() if line.strip()]
+    for tags, fields in (parse_meta(ln[1:]) for ln in lines if ln.startswith("#")):
+        if not tags:
+            meta.update(fields)
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    if rows and rows[0] != SWEEP_HEADER:
+        raise ConfigError(f"not a sweep CSV: header {','.join(rows[0])!r}")
+    for x_s, kind, n_s, err_s, sat_s in (r for r in rows if r != SWEEP_HEADER):
         key = (float(x_s), kind)
         if key not in traces:
             traces[key] = ErrorTrace(x=float(x_s), filter_kind=kind)

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from gibbsaccel import conformal
 from gibbsaccel.catalog import log2_series, make_lorentzian, make_sws
 from gibbsaccel.conformal import (
     MOBIUS2,
@@ -43,6 +44,20 @@ def exact_recoefficient(a, c, N):
             )
         )
     return np.array(out)
+
+
+def exact_accelerated_sum(a, c, N):
+    """sum_{m<=N} b_m = a_0 + sum_n a_n sum_{m=n..N} T_c[m, n] from the
+    closed-form table, in exact rational arithmetic rounded once."""
+    c = Fraction(c)
+    r = (c - 1) / c
+    cols = [Fraction(1)] + [
+        sum(r**n * c ** (n - m) * math.comb(m - 1, n - 1) for m in range(n, N + 1))
+        for n in range(1, N + 1)
+    ]
+    re = sum(w * Fraction(float(x.real)) for w, x in zip(cols, a))
+    im = sum(w * Fraction(float(x.imag)) for w, x in zip(cols, a))
+    return complex(float(re), float(im))
 
 
 def brute_force_composition(a, zc, N):
@@ -172,6 +187,25 @@ class TestAccelerateSum:
     def test_constant_series_exact(self):
         c = 2.5 - 0.5j
         assert accelerate_sum(PowerSeries((c, 0.0, 0.0)), MOBIUS2, 2) == c
+
+    def test_against_exact_table(self):
+        N = 200
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+        got = accelerate_sum(PowerSeries(tuple(a)), MobiusMap(2.5), N)
+        assert abs(got - exact_accelerated_sum(a, 2.5, N)) <= 1e-14 * np.abs(a).sum()
+
+    def test_does_not_re_expand(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("recoefficient called")
+
+        series = log2_series(64)
+        want = {c: accelerate_sum(series, MobiusMap(c), 64) for c in (2.0, 3.0)}
+        monkeypatch.setattr(conformal, "recoefficient", refuse)
+        for c, total in want.items():
+            assert accelerate_sum(series, MobiusMap(c), 64) == total
+        with pytest.raises(AssertionError):
+            euler_equivalence_check(series, 64)
 
     def test_balanced_map_against_mpmath(self):
         # sum_{m<=N} b_m = a_0 + sum_n a_n sum_{m=n..N} T_3[m, n], with

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from gibbsaccel.filters import (
     filter_weights,
     hdaf_sigma,
 )
+from gibbsaccel.filters import _euler_mu_row, _euler_sigma_table
 
 
 class TestEulerMu:
@@ -80,6 +82,32 @@ class TestEulerSigma:
         assert sigma[M // 2] == pytest.approx(0.5, abs=0.05)
 
 
+def exact_binomial_tails(N, p):
+    """P(Binomial(N, p) >= j) for j = 0..N, exact in rationals for the double p."""
+    p = Fraction(p)
+    pmf = [math.comb(N, k) * p**k * (1 - p) ** (N - k) for k in range(N + 1)]
+    return np.array([float(t) for t in itertools.accumulate(reversed(pmf))][::-1])
+
+
+class TestEulerKnopp:
+    @pytest.mark.parametrize("p", [1 / 2, 2 / 3, 3 / 5])
+    def test_tails_match_exact_binomial(self, p):
+        sigma = _euler_sigma_table(200, p)
+        exact = exact_binomial_tails(200, p)
+        np.testing.assert_allclose(sigma[:201], exact, rtol=0, atol=1e-15)
+        assert sigma[0] == 1.0 and sigma[201] == 0.0
+
+    def test_half_is_the_euler_table(self):
+        for M in (1, 2, 37, 1100):
+            table = _euler_sigma_table(M, 0.5)
+            assert table.tolist() == [euler_sigma(j, M) for j in range(M + 2)]
+
+    def test_rejects_p_outside_unit_interval(self):
+        for p in (0.0, 1.0, -0.2, 1.5):
+            with pytest.raises(ValueError):
+                _euler_mu_row(10, p)
+
+
 class TestErfcLog:
     def test_halfway_point(self):
         for p in (1.0, 3.5, 40.0):
@@ -107,6 +135,21 @@ class TestErfcLog:
     def test_rejects_theta_beyond_support(self):
         with pytest.raises(ValueError):
             erfclog_sigma(1.0001, 1.0)
+
+    def test_array_matches_scalar_calls(self):
+        theta = np.concatenate([np.linspace(-1, 1, 401), [0.5 + 1e-15, 0.5 - 1e-15]])
+        for p in (0.3, 4.0, 250.0):
+            w = erfclog_sigma(theta, p)
+            assert w.shape == theta.shape
+            assert w.tolist() == [erfclog_sigma(float(t), p) for t in theta]
+
+    def test_array_endpoints_exact(self):
+        w = erfclog_sigma(np.array([-1.0, 0.0, 1.0]), 2.0)
+        assert w.tolist() == [0.0, 1.0, 0.0]
+
+    def test_array_rejects_theta_beyond_support(self):
+        with pytest.raises(ValueError):
+            erfclog_sigma(np.array([0.2, -1.0001]), 1.0)
 
 
 class TestErfcLogOrder:
@@ -183,9 +226,10 @@ class TestFilterWeights:
             assert w.shape == (1,)
             assert w[0] == 1.0
 
-    def test_fixed_order_erfclog(self):
-        w = filter_weights(FilterSpec("erfclog", order=4.0), 10, x_dist=2.0)
-        assert w[5] == pytest.approx(erfclog_sigma(0.5, 4.0), abs=1e-15)
+    def test_adaptive_order_erfclog(self):
+        p = erfclog_order(2.0, 10)
+        w = filter_weights(FilterSpec("erfclog"), 10, x_dist=2.0)
+        assert w.tolist() == [erfclog_sigma(n / 10, p) for n in range(11)]
 
 
 class TestWeightProperties:

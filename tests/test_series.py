@@ -82,7 +82,26 @@ class TestArraySum:
     def test_constant_coefficients_broadcast(self):
         series = FourierSeries(coeff=lambda n: 1.0, n_max=10)
         assert partial_sum(series, 0.0, 10) == pytest.approx(21.0, abs=1e-14)
-        assert saturation_floor(series, 10, 1.0) == 21.0 * np.finfo(float).eps
+        assert saturation_floor(series, 10) == 100.0 * np.finfo(float).eps * 21.0
+
+
+class TestFolded:
+    def test_matches_two_sided_terms(self):
+        sws = make_sws().series
+        x, N = 0.7, 30
+        a = sws.folded(x, N)
+        c = sws.coefficients(N)  # c[N + n] = c_n
+        ns = np.arange(1, N + 1)
+        want = c[N + 1 :] * np.exp(1j * ns * x) + c[N - 1 :: -1] * np.exp(-1j * ns * x)
+        assert a.shape == (N + 1,) and a[0] == c[N]
+        np.testing.assert_allclose(a[1:], want, rtol=0, atol=1e-16)
+
+    def test_degree_range(self):
+        series = FourierSeries(coeff=lambda n: 1.0, n_max=10)
+        assert series.folded(0.0, 0).tolist() == [1.0]
+        for N in (-1, 11):
+            with pytest.raises(ValueError):
+                series.folded(0.3, N)
 
 
 class TestSaturationFloor:

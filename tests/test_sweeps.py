@@ -323,6 +323,31 @@ class TestCli:
         assert exc.value.code == EXIT_CONFIG
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--x", "nan", "--n-max", "30"],
+            ["sweep", "--x", "1.9", "--n-min", "-1", "--n-max", "5"],
+            ["sweep", "--x", "1.9", "--n-min", "2999990", "--n-max", "3000000"],
+            ["sweep", "--x", "1.9", "--n-max", "30", "--stride", "0"],
+            ["compare", "--x", "1.9", "--n-max", "30", "--filters", "euler,foo"],
+        ],
+    )
+    def test_invalid_request_exit_code(self, args, capsys):
+        assert main([args[0], "--fn", "sws", *args[1:]]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "filters", ["euler,erfclog,hdaf", "identity,euler,erfclog,hdaf"]
+    )
+    def test_envelope_rejects_compare_output(self, filters, tmp_path, capsys):
+        out = tmp_path / "compare.csv"
+        main(["compare", "--fn", "sws", "--x", "1.9635", "--n-max", "30",
+              "--filters", filters, "--out", str(out)])
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        header = ",".join(["N"] + [f"err_{k}" for k in filters.split(",")])
+        assert header in capsys.readouterr().err
+
     def test_insufficient_data_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         # deep pole: everything saturates almost immediately
