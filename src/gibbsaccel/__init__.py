@@ -55,6 +55,7 @@ from .series import (
     filtered_partial_sum,
     partial_sum,
     pointwise_error,
+    trace_errors,
 )
 
 __all__ = [
@@ -84,6 +85,7 @@ __all__ = [
     "predicted_envelope",
     "recoefficient",
     "rho_of_x",
+    "trace_errors",
     "z_image",
     "zeta_image_modulus",
 ]

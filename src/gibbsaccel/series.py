@@ -9,6 +9,11 @@ n = 0..N (``FourierSeries.folded``), weighted, and reduced over those N+1
 terms with numpy's pairwise summation: the rounding error is about
 log2(N+1)*eps*sum|c_n|, below the saturation floor of 100*eps*sum|c_n|,
 and results are bit-identical from run to run with the same numpy build.
+
+A trace of degrees at one x (``trace_errors``) folds once, at its top
+degree, and each N sums the prefix a_0..a_N of that fold: the folded
+terms do not depend on N, so every row is bit-identical to the per-N
+sum, which is the one-degree case of the same path.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .filters import FilterSpec, filter_weights
 from .rates import SingularitySet, periodic_distance
 
-_SYMMETRY_PROBE = 8  # coefficients c(-8)..c(8) checked for conjugate symmetry
+_SYMMETRY_PROBE = 8  # c(+-n) checked for n = 0..8, n_max // 2 and n_max
 
 
 @dataclass(frozen=True)
@@ -46,21 +51,24 @@ class FourierSeries:
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
         if self.real_valued:
-            K = min(_SYMMETRY_PROBE, self.n_max)
-            c = self.coefficients(K)  # c[K + n] = c_n
-            c_pos, c_neg = c[K:], c[K::-1]
+            probe = min(_SYMMETRY_PROBE, self.n_max)
+            ns = np.array(sorted({*range(probe + 1), self.n_max // 2, self.n_max}))
+            c = self._coefficients_at(np.concatenate((ns, -ns)))
+            c_pos, c_neg = c[: ns.size], c[ns.size :]
             bad = np.abs(c_neg - c_pos.conj()) > 1e-13 * (1.0 + np.abs(c_pos))
             if bad.any():
                 raise ValueError(
                     f"real_valued series needs c(-n) == conj(c(n)); "
-                    f"violated at n={int(np.argmax(bad))}"
+                    f"violated at n={int(ns[np.argmax(bad)])}"
                 )
+
+    def _coefficients_at(self, ns: np.ndarray) -> np.ndarray:
+        c = np.asarray(self.coeff(ns), dtype=complex)
+        return c if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
 
     def coefficients(self, N: int) -> np.ndarray:
         """c_n for n = -N..N as a complex array of length 2N+1."""
-        ns = np.arange(-N, N + 1)
-        c = np.asarray(self.coeff(ns), dtype=complex)
-        return c if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
+        return self._coefficients_at(np.arange(-N, N + 1))
 
     def folded(self, x: float, N: int) -> np.ndarray:
         """The one-sided terms a_0 = c_0, a_n = c_n e^{inx} + c_-n e^{-inx}.
@@ -101,27 +109,61 @@ def filtered_partial_sum(
 ) -> complex:
     """Filtered partial sum sum sigma(|n|) c_n exp(inx) over |n| <= N.
 
-    Summed as sum sigma(n) a_n over the N+1 folded terms (``folded``).
+    Summed as sum sigma(n) a_n over the N+1 folded terms (``folded``),
+    by the same path as every row of ``trace_errors``.
 
     Adaptive filters (Erfc-Log, HDAF) receive the periodic distance from
     x to the series' real singularity; Euler and identity weights depend
     only on |n| and N.
     """
-    a = series.folded(x, N)
-    w = filter_weights(spec, N, series.real_singularity_distance(x))
-    return complex(np.sum(w * a))
+    ((value,),) = _filtered_sums(series, x, [N], [spec])
+    return value
+
+
+def _filtered_sums(
+    series: FourierSeries, x: float, degrees: list[int], specs: list[FilterSpec]
+) -> list[list[complex]]:
+    """``filtered_partial_sum`` for each spec (outer) and each N in degrees
+    (inner), every one a prefix of a single fold at the largest N."""
+    if min(degrees) < 0:
+        raise ValueError(f"truncation degree {min(degrees)} is negative")
+    a = series.folded(x, max(degrees))
+    x_dist = series.real_singularity_distance(x)
+    return [
+        [complex(np.sum(filter_weights(spec, N, x_dist) * a[: N + 1])) for N in degrees]
+        for spec in specs
+    ]
+
+
+def trace_errors(
+    series: FourierSeries, x: float, degrees: list[int], specs: list[FilterSpec]
+) -> list[list[float]]:
+    """|f(x) - filtered partial sum| for each spec (outer) and N (inner).
+
+    The coefficients are folded once, at the largest N, and each N sums
+    the prefix a_0..a_N of that fold with its own weight vector, so every
+    error is bit-identical to ``pointwise_error`` at that N.  Raises
+    ValueError when the series has no exact evaluator, when x is a
+    declared real singularity, or when a degree is outside [0, n_max].
+    """
+    if series.exact_eval is None:
+        raise ValueError("series has no exact evaluator")
+    sings = series.singularities
+    if sings is not None and sings.real_distance(x) == 0.0:
+        raise ValueError(f"x={x} is a declared real singularity")
+    exact = complex(series.exact_eval(x))
+    return [
+        [abs(exact - value) for value in sums]
+        for sums in _filtered_sums(series, x, degrees, specs)
+    ]
 
 
 def pointwise_error(
     series: FourierSeries, x: float, N: int, spec: FilterSpec
 ) -> float:
     """|f(x) - filtered partial sum| against the closed-form evaluator."""
-    if series.exact_eval is None:
-        raise ValueError("series has no exact evaluator")
-    sings = series.singularities
-    if sings is not None and sings.real_distance(x) == 0.0:
-        raise ValueError(f"x={x} is a declared real singularity")
-    return abs(complex(series.exact_eval(x)) - filtered_partial_sum(series, x, N, spec))
+    ((err,),) = trace_errors(series, x, [N], [spec])
+    return err
 
 
 def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.ndarray:

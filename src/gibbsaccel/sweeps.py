@@ -20,7 +20,9 @@ import numpy as np
 from .catalog import FUNCTION_KEYS, TestFunction, get_function
 from .filters import VALID_KINDS, FilterSpec
 from .rates import acceleration_penalty_region, rho_of_x, zeta_image_modulus, z_image
-from .series import pointwise_error, saturation_floor
+# pointwise_error, the one-row case of trace_errors, stays in this
+# namespace for callers that wrap it here (bench/tracing.py)
+from .series import pointwise_error, saturation_floor, trace_errors  # noqa: F401
 
 MIN_ENVELOPE_POINTS = 5
 SWEEP_HEADER = ["x", "filter", "N", "error", "saturated"]
@@ -105,23 +107,25 @@ def _resolve_function(key: str, p: float | None, phi: float | None) -> TestFunct
 def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
     """Measure pointwise errors for every (x, filter) pair in the config.
 
-    Rows are produced in ascending N for each trace and traces in the
-    order (x outer, filter inner), so identical configs give identical
-    output.  Each trace is envelope-fitted when possible; a trace with
-    too few unsaturated hull points keeps ``fit = None`` and its
-    ``envelope``, which the CSV writers report as a skipped fit.
+    Each x folds the coefficients once, at the top degree, and every
+    filter and N sums a prefix of that fold (``series.trace_errors``);
+    the rows are bit-identical to per-N ``pointwise_error`` sums.  Rows
+    are produced in ascending N for each trace and traces in the order
+    (x outer, filter inner), so identical configs give identical output.
+    Each trace is envelope-fitted when possible; a trace with too few
+    unsaturated hull points keeps ``fit = None`` and its ``envelope``,
+    which the CSV writers report as a skipped fit.
     """
     fn = config.validate()
     degrees = config.degrees()
     floors = saturation_floor(fn.series, np.array(degrees))
+    specs = [FilterSpec(kind) for kind in config.filters]
     traces = []
     for x in config.xs:
-        for kind in config.filters:
-            spec = FilterSpec(kind)
-            trace = ErrorTrace(x=x, filter_kind=kind)
-            for N, floor in zip(degrees, floors):
-                err = pointwise_error(fn.series, x, N, spec)
-                trace.rows.append(ErrorRow(N, err, err < floor))
+        errors = trace_errors(fn.series, x, degrees, specs)
+        for kind, errs in zip(config.filters, errors):
+            rows = [ErrorRow(N, e, e < f) for N, e, f in zip(degrees, errs, floors)]
+            trace = ErrorTrace(x=x, filter_kind=kind, rows=rows)
             try:
                 fit_envelope(trace)
             except InsufficientDataError:
@@ -314,20 +318,28 @@ def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
     The returned dict holds the values of the untagged comment lines (fn,
     n_min, n_max, stride, and p and phi when set).  Raises ConfigError
     when the first non-comment line is not the sweep header (a
-    ``compare`` output, for one).
+    ``compare`` output, for one), and when a data row does not have the
+    five sweep cells or a cell does not convert; the message names the
+    line.
     """
     meta: dict = {}
     traces: dict[tuple[float, str], ErrorTrace] = {}
-    lines = [line for line in text.splitlines() if line.strip()]
-    for tags, fields in (parse_meta(ln[1:]) for ln in lines if ln.startswith("#")):
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    for tags, fields in (parse_meta(ln[1:]) for _, ln in lines if ln.startswith("#")):
         if not tags:
             meta.update(fields)
-    rows = [line.split(",") for line in lines if not line.startswith("#")]
-    if rows and rows[0] != SWEEP_HEADER:
-        raise ConfigError(f"not a sweep CSV: header {','.join(rows[0])!r}")
-    for x_s, kind, n_s, err_s, sat_s in (r for r in rows if r != SWEEP_HEADER):
-        key = (float(x_s), kind)
-        if key not in traces:
-            traces[key] = ErrorTrace(x=float(x_s), filter_kind=kind)
-        traces[key].rows.append(ErrorRow(int(n_s), float(err_s), bool(int(sat_s))))
+    rows = [(i, ln.split(",")) for i, ln in lines if not ln.startswith("#")]
+    if rows and rows[0][1] != SWEEP_HEADER:
+        raise ConfigError(f"not a sweep CSV: header {','.join(rows[0][1])!r}")
+    for lineno, cells in (r for r in rows if r[1] != SWEEP_HEADER):
+        try:
+            x_s, kind, n_s, err_s, sat_s = cells
+            x, row = float(x_s), ErrorRow(int(n_s), float(err_s), bool(int(sat_s)))
+        except ValueError as exc:
+            raise ConfigError(
+                f"line {lineno}: bad sweep row {','.join(cells)!r} ({exc})"
+            ) from None
+        if (x, kind) not in traces:
+            traces[x, kind] = ErrorTrace(x=x, filter_kind=kind)
+        traces[x, kind].rows.append(row)
     return meta, list(traces.values())

@@ -11,7 +11,7 @@ from gibbsaccel.catalog import (
     make_delta,
     make_sws,
 )
-from gibbsaccel.filters import FilterSpec, filter_weights
+from gibbsaccel.filters import VALID_KINDS, FilterSpec, filter_weights
 from gibbsaccel.rates import delta_truncation_error, rho_of_x
 from gibbsaccel.series import (
     FourierSeries,
@@ -19,7 +19,9 @@ from gibbsaccel.series import (
     partial_sum,
     pointwise_error,
     saturation_floor,
+    trace_errors,
 )
+from gibbsaccel.sweeps import ExperimentConfig, sweep_errors
 
 EULER = FilterSpec("euler")
 IDENTITY = FilterSpec("identity")
@@ -170,6 +172,8 @@ class TestPointwiseError:
         series = FourierSeries(coeff=lambda n: 0.5 ** abs(n), n_max=100)
         with pytest.raises(ValueError):
             pointwise_error(series, 0.5, 10, IDENTITY)
+        with pytest.raises(ValueError):
+            trace_errors(series, 0.5, [2, 10], [IDENTITY, EULER])
 
     def test_rejects_singular_point(self):
         sws = make_sws().series
@@ -177,6 +181,47 @@ class TestPointwiseError:
             pointwise_error(sws, 0.0, 10, EULER)
         with pytest.raises(ValueError):
             pointwise_error(sws, 2 * math.pi, 10, EULER)
+
+
+def per_degree_error(series, x, N, spec):
+    """The error from a fold at N itself: the reference for a trace."""
+    w = filter_weights(spec, N, series.real_singularity_distance(x))
+    return abs(complex(series.exact_eval(x)) - complex(np.sum(w * series.folded(x, N))))
+
+
+class TestTraceErrors:
+    def test_constant_coefficients_match_per_degree_fold(self):
+        # the broadcast path: one scalar coefficient for the whole fold
+        series = FourierSeries(
+            coeff=lambda n: 1.0, n_max=300, exact_eval=lambda x: 0.0
+        )
+        specs = [FilterSpec(kind) for kind in VALID_KINDS]
+        degrees = [0, 1, 7, 150, 300]
+        for x in (0.4, 2.9):
+            errors = trace_errors(series, x, degrees, specs)
+            for spec, errs in zip(specs, errors):
+                assert errs == [pointwise_error(series, x, N, spec) for N in degrees]
+                assert errs == [per_degree_error(series, x, N, spec) for N in degrees]
+
+    def test_sweep_rows_match_per_degree_fold(self):
+        config = ExperimentConfig(
+            "sws+lorentzian", filters=VALID_KINDS, xs=(0.7, 2.6),
+            n_min=3, n_max=240, n_stride=17,
+        )
+        series = get_function("sws+lorentzian").series
+        traces = sweep_errors(config)
+        assert len(traces) == 2 * len(VALID_KINDS)
+        for trace in traces:
+            spec = FilterSpec(trace.filter_kind)
+            for row in trace.rows:
+                assert row.error == pointwise_error(series, trace.x, row.N, spec)
+                assert row.error == per_degree_error(series, trace.x, row.N, spec)
+
+    def test_degree_range(self):
+        sws = make_sws(n_max=50).series
+        for degrees in ([-1, 10], [10, 51]):
+            with pytest.raises(ValueError):
+                trace_errors(sws, 0.3, degrees, [EULER])
 
 
 class TestInvariants:
@@ -218,3 +263,12 @@ class TestInvariants:
     def test_real_valued_flag_checked(self):
         with pytest.raises(ValueError):
             FourierSeries(coeff=lambda n: 1j, n_max=10, real_valued=True)
+
+    def test_real_valued_probe_reaches_n_max(self):
+        # conjugate-symmetric up to |n| = 600, then c(n) = c(-n) = 1j
+        def coeff(n):
+            return np.where(np.abs(n) > 600, 1j, 1.0)
+
+        FourierSeries(coeff=coeff, n_max=600, real_valued=True)
+        with pytest.raises(ValueError, match="n=1000"):
+            FourierSeries(coeff=coeff, n_max=1000, real_valued=True)

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gibbsaccel import cli
+from gibbsaccel.catalog import get_function
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
 from gibbsaccel.rates import SingularitySet, delta_truncation_error, rho_of_x
+from gibbsaccel.series import saturation_floor
 from gibbsaccel.sweeps import (
     ConfigError,
     ErrorRow,
@@ -108,6 +110,19 @@ class TestSweepErrors:
         for row in trace.rows:
             want = abs(delta_truncation_error(math.pi / 2, row.N))
             assert row.error == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("x", [0.01, 0.003])
+    def test_delta_at_advertised_scale(self, x):
+        # at x = 0.01 the error is roundoff, at x = 0.003 still truncation
+        config = ExperimentConfig(
+            "delta", xs=(x,), n_min=1_999_000, n_max=2_000_000, n_stride=1000
+        )
+        (trace,) = sweep_errors(config)
+        series = get_function("delta").series
+        assert [row.N for row in trace.rows] == [1_999_000, 2_000_000]
+        for row in trace.rows:
+            want = abs(delta_truncation_error(x, row.N))
+            assert abs(row.error - want) <= saturation_floor(series, row.N)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigError):
@@ -347,6 +362,21 @@ class TestCli:
         assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
         header = ",".join(["N"] + [f"err_{k}" for k in filters.split(",")])
         assert header in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bad_row", ["1.9635,euler,12", "1.9635,euler,abc,0.1,0"]
+    )
+    def test_envelope_rejects_malformed_row(self, bad_row, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-max", "12",
+              "--out", str(out)])
+        out.write_text(out.read_text() + bad_row + "\n")
+        lineno = len(out.read_text().splitlines())
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"line {lineno}" in err and bad_row in err
 
     def test_insufficient_data_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
