@@ -11,9 +11,14 @@ provided:
   p = (c-1)/c are the column sums of the Möbius(c) re-expansion table
   (see ``conformal``).
 * Erfc-Log: a compactly supported erfc-based weight with a logarithmic
-  correction and a spatially varying order p; one array call per table.
+  correction and a spatially varying order p.
 * HDAF: a truncated-exponential-series weight with an x-adaptive
   truncation depth (fixed shape parameters alpha = 1, kappa = 1/15).
+
+``filter_weights`` takes one degree or a list of them; for a list it
+weights every row in one pass (one Erfc-Log array call, one HDAF
+Poisson loop over the live entries of all rows) and returns the rows
+concatenated, each bit-identical to its one-degree table.
 
 Argument conventions differ on purpose: Euler weights take the integer
 index j directly (arguments j/(M+1)); Erfc-Log and HDAF take
@@ -47,6 +52,10 @@ _HDAF_MAX_DEPTH = 2.0**53
 
 #: Relative size at which the HDAF series terms stop contributing.
 _HDAF_SERIES_TOL = 2.0**-54
+
+#: Steps of the HDAF series between convergence checks: a check and the
+#: compaction after it cost more numpy calls than a step.
+_HDAF_CHECK_EVERY = 8
 
 VALID_KINDS = ("identity", "euler", "erfclog", "hdaf")
 
@@ -129,8 +138,10 @@ def euler_sigma(j: int, M: int) -> float:
     return float(_euler_sigma_table(M)[j])
 
 
-def erfclog_sigma(theta, p: float):
+def erfclog_sigma(theta, p):
     """Erfc-Log filter weight at theta in [-1, 1] (float or array), order p > 0.
+
+    The order p is a float or an array broadcast against theta.
 
     With tb = |theta| - 1/2 the weight is
     erfc(2*sqrt(p)*tb*L(tb))/2 where L(tb) = sqrt(-log(1-4 tb^2)/(4 tb^2)),
@@ -139,7 +150,7 @@ def erfclog_sigma(theta, p: float):
     precision; L is infinite at theta = 0 and |theta| = 1, so the weight
     there is exactly 1 and 0.
     """
-    if p <= 0:
+    if (np.asarray(p) <= 0).any():
         raise ValueError("order p must be positive")
     at = np.abs(np.asarray(theta, dtype=float))
     if (at > 1.0).any():
@@ -148,7 +159,7 @@ def erfclog_sigma(theta, p: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         t2 = 4.0 * tb * tb
         log_factor = np.where(np.abs(tb) < 1e-14, 1.0, np.sqrt(-np.log1p(-t2) / t2))
-    arg = 2.0 * math.sqrt(p) * tb * log_factor
+    arg = 2.0 * np.sqrt(p) * tb * log_factor
     arg = np.clip(arg, -_ERFC_ARG_CLAMP, _ERFC_ARG_CLAMP)
     w = 0.5 * np.asarray(_erfc(arg), dtype=float)
     return float(w) if w.ndim == 0 else w
@@ -173,19 +184,73 @@ def _stirling_error(j: int) -> float:
     return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / j
 
 
-def _log_poisson_pmf(j: int, s: np.ndarray) -> np.ndarray:
-    """log(exp(-s) s^j / j!) for s >= 0.
+def _log_poisson_peak(j: int) -> float:
+    """log(sqrt(2 pi j)) plus the Stirling error of j!, for j >= 1."""
+    return 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
 
-    Written as -j*(r - log1p(r)) - log(sqrt(2 pi j)) - the Stirling error
-    of j!, with s = j*(1+r), so the large terms j*log(s), s and log(j!)
-    never cancel: the rounding error stays near eps*|s - j| instead of
-    eps*j*log(s).
+
+def _hdaf_rows(
+    theta: np.ndarray, degrees: list[int], sizes: list[int], x_dist: float
+) -> np.ndarray:
+    """HDAF weights of several rows at once.
+
+    Row r is the next ``sizes[r]`` entries of the flat array ``theta``,
+    weighted at degree ``degrees[r]``.  The per-row scalars (depth J and
+    the log peaks of pmf(J) and pmf(J+1)) are computed once per row and
+    spread over its entries; the Poisson series then runs once for the
+    whole batch.  Every entry is bit-identical to a one-row call.
     """
-    if j == 0:
-        return -s
-    r = (s - j) / j
-    log_peak = 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
-    return -j * (r - np.log1p(r)) - log_peak
+    if x_dist < 0:
+        raise ValueError("x_dist must be nonnegative")
+    per_row = []
+    for N in degrees:
+        width = N * x_dist / _HDAF_DEPTH_DIVISOR
+        if not width < _HDAF_MAX_DEPTH:
+            raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
+        depth = math.floor(width)
+        peak = _log_poisson_peak(depth) if depth else 0.0  # unused when J = 0
+        per_row.append((N * x_dist, depth, peak, _log_poisson_peak(depth + 1)))
+    scale, J, peak_at, peak_above = np.repeat(np.array(per_row), sizes, axis=0).T
+    s = scale * np.square(theta) / 2.0
+    below = s < J + 1.0
+    # The term next to the cut, pmf(J+1) below it and pmf(J) above, in log
+    # space as -j*(r - log1p(r)) - log_peak(j) with s = j*(1+r), so the
+    # large terms j*log(s), s and log(j!) never cancel: the rounding error
+    # stays near eps*|s - j| instead of eps*j*log(s).  pmf(0) is exp(-s).
+    j = np.where(below, J + 1.0, J)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (s - j) / j
+        log_lead = -j * (r - np.log1p(r)) - np.where(below, peak_above, peak_at)
+    lead = np.exp(np.where(j == 0.0, -s, log_lead))
+    # Sum the terms from the cut outwards through the ratios of neighbours,
+    # pmf(J+1+k)/pmf(J+k) = s/(J+1+k) below the cut and
+    # pmf(J-k)/pmf(J+1-k) = (J+1-k)/s above it.  Both ratios are below 1,
+    # so once a term is at most 2^-54 of its sum, every later term is under
+    # half an ulp of that sum and cannot change it: the entry is done, and
+    # leaves the loop at the next check.  An entry whose lead is 0 has
+    # tail 0 whatever its sum and never enters.
+    total = np.ones_like(s)
+    for side, upward in ((below, True), (~below, False)):
+        live = np.flatnonzero(side & (lead > 0.0))
+        s_live, J1 = s[live], J[live] + 1.0
+        term = np.ones(live.size)
+        acc = np.ones(live.size)
+        k = 0
+        while live.size:
+            k += 1
+            if upward:
+                term *= s_live / (J1 + k)
+            else:
+                term *= np.maximum(J1 - k, 0.0) / s_live
+            acc += term
+            if k % _HDAF_CHECK_EVERY == 0:
+                keep = np.flatnonzero(term > _HDAF_SERIES_TOL * acc)
+                total[live] = acc
+                live, s_live, J1, term, acc = (
+                    v.take(keep) for v in (live, s_live, J1, term, acc)
+                )
+    tail = lead * total
+    return np.where(below, 1.0 - tail, tail)
 
 
 def hdaf_sigma(theta, N: int, x_dist: float):
@@ -202,53 +267,42 @@ def hdaf_sigma(theta, N: int, x_dist: float):
     weight is 1 minus the terms above J, otherwise the terms up to J.
     Either way it is finite and lies in [0, 1].  Raises ValueError when
     N*x_dist/15 is not finite or reaches 2^53, where J and J+1 are no
-    longer distinct doubles.
+    longer distinct doubles.  This is the one-row case of the batched
+    kernel behind ``filter_weights``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if x_dist < 0:
-        raise ValueError("x_dist must be nonnegative")
-    width = N * x_dist / _HDAF_DEPTH_DIVISOR
-    if not width < _HDAF_MAX_DEPTH:
-        raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
-    depth = math.floor(width)
-    s = N * x_dist * np.square(theta, dtype=float) / 2.0
-    below = s < depth + 1
-    with np.errstate(divide="ignore"):
-        lead = np.exp(
-            np.where(below, _log_poisson_pmf(depth + 1, s), _log_poisson_pmf(depth, s))
-        )
-    # ratios of neighbouring terms, moving away from the cut:
-    # pmf(J+1+k)/pmf(J+k) = s/(J+1+k) and pmf(J-k)/pmf(J+1-k) = (J+1-k)/s
-    s_above = np.where(below, 1.0, s)  # s >= J+1 >= 1 where it divides
-    term = np.ones_like(s)
-    total = np.ones_like(s)
-    k = 0
-    while (term > _HDAF_SERIES_TOL * total).any():
-        k += 1
-        down = max(depth + 1.0 - k, 0.0) / s_above
-        term *= np.where(below, s / (depth + 1.0 + k), down)
-        total += term
-    tail = lead * total
-    w = np.where(below, 1.0 - tail, tail)
+    theta = np.asarray(theta, dtype=float)
+    w = _hdaf_rows(theta.ravel(), [N], [theta.size], x_dist).reshape(theta.shape)
     return float(w) if w.ndim == 0 else w
 
 
-def filter_weights(spec: FilterSpec, N: int, x_dist: float = 0.0) -> np.ndarray:
+def filter_weights(
+    spec: FilterSpec, N: int | list[int], x_dist: float = 0.0
+) -> np.ndarray:
     """Weight table sigma(|n|) for |n| = 0..N at truncation degree N.
 
+    N is an int, or a list of degrees, for which the rows' weight vectors
+    come back concatenated in order as one flat array: one call weights a
+    batch of a trace's rows, each entry bit-identical to its per-N table.
     ``x_dist`` feeds the adaptive order of Erfc-Log and the truncation
     depth of HDAF; Euler and identity ignore it.  All weights are
     functions of |n|, so sigma(-theta) = sigma(theta) holds exactly.
     """
-    if N < 0:
+    degrees = np.atleast_1d(N).tolist()
+    if min(degrees) < 0:
         raise ValueError("N must be >= 0")
+    sizes = [M + 1 for M in degrees]
     if spec.kind == "identity":
-        return np.ones(N + 1)
+        return np.ones(sum(sizes))
     if spec.kind == "euler":
-        return _euler_sigma_table(N)[: N + 1].copy()
-    if N == 0:
-        return np.ones(1)
+        return np.concatenate([_euler_sigma_table(M)[: M + 1] for M in degrees])
+    # theta = n/N within each row.  A degree-0 row takes degree 1's parameters;
+    # its one entry sits at theta = 0, where every weight is exactly 1.
+    degrees = [max(M, 1) for M in degrees]
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    theta = (np.arange(sum(sizes)) - start) / np.repeat(degrees, sizes)
     if spec.kind == "hdaf":
-        return hdaf_sigma(np.arange(N + 1) / N, N, abs(x_dist))
-    return erfclog_sigma(np.arange(N + 1) / N, erfclog_order(x_dist, N))
+        return _hdaf_rows(theta, degrees, sizes, abs(x_dist))
+    orders = [erfclog_order(x_dist, M) for M in degrees]
+    return erfclog_sigma(theta, np.repeat(orders, sizes))

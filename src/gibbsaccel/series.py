@@ -13,7 +13,12 @@ and results are bit-identical from run to run with the same numpy build.
 A trace of degrees at one x (``trace_errors``) folds once, at its top
 degree, and each N sums the prefix a_0..a_N of that fold: the folded
 terms do not depend on N, so every row is bit-identical to the per-N
-sum, which is the one-degree case of the same path.
+sum, which is the one-degree case of the same path.  The weights come
+from one ``filter_weights`` call per filter and batch of degrees (at
+most ``_WEIGHT_BATCH_ENTRIES`` weights, or one larger row alone); they
+multiply the batch's fold prefixes laid end to end, and each row sums
+its own slice of that product, so the products and the pairwise sum
+are those of the per-N path.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .filters import FilterSpec, filter_weights
 from .rates import SingularitySet, periodic_distance
 
 _SYMMETRY_PROBE = 8  # c(+-n) checked for n = 0..8, n_max // 2 and n_max
+
+#: Weights per batched ``filter_weights`` call; bounds the batch's memory.
+_WEIGHT_BATCH_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -129,10 +137,35 @@ def _filtered_sums(
         raise ValueError(f"truncation degree {min(degrees)} is negative")
     a = series.folded(x, max(degrees))
     x_dist = series.real_singularity_distance(x)
-    return [
-        [complex(np.sum(filter_weights(spec, N, x_dist) * a[: N + 1])) for N in degrees]
-        for spec in specs
-    ]
+    out: list[list[complex]] = [[] for _ in specs]
+    for batch in _weight_batches(degrees):
+        # a row alone (the large ones) multiplies a view, not a copy of its prefix
+        if len(batch) == 1:
+            a_rows = a[: batch[0] + 1]
+        else:
+            a_rows = np.concatenate([a[: N + 1] for N in batch])
+        for spec, sums in zip(specs, out):
+            terms = filter_weights(spec, batch, x_dist) * a_rows
+            start = 0
+            for N in batch:
+                sums.append(complex(terms[start : start + N + 1].sum()))
+                start += N + 1
+            del terms  # freed before the next batch's weights are built
+    return out
+
+
+def _weight_batches(degrees: list[int]) -> list[list[int]]:
+    """Consecutive runs of degrees holding at most _WEIGHT_BATCH_ENTRIES
+    weights together; a row larger than that is a batch of its own."""
+    batches: list[list[int]] = []
+    size = _WEIGHT_BATCH_ENTRIES
+    for N in degrees:
+        if size + N + 1 > _WEIGHT_BATCH_ENTRIES:
+            batches.append([])
+            size = 0
+        batches[-1].append(N)
+        size += N + 1
+    return batches
 
 
 def trace_errors(

@@ -282,8 +282,9 @@ def rho_curve(
     rows = []
     for i in range(resolution):
         x = -math.pi + 2.0 * math.pi * i / (resolution - 1)
-        pred = rho_of_x(sings, x)
-        row: list = [x, pred.rho]
+        # the penalty scan has already evaluated rho on this grid
+        rho = rho_of_x(sings, x).rho if penalties is None else penalties[i].rho_euler
+        row: list = [x, rho]
         if sings.real_singularity is not None:
             row.append(zeta_image_modulus(1.0, sings.real_distance(x)))
         for s in sings.off_axis:

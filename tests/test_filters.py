@@ -17,7 +17,12 @@ from gibbsaccel.filters import (
     filter_weights,
     hdaf_sigma,
 )
-from gibbsaccel.filters import _euler_mu_row, _euler_sigma_table
+from gibbsaccel.filters import (
+    _LOG_SQRT_TWO_PI,
+    _euler_mu_row,
+    _euler_sigma_table,
+    _stirling_error,
+)
 
 
 class TestEulerMu:
@@ -159,6 +164,35 @@ class TestErfcLogOrder:
         assert erfclog_order(math.pi / 12, 60) == pytest.approx(3.5, rel=1e-14)
 
 
+def reference_hdaf(theta, N, x_dist):
+    """HDAF weights by the plain Poisson loop: every entry is updated until
+    all have converged, one row at a time."""
+    depth = math.floor(N * x_dist / 15)
+    s = N * x_dist * np.square(theta, dtype=float) / 2.0
+    below = s < depth + 1
+
+    def log_pmf(j):
+        if j == 0:
+            return -s
+        r = (s - j) / j
+        log_peak = 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
+        return -j * (r - np.log1p(r)) - log_peak
+
+    with np.errstate(divide="ignore"):
+        lead = np.exp(np.where(below, log_pmf(depth + 1), log_pmf(depth)))
+    s_above = np.where(below, 1.0, s)
+    term = np.ones_like(s)
+    total = np.ones_like(s)
+    k = 0
+    while (term > 2.0**-54 * total).any():
+        k += 1
+        down = max(depth + 1.0 - k, 0.0) / s_above
+        term *= np.where(below, s / (depth + 1.0 + k), down)
+        total += term
+    tail = lead * total
+    return np.where(below, 1.0 - tail, tail)
+
+
 class TestHdaf:
     def test_identity_limits(self):
         assert hdaf_sigma(0.0, 10, 1.3) == 1.0
@@ -181,6 +215,15 @@ class TestHdaf:
         assert w.shape == theta.shape
         assert np.array_equal(w, [hdaf_sigma(t, 300, 2.2) for t in theta])
 
+    @pytest.mark.parametrize(
+        "N, x_dist",
+        [(1, 0.7), (14, 0.0), (60, 1.0), (400, 0.2), (1500, 2.25), (2500, 3.1)],
+    )
+    def test_matches_plain_loop_bit_for_bit(self, N, x_dist):
+        theta = np.arange(N + 1) / N
+        w = hdaf_sigma(theta, N, x_dist)
+        assert np.array_equal(w, reference_hdaf(theta, N, x_dist))
+
     def test_matches_mpmath_where_terms_overflow(self):
         # s^j/j! overflows a double here; the weight is Q(J+1, s) all the same
         N, x_dist = 2000, 3.0
@@ -200,11 +243,36 @@ class TestHdaf:
             ]
         np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-14)
 
+    def test_matches_mpmath_at_large_depth(self):
+        # J = 20000: indices around the cut s = J+1 (n ~ 36516) and in both tails
+        N, x_dist = 10**5, 3.0
+        depth = math.floor(N * x_dist / 15)
+        w = filter_weights(FilterSpec("hdaf"), N, x_dist)
+        ns = [0, 1, 5000, 20000, 30000, 34000, 35500, 36000, 36200, 36400,
+              36500, 36516, 36600, 36800, 37000, 37500, 39000, 45000, 70000, N]
+        with mpmath.workdps(30):
+            ref = [
+                float(
+                    mpmath.gammainc(
+                        depth + 1,
+                        mpmath.mpf(N) * x_dist * (mpmath.mpf(n) / N) ** 2 / 2,
+                        mpmath.inf,
+                        regularized=True,
+                    )
+                )
+                for n in ns
+            ]
+        assert 0.01 < w[36516] < 0.99
+        np.testing.assert_allclose(w[ns], ref, rtol=1e-12, atol=1e-14)
+
     def test_unrepresentable_depth_rejected(self):
         with pytest.raises(ValueError):
             hdaf_sigma(0.5, 10**17, 2.0)
         with pytest.raises(ValueError):
             hdaf_sigma(0.5, 100, math.inf)
+        with pytest.raises(ValueError):
+            # depth 200e15/15 >= 2^53; the rows at 5 and 40 are representable
+            filter_weights(FilterSpec("hdaf"), [5, 200, 40], 1e15)
 
 
 class TestFilterWeights:
@@ -245,6 +313,19 @@ class TestWeightProperties:
         assert np.isfinite(w).all()
         assert ((0.0 <= w) & (w <= 1.0)).all()
         assert w[0] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["identity", "euler", "erfclog", "hdaf"]),
+        degrees=st.lists(
+            st.one_of(st.integers(0, 1), st.integers(0, 1500)), min_size=1, max_size=8
+        ),
+        x_dist=st.one_of(st.just(0.0), st.floats(0.0, math.pi)),
+    )
+    def test_degree_list_concatenates_rows(self, kind, degrees, x_dist):
+        spec = FilterSpec(kind)
+        rows = np.concatenate([filter_weights(spec, N, x_dist) for N in degrees])
+        assert np.array_equal(filter_weights(spec, degrees, x_dist), rows)
 
     @settings(max_examples=60, deadline=None)
     @given(M=st.integers(0, 4000))

@@ -217,6 +217,17 @@ class TestTraceErrors:
                 assert row.error == pointwise_error(series, trace.x, row.N, spec)
                 assert row.error == per_degree_error(series, trace.x, row.N, spec)
 
+    def test_rows_across_weight_batches(self):
+        # several weight batches, one of them a single row larger than a batch
+        series = FourierSeries(
+            coeff=lambda n: 1.0, n_max=6000, exact_eval=lambda x: 0.0
+        )
+        degrees = [2, 900, 1700, 2500, 5000, 3, 1200, 1400, 1600, 0]
+        specs = [FilterSpec(kind) for kind in VALID_KINDS]
+        errors = trace_errors(series, 2.2, degrees, specs)
+        for spec, errs in zip(specs, errors):
+            assert errs == [per_degree_error(series, 2.2, N, spec) for N in degrees]
+
     def test_degree_range(self):
         sws = make_sws(n_max=50).series
         for degrees in ([-1, 10], [10, 51]):
