@@ -114,7 +114,7 @@ def log2_series(n_max: int = 64) -> PowerSeries:
     partial sums converge only like 1/N while the re-summed series gains
     a geometric factor of 2 (or 3 with the balanced map).
     """
-    return PowerSeries(tuple(log2_coeff(np.arange(n_max + 1))))
+    return PowerSeries(log2_coeff(np.arange(n_max + 1)))
 
 
 def _check_p(p: float) -> None:

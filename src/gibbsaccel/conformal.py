@@ -13,9 +13,14 @@ coefficients, b_m = sum_n T_c[m, n] a_n, with the closed form
 
 and T_c[0, 0] = 1.  Row m depends only on c and m, so the first N
 re-expanded coefficients depend only on the first N original ones.
-``recoefficient`` builds the rows one order at a time from the
-all-positive recurrence T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1]:
-O(N^2) flops and O(N) memory, with no N x N table held.
+The rows follow the all-positive recurrence
+T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1] from T[1] = (0, (c-1)/c),
+so B steps of it are one convolution with the Binomial(B, (c-1)/c) pmf.
+``recoefficient`` advances B = 64 orders per step: one correlation of
+row m with the coefficients, one small matrix product with the
+Binomial(i, p) pmfs for i < B, and one convolution to row m + B.  That
+is O(N^2) flops, N/B Python steps and O(N) memory, with no N x N table
+held.
 
 With p = (c-1)/c, T_c[m, n] = p^n (1-p)^(m-n) C(m-1, n-1) is the
 probability that the n-th success of Bernoulli(p) trials falls on trial
@@ -31,6 +36,7 @@ tails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,19 +48,29 @@ from .series import FourierSeries
 #: roundoff rather than signal.
 RADIUS_NOISE_FLOOR = 1e-13
 
+#: Orders of the re-expansion that ``recoefficient`` advances per step.
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated power series sum_{n<=N} a_n z^n with immutable coefficients."""
+    """Truncated power series sum_{n<=N} a_n z^n with immutable coefficients.
+
+    ``coeffs`` may be any flat sequence or 1-D array; it is converted
+    once to a complex array and stored as a tuple of complex.
+    """
 
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) == 0:
+        arr = np.asarray(self.coeffs, dtype=complex)
+        if arr.ndim != 1:
+            raise ValueError("coefficients must be a flat sequence")
+        if arr.size == 0:
             raise ValueError("need at least the constant coefficient")
-        if not np.isfinite(np.array(self.coeffs)).all():
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
 
     @property
     def n_max(self) -> int:
@@ -99,30 +115,60 @@ def _prefix(series: PowerSeries, N: int) -> np.ndarray:
     return np.array(series.coeffs[: N + 1])
 
 
+@lru_cache(maxsize=16)
+def _binomial_steps(c: float) -> np.ndarray:
+    """P[i, l], the Binomial(i, (c-1)/c) pmf at l, for i, l = 0..B (B = _BLOCK).
+
+    Row i is row i-1 advanced by the table's own recurrence,
+    P[i, l] = P[i-1, l]/c + ((c-1)/c) P[i-1, l-1], from P[0] = (1, 0, ...):
+    convolving a row T[m] of the table with P[i] gives T[m + i].
+    """
+    r = (c - 1.0) / c
+    steps = np.zeros((_BLOCK + 1, _BLOCK + 1))
+    steps[0, 0] = 1.0
+    for i in range(1, _BLOCK + 1):
+        steps[i] = steps[i - 1] / c
+        steps[i, 1:] += r * steps[i - 1, :-1]
+    steps.flags.writeable = False
+    return steps
+
+
 def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSeries:
     """Re-expand sum a_n Z(w)^n as sum b_m w^m through order w^N.
 
     b_0 = a_0 and b_m = sum_{n=1..m} T_c[m, n] a_n, where row m of the
-    table, T_c[m, n] = ((c-1)/c)^n c^-(m-n) C(m-1, n-1), is built from
+    table, T_c[m, n] = ((c-1)/c)^n c^-(m-n) C(m-1, n-1), follows from
     row m-1 by the all-positive recurrence
-    T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1], starting at
-    T[0, 0] = 1.  Each order costs one vector update and one dot
-    product: O(N^2) flops, O(N) memory.  The row depends only on c and
-    m, so the output prefix never changes when more input terms become
+    T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1], from T[1] = (0, (c-1)/c).
+    B = 64 steps of it are one convolution with the Binomial(B, p) pmf,
+    p = (c-1)/c, so the orders go in blocks m..m+B-1 for m = 1, 1+B, ...:
+    with G_l = sum_k T[m, k] a_{k+l} (one correlation over the zero-padded
+    coefficients), b_{m+i} = sum_l Binomial(i, p)(l) G_l for i < B (one
+    B x B matrix product), and T[m+B] is T[m] convolved with the
+    Binomial(B, p) pmf.  That is O(N^2) flops, N/B Python steps and O(N)
+    memory.  The blocks start at m = 1 whatever N is, and the pmf of
+    Binomial(i, p) vanishes past l = i, so order m never reads a_n for
+    n > m: the output prefix never changes when more input terms become
     available.
     """
     a = _prefix(series, N)
     c = mapping.c
-    r = (c - 1.0) / c
-    b = np.empty(N + 1, dtype=complex)
+    steps = _binomial_steps(c)
+    head, step = steps[:_BLOCK, :_BLOCK], steps[_BLOCK]
+    padded = np.zeros(N + _BLOCK, dtype=complex)  # the last block reads past a_N
+    padded[: N + 1] = a
+    b = np.empty(N + _BLOCK, dtype=complex)
     b[0] = a[0]
-    row = np.zeros(N + 1)
-    row[0] = 1.0
-    for m in range(1, N + 1):
-        row[1 : m + 1] = row[1 : m + 1] / c + r * row[:m]
-        row[0] = 0.0  # column 0 of T is 1 at m = 0 and 0 after
-        b[m] = a[1 : m + 1] @ row[1 : m + 1]
-    return PowerSeries(tuple(b))
+    # The complex product as a real one on (re, im) pairs: a float matrix
+    # times a complex vector takes milliseconds with several BLAS threads.
+    pairs = b.view(float).reshape(-1, 2)
+    row = np.array([0.0, (c - 1.0) / c])  # T[1]
+    for m in range(1, N + 1, _BLOCK):
+        lagged = np.correlate(padded[: m + _BLOCK], row)  # G_0..G_{B-1}
+        np.matmul(head, lagged.view(float).reshape(-1, 2), out=pairs[m : m + _BLOCK])
+        if m + _BLOCK <= N:
+            row = np.convolve(row, step)
+    return PowerSeries(b[: N + 1])
 
 
 def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:

@@ -141,7 +141,9 @@ def euler_sigma(j: int, M: int) -> float:
 def erfclog_sigma(theta, p):
     """Erfc-Log filter weight at theta in [-1, 1] (float or array), order p > 0.
 
-    The order p is a float or an array broadcast against theta.
+    The order p is a float or an array broadcast against theta; an order
+    that is not a positive finite number (0, negative, NaN or infinite)
+    raises ValueError.
 
     With tb = |theta| - 1/2 the weight is
     erfc(2*sqrt(p)*tb*L(tb))/2 where L(tb) = sqrt(-log(1-4 tb^2)/(4 tb^2)),
@@ -150,8 +152,9 @@ def erfclog_sigma(theta, p):
     precision; L is infinite at theta = 0 and |theta| = 1, so the weight
     there is exactly 1 and 0.
     """
-    if (np.asarray(p) <= 0).any():
-        raise ValueError("order p must be positive")
+    p = np.asarray(p, dtype=float)
+    if not (np.isfinite(p) & (p > 0)).all():
+        raise ValueError("order p must be positive and finite")
     at = np.abs(np.asarray(theta, dtype=float))
     if (at > 1.0).any():
         raise ValueError(f"|theta|={at.max()} > 1")
@@ -189,16 +192,12 @@ def _log_poisson_peak(j: int) -> float:
     return 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
 
 
-def _hdaf_rows(
-    theta: np.ndarray, degrees: list[int], sizes: list[int], x_dist: float
-) -> np.ndarray:
-    """HDAF weights of several rows at once.
+def _hdaf_row_params(degrees: list[int], x_dist: float) -> np.ndarray:
+    """Per-row HDAF scalars: N*x_dist, the depth J and the log peaks of
+    pmf(J) and pmf(J+1), one row of the result per degree.
 
-    Row r is the next ``sizes[r]`` entries of the flat array ``theta``,
-    weighted at degree ``degrees[r]``.  The per-row scalars (depth J and
-    the log peaks of pmf(J) and pmf(J+1)) are computed once per row and
-    spread over its entries; the Poisson series then runs once for the
-    whole batch.  Every entry is bit-identical to a one-row call.
+    Raises ValueError when x_dist is negative or a depth N*x_dist/15 is
+    not finite or reaches 2^53, before any per-entry array exists.
     """
     if x_dist < 0:
         raise ValueError("x_dist must be nonnegative")
@@ -210,7 +209,19 @@ def _hdaf_rows(
         depth = math.floor(width)
         peak = _log_poisson_peak(depth) if depth else 0.0  # unused when J = 0
         per_row.append((N * x_dist, depth, peak, _log_poisson_peak(depth + 1)))
-    scale, J, peak_at, peak_above = np.repeat(np.array(per_row), sizes, axis=0).T
+    return np.array(per_row)
+
+
+def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """HDAF weights of several rows at once.
+
+    Row r is the next ``sizes[r]`` entries of the flat array ``theta``,
+    weighted with the scalars ``params[r]`` from ``_hdaf_row_params``,
+    which are spread over the row's entries; the Poisson series then runs
+    once for the whole batch.  Every entry is bit-identical to a one-row
+    call.
+    """
+    scale, J, peak_at, peak_above = np.repeat(params, sizes, axis=0).T
     s = scale * np.square(theta) / 2.0
     below = s < J + 1.0
     # The term next to the cut, pmf(J+1) below it and pmf(J) above, in log
@@ -272,8 +283,9 @@ def hdaf_sigma(theta, N: int, x_dist: float):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    params = _hdaf_row_params([N], x_dist)
     theta = np.asarray(theta, dtype=float)
-    w = _hdaf_rows(theta.ravel(), [N], [theta.size], x_dist).reshape(theta.shape)
+    w = _hdaf_rows(theta.ravel(), params, [theta.size]).reshape(theta.shape)
     return float(w) if w.ndim == 0 else w
 
 
@@ -300,9 +312,11 @@ def filter_weights(
     # theta = n/N within each row.  A degree-0 row takes degree 1's parameters;
     # its one entry sits at theta = 0, where every weight is exactly 1.
     degrees = [max(M, 1) for M in degrees]
+    if spec.kind == "hdaf":  # checks every depth before theta is built
+        params = _hdaf_row_params(degrees, abs(x_dist))
     start = np.repeat(np.cumsum(sizes) - sizes, sizes)
     theta = (np.arange(sum(sizes)) - start) / np.repeat(degrees, sizes)
     if spec.kind == "hdaf":
-        return _hdaf_rows(theta, degrees, sizes, abs(x_dist))
+        return _hdaf_rows(theta, params, sizes)
     orders = [erfclog_order(x_dist, M) for M in degrees]
     return erfclog_sigma(theta, np.repeat(orders, sizes))

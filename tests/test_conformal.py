@@ -46,6 +46,51 @@ def exact_recoefficient(a, c, N):
     return np.array(out)
 
 
+def exact_recoefficient_int(a, c, N):
+    """The table of ``exact_recoefficient`` in integer arithmetic, fast
+    enough for c = 1.01 at N = 300.
+
+    With c = u/v, u^m T_c[m, n] = C(m-1, n-1) (u-v)^n v^(m-n) is an
+    integer, and the a_n are integers over one power of two D, so b_m is
+    one integer over u^m D, rounded once by Python's correctly rounded
+    int division."""
+    u, v = float(c).as_integer_ratio()
+    parts = [[float(x.real) for x in a[: N + 1]], [float(x.imag) for x in a[: N + 1]]]
+    D = max(x.as_integer_ratio()[1] for part in parts for x in part)
+    re, im = (
+        [num * (D // den) for num, den in (x.as_integer_ratio() for x in part)]
+        for part in parts
+    )
+    out = [complex(a[0])]
+    row = [0, u - v]  # u^m T_c[m, n] for m = 1
+    for m in range(1, N + 1):
+        if m > 1:  # T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1], times u^m
+            row = [0] + [v * t + (u - v) * s for t, s in zip(row[1:] + [0], row)]
+        den = u**m * D
+        out.append(
+            complex(
+                sum(t * x for t, x in zip(row, re)) / den,
+                sum(t * x for t, x in zip(row, im)) / den,
+            )
+        )
+    return np.array(out)
+
+
+def reference_recoefficient(a, c, N):
+    """The per-order row recurrence: row m of T_c from row m-1 by one
+    vector update, then b_m as one dot product, for every m."""
+    r = (c - 1.0) / c
+    b = np.empty(N + 1, dtype=complex)
+    b[0] = a[0]
+    row = np.zeros(N + 1)
+    row[0] = 1.0
+    for m in range(1, N + 1):
+        row[1 : m + 1] = row[1 : m + 1] / c + r * row[:m]
+        row[0] = 0.0
+        b[m] = a[1 : m + 1] @ row[1 : m + 1]
+    return b
+
+
 def exact_accelerated_sum(a, c, N):
     """sum_{m<=N} b_m = a_0 + sum_n a_n sum_{m=n..N} T_c[m, n] from the
     closed-form table, in exact rational arithmetic rounded once."""
@@ -83,6 +128,21 @@ class TestPowerSeries:
     def test_non_finite_rejected(self, coeffs):
         with pytest.raises(ValueError, match="finite"):
             PowerSeries(coeffs)
+
+    def test_array_and_tuple_give_the_same_coefficients(self):
+        rng = np.random.default_rng(200)
+        a = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+        for coeffs in (a, a.real):
+            from_array = PowerSeries(coeffs).coeffs
+            assert type(from_array) is tuple
+            assert all(type(v) is complex for v in from_array)
+            assert from_array == tuple(complex(v) for v in coeffs)
+            assert from_array == PowerSeries(tuple(coeffs.tolist())).coeffs
+
+    def test_shape_rejected(self):
+        for coeffs in ((), [[1.0, 2.0], [3.0, 4.0]], 1.0):
+            with pytest.raises(ValueError):
+                PowerSeries(coeffs)
 
 
 class TestMobiusMap:
@@ -173,6 +233,43 @@ class TestRecoefficient:
         for mapping in (MOBIUS2, MobiusMap(3.0)):
             first = recoefficient(series, mapping, 150).coeffs
             assert recoefficient(series, mapping, 150).coeffs == first
+
+
+class TestBlockRecurrence:
+    """``recoefficient`` advances the row recurrence 64 orders per step;
+    these cases sit on and next to the block edges m = 64, 128."""
+
+    @pytest.mark.parametrize("c", [2.0, 3.0, 2.5, 1.01, 100.0])
+    def test_integer_oracle_is_the_fraction_oracle(self, c):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+        want = exact_recoefficient(a, c, 30)
+        assert np.array_equal(exact_recoefficient_int(a, c, 30), want)
+
+    @pytest.mark.parametrize("c", [2.0, 3.0, 2.5, 1.01, 100.0])
+    def test_against_exact_table(self, c):
+        for N in (0, 1, 2, 63, 64, 65, 129, 300):
+            rng = np.random.default_rng(N)
+            a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+            got = np.array(recoefficient(PowerSeries(a), MobiusMap(c), N).coeffs)
+            want = exact_recoefficient_int(a, c, N)
+            assert got.shape == (N + 1,)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(a).sum(), N
+
+    def test_prefix_across_block_boundary(self):
+        rng = np.random.default_rng(70)
+        a = rng.standard_normal(201) + 1j * rng.standard_normal(201)
+        for mapping in (MOBIUS2, MobiusMap(3.0)):
+            short = recoefficient(PowerSeries(a[:71]), mapping, 70).coeffs
+            long = recoefficient(PowerSeries(a), mapping, 200).coeffs
+            assert short == long[:71]
+
+    def test_matches_per_order_loop(self):
+        rng = np.random.default_rng(1100)
+        a = rng.standard_normal(1101) + 1j * rng.standard_normal(1101)
+        got = np.array(recoefficient(PowerSeries(a), MobiusMap(3.0), 1100).coeffs)
+        want = reference_recoefficient(a, 3.0, 1100)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(a).sum()
 
 
 class TestAccelerateSum:

@@ -156,6 +156,18 @@ class TestErfcLog:
         with pytest.raises(ValueError):
             erfclog_sigma(np.array([0.2, -1.0001]), 1.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_order_not_positive_finite(self, p):
+        with pytest.raises(ValueError, match="order"):
+            erfclog_sigma(0.3, p)
+        with pytest.raises(ValueError, match="order"):
+            erfclog_sigma(np.array([0.1, 0.3]), np.array([2.0, p]))
+
+    def test_nan_distance_rejected(self):
+        for N in (4, [0, 4]):
+            with pytest.raises(ValueError, match="order"):
+                filter_weights(FilterSpec("erfclog"), N, math.nan)
+
 
 class TestErfcLogOrder:
     def test_values(self):
@@ -273,6 +285,12 @@ class TestHdaf:
         with pytest.raises(ValueError):
             # depth 200e15/15 >= 2^53; the rows at 5 and 40 are representable
             filter_weights(FilterSpec("hdaf"), [5, 200, 40], 1e15)
+
+    def test_unrepresentable_depth_rejected_before_allocation(self):
+        # 10^17 + 1 weights would need petabytes; the depth check must come first
+        for N in ([5, 10**17], 10**17):
+            with pytest.raises(ValueError, match="not representable"):
+                filter_weights(FilterSpec("hdaf"), N, 2.0)
 
 
 class TestFilterWeights:
