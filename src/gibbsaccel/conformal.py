@@ -16,11 +16,11 @@ re-expanded coefficients depend only on the first N original ones.
 The rows follow the all-positive recurrence
 T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1] from T[1] = (0, (c-1)/c),
 so B steps of it are one convolution with the Binomial(B, (c-1)/c) pmf.
-``recoefficient`` advances B = 64 orders per step: one correlation of
-row m with the coefficients, one small matrix product with the
-Binomial(i, p) pmfs for i < B, and one convolution to row m + B.  That
-is O(N^2) flops, N/B Python steps and O(N) memory, with no N x N table
-held.
+``recoefficient`` wraps the array kernel ``filters.mobius_reexpand``,
+which advances B = 64 orders per step: one correlation of row m with
+the coefficients, one small matrix product with the Binomial(i, p)
+pmfs for i < B, and one convolution to row m + B.  That is O(N^2)
+flops, N/B Python steps and O(N) memory, with no N x N table held.
 
 With p = (c-1)/c, T_c[m, n] = p^n (1-p)^(m-n) C(m-1, n-1) is the
 probability that the n-th success of Bernoulli(p) trials falls on trial
@@ -28,28 +28,26 @@ m, so the column sums sum_{m<=N} T_c[m, n] are the Euler-Knopp weights
 P(Binomial(N, p) >= n) (``filters._euler_sigma_table(N, p)``).  The
 accelerated sum is therefore one weight vector times the coefficient
 vector, with no re-expansion; with c = 2 (p = 1/2) the weights are the
-classical Euler summation weights.  ``euler_equivalence_check`` compares
-the two constructions of the table: the row recurrence and the binomial
-tails.
+classical Euler summation weights.  Read the other way, the prefix sums
+of one re-expansion give that weighted sum at every degree at once:
+``series`` sums dense Euler traces that way.  ``euler_equivalence_check``
+compares the two constructions of the table: the row recurrence and the
+binomial tails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .filters import _euler_sigma_table
+from .filters import _euler_sigma_table, mobius_reexpand
 from .series import FourierSeries
 
 #: Default relative noise floor for radius estimation; re-expanded
 #: coefficients below this fraction of the largest one are double-precision
 #: roundoff rather than signal.
 RADIUS_NOISE_FLOOR = 1e-13
-
-#: Orders of the re-expansion that ``recoefficient`` advances per step.
-_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -115,60 +113,16 @@ def _prefix(series: PowerSeries, N: int) -> np.ndarray:
     return np.array(series.coeffs[: N + 1])
 
 
-@lru_cache(maxsize=16)
-def _binomial_steps(c: float) -> np.ndarray:
-    """P[i, l], the Binomial(i, (c-1)/c) pmf at l, for i, l = 0..B (B = _BLOCK).
-
-    Row i is row i-1 advanced by the table's own recurrence,
-    P[i, l] = P[i-1, l]/c + ((c-1)/c) P[i-1, l-1], from P[0] = (1, 0, ...):
-    convolving a row T[m] of the table with P[i] gives T[m + i].
-    """
-    r = (c - 1.0) / c
-    steps = np.zeros((_BLOCK + 1, _BLOCK + 1))
-    steps[0, 0] = 1.0
-    for i in range(1, _BLOCK + 1):
-        steps[i] = steps[i - 1] / c
-        steps[i, 1:] += r * steps[i - 1, :-1]
-    steps.flags.writeable = False
-    return steps
-
-
 def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSeries:
     """Re-expand sum a_n Z(w)^n as sum b_m w^m through order w^N.
 
-    b_0 = a_0 and b_m = sum_{n=1..m} T_c[m, n] a_n, where row m of the
-    table, T_c[m, n] = ((c-1)/c)^n c^-(m-n) C(m-1, n-1), follows from
-    row m-1 by the all-positive recurrence
-    T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1], from T[1] = (0, (c-1)/c).
-    B = 64 steps of it are one convolution with the Binomial(B, p) pmf,
-    p = (c-1)/c, so the orders go in blocks m..m+B-1 for m = 1, 1+B, ...:
-    with G_l = sum_k T[m, k] a_{k+l} (one correlation over the zero-padded
-    coefficients), b_{m+i} = sum_l Binomial(i, p)(l) G_l for i < B (one
-    B x B matrix product), and T[m+B] is T[m] convolved with the
-    Binomial(B, p) pmf.  That is O(N^2) flops, N/B Python steps and O(N)
-    memory.  The blocks start at m = 1 whatever N is, and the pmf of
-    Binomial(i, p) vanishes past l = i, so order m never reads a_n for
+    b_0 = a_0 and b_m = sum_{n=1..m} T_c[m, n] a_n, computed by
+    ``filters.mobius_reexpand`` (64 orders of the table's row recurrence
+    per step, O(N^2) flops and O(N) memory).  Order m never reads a_n for
     n > m: the output prefix never changes when more input terms become
     available.
     """
-    a = _prefix(series, N)
-    c = mapping.c
-    steps = _binomial_steps(c)
-    head, step = steps[:_BLOCK, :_BLOCK], steps[_BLOCK]
-    padded = np.zeros(N + _BLOCK, dtype=complex)  # the last block reads past a_N
-    padded[: N + 1] = a
-    b = np.empty(N + _BLOCK, dtype=complex)
-    b[0] = a[0]
-    # The complex product as a real one on (re, im) pairs: a float matrix
-    # times a complex vector takes milliseconds with several BLAS threads.
-    pairs = b.view(float).reshape(-1, 2)
-    row = np.array([0.0, (c - 1.0) / c])  # T[1]
-    for m in range(1, N + 1, _BLOCK):
-        lagged = np.correlate(padded[: m + _BLOCK], row)  # G_0..G_{B-1}
-        np.matmul(head, lagged.view(float).reshape(-1, 2), out=pairs[m : m + _BLOCK])
-        if m + _BLOCK <= N:
-            row = np.convolve(row, step)
-    return PowerSeries(b[: N + 1])
+    return PowerSeries(mobius_reexpand(_prefix(series, N), mapping.c))
 
 
 def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:

@@ -18,7 +18,14 @@ provided:
 ``filter_weights`` takes one degree or a list of them; for a list it
 weights every row in one pass (one Erfc-Log array call, one HDAF
 Poisson loop over the live entries of all rows) and returns the rows
-concatenated, each bit-identical to its one-degree table.
+concatenated, each bit-identical to its one-degree table.  A degree at
+or beyond 2^53 raises ValueError before any array is built.
+
+``mobius_reexpand`` is the same Euler-Knopp weighting read the other
+way: the Möbius(c) re-expansion b = T_c a of the coefficients, whose
+prefix sums b_0 + ... + b_N are the weighted sums at every degree N at
+once.  It is an array function with no package imports, so both
+``series`` (Euler traces) and ``conformal`` (``recoefficient``) use it.
 
 Argument conventions differ on purpose: Euler weights take the integer
 index j directly (arguments j/(M+1)); Erfc-Log and HDAF take
@@ -47,8 +54,12 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 #: HDAF truncation-depth divisor (Tanner's kappa = 1/15).
 _HDAF_DEPTH_DIVISOR = 15.0
 
-#: Depths at and beyond 2^53 have no exact double j = J, J+1.
-_HDAF_MAX_DEPTH = 2.0**53
+#: Degrees and HDAF depths at and beyond 2^53 have no exact double
+#: neighbours n, n+1.
+_MAX_EXACT_INDEX = 2.0**53
+
+#: Orders of the Möbius re-expansion that ``mobius_reexpand`` advances per step.
+_BLOCK = 64
 
 #: Relative size at which the HDAF series terms stop contributing.
 _HDAF_SERIES_TOL = 2.0**-54
@@ -87,7 +98,6 @@ def euler_mu(M: int, k: int) -> float:
     return float(_euler_mu_row(M)[k])
 
 
-@lru_cache(maxsize=256)
 def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     """The Binomial(M, p) pmf mu(M, k) for k = 0..M.
 
@@ -95,7 +105,8 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     outward from k = floor(M*p), next to the mode, where the row is
     largest, and the row is normalized by its sum.  No start value such
     as 2^-M is formed, so nothing underflows before the tails themselves
-    do.  At p = 1/2 the odds factor is exactly 1.
+    do.  At p = 1/2 the odds factor is exactly 1.  Not cached: it is an
+    intermediate of the cached ``_euler_sigma_table``.
     """
     if M < 0:
         raise ValueError("M must be >= 0")
@@ -204,7 +215,7 @@ def _hdaf_row_params(degrees: list[int], x_dist: float) -> np.ndarray:
     per_row = []
     for N in degrees:
         width = N * x_dist / _HDAF_DEPTH_DIVISOR
-        if not width < _HDAF_MAX_DEPTH:
+        if not width < _MAX_EXACT_INDEX:
             raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
         depth = math.floor(width)
         peak = _log_poisson_peak(depth) if depth else 0.0  # unused when J = 0
@@ -300,10 +311,14 @@ def filter_weights(
     ``x_dist`` feeds the adaptive order of Erfc-Log and the truncation
     depth of HDAF; Euler and identity ignore it.  All weights are
     functions of |n|, so sigma(-theta) = sigma(theta) holds exactly.
+    Raises ValueError for a negative degree, or one at or beyond 2^53,
+    before any array is built.
     """
     degrees = np.atleast_1d(N).tolist()
     if min(degrees) < 0:
         raise ValueError("N must be >= 0")
+    if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
+        raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")
     sizes = [M + 1 for M in degrees]
     if spec.kind == "identity":
         return np.ones(sum(sizes))
@@ -320,3 +335,59 @@ def filter_weights(
         return _hdaf_rows(theta, params, sizes)
     orders = [erfclog_order(x_dist, M) for M in degrees]
     return erfclog_sigma(theta, np.repeat(orders, sizes))
+
+
+@lru_cache(maxsize=16)
+def _binomial_steps(c: float) -> np.ndarray:
+    """P[i, l], the Binomial(i, (c-1)/c) pmf at l, for i, l = 0..B (B = _BLOCK).
+
+    Row i is row i-1 advanced by the table's own recurrence,
+    P[i, l] = P[i-1, l]/c + ((c-1)/c) P[i-1, l-1], from P[0] = (1, 0, ...):
+    convolving a row T[m] of the table with P[i] gives T[m + i].
+    """
+    r = (c - 1.0) / c
+    steps = np.zeros((_BLOCK + 1, _BLOCK + 1))
+    steps[0, 0] = 1.0
+    for i in range(1, _BLOCK + 1):
+        steps[i] = steps[i - 1] / c
+        steps[i, 1:] += r * steps[i - 1, :-1]
+    steps.flags.writeable = False
+    return steps
+
+
+def mobius_reexpand(a: np.ndarray, c: float) -> np.ndarray:
+    """The Möbius(c) re-expansion b_m = sum_n T_c[m, n] a_n of a_0..a_N.
+
+    b_0 = a_0, and row m of the table,
+    T_c[m, n] = ((c-1)/c)^n c^-(m-n) C(m-1, n-1), follows from row m-1
+    by the all-positive recurrence
+    T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1], from T[1] = (0, (c-1)/c).
+    B = 64 steps of it are one convolution with the Binomial(B, p) pmf,
+    p = (c-1)/c, so the orders go in blocks m..m+B-1 for m = 1, 1+B, ...:
+    with G_l = sum_k T[m, k] a_{k+l} (one correlation over the zero-padded
+    coefficients), b_{m+i} = sum_l Binomial(i, p)(l) G_l for i < B (one
+    B x B matrix product), and T[m+B] is T[m] convolved with the
+    Binomial(B, p) pmf.  That is O(N^2) flops, N/B Python steps and O(N)
+    memory.  The blocks start at m = 1 whatever N is, and the pmf of
+    Binomial(i, p) vanishes past l = i, so order m never reads a_n for
+    n > m: b_0..b_m are bit-identical for every input that shares
+    a_0..a_m.  Column n of T_c sums over m <= N to P(Binomial(N, p) >= n),
+    so b_0 + ... + b_N is the Euler-Knopp weighted sum at degree N.
+    """
+    N = a.size - 1
+    steps = _binomial_steps(c)
+    head, step = steps[:_BLOCK, :_BLOCK], steps[_BLOCK]
+    padded = np.zeros(N + _BLOCK, dtype=complex)  # the last block reads past a_N
+    padded[: N + 1] = a
+    b = np.empty(N + _BLOCK, dtype=complex)
+    b[0] = a[0]
+    # The complex product as a real one on (re, im) pairs: a float matrix
+    # times a complex vector takes milliseconds with several BLAS threads.
+    pairs = b.view(float).reshape(-1, 2)
+    row = np.array([0.0, (c - 1.0) / c])  # T[1]
+    for m in range(1, N + 1, _BLOCK):
+        lagged = np.correlate(padded[: m + _BLOCK], row)  # G_0..G_{B-1}
+        np.matmul(head, lagged.view(float).reshape(-1, 2), out=pairs[m : m + _BLOCK])
+        if m + _BLOCK <= N:
+            row = np.convolve(row, step)
+    return b[: N + 1]

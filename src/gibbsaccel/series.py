@@ -12,13 +12,28 @@ and results are bit-identical from run to run with the same numpy build.
 
 A trace of degrees at one x (``trace_errors``) folds once, at its top
 degree, and each N sums the prefix a_0..a_N of that fold: the folded
-terms do not depend on N, so every row is bit-identical to the per-N
-sum, which is the one-degree case of the same path.  The weights come
-from one ``filter_weights`` call per filter and batch of degrees (at
-most ``_WEIGHT_BATCH_ENTRIES`` weights, or one larger row alone); they
-multiply the batch's fold prefixes laid end to end, and each row sums
-its own slice of that product, so the products and the pairwise sum
-are those of the per-N path.
+terms do not depend on N.  A filter's rows then take one of two routes.
+
+* Weight tables (every kind; the one-degree sums and sparse traces):
+  one ``filter_weights`` call per filter and batch of degrees (at most
+  ``_WEIGHT_BATCH_ENTRIES`` weights, or one larger row alone); the
+  weights multiply the batch's fold prefixes laid end to end, and each
+  row sums its own slice of that product, so every row is bit-identical
+  to the per-N sum (``pointwise_error``).
+* One re-expansion (Euler rows of a dense trace): the Euler sum at N is
+  b_0 + ... + b_N with b the Möbius(2) re-expansion of the fold
+  (``filters.mobius_reexpand``), so one re-expansion at the top degree
+  and its prefix sums give every row.  A trace is dense when it has
+  more than one row and N_max^2 <= 64 * sum(N + 1): a re-expansion
+  costs about 0.9 ns * N_max^2 (2.2 ms at N = 1600), a cold Euler table
+  about 30 us plus 30 ns per entry, before its product and sum.  The
+  cache of tables holds 256 degrees, and a sweep of a few hundred
+  distinct degrees misses it.  The prefix sums are blocked, a running
+  sum inside each 64-block plus a running sum of the pairwise block
+  totals, so the rounding error grows with 64 + N/64 terms rather than
+  N.  These rows agree with the per-N sum to well within a saturation
+  floor, not bit for bit; the same degree reads the same value from
+  every dense trace.
 """
 
 from __future__ import annotations
@@ -28,13 +43,22 @@ from typing import Callable
 
 import numpy as np
 
-from .filters import FilterSpec, filter_weights
+from .filters import FilterSpec, filter_weights, mobius_reexpand
 from .rates import SingularitySet, periodic_distance
 
 _SYMMETRY_PROBE = 8  # c(+-n) checked for n = 0..8, n_max // 2 and n_max
 
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory.
 _WEIGHT_BATCH_ENTRIES = 2**12
+
+#: A trace is dense, and its Euler rows come from one re-expansion, when
+#: N_max^2 <= _DENSE_RATIO * sum(N + 1): about the cost of a weight table
+#: entry with its product and sum over that of one N_max^2 unit of the
+#: re-expansion.
+_DENSE_RATIO = 64
+
+#: Terms per block of the blocked prefix sums of a re-expansion.
+_PREFIX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -132,19 +156,30 @@ def _filtered_sums(
     series: FourierSeries, x: float, degrees: list[int], specs: list[FilterSpec]
 ) -> list[list[complex]]:
     """``filtered_partial_sum`` for each spec (outer) and each N in degrees
-    (inner), every one a prefix of a single fold at the largest N."""
+    (inner), every one a prefix of a single fold at the largest N: Euler
+    rows of a dense trace from one re-expansion, every other row from
+    weight tables."""
     if min(degrees) < 0:
         raise ValueError(f"truncation degree {min(degrees)} is negative")
     a = series.folded(x, max(degrees))
     x_dist = series.real_singularity_distance(x)
     out: list[list[complex]] = [[] for _ in specs]
-    for batch in _weight_batches(degrees):
+    dense = len(degrees) > 1 and max(degrees) ** 2 <= _DENSE_RATIO * (
+        sum(degrees) + len(degrees)
+    )
+    tabled = []
+    for spec, sums in zip(specs, out):
+        if dense and spec.kind == "euler":
+            sums.extend(_euler_prefix_sums(a, degrees))
+        else:
+            tabled.append((spec, sums))
+    for batch in _weight_batches(degrees) if tabled else []:
         # a row alone (the large ones) multiplies a view, not a copy of its prefix
         if len(batch) == 1:
             a_rows = a[: batch[0] + 1]
         else:
             a_rows = np.concatenate([a[: N + 1] for N in batch])
-        for spec, sums in zip(specs, out):
+        for spec, sums in tabled:
             terms = filter_weights(spec, batch, x_dist) * a_rows
             start = 0
             for N in batch:
@@ -152,6 +187,20 @@ def _filtered_sums(
                 start += N + 1
             del terms  # freed before the next batch's weights are built
     return out
+
+
+def _euler_prefix_sums(a: np.ndarray, degrees: list[int]) -> list[complex]:
+    """The Euler sums at each N in degrees, b_0 + ... + b_N with b the
+    Möbius(2) re-expansion of a, from blocked prefix sums of b."""
+    b = mobius_reexpand(a, 2.0)
+    blocks = np.zeros(-(-b.size // _PREFIX_BLOCK) * _PREFIX_BLOCK, dtype=complex)
+    blocks[: b.size] = b  # not np.pad, which costs more than the prefix sums
+    blocks = blocks.reshape(-1, _PREFIX_BLOCK)
+    inside = np.cumsum(blocks, axis=1)
+    before = np.zeros(len(blocks), dtype=complex)  # sum of the earlier blocks
+    np.cumsum(blocks.sum(axis=1)[:-1], out=before[1:])
+    block, offset = np.divmod(np.array(degrees), _PREFIX_BLOCK)
+    return (before[block] + inside[block, offset]).tolist()
 
 
 def _weight_batches(degrees: list[int]) -> list[list[int]]:
@@ -174,8 +223,10 @@ def trace_errors(
     """|f(x) - filtered partial sum| for each spec (outer) and N (inner).
 
     The coefficients are folded once, at the largest N, and each N sums
-    the prefix a_0..a_N of that fold with its own weight vector, so every
-    error is bit-identical to ``pointwise_error`` at that N.  Raises
+    the prefix a_0..a_N of that fold (see the module docstring for the
+    two routes): every error is bit-identical to ``pointwise_error`` at
+    that N, except the Euler rows of a dense trace, which agree with it
+    to well within a saturation floor.  Raises
     ValueError when the series has no exact evaluator, when x is a
     declared real singularity, or when a degree is outside [0, n_max].
     """

@@ -109,7 +109,9 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
 
     Each x folds the coefficients once, at the top degree, and every
     filter and N sums a prefix of that fold (``series.trace_errors``);
-    the rows are bit-identical to per-N ``pointwise_error`` sums.  Rows
+    the rows are bit-identical to per-N ``pointwise_error`` sums, except
+    the Euler rows of a dense trace, which come from one re-expansion and
+    agree with them to well within a saturation floor.  Rows
     are produced in ascending N for each trace and traces in the order
     (x outer, filter inner), so identical configs give identical output.
     Each trace is envelope-fitted when possible; a trace with too few

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbsaccel.filters import (
+    VALID_KINDS,
     FilterSpec,
     erfclog_order,
     erfclog_sigma,
@@ -287,10 +288,11 @@ class TestHdaf:
             filter_weights(FilterSpec("hdaf"), [5, 200, 40], 1e15)
 
     def test_unrepresentable_depth_rejected_before_allocation(self):
-        # 10^17 + 1 weights would need petabytes; the depth check must come first
-        for N in ([5, 10**17], 10**17):
+        # 10^17 + 1 weights would need petabytes; the degree check must come
+        # first, for every kind, not only for HDAF's depth
+        for kind, N in itertools.product(VALID_KINDS, ([5, 10**17], 10**17)):
             with pytest.raises(ValueError, match="not representable"):
-                filter_weights(FilterSpec("hdaf"), N, 2.0)
+                filter_weights(FilterSpec(kind), N, 2.0)
 
 
 class TestFilterWeights:

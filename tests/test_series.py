@@ -1,9 +1,13 @@
 import cmath
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
+from test_filters import exact_euler_tails
 
+import gibbsaccel.series as series_module
 from gibbsaccel.catalog import (
     FUNCTION_KEYS,
     get_function,
@@ -15,6 +19,7 @@ from gibbsaccel.filters import VALID_KINDS, FilterSpec, filter_weights
 from gibbsaccel.rates import delta_truncation_error, rho_of_x
 from gibbsaccel.series import (
     FourierSeries,
+    _filtered_sums,
     filtered_partial_sum,
     partial_sum,
     pointwise_error,
@@ -189,6 +194,40 @@ def per_degree_error(series, x, N, spec):
     return abs(complex(series.exact_eval(x)) - complex(np.sum(w * series.folded(x, N))))
 
 
+@functools.lru_cache(maxsize=None)
+def cached_euler_tails(M):
+    """``exact_euler_tails(M)``, built once per degree: the integer tails
+    take most of the time of the dense-trace checks."""
+    return exact_euler_tails(M)
+
+
+def exact_euler_sum(a, N):
+    """sum sigma_E(n) a_n over n <= N with correctly rounded Euler weights,
+    each product rounded once and the products summed exactly."""
+    terms = cached_euler_tails(N) * a[: N + 1]
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+#: Euler rows of a dense trace may differ from the exactly weighted sum by
+#: this many saturation floors.  Measured worst case 0.017, against 0.016
+#: for the weight tables; a plain running sum of the re-expansion, not
+#: blocked, reaches 0.096.
+DENSE_TOL_FLOORS = 0.05
+
+
+@pytest.fixture
+def weight_kinds(monkeypatch):
+    """The filter kind of every ``filter_weights`` call made by ``series``."""
+    kinds = []
+
+    def recording(spec, N, x_dist=0.0):
+        kinds.append(spec.kind)
+        return filter_weights(spec, N, x_dist)
+
+    monkeypatch.setattr(series_module, "filter_weights", recording)
+    return kinds
+
+
 class TestTraceErrors:
     def test_constant_coefficients_match_per_degree_fold(self):
         # the broadcast path: one scalar coefficient for the whole fold
@@ -213,6 +252,15 @@ class TestTraceErrors:
         assert len(traces) == 2 * len(VALID_KINDS)
         for trace in traces:
             spec = FilterSpec(trace.filter_kind)
+            if spec.kind == "euler":
+                # a dense trace: its Euler rows come from one re-expansion
+                a = series.folded(trace.x, config.n_max)
+                exact = complex(series.exact_eval(trace.x))
+                for row in trace.rows:
+                    ref = abs(exact - exact_euler_sum(a, row.N))
+                    floor = saturation_floor(series, row.N)
+                    assert abs(row.error - ref) <= DENSE_TOL_FLOORS * floor
+                continue
             for row in trace.rows:
                 assert row.error == pointwise_error(series, trace.x, row.N, spec)
                 assert row.error == per_degree_error(series, trace.x, row.N, spec)
@@ -233,6 +281,64 @@ class TestTraceErrors:
         for degrees in ([-1, 10], [10, 51]):
             with pytest.raises(ValueError):
                 trace_errors(sws, 0.3, degrees, [EULER])
+
+
+class TestDenseEulerRoute:
+    """Euler rows of a dense trace, summed from one Möbius(2) re-expansion."""
+
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_rows_match_exact_integer_tails(self, key, weight_kinds):
+        series = get_function(key).series
+        for x, degrees in itertools.product(
+            (0.05, 0.3, 1.1, 2.0, 2.9, 3.1),
+            (list(range(2, 401)), list(range(2, 1601, 5))),
+        ):
+            (sums,) = _filtered_sums(series, x, degrees, [EULER])
+            a = series.folded(x, degrees[-1])
+            ref = [exact_euler_sum(a, N) for N in degrees]
+            floors = saturation_floor(series, np.array(degrees))
+            worst = np.max(np.abs(np.subtract(sums, ref)) / floors)
+            assert worst <= DENSE_TOL_FLOORS, (x, degrees[1] - degrees[0])
+        assert weight_kinds == []  # every trace took the re-expansion
+
+    def test_same_degree_equal_across_traces(self, weight_kinds):
+        series = get_function("sws+lorentzian").series
+        edges = {63, 64, 65, 127, 128, 129}  # around the 64-term blocks
+        first = sorted(set(range(2, 400, 5)) | edges)
+        second = sorted(set(range(0, 1000, 3)) | edges)
+        shared = sorted(set(first) & set(second))
+        for x in (0.7, 2.6):
+            (sums_first,) = _filtered_sums(series, x, first, [EULER])
+            (sums_second,) = _filtered_sums(series, x, second, [EULER])
+            at_first = dict(zip(first, sums_first))
+            at_second = dict(zip(second, sums_second))
+            assert [at_first[N] for N in shared] == [at_second[N] for N in shared]
+        assert weight_kinds == []
+
+    @pytest.mark.parametrize("key", ["sws", "lorentzian", "log2"])
+    def test_dense_and_table_routes_agree(self, key):
+        series = get_function(key).series
+        degrees = list(range(2, 700, 7))
+        for x in (0.3, 2.9):
+            (dense,) = _filtered_sums(series, x, degrees, [EULER])
+            # one row, and a sparse trace of two, take the weight tables
+            (sparse,) = _filtered_sums(series, x, [2, 1600], [EULER])
+            assert abs(dense[0] - sparse[0]) <= saturation_floor(series, 2)
+            for N, value in zip(degrees, dense):
+                single = filtered_partial_sum(series, x, N, EULER)
+                assert abs(value - single) <= saturation_floor(series, N)
+
+    def test_density_rule(self, weight_kinds):
+        # dense when N_max^2 <= 64 * sum(N + 1): 128^2 = 64 * (127 + 129)
+        series = make_sws(n_max=200).series
+        for degrees, euler_calls in (
+            ([126, 128], []),
+            ([125, 128], ["euler"]),
+            ([0], ["euler"]),  # one row is never dense
+        ):
+            weight_kinds.clear()
+            _filtered_sums(series, 1.0, degrees, [EULER, IDENTITY])
+            assert weight_kinds == euler_calls + ["identity"]
 
 
 class TestInvariants:
