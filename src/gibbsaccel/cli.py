@@ -21,6 +21,7 @@ file), 3 insufficient data.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -102,8 +103,10 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         meta, traces = parse_sweep_csv(fh.read())
     if not traces:
         raise InsufficientDataError("no traces found in input")
+    if meta.get("fn") is None:
+        raise ConfigError("input has no fn= line naming the swept function")
     try:
-        fn = get_function(meta.get("fn", "sws"), p=meta.get("p"), phi=meta.get("phi"))
+        fn = get_function(meta["fn"], p=meta.get("p"), phi=meta.get("phi"))
     except KeyError as exc:  # an unknown fn= in the input file
         raise ConfigError(str(exc)) from exc
     sings = fn.series.singularities
@@ -118,7 +121,14 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    argparse keeps no state between ``parse_args`` calls, and each
+    subcommand looks up the module globals it calls when it runs, so one
+    parser serves every ``main`` call.
+    """
     parser = argparse.ArgumentParser(
         prog="gibbsaccel",
         description="Accelerated-Fourier-series error experiments",
@@ -167,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ConfigError, FileNotFoundError) as exc:

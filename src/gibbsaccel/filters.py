@@ -95,7 +95,7 @@ def euler_mu(M: int, k: int) -> float:
     """
     if not 0 <= k <= M:
         raise ValueError(f"k={k} outside [0, M={M}]")
-    return float(_euler_mu_row(M)[k])
+    return float(_last_euler_mu_row(M)[k])
 
 
 def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
@@ -106,7 +106,8 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     largest, and the row is normalized by its sum.  No start value such
     as 2^-M is formed, so nothing underflows before the tails themselves
     do.  At p = 1/2 the odds factor is exactly 1.  Not cached: it is an
-    intermediate of the cached ``_euler_sigma_table``.
+    intermediate of the cached ``_euler_sigma_table`` (``euler_mu`` keeps
+    only its last row).
     """
     if M < 0:
         raise ValueError("M must be >= 0")
@@ -124,6 +125,11 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     mu = row / row.sum()
     mu.flags.writeable = False
     return mu
+
+
+#: ``euler_mu``'s row: a loop over k at one M builds it once, and it
+#: holds 8(M+1) bytes until the next M.
+_last_euler_mu_row = lru_cache(maxsize=1)(_euler_mu_row)
 
 
 @lru_cache(maxsize=256)

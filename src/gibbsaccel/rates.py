@@ -6,6 +6,16 @@ the nearest singularity of the re-expanded power series.  Each singularity
 x_j = sigma_j + i*tau_j of f contributes an image whose modulus is a
 closed-form function of x; the map itself contributes a "metric"
 singularity that caps rho at 2.
+
+The law has two implementations, chosen by input kind.  ``rho_of_x``
+predicts one x with scalar math, which on one point is several times
+faster than numpy.  ``image_table`` tabulates rho, the dominating
+constraint and every image modulus over an array of x in one pass of
+array operations (``rho_curve``, ``acceleration_penalty_region``).  The
+table repeats the scalar code's float operations (the fmod distance,
+1 + r*r + 2r*cos(theta), inf where that is <= 0), so each of its values
+is bit-identical to ``rho_of_x``, ``z_image`` and ``zeta_image_modulus``;
+the tests pin that.  A change to the law must change both.
 """
 
 from __future__ import annotations
@@ -14,10 +24,17 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 _TWO_PI = 2.0 * math.pi
 
 #: The re-summation map is singular at 2, capping every achievable rate.
 METRIC_CAP = 2.0
+
+#: ``image_table`` codes for the dominating constraint; an off-axis
+#: singularity is coded by its index (>= 0) in ``SingularitySet.off_axis``.
+DOMINATED_BY_METRIC = -2
+DOMINATED_BY_REAL = -1
 
 
 @dataclass(frozen=True)
@@ -206,6 +223,72 @@ class PenaltySample:
     flagged: bool
 
 
+def x_grid(resolution: int) -> np.ndarray:
+    """``resolution`` uniform points on [-pi, pi], ends included."""
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    return -math.pi + _TWO_PI * np.arange(resolution) / (resolution - 1)
+
+
+def image_table(
+    sings: SingularitySet, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """``rho_of_x`` over an array of x: (rho, dominating, images).
+
+    ``dominating`` holds ``DOMINATED_BY_METRIC``, ``DOMINATED_BY_REAL`` or
+    the off-axis index, as ``RatePrediction.dominating`` names them;
+    ``images`` holds one array per declared singularity, the real one
+    first: ``zeta_image_modulus`` of its image (inf at the real image's
+    pole d = pi).  Every value is bit-identical to the scalar functions.
+    """
+    xs = np.asarray(xs, dtype=float)
+    rho = np.full(xs.shape, METRIC_CAP)
+    dominating = np.full(xs.shape, DOMINATED_BY_METRIC)
+    images = []
+    if sings.real_singularity is not None:
+        d = np.fmod(xs - sings.real_singularity, _TWO_PI)
+        d = np.where(d < 0, d + _TWO_PI, d)
+        d = np.minimum(d, _TWO_PI - d)
+        # at x = x_s the image is exactly 1, below the cap: no extra branch
+        # is needed for rho_of_x's at-singularity rule
+        image = _image_modulus(1.0, d)
+        take = image < rho
+        rho = np.where(take, image, rho)
+        dominating[take] = DOMINATED_BY_REAL
+        images.append(image)
+    for j, s in enumerate(sings.off_axis):
+        # z_image: the angle's sign follows tau's, exactly as there
+        theta = s.sigma - xs if s.tau < 0 else xs - s.sigma
+        image = _image_modulus(math.exp(abs(s.tau)), theta)
+        take = image < rho
+        rho = np.where(take, image, rho)
+        dominating[take] = j
+        images.append(image)
+    return rho, dominating, images
+
+
+def _image_modulus(r: float, theta: np.ndarray) -> np.ndarray:
+    """``zeta_image_modulus`` over an array of angles."""
+    denom_sq = 1.0 + r * r + 2.0 * r * np.cos(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom_sq <= 0.0, math.inf, 2.0 * r / np.sqrt(denom_sq))
+
+
+def penalty_flags(
+    sings: SingularitySet, rho: np.ndarray, dominating: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The acceleration-penalty rule over an ``image_table`` of a set with
+    at least one off-axis singularity.
+
+    Returns the raw factor exp(min|tau|) of the unaccelerated series and
+    a flag per point: rho is below it *and* an off-axis image dominates,
+    so slowdowns caused purely by the metric cap are not attributed to
+    the declared poles.
+    """
+    rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
+    return rho_raw, (rho < rho_raw) & (dominating >= 0)
+
+
 def acceleration_penalty_region(
     sings: SingularitySet, resolution: int
 ) -> list[PenaltySample]:
@@ -214,17 +297,14 @@ def acceleration_penalty_region(
     The unaccelerated series of a function whose nearest singularity sits
     a distance tau off the real axis converges with factor exp(min|tau|)
     at every x; the accelerated factor rho(x) can dip below that near the
-    real part of the poles.
+    real part of the poles (``penalty_flags``).
     """
     if not sings.off_axis:
         raise ValueError("penalty scan needs at least one off-axis singularity")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
-    rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
-    out = []
-    for i in range(resolution):
-        x = -math.pi + _TWO_PI * i / (resolution - 1)
-        pred = rho_of_x(sings, x)
-        flagged = pred.rho < rho_raw and isinstance(pred.dominating, int)
-        out.append(PenaltySample(x, pred.rho, rho_raw, flagged))
-    return out
+    xs = x_grid(resolution)
+    rho, dominating, _ = image_table(sings, xs)
+    rho_raw, flagged = penalty_flags(sings, rho, dominating)
+    return [
+        PenaltySample(x, r, rho_raw, f)
+        for x, r, f in zip(xs.tolist(), rho.tolist(), flagged.tolist())
+    ]

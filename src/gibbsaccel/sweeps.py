@@ -19,7 +19,11 @@ import numpy as np
 
 from .catalog import FUNCTION_KEYS, TestFunction, get_function
 from .filters import VALID_KINDS, FilterSpec
-from .rates import acceleration_penalty_region, rho_of_x, zeta_image_modulus, z_image
+from .rates import image_table, penalty_flags, x_grid
+# rho_of_x and acceleration_penalty_region, the scalar and sample-list
+# forms of the image table, stay in this namespace for callers that wrap
+# them here (bench/tracing.py)
+from .rates import acceleration_penalty_region, rho_of_x  # noqa: F401
 # pointwise_error, the one-row case of trace_errors, stays in this
 # namespace for callers that wrap it here (bench/tracing.py)
 from .series import pointwise_error, saturation_floor, trace_errors  # noqa: F401
@@ -236,7 +240,7 @@ def _fit_line(trace: ErrorTrace, **where) -> str:
     return meta_line("fit", **where, A=trace.fit[0], q_hat=trace.fit[1])
 
 
-def render_csv(comments: list[str], header: list[str], rows: list[list]) -> str:
+def render_csv(comments: list[str], header: list[str], rows: list) -> str:
     lines = [f"# {c}" for c in comments] + [",".join(header)]
     lines += [",".join(_text(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
@@ -265,7 +269,8 @@ def rho_curve(
 
     Columns: x, rho, then the image modulus of each declared singularity
     (the real one first when present), and a penalty flag when off-axis
-    singularities exist.
+    singularities exist.  All columns come from one ``rates.image_table``
+    call over the grid, bit-identical to ``rho_of_x`` point by point.
     """
     if resolution < 2:
         raise ConfigError("resolution must be >= 2")
@@ -277,24 +282,13 @@ def rho_curve(
     if sings.real_singularity is not None:
         header.append("zeta_real")
     header += [f"zeta_off{j}" for j in range(len(sings.off_axis))]
-    penalties = None
+    xs = x_grid(resolution)
+    rho, dominating, images = image_table(sings, xs)
+    columns = [xs, rho, *images]
     if sings.off_axis:
         header.append("penalty")
-        penalties = acceleration_penalty_region(sings, resolution)
-    rows = []
-    for i in range(resolution):
-        x = -math.pi + 2.0 * math.pi * i / (resolution - 1)
-        # the penalty scan has already evaluated rho on this grid
-        rho = rho_of_x(sings, x).rho if penalties is None else penalties[i].rho_euler
-        row: list = [x, rho]
-        if sings.real_singularity is not None:
-            row.append(zeta_image_modulus(1.0, sings.real_distance(x)))
-        for s in sings.off_axis:
-            r, theta = z_image((s.sigma, s.tau), x)
-            row.append(zeta_image_modulus(r, theta))
-        if penalties is not None:
-            row.append(int(penalties[i].flagged))
-        rows.append(row)
+        columns.append(penalty_flags(sings, rho, dominating)[1].astype(int))
+    rows = list(zip(*(column.tolist() for column in columns)))
     comments = _echo(function_key, p, phi, meta_line(resolution=resolution))
     return render_csv(comments, header, rows)
 

@@ -43,6 +43,11 @@ class TestEulerMu:
         assert all(v > 0 for v in row)
         assert row[0] == pytest.approx(2.0**-1000, rel=1e-13)
 
+    def test_matches_row_as_m_changes(self):
+        # euler_mu keeps only the last row it built
+        for M in (7, 300, 7, 8, 300):
+            assert [euler_mu(M, k) for k in range(M + 1)] == _euler_mu_row(M).tolist()
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             euler_mu(4, 5)

@@ -3,15 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from gibbsaccel.catalog import make_composite, make_delta, make_lorentzian, make_sws
+from gibbsaccel.catalog import (
+    FUNCTION_KEYS,
+    get_function,
+    make_composite,
+    make_delta,
+    make_lorentzian,
+    make_sws,
+)
 from gibbsaccel.filters import FilterSpec
 from gibbsaccel.rates import (
+    DOMINATED_BY_METRIC,
+    DOMINATED_BY_REAL,
     Singularity,
     SingularitySet,
     acceleration_penalty_region,
     delta_truncation_error,
+    image_table,
     predicted_envelope,
     rho_of_x,
+    x_grid,
     z_image,
     zeta_image_modulus,
 )
@@ -184,6 +195,65 @@ class TestDeltaTruncationError:
             delta_truncation_error(2 * math.pi, 5)
 
 
+def special_points(sings):
+    """x = x_s, the 2*pi/3 crossovers around it, and +-pi."""
+    xs = [-math.pi, math.pi, 0.0]
+    if sings.real_singularity is not None:
+        x_s = sings.real_singularity
+        xs += [x_s, x_s + 2 * math.pi / 3, x_s - 2 * math.pi / 3]
+    for s in sings.off_axis:
+        xs += [s.sigma, s.sigma + 2 * math.pi / 3]
+    return np.array(xs)
+
+
+class TestImageTable:
+    """The array table against the scalar functions, value for value."""
+
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    @pytest.mark.parametrize("p", [None, 0.3])
+    @pytest.mark.parametrize("resolution", [2, 33, 501, 1001, 4096])
+    def test_bit_identical_to_scalar(self, key, p, resolution):
+        sings = get_function(key, p=p).series.singularities
+        xs = np.concatenate([x_grid(resolution), special_points(sings)])
+        rho, dominating, images = image_table(sings, xs)
+        preds = [rho_of_x(sings, x) for x in xs.tolist()]
+        assert rho.tolist() == [pred.rho for pred in preds]
+        codes = {"metric": DOMINATED_BY_METRIC, "real": DOMINATED_BY_REAL}
+        assert dominating.tolist() == [
+            codes.get(pred.dominating, pred.dominating) for pred in preds
+        ]
+        expected = []
+        if sings.real_singularity is not None:
+            expected.append(
+                [zeta_image_modulus(1.0, sings.real_distance(x)) for x in xs.tolist()]
+            )
+        for s in sings.off_axis:
+            expected.append(
+                [zeta_image_modulus(*z_image((s.sigma, s.tau), x)) for x in xs.tolist()]
+            )
+        assert [image.tolist() for image in images] == expected
+
+    def test_special_points(self):
+        xs = np.array([0.0, -math.pi, math.pi])
+        rho, dominating, (real,) = image_table(SAWTOOTH_SET, xs)
+        # at the singularity rho is 1 and the real image binds
+        assert rho[0] == 1.0 and dominating[0] == DOMINATED_BY_REAL
+        # at +-pi the real image escapes to infinity and the cap binds
+        assert real[1:].tolist() == [math.inf, math.inf]
+        assert rho[1:].tolist() == [2.0, 2.0]
+        assert dominating[1:].tolist() == [DOMINATED_BY_METRIC] * 2
+
+    def test_grid(self):
+        for resolution in (2, 33, 501):
+            expected = [
+                -math.pi + 2.0 * math.pi * i / (resolution - 1)
+                for i in range(resolution)
+            ]
+            assert x_grid(resolution).tolist() == expected
+        with pytest.raises(ValueError):
+            x_grid(1)
+
+
 class TestPenaltyRegion:
     def test_shallow_poles_are_flagged_near_their_phase(self):
         samples = acceleration_penalty_region(lorentzian_set(0.2), 512)
@@ -209,6 +279,17 @@ class TestPenaltyRegion:
     def test_requires_off_axis(self):
         with pytest.raises(ValueError):
             acceleration_penalty_region(SAWTOOTH_SET, 64)
+
+    @pytest.mark.parametrize("key", ["lorentzian", "sws+lorentzian"])
+    def test_samples_follow_rho_of_x(self, key):
+        sings = get_function(key).series.singularities
+        rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
+        for sample in acceleration_penalty_region(sings, 501):
+            pred = rho_of_x(sings, sample.x)
+            flagged = pred.rho < rho_raw and isinstance(pred.dominating, int)
+            assert (sample.rho_euler, sample.rho_raw, sample.flagged) == (
+                pred.rho, rho_raw, flagged
+            )
 
 
 class TestMeasuredVersusPredicted:

@@ -6,9 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gibbsaccel import cli
-from gibbsaccel.catalog import get_function
+from gibbsaccel.catalog import FUNCTION_KEYS, get_function
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
-from gibbsaccel.rates import SingularitySet, delta_truncation_error, rho_of_x
+from gibbsaccel.rates import (
+    SingularitySet,
+    delta_truncation_error,
+    rho_of_x,
+    z_image,
+    zeta_image_modulus,
+)
 from gibbsaccel.series import saturation_floor
 from gibbsaccel.sweeps import (
     ConfigError,
@@ -21,6 +27,7 @@ from gibbsaccel.sweeps import (
     meta_line,
     parse_meta,
     parse_sweep_csv,
+    render_csv,
     rho_curve,
     sweep_csv,
     sweep_errors,
@@ -195,6 +202,38 @@ class TestMetadataLines:
         assert line == "fit x=0.1 N=3 A= q_hat=inf"
 
 
+def reference_rho_curve(function_key, resolution, p=None, phi=None):
+    """``rho_curve`` from one scalar ``rho_of_x`` call per grid point: the
+    reference for the image table."""
+    sings = get_function(function_key, p=p, phi=phi).series.singularities
+    header = ["x", "rho"]
+    if sings.real_singularity is not None:
+        header.append("zeta_real")
+    header += [f"zeta_off{j}" for j in range(len(sings.off_axis))]
+    if sings.off_axis:
+        header.append("penalty")
+        rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
+    rows = []
+    for i in range(resolution):
+        x = -math.pi + 2.0 * math.pi * i / (resolution - 1)
+        pred = rho_of_x(sings, x)
+        row = [x, pred.rho]
+        if sings.real_singularity is not None:
+            row.append(zeta_image_modulus(1.0, sings.real_distance(x)))
+        for s in sings.off_axis:
+            r, theta = z_image((s.sigma, s.tau), x)
+            row.append(zeta_image_modulus(r, theta))
+        if sings.off_axis:
+            flagged = pred.rho < rho_raw and isinstance(pred.dominating, int)
+            row.append(int(flagged))
+        rows.append(row)
+    comments = [meta_line(fn=function_key), meta_line(resolution=resolution)]
+    comments += [
+        meta_line(**{k: v}) for k, v in (("p", p), ("phi", phi)) if v is not None
+    ]
+    return render_csv(comments, header, rows)
+
+
 class TestRhoCurve:
     @staticmethod
     def parse(text):
@@ -246,6 +285,15 @@ class TestRhoCurve:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ConfigError):
             rho_curve("sws", 1)
+
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    @pytest.mark.parametrize("p", [None, 0.8187])
+    @pytest.mark.parametrize("resolution", [2, 33, 501, 1001])
+    def test_csv_equals_per_point_reference(self, key, p, resolution):
+        phis = (None, 0.7) if key == "lorentzian" else (None,)
+        for phi in phis:
+            expected = reference_rho_curve(key, resolution, p=p, phi=phi)
+            assert rho_curve(key, resolution, p=p, phi=phi) == expected
 
 
 class TestCompareFilters:
@@ -406,6 +454,32 @@ class TestCli:
         capsys.readouterr()
         assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
         assert "heaviside" in capsys.readouterr().err
+
+    def test_missing_function_in_input_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "lorentzian", "--x", "0.5", "--n-min", "5",
+              "--n-max", "40", "--out", str(out)])
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(ln for ln in lines if not ln.startswith("# fn=")))
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "fn=" in err
+
+    def test_parser_survives_argparse_error(self, capsys):
+        argv = ["sweep", "--fn", "sws", "--x", "0.9", "--n-max", "40",
+                "--stride", "3"]
+        assert main(argv) == EXIT_OK
+        before = capsys.readouterr().out
+        for bad in (["sweep", "--fn", "sws", "--x", "0.9", "--stride", "7"],
+                    ["rho", "--fn", "heaviside", "--resolution", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == EXIT_CONFIG
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == before
+        assert cli.build_parser() is cli.build_parser()
 
     def test_internal_key_error_propagates(self, monkeypatch):
         def broken(config):
