@@ -11,8 +11,8 @@ The package provides:
 
 * ``series``    -- two-sided Fourier series, raw and filtered partial sums;
 * ``filters``   -- Euler, Erfc-Log and HDAF filter weights;
-* ``conformal`` -- the power-series engine: inflation to an auxiliary
-  variable, re-expansion under a Möbius map, radius estimation;
+* ``conformal`` -- the power-series engine: re-expansion under a Möbius
+  map, the accelerated sum, radius estimation;
 * ``rates``     -- predicted pointwise convergence factor from a declared
   singularity set;
 * ``catalog``   -- closed-form test functions with exact coefficients;
@@ -24,7 +24,6 @@ from .conformal import (
     MOBIUS2,
     MobiusMap,
     PowerSeries,
-    abel_extend_eval,
     accelerate_sum,
     estimate_radius,
     euler_equivalence_check,
@@ -45,7 +44,6 @@ from .rates import (
     SingularitySet,
     acceleration_penalty_region,
     delta_truncation_error,
-    predicted_envelope,
     rho_of_x,
     z_image,
     zeta_image_modulus,
@@ -67,7 +65,6 @@ __all__ = [
     "RatePrediction",
     "Singularity",
     "SingularitySet",
-    "abel_extend_eval",
     "accelerate_sum",
     "acceleration_penalty_region",
     "delta_truncation_error",
@@ -82,7 +79,6 @@ __all__ = [
     "hdaf_sigma",
     "partial_sum",
     "pointwise_error",
-    "predicted_envelope",
     "recoefficient",
     "rho_of_x",
     "trace_errors",

@@ -166,6 +166,8 @@ def make_lorentzian(
     p: float = math.exp(-0.2), phi: float = math.pi, n_max: int = DEFAULT_N_MAX
 ) -> TestFunction:
     _check_p(p)
+    if not math.isfinite(phi):
+        raise ValueError(f"pole phase phi={phi} is not finite")
     tau = -math.log(p)
     return TestFunction(
         "lorentzian",
@@ -231,7 +233,9 @@ def get_function(
 
     ``p`` sets the pole depth of the Lorentzian-bearing entries (defaults:
     exp(-0.2) for "lorentzian", 0.5 for "sws+lorentzian"); ``phi`` sets
-    the Lorentzian phase (default pi for "lorentzian").
+    the Lorentzian phase (default pi for "lorentzian").  Raises KeyError
+    for an unknown key and ValueError for a p outside (0, 1) or a
+    non-finite phi.
     """
     if key == "sws":
         return make_sws(n_max)

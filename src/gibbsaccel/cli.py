@@ -14,8 +14,9 @@ tokens carrying the config echo and fit results.  A trace whose fit was
 skipped has a ``fit`` line with empty ``A`` and ``q_hat`` and its number
 of ``hull_points``.  Rows are flagged ``saturated`` when their error is
 below the fixed floor 100*eps*sum|c_n| (``series.saturation_floor``).
-Exit codes: 0 success, 2 configuration error (also a missing input
-file), 3 insufficient data.
+Exit codes: 0 success, 2 configuration error (also an unknown function
+key, a bad ``--p`` or ``--phi``, and an input or output file that cannot
+be opened), 3 insufficient data.
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ import functools
 import math
 import sys
 
-from .catalog import FUNCTION_KEYS, get_function
+# get_function, called through sweeps._resolve_function, stays in this
+# namespace for callers that wrap it here (bench/tracing.py)
+from .catalog import FUNCTION_KEYS, get_function  # noqa: F401
 from .filters import VALID_KINDS, _euler_sigma_table, _euler_mu_row
 from .rates import rho_of_x
 from .sweeps import (
     ConfigError,
     ExperimentConfig,
     InsufficientDataError,
+    _resolve_function,
     compare_filters,
     fit_envelope,
     meta_line,
@@ -105,10 +109,7 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         raise InsufficientDataError("no traces found in input")
     if meta.get("fn") is None:
         raise ConfigError("input has no fn= line naming the swept function")
-    try:
-        fn = get_function(meta["fn"], p=meta.get("p"), phi=meta.get("phi"))
-    except KeyError as exc:  # an unknown fn= in the input file
-        raise ConfigError(str(exc)) from exc
+    fn = _resolve_function(meta["fn"], meta.get("p"), meta.get("phi"))
     sings = fn.series.singularities
     for trace in traces:
         amplitude, q_hat = fit_envelope(trace)
@@ -180,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientDataError as exc:

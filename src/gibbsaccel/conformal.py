@@ -33,6 +33,10 @@ of one re-expansion give that weighted sum at every degree at once:
 ``series`` sums dense Euler traces that way.  ``euler_equivalence_check``
 compares the two constructions of the table: the row recurrence and the
 binomial tails.
+
+A ``PowerSeries`` holds a_0..a_N as one read-only complex array; the
+functions here read a prefix view of it, and ``MobiusMap`` is no more
+than the checked parameter c of T_c.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _euler_sigma_table, mobius_reexpand
-from .series import FourierSeries
 
 #: Default relative noise floor for radius estimation; re-expanded
 #: coefficients below this fraction of the largest one are double-precision
@@ -50,25 +53,27 @@ from .series import FourierSeries
 RADIUS_NOISE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerSeries:
     """Truncated power series sum_{n<=N} a_n z^n with immutable coefficients.
 
-    ``coeffs`` may be any flat sequence or 1-D array; it is converted
-    once to a complex array and stored as a tuple of complex.
+    ``coeffs`` may be any flat sequence (a tuple, a list) or 1-D array; it
+    is copied once into a read-only complex array, so later writes to the
+    input do not reach the series.  Instances compare by identity.
     """
 
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
+        arr = np.array(self.coeffs, dtype=complex)
         if arr.ndim != 1:
             raise ValueError("coefficients must be a flat sequence")
         if arr.size == 0:
             raise ValueError("need at least the constant coefficient")
         if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", tuple(arr.tolist()))
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
 
     @property
     def n_max(self) -> int:
@@ -77,12 +82,13 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """The rational map z = (c-1)*w/(c - w), singular at w = c.
+    """The rational map z = (c-1)*w/(c - w), singular at w = c, by its c.
 
     Maps 0 -> 0 and 1 -> 1 for any c > 1.  c = 2 sends a singularity of
     the original series at z = -1 to infinity (the classical Euler map);
     c = 3 balances it against the image of z = infinity so both land on
-    |w| = 3.
+    |w| = 3.  The map is only ever applied through its re-expansion
+    table T_c (``recoefficient``, ``accelerate_sum``).
     """
 
     c: float = 2.0
@@ -91,26 +97,15 @@ class MobiusMap:
         if self.c <= 1.0:
             raise ValueError("map parameter c must exceed 1")
 
-    def forward(self, w: complex) -> complex:
-        """z as a function of w; w = c is the pole of the map."""
-        if w == self.c:
-            raise ZeroDivisionError(f"map pole at w = {self.c}")
-        return (self.c - 1.0) * w / (self.c - w)
-
-    def inverse(self, z: complex) -> complex:
-        if z == -(self.c - 1.0):
-            raise ZeroDivisionError("inverse map pole")
-        return self.c * z / (self.c - 1.0 + z)
-
 
 MOBIUS2 = MobiusMap(2.0)
 
 
 def _prefix(series: PowerSeries, N: int) -> np.ndarray:
-    """a_0..a_N as an array; raises ValueError unless 0 <= N <= n_max."""
+    """a_0..a_N, a read-only view; raises ValueError unless 0 <= N <= n_max."""
     if not 0 <= N <= series.n_max:
         raise ValueError(f"N={N} outside [0, n_max={series.n_max}]")
-    return np.array(series.coeffs[: N + 1])
+    return series.coeffs[: N + 1]
 
 
 def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSeries:
@@ -150,35 +145,6 @@ def euler_equivalence_check(series: PowerSeries, N: int) -> float:
     return abs(complex(mapped - weighted))
 
 
-def abel_extend_eval(
-    series: FourierSeries, x: float, z: complex, rel_tol: float = 1e-15
-) -> complex:
-    """Evaluate the inflated series sum c_n z^|n| exp(inx) inside |z| <= 1.
-
-    The positive- and negative-index halves are summed separately; each
-    half stops when its term magnitude falls below ``rel_tol`` of the
-    running sum, or at the series' n_max (which acts as the summability
-    cap on the boundary |z| = 1).
-    """
-    if abs(z) > 1.0 + 1e-15:
-        raise ValueError(f"|z|={abs(z)} > 1: inflated series diverges")
-    total = complex(series.coeff(0))
-    for direction in (+1, -1):
-        ratio = z * np.exp(direction * 1j * x)
-        zpow = 1.0 + 0j
-        terms = []
-        running = abs(total)
-        for n in range(1, series.n_max + 1):
-            zpow *= ratio
-            term = complex(series.coeff(direction * n)) * zpow
-            terms.append(term)
-            running += abs(term)
-            if abs(term) < rel_tol * max(running, 1e-300):
-                break
-        total += complex(np.sum(terms))
-    return total
-
-
 def estimate_radius(
     series: PowerSeries, noise_floor_rel: float | None = RADIUS_NOISE_FLOOR
 ) -> float:
@@ -191,7 +157,7 @@ def estimate_radius(
     roughly 1e-13 of the peak are roundoff; pass ``None`` to keep every
     nonzero coefficient (e.g. for exact closed-form inputs).
     """
-    mag = np.abs(np.asarray(series.coeffs))
+    mag = np.abs(series.coeffs)
     nonzero = np.nonzero(mag > 0.0)[0]
     nonzero = nonzero[nonzero >= 1]
     if len(nonzero) < 16:

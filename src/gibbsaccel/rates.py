@@ -5,23 +5,23 @@ point x like rho(x)^-N, where rho(x) is the distance from the origin to
 the nearest singularity of the re-expanded power series.  Each singularity
 x_j = sigma_j + i*tau_j of f contributes an image whose modulus is a
 closed-form function of x; the map itself contributes a "metric"
-singularity that caps rho at 2.
+singularity that caps rho at 2.  For a real singularity at distance d
+the image is 1/cos(d/2), so the rate is q(x) = -log cos(d/2) below the cap.
 
-The law has two implementations, chosen by input kind.  ``rho_of_x``
-predicts one x with scalar math, which on one point is several times
-faster than numpy.  ``image_table`` tabulates rho, the dominating
-constraint and every image modulus over an array of x in one pass of
-array operations (``rho_curve``, ``acceleration_penalty_region``).  The
-table repeats the scalar code's float operations (the fmod distance,
-1 + r*r + 2r*cos(theta), inf where that is <= 0), so each of its values
-is bit-identical to ``rho_of_x``, ``z_image`` and ``zeta_image_modulus``;
-the tests pin that.  A change to the law must change both.
+The law is declared once, in ``_constraints``: the cap, then the real
+image, then each off-axis image, as floats for one x or as arrays for an
+array of x (``periodic_distance``, ``z_image`` and ``zeta_image_modulus``
+take either).  ``rho_of_x`` takes the first minimum of that list at one
+point; ``image_table`` stacks it over a grid and takes the first
+``argmin`` (``rho_curve``, ``acceleration_penalty_region``), so the two
+agree bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +35,7 @@ METRIC_CAP = 2.0
 #: singularity is coded by its index (>= 0) in ``SingularitySet.off_axis``.
 DOMINATED_BY_METRIC = -2
 DOMINATED_BY_REAL = -1
+_NAMES = {DOMINATED_BY_METRIC: "metric", DOMINATED_BY_REAL: "real"}
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,9 @@ class SingularitySet:
 
     ``real_singularity`` is the location of the (at most one) singularity
     on the real axis in (-pi, pi]; ``None`` declares the function regular
-    on the real axis.  Off-axis entries must have tau != 0 and, when
-    ``conjugate_pairs`` is set (real-valued functions), occur in complex
-    conjugate pairs.
+    on the real axis.  Off-axis entries must have a finite sigma and a
+    finite tau != 0 and, when ``conjugate_pairs`` is set (real-valued
+    functions), occur in complex conjugate pairs.
     """
 
     real_singularity: float | None = None
@@ -66,6 +67,8 @@ class SingularitySet:
         ):
             raise ValueError("real singularity must lie in (-pi, pi]")
         for s in self.off_axis:
+            if not (math.isfinite(s.sigma) and math.isfinite(s.tau)):
+                raise ValueError(f"singularity ({s.sigma}, {s.tau}) is not finite")
             if s.tau == 0.0:
                 raise ValueError("off-axis singularities need tau != 0")
         if self.conjugate_pairs:
@@ -76,19 +79,18 @@ class SingularitySet:
                         f"missing conjugate partner for ({s.sigma}, {s.tau})"
                     )
 
-    def real_distance(self, x: float) -> float | None:
-        """Periodic distance from x to the real singularity (None if regular)."""
+    def real_distance(self, x):
+        """Periodic distance from x (float or array) to the real singularity,
+        or None if there is none."""
         if self.real_singularity is None:
             return None
         return periodic_distance(x, self.real_singularity)
 
 
-def periodic_distance(x: float, x_s: float) -> float:
-    """Distance from x to x_s and its 2*pi copies."""
-    d = math.fmod(x - x_s, _TWO_PI)
-    if d < 0:
-        d += _TWO_PI
-    return min(d, _TWO_PI - d)
+def periodic_distance(x, x_s: float):
+    """Distance from x (float or array) to x_s and its 2*pi copies."""
+    d = (x - x_s) % _TWO_PI
+    return min(d, _TWO_PI - d) if isinstance(d, float) else np.minimum(d, _TWO_PI - d)
 
 
 @dataclass(frozen=True)
@@ -109,79 +111,68 @@ class RatePrediction:
     at_singularity: bool = False
 
 
-def z_image(sing: tuple[float, float], x: float) -> tuple[float, float]:
+def z_image(sing: tuple[float, float], x):
     """Image (modulus, angle) in the inflated-series plane of a singularity.
 
-    A singularity at sigma + i*tau of the function maps, for real x, to
-    modulus exp(|tau|) at angle sigma - x (tau < 0), x - sigma (tau > 0),
-    or to the unit-circle pair at angles +-(x - sigma) (tau = 0); the two
-    members of the on-axis pair share the modulus, so a single signed
-    angle is returned.
+    A singularity at sigma + i*tau of the function maps, for real x (a
+    float or an array), to modulus exp(|tau|) at angle sigma - x
+    (tau < 0) or x - sigma (tau >= 0); the two members of the on-axis
+    pair (tau = 0) share the modulus 1, so a single signed angle is
+    returned.
     """
     sigma, tau = sing
-    if tau < 0:
-        return math.exp(-tau), sigma - x
-    if tau > 0:
-        return math.exp(tau), x - sigma
-    return 1.0, x - sigma
+    return math.exp(abs(tau)), sigma - x if tau < 0 else x - sigma
 
 
-def zeta_image_modulus(r: float, theta: float) -> float:
+def zeta_image_modulus(r: float, theta):
     """Modulus of the mapped image of a singularity at r*exp(i*theta).
 
-    Returns 2r/sqrt(1 + r^2 + 2r cos(theta)).  The denominator vanishes
-    only at r = 1, theta = pi, where the image escapes to infinity; that
-    is signalled by returning ``math.inf`` (such an image never limits
-    the convergence rate).
+    Returns 2r/sqrt(1 + r^2 + 2r cos(theta)), a float for a float theta
+    and an array for an array.  The denominator vanishes only at r = 1,
+    theta = pi, where the image escapes to infinity: the value there is
+    ``math.inf`` (such an image never limits the convergence rate).
     """
     if r < 1.0:
         raise ValueError("singularity modulus r must be >= 1")
-    denom_sq = 1.0 + r * r + 2.0 * r * math.cos(theta)
-    if denom_sq <= 0.0:
-        return math.inf
-    return 2.0 * r / math.sqrt(denom_sq)
+    denom_sq = 1.0 + r * r + 2.0 * r * np.cos(theta)
+    with np.errstate(divide="ignore"):
+        image = 2.0 * r / np.sqrt(denom_sq)
+    return float(image) if image.ndim == 0 else image
+
+
+def _constraints(sings: SingularitySet, x) -> list[tuple[int, float]]:
+    """Every bound on rho at x (float or array) with its ``dominating`` code.
+
+    In order: the metric cap, the real image (inf at d = pi), then each
+    off-axis image.  A minimum over the list that keeps the first of
+    equal values is the law.  At x = x_s the real image is exactly 1,
+    below the cap, and no off-axis image is below 1, so it binds there.
+    """
+    bounds = [(DOMINATED_BY_METRIC, METRIC_CAP)]
+    if sings.real_singularity is not None:
+        image = zeta_image_modulus(1.0, sings.real_distance(x))
+        bounds.append((DOMINATED_BY_REAL, image))
+    for j, s in enumerate(sings.off_axis):
+        bounds.append((j, zeta_image_modulus(*z_image((s.sigma, s.tau), x))))
+    return bounds
 
 
 def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
     """Predicted convergence factor at x: the smallest singularity image.
 
-    rho is the unconditional minimum of the metric cap 2 and every
-    singularity image modulus; any branch structure (for example the
-    crossover of the on-axis image through the cap at |x| = 2*pi/3 when
-    no other singularity interferes) emerges from the minimum.
+    rho is the first minimum of the metric cap 2 and every singularity
+    image modulus (``_constraints``); any branch structure (for example
+    the crossover of the on-axis image through the cap at |x| = 2*pi/3
+    when no other singularity interferes) emerges from the minimum.
     """
-    rho = METRIC_CAP
-    which: str | int = "metric"
-    at_sing = False
-    d = sings.real_distance(x)
-    if d is not None:
-        image = zeta_image_modulus(1.0, d)
-        if d == 0.0:
-            at_sing = True
-        if image < rho or at_sing:
-            rho = image
-            which = "real"
-    for j, s in enumerate(sings.off_axis):
-        r, theta = z_image((s.sigma, s.tau), x)
-        image = zeta_image_modulus(r, theta)
-        if image < rho:
-            rho = image
-            which = j
+    code, rho = min(_constraints(sings, x), key=operator.itemgetter(1))
     return RatePrediction(
-        x=x, rho=rho, q=math.log(rho), dominating=which, at_singularity=at_sing
+        x=x,
+        rho=rho,
+        q=math.log(rho),
+        dominating=_NAMES.get(code, code),
+        at_singularity=sings.real_distance(x) == 0.0,
     )
-
-
-def predicted_envelope(
-    sings: SingularitySet, x: float, N: int, prefactor: float
-) -> float:
-    """Predicted error envelope prefactor * exp(-q(x)*N)/N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if prefactor <= 0:
-        raise ValueError("prefactor must be positive")
-    q = rho_of_x(sings, x).q
-    return prefactor * math.exp(-q * N) / N
 
 
 def delta_truncation_error(x: float, N: int) -> complex:
@@ -239,39 +230,13 @@ def image_table(
     the off-axis index, as ``RatePrediction.dominating`` names them;
     ``images`` holds one array per declared singularity, the real one
     first: ``zeta_image_modulus`` of its image (inf at the real image's
-    pole d = pi).  Every value is bit-identical to the scalar functions.
+    pole d = pi).  Both read ``_constraints``, so every value is
+    bit-identical to ``rho_of_x`` at that x.
     """
     xs = np.asarray(xs, dtype=float)
-    rho = np.full(xs.shape, METRIC_CAP)
-    dominating = np.full(xs.shape, DOMINATED_BY_METRIC)
-    images = []
-    if sings.real_singularity is not None:
-        d = np.fmod(xs - sings.real_singularity, _TWO_PI)
-        d = np.where(d < 0, d + _TWO_PI, d)
-        d = np.minimum(d, _TWO_PI - d)
-        # at x = x_s the image is exactly 1, below the cap: no extra branch
-        # is needed for rho_of_x's at-singularity rule
-        image = _image_modulus(1.0, d)
-        take = image < rho
-        rho = np.where(take, image, rho)
-        dominating[take] = DOMINATED_BY_REAL
-        images.append(image)
-    for j, s in enumerate(sings.off_axis):
-        # z_image: the angle's sign follows tau's, exactly as there
-        theta = s.sigma - xs if s.tau < 0 else xs - s.sigma
-        image = _image_modulus(math.exp(abs(s.tau)), theta)
-        take = image < rho
-        rho = np.where(take, image, rho)
-        dominating[take] = j
-        images.append(image)
-    return rho, dominating, images
-
-
-def _image_modulus(r: float, theta: np.ndarray) -> np.ndarray:
-    """``zeta_image_modulus`` over an array of angles."""
-    denom_sq = 1.0 + r * r + 2.0 * r * np.cos(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom_sq <= 0.0, math.inf, 2.0 * r / np.sqrt(denom_sq))
+    codes, bounds = zip(*_constraints(sings, xs))
+    table = np.stack(np.broadcast_arrays(xs, *bounds)[1:])
+    return table.min(axis=0), np.array(codes)[table.argmin(axis=0)], list(table[1:])
 
 
 def penalty_flags(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import FUNCTION_KEYS, TestFunction, get_function
+from .catalog import TestFunction, get_function
 from .filters import VALID_KINDS, FilterSpec
 from .rates import image_table, penalty_flags, x_grid
 # rho_of_x and acceleration_penalty_region, the scalar and sample-list
@@ -103,9 +103,12 @@ class ExperimentConfig:
 
 
 def _resolve_function(key: str, p: float | None, phi: float | None) -> TestFunction:
-    if key not in FUNCTION_KEYS:
-        raise ConfigError(f"unknown function key {key!r}")
-    return get_function(key, p=p, phi=phi)
+    """The catalog entry, with the catalog's KeyError or ValueError (an
+    unknown key, a bad p or phi) raised as ConfigError."""
+    try:
+        return get_function(key, p=p, phi=phi)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(exc.args[0]) from None
 
 
 def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:

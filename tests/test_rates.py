@@ -20,7 +20,7 @@ from gibbsaccel.rates import (
     acceleration_penalty_region,
     delta_truncation_error,
     image_table,
-    predicted_envelope,
+    periodic_distance,
     rho_of_x,
     x_grid,
     z_image,
@@ -54,6 +54,39 @@ class TestSingularitySet:
     def test_off_axis_needs_nonzero_tau(self):
         with pytest.raises(ValueError):
             SingularitySet(off_axis=(Singularity(1.0, 0.0),))
+
+    @pytest.mark.parametrize(
+        "sigma, tau",
+        [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf)],
+    )
+    def test_non_finite_location_rejected(self, sigma, tau):
+        # a NaN pair would pass the conjugate check by object identity
+        nan_pair = (Singularity(sigma, tau), Singularity(sigma, -tau))
+        with pytest.raises(ValueError, match="not finite"):
+            SingularitySet(off_axis=nan_pair)
+        with pytest.raises(ValueError, match="not finite"):
+            SingularitySet(off_axis=nan_pair, conjugate_pairs=False)
+
+
+class TestFloatOrArray:
+    """One law for both input kinds: a float in gives a float out, an
+    array in gives the elementwise values of the float calls."""
+
+    XS = np.array([-7.0, -math.pi, -1.0, 0.0, 0.5, math.pi, 2 * math.pi, 9.5])
+
+    def test_periodic_distance(self):
+        got = periodic_distance(self.XS, 0.3)
+        assert type(periodic_distance(0.5, 0.3)) is float
+        assert got.tolist() == [periodic_distance(x, 0.3) for x in self.XS.tolist()]
+        assert periodic_distance(2 * math.pi, 0.0) == 0.0
+
+    def test_z_image_and_modulus(self):
+        for sing in ((math.pi, 0.2), (math.pi, -0.2), (0.0, 0.0)):
+            r, theta = z_image(sing, self.XS)
+            images = zeta_image_modulus(r, theta)
+            scalar = [zeta_image_modulus(*z_image(sing, x)) for x in self.XS.tolist()]
+            assert all(type(v) is float for v in scalar)
+            assert images.tolist() == scalar
 
 
 class TestZImage:
@@ -139,23 +172,36 @@ class TestRhoOfX:
         assert isinstance(pred.dominating, int)
 
 
+def envelope(sings, x, N, prefactor):
+    """The predicted error envelope prefactor * exp(-q(x)*N)/N."""
+    return prefactor * math.exp(-rho_of_x(sings, x).q * N) / N
+
+
 class TestPredictedEnvelope:
+    """``rho_of_x`` of a real singularity against the closed form
+    rho = 1/cos(d/2), and the envelope exp(-qN)/N it predicts."""
+
     def test_figure_style_values(self):
         x = 5 * math.pi / 8
-        want = 2 * math.cos(5 * math.pi / 16) ** 40 / 40
-        assert predicted_envelope(SAWTOOTH_SET, x, 40, 2.0) == pytest.approx(
-            want, rel=1e-12
+        assert rho_of_x(SAWTOOTH_SET, x).rho == pytest.approx(
+            1 / math.cos(x / 2), rel=1e-14
         )
+        want = 2 * math.cos(5 * math.pi / 16) ** 40 / 40
+        assert envelope(SAWTOOTH_SET, x, 40, 2.0) == pytest.approx(want, rel=1e-12)
         x = math.pi / 8
+        assert rho_of_x(SAWTOOTH_SET, x).rho == pytest.approx(
+            1 / math.cos(x / 2), rel=1e-14
+        )
         want = 12 * math.cos(math.pi / 16) ** 100 / 100
-        assert predicted_envelope(SAWTOOTH_SET, x, 100, 12.0) == pytest.approx(
+        assert envelope(SAWTOOTH_SET, x, 100, 12.0) == pytest.approx(
             want, rel=1e-12
         )
 
     def test_capped_rate(self):
-        assert predicted_envelope(SAWTOOTH_SET, 3.0, 1, 1.0) == pytest.approx(
-            0.5, rel=1e-14
-        )
+        # 1/cos(1.5) = 14.1 lies above the cap, so rho = 2
+        pred = rho_of_x(SAWTOOTH_SET, 3.0)
+        assert (pred.rho, pred.dominating) == (2.0, "metric")
+        assert envelope(SAWTOOTH_SET, 3.0, 1, 1.0) == pytest.approx(0.5, rel=1e-14)
 
 
 class TestDeltaTruncationError:

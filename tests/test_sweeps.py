@@ -389,16 +389,27 @@ class TestCli:
     @pytest.mark.parametrize(
         "args",
         [
-            ["sweep", "--x", "nan", "--n-max", "30"],
-            ["sweep", "--x", "1.9", "--n-min", "-1", "--n-max", "5"],
-            ["sweep", "--x", "1.9", "--n-min", "2999990", "--n-max", "3000000"],
-            ["sweep", "--x", "1.9", "--n-max", "30", "--stride", "0"],
-            ["compare", "--x", "1.9", "--n-max", "30", "--filters", "euler,foo"],
+            ["sweep", "--fn", "sws", "--x", "nan", "--n-max", "30"],
+            ["sweep", "--fn", "sws", "--x", "1.9", "--n-min", "-1", "--n-max", "5"],
+            ["sweep", "--fn", "sws", "--x", "1.9", "--n-min", "2999990",
+             "--n-max", "3000000"],
+            ["sweep", "--fn", "sws", "--x", "1.9", "--n-max", "30", "--stride", "0"],
+            ["compare", "--fn", "sws", "--x", "1.9", "--n-max", "30",
+             "--filters", "euler,foo"],
+            ["rho", "--fn", "lorentzian", "--resolution", "5", "--p", "1.5"],
+            ["rho", "--fn", "lorentzian", "--resolution", "5", "--phi", "nan"],
+            ["rho", "--fn", "sws+lorentzian", "--resolution", "5", "--p", "0"],
+            ["sweep", "--fn", "lorentzian", "--x", "1", "--n-max", "30", "--p", "2"],
+            ["sweep", "--fn", "lorentzian", "--x", "1", "--n-max", "30",
+             "--phi", "inf"],
+            ["compare", "--fn", "sws+lorentzian", "--x", "1", "--n-max", "30",
+             "--p", "nan"],
         ],
     )
     def test_invalid_request_exit_code(self, args, capsys):
-        assert main([args[0], "--fn", "sws", *args[1:]]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and not captured.out
 
     @pytest.mark.parametrize(
         "filters", ["euler,erfclog,hdaf", "identity,euler,erfclog,hdaf"]
@@ -493,3 +504,17 @@ class TestCli:
         missing = tmp_path / "nope.csv"
         assert main(["envelope", "--in", str(missing)]) == EXIT_CONFIG
         capsys.readouterr()
+
+    def test_input_is_a_directory(self, tmp_path, capsys):
+        assert main(["envelope", "--in", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("p", ["1.5", "nan"])
+    def test_envelope_bad_p_in_input(self, p, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "lorentzian", "--x", "1.0", "--n-max", "30",
+              "--out", str(out)])
+        text = out.read_text().replace("# fn=lorentzian", f"# fn=lorentzian\n# p={p}")
+        out.write_text(text)
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        assert "outside (0, 1)" in capsys.readouterr().err
