@@ -234,9 +234,15 @@ def get_function(
     ``p`` sets the pole depth of the Lorentzian-bearing entries (defaults:
     exp(-0.2) for "lorentzian", 0.5 for "sws+lorentzian"); ``phi`` sets
     the Lorentzian phase (default pi for "lorentzian").  Raises KeyError
-    for an unknown key and ValueError for a p outside (0, 1) or a
-    non-finite phi.
+    for an unknown key and ValueError for a p outside (0, 1), a
+    non-finite phi, or a p or phi given to an entry that has none.
     """
+    if key not in FUNCTION_KEYS:
+        raise KeyError(f"unknown function key {key!r}; expected one of {FUNCTION_KEYS}")
+    if p is not None and key not in ("lorentzian", "sws+lorentzian"):
+        raise ValueError(f"{key} has no pole depth p (got p={p})")
+    if phi is not None and key != "lorentzian":
+        raise ValueError(f"{key} has no pole phase phi (got phi={phi})")
     if key == "sws":
         return make_sws(n_max)
     if key == "delta":
@@ -250,6 +256,4 @@ def get_function(
         return make_lorentzian(n_max=n_max, **kwargs)
     if key == "sws+lorentzian":
         return make_composite(p if p is not None else 0.5, n_max)
-    if key == "log2":
-        return make_log2(n_max)
-    raise KeyError(f"unknown function key {key!r}; expected one of {FUNCTION_KEYS}")
+    return make_log2(n_max)

@@ -15,8 +15,9 @@ skipped has a ``fit`` line with empty ``A`` and ``q_hat`` and its number
 of ``hull_points``.  Rows are flagged ``saturated`` when their error is
 below the fixed floor 100*eps*sum|c_n| (``series.saturation_floor``).
 Exit codes: 0 success, 2 configuration error (also an unknown function
-key, a bad ``--p`` or ``--phi``, and an input or output file that cannot
-be opened), 3 insufficient data.
+key, a bad ``--p`` or ``--phi`` or one the function does not take, a
+non-numeric ``p=`` or ``phi=`` in an ``envelope`` input, and an input or
+output file that cannot be opened), 3 insufficient data.
 """
 
 from __future__ import annotations
@@ -109,6 +110,9 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
         raise InsufficientDataError("no traces found in input")
     if meta.get("fn") is None:
         raise ConfigError("input has no fn= line naming the swept function")
+    for key in ("p", "phi"):
+        if isinstance(meta.get(key), str):  # parse_meta keeps a non-number as text
+            raise ConfigError(f"input has a non-numeric {key}={meta[key]}")
     fn = _resolve_function(meta["fn"], meta.get("p"), meta.get("phi"))
     sings = fn.series.singularities
     for trace in traces:

@@ -11,7 +11,10 @@ provided:
   p = (c-1)/c are the column sums of the Möbius(c) re-expansion table
   (see ``conformal``).
 * Erfc-Log: a compactly supported erfc-based weight with a logarithmic
-  correction and a spatially varying order p.
+  correction and a spatially varying order p.  numpy has no erfc;
+  ``_erfc`` evaluates W. J. Cody's rational approximations in numpy, to
+  a relative error of at most 7.7e-16 against mpmath for |x| < 26.543,
+  and within 2^-52 of the correctly rounded value everywhere.
 * HDAF: a truncated-exponential-series weight with an x-adaptive
   truncation depth (fixed shape parameters alpha = 1, kappa = 1/15).
 
@@ -48,8 +51,80 @@ _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 #: 0 or 1 in double precision.
 _ERFC_ARG_CLAMP = 40.0
 
-#: math.erfc applied elementwise (numpy has no erfc).
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+# W. J. Cody's rational approximations to erf and erfc (Math. Comp. 23,
+# 1969; the SPECFUN routine CALERF), each a (numerator, denominator) pair
+# of polynomial coefficients, highest power first.  The range bounds on
+# |x| are Cody's, and so is the cut (XBIG, where erfc is 2.26e-308, near
+# the smallest normal double) beyond which erfc(|x|) is returned as 0.
+_CODY_SMALL = 0.46875
+_CODY_FAR = 4.0
+_CODY_HUGE = 26.543
+#: |x| <= 0.46875: erf(x) = x * R(x^2).
+_CODY_ERF = (
+    (
+        1.85777706184603153e-1,
+        3.16112374387056560e00,
+        1.13864154151050156e02,
+        3.77485237685302021e02,
+        3.20937758913846947e03,
+    ),
+    (
+        1.0,
+        2.36012909523441209e01,
+        2.44024637934444173e02,
+        1.28261652607737228e03,
+        2.84423683343917062e03,
+    ),
+)
+#: 0.46875 < |x| <= 4: erfc(x) = exp(-x^2) * R(x).
+_CODY_ERFC_MID = (
+    (
+        2.15311535474403846e-8,
+        5.64188496988670089e-1,
+        8.88314979438837594e00,
+        6.61191906371416295e01,
+        2.98635138197400131e02,
+        8.81952221241769090e02,
+        1.71204761263407058e03,
+        2.05107837782607147e03,
+        1.23033935479799725e03,
+    ),
+    (
+        1.0,
+        1.57449261107098347e01,
+        1.17693950891312499e02,
+        5.37181101862009858e02,
+        1.62138957456669019e03,
+        3.29079923573345963e03,
+        4.36261909014324716e03,
+        3.43936767414372164e03,
+        1.23033935480374942e03,
+    ),
+)
+#: |x| > 4: erfc(x) = exp(-x^2) (1/sqrt(pi) - R(x^2)) / x.  Cody's R is
+#: z P(z)/Q(z) in z = 1/x^2; both polynomials are multiplied through by
+#: x^12, which leaves polynomials in t = x^2 with positive coefficients
+#: (the denominator has a zero constant term) and no division by x^2.
+_CODY_ERFC_FAR = (
+    (
+        6.58749161529837803e-4,
+        1.60837851487422766e-2,
+        1.25781726111229246e-1,
+        3.60344899949804439e-1,
+        3.05326634961232344e-1,
+        1.63153871373020978e-2,
+    ),
+    (
+        2.33520497626869185e-3,
+        6.05183413124413191e-2,
+        5.27905102951428412e-1,
+        1.87295284992346725e00,
+        2.56852019228982242e00,
+        1.0,
+        0.0,
+    ),
+)
+_FRAC_SQRT_PI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 
 #: HDAF truncation-depth divisor (Tanner's kappa = 1/15).
 _HDAF_DEPTH_DIVISOR = 15.0
@@ -155,6 +230,67 @@ def euler_sigma(j: int, M: int) -> float:
     return float(_euler_sigma_table(M)[j])
 
 
+def _rational(t: np.ndarray, coeffs, out: np.ndarray) -> np.ndarray:
+    """num(t)/den(t) into ``out`` for a ``(num, den)`` coefficient pair,
+    each polynomial by Horner's rule from its highest power."""
+    num, den = (_horner(t, c) for c in coeffs)
+    return np.divide(num, den, out=out)
+
+
+def _horner(t: np.ndarray, coeffs) -> np.ndarray:
+    acc = coeffs[0] * t
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= t
+    acc += coeffs[-1]
+    return acc
+
+
+def _erfc(x) -> np.ndarray:
+    """erfc of a float or float array, by Cody's rational approximations.
+
+    The entries are sorted stably by range of |x| (one radix sort of a
+    small key), so each range is one contiguous slice and its rational
+    function runs once over that slice.  Outside |x| <= 0.46875, exp(-x^2)
+    is exp(-s^2) exp(-(x-s)(x+s)) with s = x truncated to a multiple of
+    1/16: s^2 is exact, so the large exponent carries no rounding error
+    (Cody's splitting).  A negative x reflects as 2 - erfc(|x|).  Each
+    entry's value depends on that entry alone, so a 0-d or one-entry call
+    is bit-identical to the same entry of any array.  Against mpmath the
+    relative error is at most 7.7e-16 for |x| < 26.543, and every value
+    is within 2^-52 of the correctly rounded one.
+    The error against the exact value reaches 1.35 * 2^-52 for x in
+    (-0.85, -0.47), where 2 - erfc(|x|) adds its own rounding to that
+    of erfc(|x|) near 1/2.
+    """
+    flat = np.ravel(x)
+    y = np.abs(flat)
+    mid, far, huge = y > _CODY_SMALL, y > _CODY_FAR, y >= _CODY_HUGE
+    key = mid.view(np.uint8) + far.view(np.uint8) + huge.view(np.uint8)
+    order = np.argsort(key, kind="stable")
+    n_mid, n_far, n_huge = (y.size - np.count_nonzero(m) for m in (mid, far, huge))
+    xs = flat[order]
+    ys = np.abs(xs)
+    out = np.empty_like(ys)
+    small, o = xs[:n_mid], out[:n_mid]
+    np.multiply(small, _rational(small * small, _CODY_ERF, o), out=o)
+    np.subtract(1.0, o, out=o)
+    _rational(ys[n_mid:n_far], _CODY_ERFC_MID, out[n_mid:n_far])
+    y_far, o = ys[n_far:n_huge], out[n_far:n_huge]
+    _rational(y_far * y_far, _CODY_ERFC_FAR, o)
+    np.subtract(_FRAC_SQRT_PI, o, out=o)
+    np.divide(o, y_far, out=o)
+    out[n_huge:] = 0.0
+    y_exp = ys[n_mid:n_huge]
+    s = np.floor(y_exp * 16.0) / 16.0
+    out[n_mid:n_huge] *= np.exp(-s * s) * np.exp((s - y_exp) * (y_exp + s))
+    tail = out[n_mid:]
+    tail[:] = np.where(xs[n_mid:] < 0.0, 2.0 - tail, tail)
+    result = np.empty_like(out)
+    result[order] = out
+    return result.reshape(np.shape(x))
+
+
 def erfclog_sigma(theta, p):
     """Erfc-Log filter weight at theta in [-1, 1] (float or array), order p > 0.
 
@@ -164,9 +300,11 @@ def erfclog_sigma(theta, p):
 
     With tb = |theta| - 1/2 the weight is
     erfc(2*sqrt(p)*tb*L(tb))/2 where L(tb) = sqrt(-log(1-4 tb^2)/(4 tb^2)),
-    continued by its limit L = 1 at tb = 0.  The erfc argument is clamped
-    to [-40, 40], where the weight is already exactly 1 or 0 in double
-    precision; L is infinite at theta = 0 and |theta| = 1, so the weight
+    continued by its limit L = 1 at tb = 0.  Since 2|tb| is the square
+    root of 4 tb^2, the erfc argument is sign(tb)*sqrt(-p*log(1-4 tb^2)),
+    which is 0 at tb = 0 with no special case.  It is clamped to
+    [-40, 40], where the weight is already exactly 1 or 0 in double
+    precision; it is infinite at theta = 0 and |theta| = 1, so the weight
     there is exactly 1 and 0.
     """
     p = np.asarray(p, dtype=float)
@@ -176,12 +314,10 @@ def erfclog_sigma(theta, p):
     if (at > 1.0).any():
         raise ValueError(f"|theta|={at.max()} > 1")
     tb = at - 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t2 = 4.0 * tb * tb
-        log_factor = np.where(np.abs(tb) < 1e-14, 1.0, np.sqrt(-np.log1p(-t2) / t2))
-    arg = 2.0 * np.sqrt(p) * tb * log_factor
+    with np.errstate(divide="ignore"):  # log(0) at theta = 0 and |theta| = 1
+        arg = np.copysign(np.sqrt(np.log1p(-4.0 * tb * tb) * -p), tb)
     arg = np.clip(arg, -_ERFC_ARG_CLAMP, _ERFC_ARG_CLAMP)
-    w = 0.5 * np.asarray(_erfc(arg), dtype=float)
+    w = 0.5 * _erfc(arg)
     return float(w) if w.ndim == 0 else w
 
 
@@ -214,19 +350,24 @@ def _hdaf_row_params(degrees: list[int], x_dist: float) -> np.ndarray:
     pmf(J) and pmf(J+1), one row of the result per degree.
 
     Raises ValueError when x_dist is negative or a depth N*x_dist/15 is
-    not finite or reaches 2^53, before any per-entry array exists.
+    not finite or reaches 2^53, before any per-entry array exists.  Rows
+    share depths (a trace of a few hundred degrees has a handful), so
+    each log peak is computed once per distinct depth.
     """
     if x_dist < 0:
         raise ValueError("x_dist must be nonnegative")
-    per_row = []
+    depths = []
     for N in degrees:
         width = N * x_dist / _HDAF_DEPTH_DIVISOR
         if not width < _MAX_EXACT_INDEX:
             raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
-        depth = math.floor(width)
-        peak = _log_poisson_peak(depth) if depth else 0.0  # unused when J = 0
-        per_row.append((N * x_dist, depth, peak, _log_poisson_peak(depth + 1)))
-    return np.array(per_row)
+        depths.append(math.floor(width))
+    distinct = set(depths)
+    peaks = {j: _log_poisson_peak(j) for j in distinct | {J + 1 for J in distinct} if j}
+    peaks[0] = 0.0  # unused: pmf(0) is exp(-s)
+    return np.array(
+        [(N * x_dist, J, peaks[J], peaks[J + 1]) for N, J in zip(degrees, depths)]
+    )
 
 
 def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.ndarray:

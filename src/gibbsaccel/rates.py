@@ -130,14 +130,18 @@ def zeta_image_modulus(r: float, theta):
     Returns 2r/sqrt(1 + r^2 + 2r cos(theta)), a float for a float theta
     and an array for an array.  The denominator vanishes only at r = 1,
     theta = pi, where the image escapes to infinity: the value there is
-    ``math.inf`` (such an image never limits the convergence rate).
+    ``math.inf`` (such an image never limits the convergence rate).  A
+    float takes that pole as a plain zero test, an array under
+    ``np.errstate``; both divide the same denominator, so an array entry
+    is bit-identical to the float call.
     """
     if r < 1.0:
         raise ValueError("singularity modulus r must be >= 1")
-    denom_sq = 1.0 + r * r + 2.0 * r * np.cos(theta)
+    denom = np.sqrt(1.0 + r * r + 2.0 * r * np.cos(theta))
+    if denom.ndim == 0:
+        return 2.0 * r / float(denom) if denom else math.inf
     with np.errstate(divide="ignore"):
-        image = 2.0 * r / np.sqrt(denom_sq)
-    return float(image) if image.ndim == 0 else image
+        return 2.0 * r / denom
 
 
 def _constraints(sings: SingularitySet, x) -> list[tuple[int, float]]:

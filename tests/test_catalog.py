@@ -160,6 +160,24 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_function("heaviside")
 
+    @pytest.mark.parametrize(
+        "key, params",
+        [
+            ("sws", {"p": 0.5}),
+            ("delta", {"p": 0.5}),
+            ("log2", {"p": 0.5}),
+            ("sws", {"phi": 0.0}),
+            ("sws+lorentzian", {"phi": 0.0}),
+        ],
+    )
+    def test_parameter_the_entry_lacks(self, key, params):
+        with pytest.raises(ValueError, match="has no pole"):
+            get_function(key, **params)
+
+    def test_unknown_key_before_parameters(self):
+        with pytest.raises(KeyError):
+            get_function("heaviside", p=0.5)
+
     def test_parameters_forwarded(self):
         fn = get_function("lorentzian", p=0.25, phi=0.0)
         assert fn.series.exact_eval(0.0) == pytest.approx(5.0 / 3.0)

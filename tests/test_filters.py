@@ -19,7 +19,11 @@ from gibbsaccel.filters import (
     hdaf_sigma,
 )
 from gibbsaccel.filters import (
+    _CODY_FAR,
+    _CODY_HUGE,
+    _CODY_SMALL,
     _LOG_SQRT_TWO_PI,
+    _erfc,
     _euler_mu_row,
     _euler_sigma_table,
     _stirling_error,
@@ -173,6 +177,82 @@ class TestErfcLog:
         for N in (4, [0, 4]):
             with pytest.raises(ValueError, match="order"):
                 filter_weights(FilterSpec("erfclog"), N, math.nan)
+
+
+def _kernel_points() -> np.ndarray:
+    """[-40, 40] on a grid, both sides of every range boundary, +-0, +-40
+    and 20000 seeded uniform points."""
+    edges = [
+        v
+        for b in (_CODY_SMALL, _CODY_FAR, _CODY_HUGE)
+        for v in (b, np.nextafter(b, 0.0), np.nextafter(b, 50.0))
+    ]
+    edges += [0.0, 1e-300, 5e-324, 40.0]
+    grid = np.linspace(-40.0, 40.0, 8001)
+    random = np.random.default_rng(12).uniform(-40.0, 40.0, 20_000)
+    return np.concatenate([grid, random, edges, np.negative(edges)])
+
+
+class TestErfcKernel:
+    """Cody's rational erfc against mpmath at 40 digits."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        xs = _kernel_points()
+        with mpmath.workdps(40):
+            exact = [mpmath.erfc(mpmath.mpf(x)) for x in xs.tolist()]
+        return xs, exact
+
+    def test_relative_error_below_the_cut(self, reference):
+        # every |x| <= 10, and on to Cody's cut XBIG = 26.543, past which
+        # erfc is near the smallest normal double and is returned as 0
+        xs, exact = reference
+        got = _erfc(xs)
+        worst = max(
+            abs((mpmath.mpf(v) - e) / e)
+            for x, v, e in zip(xs.tolist(), got.tolist(), exact)
+            if abs(x) < 26.543
+        )
+        assert worst <= 2e-14
+
+    def test_absolute_error_one_ulp_of_one(self, reference):
+        # against the correctly rounded value: 2 - erfc(|x|) alone rounds
+        # by up to half an ulp of 1 on the reflected side
+        xs, exact = reference
+        rounded = np.array([float(e) for e in exact])
+        assert np.abs(_erfc(xs) - rounded).max() <= 2.0**-52
+
+    def test_special_values(self):
+        got = _erfc(np.array([0.0, -0.0, 40.0, -40.0, math.inf, -math.inf]))
+        assert got.tolist() == [1.0, 1.0, 0.0, 2.0, 0.0, 2.0]
+        assert math.isnan(_erfc(math.nan))
+
+    def test_entries_independent_of_the_batch(self):
+        xs = _kernel_points()[::7]
+        got = _erfc(xs)
+        assert got.tolist() == [float(_erfc(x)) for x in xs.tolist()]
+        order = np.random.default_rng(3).permutation(xs.size)
+        assert _erfc(xs[order]).tolist() == got[order].tolist()
+        assert _erfc(xs.reshape(-1, 1)).ravel().tolist() == got.tolist()
+
+    @pytest.mark.parametrize("x_dist", [0.05, 0.2618, 1.3, 3.0])
+    def test_erfclog_rows_match_math_erfc(self, x_dist):
+        degrees = [1, 2, 7, 40, 401, 1500]
+        got = filter_weights(FilterSpec("erfclog"), degrees, x_dist)
+        expected = []
+        for N in degrees:
+            p = erfclog_order(x_dist, N)
+            for n in range(N + 1):
+                tb = n / N - 0.5
+                if n in (0, N):
+                    arg = math.copysign(40.0, tb)
+                elif abs(tb) < 1e-14:
+                    arg = 0.0
+                else:
+                    t2 = 4.0 * tb * tb
+                    arg = 2.0 * math.sqrt(p) * tb * math.sqrt(-math.log1p(-t2) / t2)
+                expected.append(0.5 * math.erfc(max(-40.0, min(40.0, arg))))
+        assert np.abs(got - expected).max() <= 1e-15
 
 
 class TestErfcLogOrder:

@@ -259,6 +259,10 @@ class TestImageTable:
     @pytest.mark.parametrize("p", [None, 0.3])
     @pytest.mark.parametrize("resolution", [2, 33, 501, 1001, 4096])
     def test_bit_identical_to_scalar(self, key, p, resolution):
+        if p is not None and key not in ("lorentzian", "sws+lorentzian"):
+            with pytest.raises(ValueError, match="no pole depth"):
+                get_function(key, p=p)
+            p = None  # the entry's only table
         sings = get_function(key, p=p).series.singularities
         xs = np.concatenate([x_grid(resolution), special_points(sings)])
         rho, dominating, images = image_table(sings, xs)

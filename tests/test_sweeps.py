@@ -290,6 +290,10 @@ class TestRhoCurve:
     @pytest.mark.parametrize("p", [None, 0.8187])
     @pytest.mark.parametrize("resolution", [2, 33, 501, 1001])
     def test_csv_equals_per_point_reference(self, key, p, resolution):
+        if p is not None and key not in ("lorentzian", "sws+lorentzian"):
+            with pytest.raises(ConfigError, match="no pole depth"):
+                rho_curve(key, resolution, p=p)
+            p = None  # the entry's only table
         phis = (None, 0.7) if key == "lorentzian" else (None,)
         for phi in phis:
             expected = reference_rho_curve(key, resolution, p=p, phi=phi)
@@ -518,3 +522,29 @@ class TestCli:
         out.write_text(text)
         assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
         assert "outside (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["p=abc", "phi=north"])
+    def test_envelope_non_numeric_parameter_in_input(self, line, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "lorentzian", "--x", "1.0", "--n-max", "30",
+              "--out", str(out)])
+        text = out.read_text().replace("# fn=lorentzian", f"# fn=lorentzian\n# {line}")
+        out.write_text(text)
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        assert f"non-numeric {line}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rho", "--fn", "sws", "--resolution", "3", "--p", "7", "--phi", "nan"],
+            ["rho", "--fn", "log2", "--resolution", "3", "--p", "0.5"],
+            ["rho", "--fn", "sws+lorentzian", "--resolution", "3", "--phi", "0.5"],
+            ["sweep", "--fn", "delta", "--x", "1", "--n-max", "30", "--p", "0.5"],
+            ["sweep", "--fn", "sws", "--x", "1", "--n-max", "30", "--phi", "0.5"],
+            ["compare", "--fn", "sws", "--x", "1", "--n-max", "30", "--p", "0.5"],
+        ],
+    )
+    def test_parameter_the_function_lacks(self, args, capsys):
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "has no pole" in captured.err and not captured.out
