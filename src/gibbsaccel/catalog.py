@@ -28,8 +28,6 @@ _TWO_PI = 2.0 * math.pi
 
 DEFAULT_N_MAX = 2_000_000
 
-FUNCTION_KEYS = ("sws", "delta", "lorentzian", "sws+lorentzian", "log2")
-
 
 def sws(x: float) -> float:
     """Shifted sawtooth: x reduced mod 2*pi into [0, 2*pi), minus pi.
@@ -122,10 +120,6 @@ def _check_p(p: float) -> None:
         raise ValueError(f"pole depth parameter p={p} outside (0, 1)")
 
 
-def _conjugate_pair(sigma: float, tau: float) -> tuple[Singularity, Singularity]:
-    return (Singularity(sigma, tau), Singularity(sigma, -tau))
-
-
 @dataclass(frozen=True)
 class TestFunction:
     """A named closed-form test function wrapping its Fourier series."""
@@ -176,7 +170,7 @@ def make_lorentzian(
             n_max=n_max,
             exact_eval=lambda x: lorentzian(x, p, phi),
             singularities=SingularitySet(
-                real_singularity=None, off_axis=_conjugate_pair(phi, tau)
+                real_singularity=None, off_axis=(Singularity(phi, tau),)
             ),
             real_valued=True,
         ),
@@ -193,7 +187,7 @@ def make_composite(p: float = 0.5, n_max: int = DEFAULT_N_MAX) -> TestFunction:
             n_max=n_max,
             exact_eval=lambda x: composite_value(x, p),
             singularities=SingularitySet(
-                real_singularity=0.0, off_axis=_conjugate_pair(math.pi, tau)
+                real_singularity=0.0, off_axis=(Singularity(math.pi, tau),)
             ),
             real_valued=True,
         ),
@@ -223,37 +217,34 @@ def make_log2(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     )
 
 
+#: Registry key -> (factory, the parameters it takes).  Each default
+#: lives in its factory.
+_ENTRIES = {
+    "sws": (make_sws, ()),
+    "delta": (make_delta, ()),
+    "lorentzian": (make_lorentzian, ("p", "phi")),
+    "sws+lorentzian": (make_composite, ("p",)),
+    "log2": (make_log2, ()),
+}
+FUNCTION_KEYS = tuple(_ENTRIES)
+
+
 def get_function(
-    key: str,
-    p: float | None = None,
-    phi: float | None = None,
-    n_max: int = DEFAULT_N_MAX,
+    key: str, p: float | None = None, phi: float | None = None
 ) -> TestFunction:
     """Look up a test function by registry key.
 
-    ``p`` sets the pole depth of the Lorentzian-bearing entries (defaults:
-    exp(-0.2) for "lorentzian", 0.5 for "sws+lorentzian"); ``phi`` sets
-    the Lorentzian phase (default pi for "lorentzian").  Raises KeyError
-    for an unknown key and ValueError for a p outside (0, 1), a
+    ``p`` sets the pole depth of the Lorentzian-bearing entries and
+    ``phi`` the phase of "lorentzian"; a value left as None takes the
+    factory's default (``make_lorentzian``, ``make_composite``).  Raises
+    KeyError for an unknown key and ValueError for a p outside (0, 1), a
     non-finite phi, or a p or phi given to an entry that has none.
     """
-    if key not in FUNCTION_KEYS:
+    if key not in _ENTRIES:
         raise KeyError(f"unknown function key {key!r}; expected one of {FUNCTION_KEYS}")
-    if p is not None and key not in ("lorentzian", "sws+lorentzian"):
-        raise ValueError(f"{key} has no pole depth p (got p={p})")
-    if phi is not None and key != "lorentzian":
-        raise ValueError(f"{key} has no pole phase phi (got phi={phi})")
-    if key == "sws":
-        return make_sws(n_max)
-    if key == "delta":
-        return make_delta(n_max)
-    if key == "lorentzian":
-        kwargs = {}
-        if p is not None:
-            kwargs["p"] = p
-        if phi is not None:
-            kwargs["phi"] = phi
-        return make_lorentzian(n_max=n_max, **kwargs)
-    if key == "sws+lorentzian":
-        return make_composite(p if p is not None else 0.5, n_max)
-    return make_log2(n_max)
+    factory, takes = _ENTRIES[key]
+    given = {name: v for name, v in (("p", p), ("phi", phi)) if v is not None}
+    for name, what in (("p", "pole depth"), ("phi", "pole phase")):
+        if name in given and name not in takes:
+            raise ValueError(f"{key} has no {what} {name} (got {name}={given[name]})")
+    return factory(**given)

@@ -16,8 +16,10 @@ of ``hull_points``.  Rows are flagged ``saturated`` when their error is
 below the fixed floor 100*eps*sum|c_n| (``series.saturation_floor``).
 Exit codes: 0 success, 2 configuration error (also an unknown function
 key, a bad ``--p`` or ``--phi`` or one the function does not take, a
-non-numeric ``p=`` or ``phi=`` in an ``envelope`` input, and an input or
-output file that cannot be opened), 3 insufficient data.
+``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, a
+non-numeric ``p=`` or ``phi=`` or an x that ``ExperimentConfig.validate``
+rejects in an ``envelope`` input, and an input or output file that
+cannot be opened), 3 insufficient data.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ import sys
 
 # get_function, called through sweeps._resolve_function, stays in this
 # namespace for callers that wrap it here (bench/tracing.py)
-from .catalog import FUNCTION_KEYS, get_function  # noqa: F401
+from .catalog import DEFAULT_N_MAX, FUNCTION_KEYS, get_function  # noqa: F401
 from .filters import VALID_KINDS, _euler_sigma_table, _euler_mu_row
 from .rates import rho_of_x
 from .sweeps import (
     ConfigError,
     ExperimentConfig,
     InsufficientDataError,
-    _resolve_function,
     compare_filters,
     fit_envelope,
     meta_line,
@@ -61,8 +62,8 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    if args.M < 1:
-        raise ConfigError("M must be >= 1")
+    if not 1 <= args.M <= DEFAULT_N_MAX:
+        raise ConfigError(f"M must be in [1, {DEFAULT_N_MAX}]")
     sigma = _euler_sigma_table(args.M)
     mu = _euler_mu_row(args.M)
     rows = [
@@ -113,16 +114,15 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     for key in ("p", "phi"):
         if isinstance(meta.get(key), str):  # parse_meta keeps a non-number as text
             raise ConfigError(f"input has a non-numeric {key}={meta[key]}")
-    fn = _resolve_function(meta["fn"], meta.get("p"), meta.get("phi"))
-    sings = fn.series.singularities
+    xs = tuple(trace.x for trace in traces)
+    config = ExperimentConfig(meta["fn"], xs=xs, p=meta.get("p"), phi=meta.get("phi"))
+    sings = config.validate().series.singularities
     for trace in traces:
         amplitude, q_hat = fit_envelope(trace)
+        q_pred = rho_of_x(sings, trace.x).q
+        gap = abs(q_hat - q_pred) / q_pred if q_pred != 0 else math.inf
         fields = dict(x=trace.x, filter=trace.filter_kind, A=amplitude, q_hat=q_hat)
-        if sings is not None:
-            q_pred = rho_of_x(sings, trace.x).q
-            gap = abs(q_hat - q_pred) / q_pred if q_pred != 0 else math.inf
-            fields.update(q_predicted=q_pred, rel_gap=gap)
-        print(meta_line(**fields))
+        print(meta_line(**fields, q_predicted=q_pred, rel_gap=gap))
     return EXIT_OK
 
 

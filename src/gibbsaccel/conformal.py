@@ -168,9 +168,8 @@ def estimate_radius(
         usable = usable[usable >= 1]
         if len(usable) == 0:
             raise ValueError("all coefficients below the noise floor")
+        # usable[-1] is itself a nonzero index >= 1, so some remain
         nonzero = nonzero[nonzero <= usable[-1]]
-        if len(nonzero) == 0:
-            raise ValueError("no usable coefficients for the root test")
     tail = nonzero[len(nonzero) - max(1, len(nonzero) // 3) :]
     estimates = mag[tail] ** (-1.0 / tail)
     return float(np.median(estimates))

@@ -47,10 +47,6 @@ import numpy as np
 _TWO_PI = 2.0 * math.pi
 _LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
 
-#: Largest erfc argument worth evaluating; beyond it the weight is exactly
-#: 0 or 1 in double precision.
-_ERFC_ARG_CLAMP = 40.0
-
 # W. J. Cody's rational approximations to erf and erfc (Math. Comp. 23,
 # 1969; the SPECFUN routine CALERF), each a (numerator, denominator) pair
 # of polynomial coefficients, highest power first.  The range bounds on
@@ -302,10 +298,10 @@ def erfclog_sigma(theta, p):
     erfc(2*sqrt(p)*tb*L(tb))/2 where L(tb) = sqrt(-log(1-4 tb^2)/(4 tb^2)),
     continued by its limit L = 1 at tb = 0.  Since 2|tb| is the square
     root of 4 tb^2, the erfc argument is sign(tb)*sqrt(-p*log(1-4 tb^2)),
-    which is 0 at tb = 0 with no special case.  It is clamped to
-    [-40, 40], where the weight is already exactly 1 or 0 in double
-    precision; it is infinite at theta = 0 and |theta| = 1, so the weight
-    there is exactly 1 and 0.
+    which is 0 at tb = 0 with no special case.  It needs no clamp:
+    ``_erfc`` is exactly 0 (or 2) beyond Cody's cut 26.543 and at +-inf,
+    and the argument is infinite at theta = 0 and |theta| = 1, so the
+    weight there is exactly 1 and 0.
     """
     p = np.asarray(p, dtype=float)
     if not (np.isfinite(p) & (p > 0)).all():
@@ -316,7 +312,6 @@ def erfclog_sigma(theta, p):
     tb = at - 0.5
     with np.errstate(divide="ignore"):  # log(0) at theta = 0 and |theta| = 1
         arg = np.copysign(np.sqrt(np.log1p(-4.0 * tb * tb) * -p), tb)
-    arg = np.clip(arg, -_ERFC_ARG_CLAMP, _ERFC_ARG_CLAMP)
     w = 0.5 * _erfc(arg)
     return float(w) if w.ndim == 0 else w
 

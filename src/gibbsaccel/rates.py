@@ -4,9 +4,11 @@ The Euler-accelerated Fourier series of a function f converges at a real
 point x like rho(x)^-N, where rho(x) is the distance from the origin to
 the nearest singularity of the re-expanded power series.  Each singularity
 x_j = sigma_j + i*tau_j of f contributes an image whose modulus is a
-closed-form function of x; the map itself contributes a "metric"
-singularity that caps rho at 2.  For a real singularity at distance d
-the image is 1/cos(d/2), so the rate is q(x) = -log cos(d/2) below the cap.
+closed-form function of x; its conjugate sigma_j - i*tau_j lands at the
+same modulus, so one declaration stands for the pair and is evaluated
+once.  The map itself contributes a "metric" singularity that caps rho
+at 2.  For a real singularity at distance d the image is 1/cos(d/2), so
+the rate is q(x) = -log cos(d/2) below the cap.
 
 The law is declared once, in ``_constraints``: the cap, then the real
 image, then each off-axis image, as floats for one x or as arrays for an
@@ -52,14 +54,15 @@ class SingularitySet:
 
     ``real_singularity`` is the location of the (at most one) singularity
     on the real axis in (-pi, pi]; ``None`` declares the function regular
-    on the real axis.  Off-axis entries must have a finite sigma and a
-    finite tau != 0 and, when ``conjugate_pairs`` is set (real-valued
-    functions), occur in complex conjugate pairs.
+    on the real axis.  Each ``off_axis`` entry, with a finite sigma and a
+    finite tau != 0, stands for the conjugate pair sigma +- i*tau: both
+    members have the same image modulus, so declaring one of them (or
+    both, which changes no rho) is enough.  A complex-valued function's
+    lone pole is declared the same way.
     """
 
     real_singularity: float | None = None
     off_axis: tuple[Singularity, ...] = field(default=())
-    conjugate_pairs: bool = True
 
     def __post_init__(self) -> None:
         if self.real_singularity is not None and not (
@@ -71,13 +74,6 @@ class SingularitySet:
                 raise ValueError(f"singularity ({s.sigma}, {s.tau}) is not finite")
             if s.tau == 0.0:
                 raise ValueError("off-axis singularities need tau != 0")
-        if self.conjugate_pairs:
-            locs = {(s.sigma, s.tau) for s in self.off_axis}
-            for s in self.off_axis:
-                if (s.sigma, -s.tau) not in locs:
-                    raise ValueError(
-                        f"missing conjugate partner for ({s.sigma}, {s.tau})"
-                    )
 
     def real_distance(self, x):
         """Periodic distance from x (float or array) to the real singularity,
@@ -99,16 +95,13 @@ class RatePrediction:
 
     ``dominating`` names the binding constraint: "metric" for the cap
     introduced by the map, "real" for the on-axis singularity image, or
-    the integer index into the off-axis list.  ``at_singularity`` marks
-    the degenerate rho = 1 value at the singularity itself, where no
-    pointwise acceleration is possible.
+    the integer index into the off-axis list.  At the real singularity
+    itself rho = 1 and q = 0: no pointwise acceleration is possible.
     """
 
-    x: float
     rho: float
     q: float
     dominating: str | int
-    at_singularity: bool = False
 
 
 def z_image(sing: tuple[float, float], x):
@@ -151,7 +144,10 @@ def _constraints(sings: SingularitySet, x) -> list[tuple[int, float]]:
     off-axis image.  A minimum over the list that keeps the first of
     equal values is the law.  At x = x_s the real image is exactly 1,
     below the cap, and no off-axis image is below 1, so it binds there.
+    Raises ValueError for a non-finite x, where no image is defined.
     """
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise ValueError("x must be finite")
     bounds = [(DOMINATED_BY_METRIC, METRIC_CAP)]
     if sings.real_singularity is not None:
         image = zeta_image_modulus(1.0, sings.real_distance(x))
@@ -170,13 +166,7 @@ def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
     when no other singularity interferes) emerges from the minimum.
     """
     code, rho = min(_constraints(sings, x), key=operator.itemgetter(1))
-    return RatePrediction(
-        x=x,
-        rho=rho,
-        q=math.log(rho),
-        dominating=_NAMES.get(code, code),
-        at_singularity=sings.real_distance(x) == 0.0,
-    )
+    return RatePrediction(rho, math.log(rho), _NAMES.get(code, code))
 
 
 def delta_truncation_error(x: float, N: int) -> complex:

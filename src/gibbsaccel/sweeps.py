@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import TestFunction, get_function
+from .catalog import DEFAULT_N_MAX, TestFunction, get_function
 from .filters import VALID_KINDS, FilterSpec
 from .rates import image_table, penalty_flags, x_grid
 # rho_of_x and acceleration_penalty_region, the scalar and sample-list
@@ -93,11 +93,10 @@ class ExperimentConfig:
         fn = _resolve_function(self.function_key, self.p, self.phi)
         if degrees[0] < 0 or degrees[-1] > fn.series.n_max:
             raise ConfigError(f"truncation degree outside [0, n_max={fn.series.n_max}]")
-        sings = fn.series.singularities
         for x in self.xs:
             if not math.isfinite(x):
                 raise ConfigError(f"x={x} is not finite")
-            if sings is not None and sings.real_distance(x) == 0.0:
+            if fn.series.singularities.real_distance(x) == 0.0:
                 raise ConfigError(f"x={x} sits on the real singularity")
         return fn
 
@@ -271,16 +270,16 @@ def rho_curve(
     """CSV of the predicted convergence factor over a uniform x grid.
 
     Columns: x, rho, then the image modulus of each declared singularity
-    (the real one first when present), and a penalty flag when off-axis
-    singularities exist.  All columns come from one ``rates.image_table``
-    call over the grid, bit-identical to ``rho_of_x`` point by point.
+    (``zeta_real`` first when present, then one ``zeta_off<j>`` per
+    declared off-axis entry, which stands for its conjugate pair), and a
+    penalty flag when off-axis singularities exist.  All columns come
+    from one ``rates.image_table`` call over the grid, bit-identical to
+    ``rho_of_x`` point by point.  A resolution outside [2,
+    ``DEFAULT_N_MAX``] is a ConfigError, raised before any array is built.
     """
-    if resolution < 2:
-        raise ConfigError("resolution must be >= 2")
-    fn = _resolve_function(function_key, p, phi)
-    sings = fn.series.singularities
-    if sings is None:
-        raise ConfigError(f"{function_key} declares no singularity set")
+    if not 2 <= resolution <= DEFAULT_N_MAX:
+        raise ConfigError(f"resolution must be in [2, {DEFAULT_N_MAX}]")
+    sings = _resolve_function(function_key, p, phi).series.singularities
     header = ["x", "rho"]
     if sings.real_singularity is not None:
         header.append("zeta_real")

@@ -49,6 +49,9 @@ def test_install_wraps_and_uninstall_restores(tmp_path):
             ["envelope", "--in", str(sweep_csv)],
             ["rho", "--fn", "lorentzian", "--resolution", "9",
              "--out", str(tmp_path / "rho.csv")],
+            ["compare", "--fn", "sws+lorentzian", "--p", "0.5", "--x", "0.2618",
+             "--n-max", "400", "--n-min", "40", "--stride", "4",
+             "--out", str(tmp_path / "compare.csv")],
         )
         for argv in argvs:
             assert cli.main(argv) == 0
@@ -56,7 +59,8 @@ def test_install_wraps_and_uninstall_restores(tmp_path):
         tracing.uninstall(saved)
     names = {span.name for span in tracer.spans}
     assert {"cli.main", "sweeps.sweep", "sweeps.fit", "sweeps.parse",
-            "rates.rho", "sweeps.rho_curve", "filters.weights"} <= names
+            "rates.rho", "sweeps.rho_curve", "sweeps.compare",
+            "filters.weights"} <= names
     # the catalog entries came through the wrapped get_function
     assert tracer.coeff_calls > 0
     after = snapshot()

@@ -112,8 +112,10 @@ class TestDeltaAndComposite:
     def test_composite_declares_both_singularity_kinds(self):
         sings = make_composite(0.5).series.singularities
         assert sings.real_singularity == 0.0
-        taus = sorted(s.tau for s in sings.off_axis)
-        assert taus == pytest.approx([-math.log(2.0), math.log(2.0)])
+        # one entry stands for the conjugate pair pi +- i*log(2)
+        assert len(sings.off_axis) == 1
+        assert sings.off_axis[0].sigma == math.pi
+        assert sings.off_axis[0].tau == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 class TestLogTwo:
@@ -177,6 +179,15 @@ class TestRegistry:
     def test_unknown_key_before_parameters(self):
         with pytest.raises(KeyError):
             get_function("heaviside", p=0.5)
+
+    def test_defaults_are_the_factories(self):
+        for key, factory in (
+            ("lorentzian", make_lorentzian), ("sws+lorentzian", make_composite)
+        ):
+            got = get_function(key).series
+            want = factory().series
+            assert got.singularities == want.singularities
+            assert got.exact_eval(0.7) == want.exact_eval(0.7)
 
     def test_parameters_forwarded(self):
         fn = get_function("lorentzian", p=0.25, phi=0.0)

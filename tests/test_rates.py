@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -44,12 +45,21 @@ class TestSingularitySet:
         with pytest.raises(ValueError):
             SingularitySet(real_singularity=4.0)
 
-    def test_conjugate_pairs_enforced(self):
-        with pytest.raises(ValueError):
-            SingularitySet(off_axis=(Singularity(1.0, 0.5),))
-        SingularitySet(
-            off_axis=(Singularity(1.0, 0.5),), conjugate_pairs=False
-        )
+    def test_one_member_stands_for_its_pair(self):
+        # both members of sigma +- i*tau have the same image modulus, so
+        # declaring one gives the rho of declaring both, bit for bit
+        for real, tau in itertools.product((None, 0.0), (0.2, -0.2, 1.5)):
+            one = SingularitySet(real, off_axis=(Singularity(2.0, tau),))
+            pair = (Singularity(2.0, tau), Singularity(2.0, -tau))
+            both = SingularitySet(real, off_axis=pair)
+            xs = np.concatenate([np.linspace(-10, 10, 2001), special_points(both)])
+            for x in xs.tolist():
+                a, b = rho_of_x(one, x), rho_of_x(both, x)
+                assert (a.rho, a.q, a.dominating) == (b.rho, b.q, b.dominating)
+            rho_one, dom_one, _ = image_table(one, xs)
+            rho_both, dom_both, _ = image_table(both, xs)
+            assert rho_one.tobytes() == rho_both.tobytes()
+            assert dom_one.tolist() == dom_both.tolist()
 
     def test_off_axis_needs_nonzero_tau(self):
         with pytest.raises(ValueError):
@@ -60,12 +70,9 @@ class TestSingularitySet:
         [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf)],
     )
     def test_non_finite_location_rejected(self, sigma, tau):
-        # a NaN pair would pass the conjugate check by object identity
         nan_pair = (Singularity(sigma, tau), Singularity(sigma, -tau))
         with pytest.raises(ValueError, match="not finite"):
             SingularitySet(off_axis=nan_pair)
-        with pytest.raises(ValueError, match="not finite"):
-            SingularitySet(off_axis=nan_pair, conjugate_pairs=False)
 
 
 class TestFloatOrArray:
@@ -153,7 +160,15 @@ class TestRhoOfX:
         pred = rho_of_x(SAWTOOTH_SET, 0.0)
         assert pred.rho == 1.0
         assert pred.q == 0.0
-        assert pred.at_singularity
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_non_finite_x_rejected(self, key, x):
+        sings = get_function(key).series.singularities
+        with pytest.raises(ValueError, match="finite"):
+            rho_of_x(sings, x)
+        with pytest.raises(ValueError, match="finite"):
+            image_table(sings, np.array([0.5, x, 1.0]))
 
     def test_monotone_then_capped(self):
         xs = np.linspace(0, 2 * math.pi / 3, 200)

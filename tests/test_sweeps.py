@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gibbsaccel
 from gibbsaccel import cli
-from gibbsaccel.catalog import FUNCTION_KEYS, get_function
+from gibbsaccel.catalog import DEFAULT_N_MAX, FUNCTION_KEYS, get_function
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
 from gibbsaccel.rates import (
     SingularitySet,
@@ -414,6 +419,58 @@ class TestCli:
         assert main(args) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:") and not captured.out
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["weights", "--M", str(10**15)],
+            ["weights", "--filter", "euler", "--M", str(DEFAULT_N_MAX + 1)],
+            ["rho", "--fn", "sws", "--resolution", str(10**15)],
+            ["rho", "--fn", "lorentzian", "--resolution", str(DEFAULT_N_MAX + 1)],
+        ],
+    )
+    def test_size_beyond_catalog_limit(self, args, capsys):
+        # rejected before any array of that size is built
+        assert main(args) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and not captured.out
+        assert str(DEFAULT_N_MAX) in captured.err
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [("inf", "not finite"), ("-inf", "not finite"), ("nan", "not finite"),
+         ("0.0", "real singularity"), ("6.283185307179586", "real singularity")],
+    )
+    def test_envelope_rejects_bad_x(self, x, message, tmp_path, capsys):
+        # the checks sweep and compare make on their x, by the same code
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(
+            ln.replace("1.9635,", f"{x},", 1) if not ln.startswith("#") else ln
+            for ln in lines
+        ))
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and not captured.out
+        assert message in captured.err
+
+    def test_cli_import_loads_neither_scipy_nor_mpmath(self):
+        # both are test-only dependencies; scipy.special alone would add
+        # about 0.3 s and 25 MB to every CLI start
+        src = str(Path(gibbsaccel.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, gibbsaccel.cli; "
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
         "filters", ["euler,erfclog,hdaf", "identity,euler,erfclog,hdaf"]
