@@ -18,72 +18,9 @@ The package provides:
 * ``catalog``   -- closed-form test functions with exact coefficients;
 * ``sweeps``    -- error sweeps, envelope fitting and CSV output;
 * ``cli``       -- the experiment command line.
+
+Each name is imported from its module (``from gibbsaccel.rates import
+rho_of_x``); the package root itself holds only ``__version__``.
 """
-
-from .conformal import (
-    MOBIUS2,
-    MobiusMap,
-    PowerSeries,
-    accelerate_sum,
-    estimate_radius,
-    euler_equivalence_check,
-    recoefficient,
-)
-from .filters import (
-    FilterSpec,
-    erfclog_order,
-    erfclog_sigma,
-    euler_mu,
-    euler_sigma,
-    filter_weights,
-    hdaf_sigma,
-)
-from .rates import (
-    RatePrediction,
-    Singularity,
-    SingularitySet,
-    acceleration_penalty_region,
-    delta_truncation_error,
-    rho_of_x,
-    z_image,
-    zeta_image_modulus,
-)
-from .series import (
-    FourierSeries,
-    filtered_partial_sum,
-    partial_sum,
-    pointwise_error,
-    trace_errors,
-)
-
-__all__ = [
-    "FilterSpec",
-    "FourierSeries",
-    "MOBIUS2",
-    "MobiusMap",
-    "PowerSeries",
-    "RatePrediction",
-    "Singularity",
-    "SingularitySet",
-    "accelerate_sum",
-    "acceleration_penalty_region",
-    "delta_truncation_error",
-    "erfclog_order",
-    "erfclog_sigma",
-    "estimate_radius",
-    "euler_equivalence_check",
-    "euler_mu",
-    "euler_sigma",
-    "filter_weights",
-    "filtered_partial_sum",
-    "hdaf_sigma",
-    "partial_sum",
-    "pointwise_error",
-    "recoefficient",
-    "rho_of_x",
-    "trace_errors",
-    "z_image",
-    "zeta_image_modulus",
-]
 
 __version__ = "0.1.0"

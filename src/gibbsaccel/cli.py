@@ -140,35 +140,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    w = sub.add_parser("weights", help="print a filter weight table")
-    w.add_argument("--filter", default="euler", choices=("euler",))
-    w.add_argument("--M", type=int, required=True)
-    w.add_argument("--out", default=None)
-    w.set_defaults(run=_cmd_weights)
-
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--fn", required=True, choices=FUNCTION_KEYS)
+    # Each option is declared once: --out on every subcommand that writes,
+    # --fn and --p on those that read a function, the degree range on the
+    # two that sum one.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    fn = argparse.ArgumentParser(add_help=False, parents=[out])
+    fn.add_argument("--fn", required=True, choices=FUNCTION_KEYS)
+    fn.add_argument("--p", type=float, default=None)
+    run = argparse.ArgumentParser(add_help=False, parents=[fn])
     run.add_argument("--x", type=float, required=True)
     run.add_argument("--n-min", type=int, default=2)
     run.add_argument("--n-max", type=int, required=True)
     run.add_argument("--stride", type=int, default=1)
-    run.add_argument("--p", type=float, default=None)
-    run.add_argument("--out", default=None)
+
+    w = sub.add_parser("weights", parents=[out], help="print a filter weight table")
+    w.add_argument("--filter", default="euler", choices=("euler",))
+    w.add_argument("--M", type=int, required=True)
+    w.set_defaults(run=_cmd_weights)
 
     s = sub.add_parser(
         "sweep", parents=[run], help="error sweep over truncation degree"
     )
     s.add_argument("--filter", default="euler", choices=VALID_KINDS)
-    s.add_argument("--phi", type=float, default=None)
     s.set_defaults(run=_cmd_sweep)
 
-    r = sub.add_parser("rho", help="predicted convergence factor over x")
-    r.add_argument("--fn", required=True, choices=FUNCTION_KEYS)
+    r = sub.add_parser("rho", parents=[fn], help="predicted convergence factor over x")
     r.add_argument("--resolution", type=int, required=True)
-    r.add_argument("--p", type=float, default=None)
-    r.add_argument("--phi", type=float, default=None)
-    r.add_argument("--out", default=None)
     r.set_defaults(run=_cmd_rho)
+    for phi_taker in (s, r):  # compare fixes phi to the catalog default
+        phi_taker.add_argument("--phi", type=float, default=None)
 
     c = sub.add_parser("compare", parents=[run], help="compare filters at one x")
     c.add_argument("--filters", default="euler,erfclog,hdaf")

@@ -129,6 +129,11 @@ _HDAF_DEPTH_DIVISOR = 15.0
 #: neighbours n, n+1.
 _MAX_EXACT_INDEX = 2.0**53
 
+#: Largest M whose Euler table is cached: 256 tables of at most 2050
+#: doubles hold about 4 MB.  Sweeps and comparisons re-read their tables up
+#: to their top degree, which is well inside it at the sizes they run.
+_KEPT_TABLE_MAX_M = 2048
+
 #: Orders of the Möbius re-expansion that ``mobius_reexpand`` advances per step.
 _BLOCK = 64
 
@@ -177,8 +182,8 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     largest, and the row is normalized by its sum.  No start value such
     as 2^-M is formed, so nothing underflows before the tails themselves
     do.  At p = 1/2 the odds factor is exactly 1.  Not cached: it is an
-    intermediate of the cached ``_euler_sigma_table`` (``euler_mu`` keeps
-    only its last row).
+    intermediate of ``_euler_sigma_table``, which caches the small tables
+    (``euler_mu`` keeps only its last row).
     """
     if M < 0:
         raise ValueError("M must be >= 0")
@@ -203,15 +208,22 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
 _last_euler_mu_row = lru_cache(maxsize=1)(_euler_mu_row)
 
 
-@lru_cache(maxsize=256)
 def _euler_sigma_table(M: int, p: float = 0.5) -> np.ndarray:
     """Euler-Knopp weights P(Binomial(M, p) >= j) for j = 0..M+1.
 
     At p = 1/2 these are sigma_E at arguments j/(M+1).  The tail sums of
     mu(M, k) over k >= j are accumulated from the small end; dividing by
     the full sum makes sigma_E(0) exactly 1 and keeps the table
-    nonincreasing and inside [0, 1].
+    nonincreasing and inside [0, 1].  Tables up to M =
+    ``_KEPT_TABLE_MAX_M`` are cached; a larger one is rebuilt by every
+    call, so the cache never holds more than a few megabytes.
     """
+    if M <= _KEPT_TABLE_MAX_M:
+        return _kept_euler_sigma_table(M, p)
+    return _build_euler_sigma_table(M, p)
+
+
+def _build_euler_sigma_table(M: int, p: float) -> np.ndarray:
     tails = np.cumsum(_euler_mu_row(M, p)[::-1])[::-1]
     sigma = np.zeros(M + 2)
     sigma[: M + 1] = tails / tails[0]
@@ -219,8 +231,15 @@ def _euler_sigma_table(M: int, p: float = 0.5) -> np.ndarray:
     return sigma
 
 
+_kept_euler_sigma_table = lru_cache(maxsize=256)(_build_euler_sigma_table)
+
+
 def euler_sigma(j: int, M: int) -> float:
-    """Euler filter weight sigma_E(j/(M+1)): 1 at j=0, 0 at j=M+1."""
+    """Euler filter weight sigma_E(j/(M+1)): 1 at j=0, 0 at j=M+1.
+
+    Above M = ``_KEPT_TABLE_MAX_M`` every call builds the whole table;
+    ``filter_weights`` returns a row in one call.
+    """
     if not 0 <= j <= M + 1:
         raise ValueError(f"j={j} outside [0, M+1={M + 1}]")
     return float(_euler_sigma_table(M)[j])
@@ -317,14 +336,18 @@ def erfclog_sigma(theta, p):
 
 
 def erfclog_order(x_dist: float, N: int) -> float:
-    """Adaptive Erfc-Log order p = 1 + N|x|/(2 pi).
+    """Adaptive Erfc-Log order p = 1 + N*x_dist/(2 pi).
 
     ``x_dist`` is the caller's distance from the evaluation point to the
-    real singularity; at the singularity the order degenerates to 1.
+    real singularity; at the singularity the order degenerates to 1.  A
+    negative distance raises ValueError, as in ``hdaf_sigma`` and
+    ``filter_weights``.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return 1.0 + N * abs(x_dist) / _TWO_PI
+    if x_dist < 0:
+        raise ValueError("x_dist must be nonnegative")
+    return 1.0 + N * x_dist / _TWO_PI
 
 
 def _stirling_error(j: int) -> float:
@@ -422,7 +445,7 @@ def hdaf_sigma(theta, N: int, x_dist: float):
 
     s = N*x_dist*theta^2/2 and J = floor(N*x_dist/15).  ``x_dist`` is the
     distance to the nearest real singularity; x_dist = 0 degenerates to
-    the identity weight.
+    the identity weight, and a negative one raises ValueError.
 
     The weight is P(Poisson(s) <= J), the regularized upper incomplete
     gamma function Q(J+1, s) (Tanner, Math. Comp. 2006).  It is summed
@@ -451,11 +474,13 @@ def filter_weights(
     come back concatenated in order as one flat array: one call weights a
     batch of a trace's rows, each entry bit-identical to its per-N table.
     ``x_dist`` feeds the adaptive order of Erfc-Log and the truncation
-    depth of HDAF; Euler and identity ignore it.  All weights are
+    depth of HDAF; Euler and identity ignore its value.  All weights are
     functions of |n|, so sigma(-theta) = sigma(theta) holds exactly.
-    Raises ValueError for a negative degree, or one at or beyond 2^53,
-    before any array is built.
+    Raises ValueError for a negative distance, for every kind, and for a
+    negative degree, or one at or beyond 2^53, before any array is built.
     """
+    if x_dist < 0:
+        raise ValueError("x_dist must be nonnegative")
     degrees = np.atleast_1d(N).tolist()
     if min(degrees) < 0:
         raise ValueError("N must be >= 0")
@@ -470,7 +495,7 @@ def filter_weights(
     # its one entry sits at theta = 0, where every weight is exactly 1.
     degrees = [max(M, 1) for M in degrees]
     if spec.kind == "hdaf":  # checks every depth before theta is built
-        params = _hdaf_row_params(degrees, abs(x_dist))
+        params = _hdaf_row_params(degrees, x_dist)
     start = np.repeat(np.cumsum(sizes) - sizes, sizes)
     theta = (np.arange(sum(sizes)) - start) / np.repeat(degrees, sizes)
     if spec.kind == "hdaf":

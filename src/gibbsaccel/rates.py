@@ -8,7 +8,10 @@ closed-form function of x; its conjugate sigma_j - i*tau_j lands at the
 same modulus, so one declaration stands for the pair and is evaluated
 once.  The map itself contributes a "metric" singularity that caps rho
 at 2.  For a real singularity at distance d the image is 1/cos(d/2), so
-the rate is q(x) = -log cos(d/2) below the cap.
+the rate is q(x) = -log cos(d/2) below the cap.  Near the singularity
+cos(d/2) rounds to 1 (for d below about 2e-8), so that q is taken as
+-log1p(-2 sin^2(d/4)), which has no cancellation; every other q is
+log(rho).
 
 The law is declared once, in ``_constraints``: the cap, then the real
 image, then each off-axis image, as floats for one x or as arrays for an
@@ -93,10 +96,14 @@ def periodic_distance(x, x_s: float):
 class RatePrediction:
     """Pointwise geometric convergence factor rho and rate q = log(rho).
 
-    ``dominating`` names the binding constraint: "metric" for the cap
-    introduced by the map, "real" for the on-axis singularity image, or
-    the integer index into the off-axis list.  At the real singularity
-    itself rho = 1 and q = 0: no pointwise acceleration is possible.
+    Where the real image binds, q = -log cos(d/2) is computed from the
+    distance d as -log1p(-2 sin^2(d/4)), not from the rounded rho: it
+    stays positive and accurate to a few ulps as d -> 0, where rho
+    rounds to 1.  ``dominating`` names the binding constraint: "metric"
+    for the cap introduced by the map, "real" for the on-axis singularity
+    image, or the integer index into the off-axis list.  At the real
+    singularity itself rho = 1 and q = 0: no pointwise acceleration is
+    possible.
     """
 
     rho: float
@@ -166,7 +173,11 @@ def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
     when no other singularity interferes) emerges from the minimum.
     """
     code, rho = min(_constraints(sings, x), key=operator.itemgetter(1))
-    return RatePrediction(rho, math.log(rho), _NAMES.get(code, code))
+    if code == DOMINATED_BY_REAL:  # cos(d/2) = 1 - 2 sin^2(d/4)
+        q = -math.log1p(-2.0 * math.sin(sings.real_distance(x) / 4.0) ** 2)
+    else:
+        q = math.log(rho)
+    return RatePrediction(rho, q, _NAMES.get(code, code))
 
 
 def delta_truncation_error(x: float, N: int) -> complex:

@@ -176,8 +176,7 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     slope, intercept = np.polyfit(ns, ys, 1)
     q_hat = -float(slope)
     # anchor the prefactor so the model bounds every envelope point
-    log_a = max(ys + q_hat * ns)
-    amplitude = math.exp(log_a)
+    amplitude = math.exp(max(ys + q_hat * ns))
     trace.fit = (amplitude, q_hat)
     return amplitude, q_hat
 

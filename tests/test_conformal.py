@@ -441,6 +441,9 @@ class TestEstimateRadius:
         coeffs = (1.0,) + (0.0,) * 40
         with pytest.raises(ValueError):
             estimate_radius(PowerSeries(coeffs))
+        # nonzero, but every order >= 1 is below the noise floor
+        with pytest.raises(ValueError, match="noise floor"):
+            estimate_radius(PowerSeries([1.0] + [1e-20] * 20))
 
 
 class TestRegularity:

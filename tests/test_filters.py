@@ -22,10 +22,12 @@ from gibbsaccel.filters import (
     _CODY_FAR,
     _CODY_HUGE,
     _CODY_SMALL,
+    _KEPT_TABLE_MAX_M,
     _LOG_SQRT_TWO_PI,
     _erfc,
     _euler_mu_row,
     _euler_sigma_table,
+    _kept_euler_sigma_table,
     _stirling_error,
 )
 
@@ -87,6 +89,21 @@ class TestEulerSigma:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             euler_sigma(4, 2)
+        with pytest.raises(ValueError, match="M must be >= 0"):
+            euler_sigma(0, -1)
+
+    def test_large_tables_are_not_kept(self):
+        # a table above the limit is rebuilt by each call and never cached;
+        # one at the limit is built once and kept
+        for M in (_KEPT_TABLE_MAX_M + 1, 10**6):
+            before = _kept_euler_sigma_table.cache_info()
+            table = _euler_sigma_table(M)
+            assert table.shape == (M + 2,) and table[0] == 1.0
+            assert _euler_sigma_table(M) is not table
+            after = _kept_euler_sigma_table.cache_info()
+            assert (after.hits, after.misses) == (before.hits, before.misses)
+        kept = _euler_sigma_table(_KEPT_TABLE_MAX_M)
+        assert _euler_sigma_table(_KEPT_TABLE_MAX_M) is kept
 
     @pytest.mark.parametrize("M", [1074, 1075, 1600])
     def test_matches_exact_integer_tails_past_underflow(self, M):
@@ -261,6 +278,12 @@ class TestErfcLogOrder:
         assert erfclog_order(2 * math.pi, 100) == pytest.approx(101.0, rel=1e-14)
         assert erfclog_order(math.pi / 12, 60) == pytest.approx(3.5, rel=1e-14)
 
+    def test_rejects_degree_below_one_and_negative_distance(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            erfclog_order(0.5, 0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            erfclog_order(-0.5, 10)
+
 
 def reference_hdaf(theta, N, x_dist):
     """HDAF weights by the plain Poisson loop: every entry is updated until
@@ -372,6 +395,12 @@ class TestHdaf:
             # depth 200e15/15 >= 2^53; the rows at 5 and 40 are representable
             filter_weights(FilterSpec("hdaf"), [5, 200, 40], 1e15)
 
+    def test_rejects_degree_below_one_and_negative_distance(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            hdaf_sigma(0.5, 0, 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            hdaf_sigma(0.5, 10, -1.0)
+
     def test_unrepresentable_depth_rejected_before_allocation(self):
         # 10^17 + 1 weights would need petabytes; the degree check must come
         # first, for every kind, not only for HDAF's depth
@@ -392,6 +421,16 @@ class TestFilterWeights:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FilterSpec("vandeven")
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_negative_degree_and_distance_rejected(self, kind):
+        # one rule for every kind, including those that ignore the distance
+        for N in (-1, [3, -1]):
+            with pytest.raises(ValueError, match="N must be >= 0"):
+                filter_weights(FilterSpec(kind), N, 0.5)
+        for N in (4, [0, 4]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                filter_weights(FilterSpec(kind), N, -0.5)
 
     def test_degenerate_degree(self):
         for kind in ("identity", "euler", "erfclog", "hdaf"):

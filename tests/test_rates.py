@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -136,6 +137,11 @@ class TestZetaImageModulus:
     def test_infinite_image(self):
         assert zeta_image_modulus(1.0, math.pi) == math.inf
 
+    def test_rejects_modulus_below_one(self):
+        for theta in (0.3, np.array([0.3, 1.0])):
+            with pytest.raises(ValueError, match=">= 1"):
+                zeta_image_modulus(0.9, theta)
+
 
 class TestRhoOfX:
     def test_crossover_to_metric_cap(self):
@@ -155,6 +161,17 @@ class TestRhoOfX:
             assert rho_of_x(SAWTOOTH_SET, x).rho == pytest.approx(
                 1 + x * x / 8, abs=x**4
             )
+
+    @pytest.mark.parametrize("d", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 2.0])
+    def test_real_rate_matches_mpmath(self, d):
+        # q = -log cos(d/2) from d, not from rho: rho rounds to 1 below
+        # d ~ 2e-8, where log(rho) would give q = 0.  x = d, so the
+        # periodic distance is d exactly.
+        pred = rho_of_x(SAWTOOTH_SET, d)
+        assert pred.dominating == "real"
+        with mpmath.workdps(40):
+            exact = -mpmath.log(mpmath.cos(mpmath.mpf(d) / 2))
+            assert abs((pred.q - exact) / exact) <= 1e-15
 
     def test_at_singularity_marker(self):
         pred = rho_of_x(SAWTOOTH_SET, 0.0)

@@ -377,6 +377,10 @@ class TestInvariants:
         second = filtered_partial_sum(composite, 1.234, 77, EULER)
         assert first == second
 
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_max"):
+            FourierSeries(coeff=lambda n: 1.0, n_max=-1)
+
     def test_real_valued_flag_checked(self):
         with pytest.raises(ValueError):
             FourierSeries(coeff=lambda n: 1j, n_max=10, real_valued=True)

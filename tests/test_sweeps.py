@@ -22,6 +22,7 @@ from gibbsaccel.rates import (
 )
 from gibbsaccel.series import saturation_floor
 from gibbsaccel.sweeps import (
+    SWEEP_HEADER,
     ConfigError,
     ErrorRow,
     ErrorTrace,
@@ -517,6 +518,28 @@ class TestCli:
         assert meta["fn"] == "lorentzian" and meta["p"] == 0.01
         assert len(traces) == 1 and len(traces[0].rows) == 31
         assert main(["envelope", "--in", str(out)]) == EXIT_INSUFFICIENT
+
+    def test_envelope_on_input_without_traces(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-max", "12",
+              "--out", str(out)])
+        lines = out.read_text().splitlines(keepends=True)
+        out.write_text("".join(ln for ln in lines if ln.startswith("#"))
+                       + ",".join(SWEEP_HEADER) + "\n")
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_INSUFFICIENT
+        assert "no traces" in capsys.readouterr().err
+
+    def test_envelope_next_to_the_singularity(self, tmp_path, capsys):
+        # rho rounds to 1 at x = 1e-9; the predicted rate must not
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1e-9", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_OK
+        _, fields = parse_meta(capsys.readouterr().out)
+        assert fields["q_predicted"] == pytest.approx(1.25e-19, rel=1e-15)
+        assert math.isfinite(fields["rel_gap"])
 
     def test_unknown_function_in_input_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
