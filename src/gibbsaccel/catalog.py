@@ -128,32 +128,25 @@ class TestFunction:
     series: FourierSeries
 
 
-def make_sws(n_max: int = DEFAULT_N_MAX) -> TestFunction:
+def _entry(
+    name: str, coeff, exact_eval, singularities: SingularitySet, n_max: int,
+    real_valued: bool = True,
+) -> TestFunction:
+    """The one constructor of a catalog entry; each factory passes what differs."""
     return TestFunction(
-        "sws",
-        FourierSeries(
-            coeff=sws_coeff,
-            n_max=n_max,
-            exact_eval=sws,
-            singularities=SingularitySet(real_singularity=0.0),
-            real_valued=True,
-        ),
+        name, FourierSeries(coeff, n_max, exact_eval, singularities, real_valued)
     )
+
+
+def make_sws(n_max: int = DEFAULT_N_MAX) -> TestFunction:
+    return _entry("sws", sws_coeff, sws, SingularitySet(real_singularity=0.0), n_max)
 
 
 def make_delta(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     # the summed distribution vanishes away from the singularity, so the
     # exact evaluator is identically zero on the sweepable domain
-    return TestFunction(
-        "delta",
-        FourierSeries(
-            coeff=delta_coeff,
-            n_max=n_max,
-            exact_eval=lambda x: 0.0 + 0j,
-            singularities=SingularitySet(real_singularity=0.0),
-            real_valued=True,
-        ),
-    )
+    jump = SingularitySet(real_singularity=0.0)
+    return _entry("delta", delta_coeff, lambda x: 0.0 + 0j, jump, n_max)
 
 
 def make_lorentzian(
@@ -162,35 +155,23 @@ def make_lorentzian(
     _check_p(p)
     if not math.isfinite(phi):
         raise ValueError(f"pole phase phi={phi} is not finite")
-    tau = -math.log(p)
-    return TestFunction(
+    return _entry(
         "lorentzian",
-        FourierSeries(
-            coeff=lambda n: lorentzian_coeff(n, p, phi),
-            n_max=n_max,
-            exact_eval=lambda x: lorentzian(x, p, phi),
-            singularities=SingularitySet(
-                real_singularity=None, off_axis=(Singularity(phi, tau),)
-            ),
-            real_valued=True,
-        ),
+        lambda n: lorentzian_coeff(n, p, phi),
+        lambda x: lorentzian(x, p, phi),
+        SingularitySet(off_axis=(Singularity(phi, -math.log(p)),)),
+        n_max,
     )
 
 
 def make_composite(p: float = 0.5, n_max: int = DEFAULT_N_MAX) -> TestFunction:
     _check_p(p)
-    tau = -math.log(p)
-    return TestFunction(
+    return _entry(
         "sws+lorentzian",
-        FourierSeries(
-            coeff=lambda n: composite_coeff(n, p),
-            n_max=n_max,
-            exact_eval=lambda x: composite_value(x, p),
-            singularities=SingularitySet(
-                real_singularity=0.0, off_axis=(Singularity(math.pi, tau),)
-            ),
-            real_valued=True,
-        ),
+        lambda n: composite_coeff(n, p),
+        lambda x: composite_value(x, p),
+        SingularitySet(0.0, off_axis=(Singularity(math.pi, -math.log(p)),)),
+        n_max,
     )
 
 
@@ -201,19 +182,13 @@ def make_log2(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     the filtered partial sum at x = 0 is exactly the accelerated plain
     sum; the function is singular on the real axis at x = pi.
     """
-
-    def exact(x: float) -> complex:
-        return cmath.log(1.0 + cmath.exp(1j * x))
-
-    return TestFunction(
+    return _entry(
         "log2",
-        FourierSeries(
-            coeff=log2_coeff,
-            n_max=n_max,
-            exact_eval=exact,
-            singularities=SingularitySet(real_singularity=math.pi),
-            real_valued=False,
-        ),
+        log2_coeff,
+        lambda x: cmath.log(1.0 + cmath.exp(1j * x)),
+        SingularitySet(real_singularity=math.pi),
+        n_max,
+        real_valued=False,
     )
 
 

@@ -94,8 +94,8 @@ class MobiusMap:
     c: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.c <= 1.0:
-            raise ValueError("map parameter c must exceed 1")
+        if not 1.0 < self.c < np.inf:  # also rejects nan
+            raise ValueError(f"map parameter c={self.c} must be finite and exceed 1")
 
 
 MOBIUS2 = MobiusMap(2.0)

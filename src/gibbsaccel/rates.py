@@ -87,9 +87,16 @@ class SingularitySet:
 
 
 def periodic_distance(x, x_s: float):
-    """Distance from x (float or array) to x_s and its 2*pi copies."""
-    d = (x - x_s) % _TWO_PI
-    return min(d, _TWO_PI - d) if isinstance(d, float) else np.minimum(d, _TWO_PI - d)
+    """Distance from x (float or array) to x_s and its 2*pi copies.
+
+    Exact for the difference x - x_s: its fmod by 2*pi and the reflection
+    2*pi - d are both exact (Sterbenz), on either side of x_s, and a
+    float and the same entry of an array give the same bits.
+    """
+    diff = x - x_s
+    fmod, least = (math.fmod, min) if isinstance(diff, float) else (np.fmod, np.minimum)
+    d = abs(fmod(diff, _TWO_PI))
+    return least(d, _TWO_PI - d)
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ terms do not depend on N.  A filter's rows then take one of two routes.
 
 * Weight tables (every kind; the one-degree sums and sparse traces):
   one ``filter_weights`` call per filter and batch of degrees (at most
-  ``_WEIGHT_BATCH_ENTRIES`` weights, or one larger row alone); the
-  weights multiply the batch's fold prefixes laid end to end, and each
-  row sums its own slice of that product, so every row is bit-identical
-  to the per-N sum (``pointwise_error``).
+  ``_WEIGHT_BATCH_ENTRIES`` weights, or one larger row alone); each row
+  sums the product of its own weights with its fold prefix a_0..a_N, so
+  every row is bit-identical to the per-N sum (``pointwise_error``).
 * One re-expansion (Euler rows of a dense trace): the Euler sum at N is
   b_0 + ... + b_N with b the Möbius(2) re-expansion of the fold
   (``filters.mobius_reexpand``), so one re-expansion at the top degree
@@ -38,13 +37,14 @@ terms do not depend on N.  A filter's rows then take one of two routes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .filters import FilterSpec, filter_weights, mobius_reexpand
-from .rates import SingularitySet, periodic_distance
+from .rates import _TWO_PI, SingularitySet, periodic_distance
 
 _SYMMETRY_PROBE = 8  # c(+-n) checked for n = 0..8, n_max // 2 and n_max
 
@@ -106,13 +106,15 @@ class FourierSeries:
         """The one-sided terms a_0 = c_0, a_n = c_n e^{inx} + c_-n e^{-inx}.
 
         The partial sum over |n| <= N at x is sum a_n for n = 0..N, and a
-        filter with weights sigma(|n|) gives sum sigma(n) a_n.  Raises
-        ValueError unless 0 <= N <= n_max.
+        filter with weights sigma(|n|) gives sum sigma(n) a_n.  The phases
+        take x reduced exactly into [-pi, pi] (``math.remainder``), so a
+        large |x| loses no accuracy.  Raises ValueError unless
+        0 <= N <= n_max.
         """
         if not 0 <= N <= self.n_max:
             raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
         c = self.coefficients(N)  # c[N + n] = c_n
-        phase = np.exp(1j * np.arange(N + 1) * x)
+        phase = np.exp(1j * np.arange(N + 1) * math.remainder(x, _TWO_PI))
         a = c[N:] * phase + c[N::-1] * phase.conj()
         a[0] = c[N]
         return a
@@ -163,30 +165,31 @@ def _filtered_sums(
         raise ValueError(f"truncation degree {min(degrees)} is negative")
     a = series.folded(x, max(degrees))
     x_dist = series.real_singularity_distance(x)
-    out: list[list[complex]] = [[] for _ in specs]
     dense = len(degrees) > 1 and max(degrees) ** 2 <= _DENSE_RATIO * (
         sum(degrees) + len(degrees)
     )
-    tabled = []
-    for spec, sums in zip(specs, out):
-        if dense and spec.kind == "euler":
-            sums.extend(_euler_prefix_sums(a, degrees))
-        else:
-            tabled.append((spec, sums))
-    for batch in _weight_batches(degrees) if tabled else []:
-        # a row alone (the large ones) multiplies a view, not a copy of its prefix
-        if len(batch) == 1:
-            a_rows = a[: batch[0] + 1]
-        else:
-            a_rows = np.concatenate([a[: N + 1] for N in batch])
-        for spec, sums in tabled:
-            terms = filter_weights(spec, batch, x_dist) * a_rows
-            start = 0
-            for N in batch:
-                sums.append(complex(terms[start : start + N + 1].sum()))
-                start += N + 1
-            del terms  # freed before the next batch's weights are built
-    return out
+    return [
+        _euler_prefix_sums(a, degrees)
+        if dense and spec.kind == "euler"
+        else _table_sums(spec, a, degrees, x_dist)
+        for spec in specs
+    ]
+
+
+def _table_sums(
+    spec: FilterSpec, a: np.ndarray, degrees: list[int], x_dist: float
+) -> list[complex]:
+    """The sums at each N in degrees from weight tables: one
+    ``filter_weights`` call per batch of degrees, and each row the
+    pairwise sum of its weights times a_0..a_N."""
+    sums = []
+    for batch in _weight_batches(degrees):
+        weights = filter_weights(spec, batch, x_dist)
+        start = 0
+        for N in batch:
+            sums.append(complex((weights[start : start + N + 1] * a[: N + 1]).sum()))
+            start += N + 1
+    return sums
 
 
 def _euler_prefix_sums(a: np.ndarray, degrees: list[int]) -> list[complex]:
@@ -235,7 +238,7 @@ def trace_errors(
     sings = series.singularities
     if sings is not None and sings.real_distance(x) == 0.0:
         raise ValueError(f"x={x} is a declared real singularity")
-    exact = complex(series.exact_eval(x))
+    exact = complex(series.exact_eval(math.remainder(x, _TWO_PI)))
     return [
         [abs(exact - value) for value in sums]
         for sums in _filtered_sums(series, x, degrees, specs)

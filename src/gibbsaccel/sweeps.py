@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,7 +55,8 @@ class ErrorTrace:
     ``envelope`` indexes the rows on the monotone upper hull of
     log(error) vs N; ``fit`` is (A, q_hat) for the model A*exp(-q*N)/N,
     or None before fitting.  Saturated rows (error below the double
-    precision floor) never enter the envelope or the fit.
+    precision floor) and the degree-0 row never enter the envelope or
+    the fit.
     """
 
     x: float
@@ -87,9 +89,11 @@ class ExperimentConfig:
         degrees = self.degrees()
         if not degrees:
             raise ConfigError("empty truncation-degree range")
-        for kind in self.filters:
+        for k, kind in enumerate(self.filters):
             if kind not in VALID_KINDS:
                 raise ConfigError(f"unknown filter kind {kind!r}")
+            if kind in self.filters[:k]:
+                raise ConfigError(f"filter {kind!r} named twice")
         fn = _resolve_function(self.function_key, self.p, self.phi)
         if degrees[0] < 0 or degrees[-1] > fn.series.n_max:
             raise ConfigError(f"truncation degree outside [0, n_max={fn.series.n_max}]")
@@ -145,34 +149,32 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
 def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     """Fit A*exp(-q*N)/N to the upper hull of the error sequence.
 
-    The envelope is the monotone-decreasing upper hull of log(error) vs
-    N, found in a single backward pass over the unsaturated rows.  The
-    slope comes from ordinary least squares on (N, log error + log N);
-    the prefactor is then raised until the model bounds every envelope
-    point, making A*exp(-q*N)/N a tight upper envelope of the whole
-    trace.  Stores the hull on ``trace.envelope`` (also when it has too
-    few points and InsufficientDataError is raised) and the fit on
+    The rows that may enter are the unsaturated ones with error > 0 and
+    N >= 1 (the model takes log N).  Of those, the envelope keeps each
+    row whose log error is the maximum of its own and every later one
+    (a suffix maximum): the monotone-decreasing upper hull of log(error)
+    vs N.  The slope comes from ordinary least squares on (N, log error
+    + log N); the prefactor is then raised until the model bounds every
+    envelope point, making A*exp(-q*N)/N a tight upper envelope of the
+    whole trace.  Stores the hull on ``trace.envelope`` (also when it has
+    too few points and InsufficientDataError is raised) and the fit on
     ``trace.fit``, and returns (A, q_hat).
     """
     usable = [
-        (i, r) for i, r in enumerate(trace.rows) if not r.saturated and r.error > 0.0
+        (i, math.log(r.error), r.N)
+        for i, r in enumerate(trace.rows)
+        if not r.saturated and r.error > 0.0 and r.N >= 1
     ]
-    hull: list[tuple[int, ErrorRow]] = []
-    best = -math.inf
-    for i, row in reversed(usable):
-        logerr = math.log(row.error)
-        if logerr >= best:
-            best = logerr
-            hull.append((i, row))
-    hull.reverse()
-    trace.envelope = [i for i, _ in hull]
+    ceilings = list(accumulate((logerr for _, logerr, _ in reversed(usable)), max))
+    hull = [u for u, top in zip(usable, reversed(ceilings)) if u[1] == top]
+    trace.envelope = [i for i, _, _ in hull]
     if len(hull) < MIN_ENVELOPE_POINTS:
         raise InsufficientDataError(
             f"only {len(hull)} unsaturated envelope points; need "
             f"{MIN_ENVELOPE_POINTS}"
         )
-    ns = np.array([row.N for _, row in hull], dtype=float)
-    ys = np.array([math.log(row.error) + math.log(row.N) for _, row in hull])
+    ns = np.array([N for _, _, N in hull], dtype=float)
+    ys = np.array([logerr + math.log(N) for _, logerr, N in hull])
     slope, intercept = np.polyfit(ns, ys, 1)
     q_hat = -float(slope)
     # anchor the prefactor so the model bounds every envelope point

@@ -9,13 +9,15 @@ package, drive the CLI through them, and check that uninstall restores
 every attribute.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
 from gibbsaccel import catalog, cli, conformal, filters, rates, series, sweeps
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 MODULES = (catalog, cli, conformal, filters, rates, series, sweeps)
 
 
@@ -68,3 +70,20 @@ def test_install_wraps_and_uninstall_restores(tmp_path):
         assert after[module_name].keys() == attrs.keys()
         for name, value in attrs.items():
             assert after[module_name][name] is value, f"{module_name}.{name}"
+
+
+def test_readme_lists_every_benchmarked_command():
+    # the readme-cli workload runs bench/workloads.README_COMMANDS; each
+    # must appear verbatim in README's CLI block, so neither drifts alone
+    source = (ROOT / "bench" / "workloads.py").read_text()
+    (commands,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["README_COMMANDS"]
+    ]
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = {line.strip() for line in block.splitlines()}
+    for argv in commands:
+        assert "gibbsaccel " + " ".join(argv) in lines

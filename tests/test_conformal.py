@@ -179,7 +179,7 @@ class TestMobiusMap:
         assert at_zero == 0.0
         assert at_one == pytest.approx(1.0, abs=1e-15)
 
-    @pytest.mark.parametrize("c", [1.0, 0.5, -2.0])
+    @pytest.mark.parametrize("c", [1.0, 0.5, -2.0, math.nan, math.inf, -math.inf])
     def test_c_must_exceed_one(self, c):
         with pytest.raises(ValueError, match="exceed 1"):
             MobiusMap(c)

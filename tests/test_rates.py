@@ -165,13 +165,14 @@ class TestRhoOfX:
     @pytest.mark.parametrize("d", [1e-12, 1e-9, 1e-6, 1e-3, 0.3, 2.0])
     def test_real_rate_matches_mpmath(self, d):
         # q = -log cos(d/2) from d, not from rho: rho rounds to 1 below
-        # d ~ 2e-8, where log(rho) would give q = 0.  x = d, so the
-        # periodic distance is d exactly.
-        pred = rho_of_x(SAWTOOTH_SET, d)
-        assert pred.dominating == "real"
-        with mpmath.workdps(40):
-            exact = -mpmath.log(mpmath.cos(mpmath.mpf(d) / 2))
-            assert abs((pred.q - exact) / exact) <= 1e-15
+        # d ~ 2e-8, where log(rho) would give q = 0.  x = +-d, so the
+        # periodic distance is d exactly on both sides of the jump.
+        for x in (d, -d):
+            pred = rho_of_x(SAWTOOTH_SET, x)
+            assert pred.dominating == "real"
+            with mpmath.workdps(40):
+                exact = -mpmath.log(mpmath.cos(mpmath.mpf(d) / 2))
+                assert abs((pred.q - exact) / exact) <= 1e-15, x
 
     def test_at_singularity_marker(self):
         pred = rho_of_x(SAWTOOTH_SET, 0.0)

@@ -282,6 +282,23 @@ class TestTraceErrors:
             with pytest.raises(ValueError):
                 trace_errors(sws, 0.3, degrees, [EULER])
 
+    @pytest.mark.parametrize("key", ["sws", "lorentzian", "sws+lorentzian"])
+    def test_periodic_copies_of_x(self, key):
+        # x is reduced into [-pi, pi] before the phases and the closed form.
+        # x is taken as the exact remainder of its far copy, so the two are
+        # the same point modulo the float 2*pi and their rows must agree;
+        # unreduced phases were off by ~20 floors at k = 1000.
+        series = get_function(key).series
+        specs = [EULER, FilterSpec("hdaf")]
+        degrees = list(range(2, 301, 3))
+        floors = saturation_floor(series, np.array(degrees))
+        for x0, k in itertools.product((0.4, 2.0, -2.9), (1, 10**3, 10**6)):
+            far = x0 + 2 * math.pi * k
+            x = math.remainder(far, 2 * math.pi)
+            near = np.array(trace_errors(series, x, degrees, specs))
+            far_rows = np.array(trace_errors(series, far, degrees, specs))
+            assert np.max(np.abs(far_rows - near) / floors) <= 0.01, (x0, k)
+
 
 class TestDenseEulerRoute:
     """Euler rows of a dense trace, summed from one Möbius(2) re-expansion."""

@@ -13,6 +13,7 @@ import gibbsaccel
 from gibbsaccel import cli
 from gibbsaccel.catalog import DEFAULT_N_MAX, FUNCTION_KEYS, get_function
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
+from gibbsaccel.filters import VALID_KINDS
 from gibbsaccel.rates import (
     SingularitySet,
     delta_truncation_error,
@@ -96,6 +97,39 @@ class TestFitEnvelope:
             fit_envelope(trace)
         # the hull is kept, so a skipped fit can report its size
         assert trace.envelope == [0, 1, 2, 3] and trace.fit is None
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3, 0.5]), st.booleans()),
+            max_size=40,
+        )
+    )
+    def test_hull_matches_backward_pass(self, cells):
+        # few distinct errors, so ties are common; row k has N = k, so the
+        # N = 0 row is present whenever cells is not empty
+        trace = ErrorTrace(x=1.0, filter_kind="euler")
+        trace.rows = [ErrorRow(N, e, sat) for N, (e, sat) in enumerate(cells)]
+        hull, best = [], -math.inf
+        for i in reversed(range(len(cells))):
+            row = trace.rows[i]
+            if row.saturated or row.error <= 0.0 or row.N < 1:
+                continue
+            if math.log(row.error) >= best:
+                best = math.log(row.error)
+                hull.append(i)
+        try:
+            fit_envelope(trace)
+        except InsufficientDataError:
+            pass
+        assert trace.envelope == hull[::-1]
+
+    def test_degree_zero_row_never_fitted(self):
+        trace = synthetic_trace(2.0, 0.5, range(1, 40))
+        fit = fit_envelope(trace)
+        # an N = 0 row above every other one would top the hull
+        trace.rows.insert(0, ErrorRow(0, 10.0, False))
+        assert fit_envelope(trace) == fit
+        assert 0 not in trace.envelope
 
 
 class TestSweepErrors:
@@ -388,6 +422,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "err_euler" in out and "err_hdaf" in out
 
+    def test_degree_zero_row_written_not_fitted(self, tmp_path, capsys):
+        paths = {n_min: tmp_path / f"sweep{n_min}.csv" for n_min in (0, 1)}
+        for n_min, path in paths.items():
+            code = main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min",
+                         str(n_min), "--n-max", "50", "--stride", "1",
+                         "--out", str(path)])
+            assert code == EXIT_OK
+        texts = {n_min: path.read_text() for n_min, path in paths.items()}
+        _, (trace,) = parse_sweep_csv(texts[0])
+        assert trace.rows[0].N == 0
+        fits = {n_min: [ln for ln in text.splitlines() if ln.startswith("# fit")]
+                for n_min, text in texts.items()}
+        assert fits[0] == fits[1]
+        assert parse_meta(fits[0][0][1:])[1]["q_hat"] is not None
+        assert main(["envelope", "--in", str(paths[0])]) == EXIT_OK
+        assert main(["compare", "--fn", "sws", "--x", "1.9635", "--n-min", "0",
+                     "--n-max", "50", "--filters", ",".join(VALID_KINDS)]) == EXIT_OK
+        capsys.readouterr()
+
     def test_config_error_exit_code(self, capsys):
         assert main(["sweep", "--fn", "sws", "--x", "0.0", "--n-max", "40"]) == EXIT_CONFIG
         assert main(["weights", "--filter", "euler", "--M", "0"]) == EXIT_CONFIG
@@ -414,6 +467,8 @@ class TestCli:
              "--phi", "inf"],
             ["compare", "--fn", "sws+lorentzian", "--x", "1", "--n-max", "30",
              "--p", "nan"],
+            ["compare", "--fn", "sws", "--x", "1.9", "--n-max", "30",
+             "--filters", "euler,euler"],
         ],
     )
     def test_invalid_request_exit_code(self, args, capsys):
