@@ -36,7 +36,9 @@ binomial tails.
 
 A ``PowerSeries`` holds a_0..a_N as one read-only complex array; the
 functions here read a prefix view of it, and ``MobiusMap`` is no more
-than the checked parameter c of T_c.
+than the checked parameter c of T_c.  ``estimate_radius`` measures the
+rate of the re-expanded coefficients with ``rates.fit_rate``, the fit
+that ``sweeps.fit_envelope`` applies to error traces.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _euler_sigma_table, mobius_reexpand
+from .rates import fit_rate
 
-#: Default relative noise floor for radius estimation; re-expanded
-#: coefficients below this fraction of the largest one are double-precision
-#: roundoff rather than signal.
+#: Relative noise floor for radius estimation; re-expanded coefficients
+#: below this fraction of the largest one are double-precision roundoff
+#: rather than signal.
 RADIUS_NOISE_FLOOR = 1e-13
 
 
@@ -145,31 +148,28 @@ def euler_equivalence_check(series: PowerSeries, N: int) -> float:
     return abs(complex(mapped - weighted))
 
 
-def estimate_radius(
-    series: PowerSeries, noise_floor_rel: float | None = RADIUS_NOISE_FLOOR
-) -> float:
-    """Root-test estimate of the radius of convergence.
+def estimate_radius(series: PowerSeries) -> float:
+    """Radius of convergence fitted to the coefficient magnitudes.
 
-    Approximates 1/limsup |b_n|^(1/n) by the median of |b_n|^(-1/n) over
-    the last third of the usable coefficients.  ``noise_floor_rel``
-    discards trailing coefficients smaller than that fraction of the
-    largest one -- in double precision, re-expanded coefficients below
-    roughly 1e-13 of the peak are roundoff; pass ``None`` to keep every
-    nonzero coefficient (e.g. for exact closed-form inputs).
+    ``rates.fit_rate`` fits log|b_n| ~ log A - q*n - alpha*log n, alpha
+    fitted too, on the upper hull of the last two thirds of the usable
+    orders, and the radius is e^q.  Orders whose |b_n| is below
+    ``RADIUS_NOISE_FLOOR`` times the largest one, at the end of the
+    series, are not usable.  Raises ValueError with fewer than 16 nonzero
+    coefficients, when every order >= 1 is below the noise floor, and
+    when fewer than three orders lie on the hull (growing coefficients,
+    a radius below 1, are one such case).
     """
     mag = np.abs(series.coeffs)
-    nonzero = np.nonzero(mag > 0.0)[0]
-    nonzero = nonzero[nonzero >= 1]
-    if len(nonzero) < 16:
+    if np.count_nonzero(mag[1:]) < 16:
         raise ValueError("need at least 16 nonzero coefficients")
-    if noise_floor_rel is not None:
-        floor = noise_floor_rel * mag.max()
-        usable = np.nonzero(mag > floor)[0]
-        usable = usable[usable >= 1]
-        if len(usable) == 0:
-            raise ValueError("all coefficients below the noise floor")
-        # usable[-1] is itself a nonzero index >= 1, so some remain
-        nonzero = nonzero[nonzero <= usable[-1]]
-    tail = nonzero[len(nonzero) - max(1, len(nonzero) // 3) :]
-    estimates = mag[tail] ** (-1.0 / tail)
-    return float(np.median(estimates))
+    usable = (mag[1:] > RADIUS_NOISE_FLOOR * mag.max()).nonzero()[0] + 1
+    if len(usable) == 0:
+        raise ValueError("all coefficients below the noise floor")
+    # the nonzero orders up to the last usable one, itself nonzero
+    orders = mag[1 : usable[-1] + 1].nonzero()[0] + 1
+    tail = orders[len(orders) // 3 :]
+    hull, _, q, _ = fit_rate(tail, np.log(mag[tail]))
+    if hull.sum() < 3:
+        raise ValueError(f"only {hull.sum()} orders on the upper hull; need 3")
+    return float(np.exp(q))

@@ -20,6 +20,11 @@ take either).  ``rho_of_x`` takes the first minimum of that list at one
 point; ``image_table`` stacks it over a grid and takes the first
 ``argmin`` (``rho_curve``, ``acceleration_penalty_region``), so the two
 agree bit for bit.
+
+The measured rate is fitted here too, by ``fit_rate``: one least-squares
+fit of log A - q*n - alpha*log n to the upper hull of a log-magnitude
+sequence, for error traces (``sweeps.fit_envelope``) and re-expanded
+coefficients (``conformal.estimate_radius``) alike.
 """
 
 from __future__ import annotations
@@ -91,9 +96,13 @@ def periodic_distance(x, x_s: float):
 
     Exact for the difference x - x_s: its fmod by 2*pi and the reflection
     2*pi - d are both exact (Sterbenz), on either side of x_s, and a
-    float and the same entry of an array give the same bits.
+    float and the same entry of an array give the same bits.  A
+    non-finite x has no distance and raises ValueError; every filtered
+    sum and ``delta_truncation_error`` read x through here first.
     """
     diff = x - x_s
+    if isinstance(diff, float) and not math.isfinite(diff):  # _constraints checks arrays
+        raise ValueError(f"x={x} is not finite")
     fmod, least = (math.fmod, min) if isinstance(diff, float) else (np.fmod, np.minimum)
     d = abs(fmod(diff, _TWO_PI))
     return least(d, _TWO_PI - d)
@@ -285,3 +294,28 @@ def acceleration_penalty_region(
         PenaltySample(x, r, rho_raw, f)
         for x, r, f in zip(xs.tolist(), rho.tolist(), flagged.tolist())
     ]
+
+
+def fit_rate(ns, logs, alpha: float | None = None):
+    """Fit log A - q*n - alpha*log n to the upper hull of (ns, logs).
+
+    The hull keeps each point whose log value is the maximum of its own
+    and every later one (a suffix maximum): the monotone-decreasing upper
+    hull.  q (and alpha, when it is None) come from least squares on the
+    hull points, with the columns scaled to unit norm as ``np.polyfit``
+    does; a given alpha is held fixed.  log A is then raised until the
+    model bounds every hull point.  ns and logs are 1-D arrays of the
+    same length, and every n on the hull must be >= 1.  Returns (hull,
+    log_a, q, alpha), with hull a boolean mask over ns; fewer than three
+    hull points determine no fit, and log_a, q and alpha are then NaN.
+    """
+    hull = logs == np.maximum.accumulate(logs[::-1])[::-1]
+    if np.count_nonzero(hull) < 3:
+        return hull, math.nan, math.nan, math.nan
+    n, log_n, y = ns[hull], np.log(ns[hull]), logs[hull]
+    design = np.array([n, np.ones(n.size)] + ([log_n] if alpha is None else [])).T
+    scale = np.sqrt((design * design).sum(axis=0))
+    fitted = y if alpha is None else y + alpha * log_n
+    coef = np.linalg.lstsq(design / scale, fitted, rcond=None)[0] / scale
+    q, alpha = -float(coef[0]), (-float(coef[2]) if alpha is None else alpha)
+    return hull, float((y + alpha * log_n + q * n).max()), q, alpha

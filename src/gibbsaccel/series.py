@@ -144,7 +144,8 @@ def filtered_partial_sum(
     """Filtered partial sum sum sigma(|n|) c_n exp(inx) over |n| <= N.
 
     Summed as sum sigma(n) a_n over the N+1 folded terms (``folded``),
-    by the same path as every row of ``trace_errors``.
+    by the same path as every row of ``trace_errors``.  Raises ValueError
+    for a non-finite x (``rates.periodic_distance``).
 
     Adaptive filters (Erfc-Log, HDAF) receive the periodic distance from
     x to the series' real singularity; Euler and identity weights depend
@@ -163,8 +164,8 @@ def _filtered_sums(
     weight tables."""
     if min(degrees) < 0:
         raise ValueError(f"truncation degree {min(degrees)} is negative")
+    x_dist = series.real_singularity_distance(x)  # raises for a non-finite x
     a = series.folded(x, max(degrees))
-    x_dist = series.real_singularity_distance(x)
     dense = len(degrees) > 1 and max(degrees) ** 2 <= _DENSE_RATIO * (
         sum(degrees) + len(degrees)
     )
@@ -230,19 +231,18 @@ def trace_errors(
     two routes): every error is bit-identical to ``pointwise_error`` at
     that N, except the Euler rows of a dense trace, which agree with it
     to well within a saturation floor.  Raises
-    ValueError when the series has no exact evaluator, when x is a
-    declared real singularity, or when a degree is outside [0, n_max].
+    ValueError when the series has no exact evaluator, when x is not
+    finite or is a declared real singularity, or when a degree is outside
+    [0, n_max].
     """
     if series.exact_eval is None:
         raise ValueError("series has no exact evaluator")
+    sums = _filtered_sums(series, x, degrees, specs)  # checks x and degrees
     sings = series.singularities
     if sings is not None and sings.real_distance(x) == 0.0:
         raise ValueError(f"x={x} is a declared real singularity")
     exact = complex(series.exact_eval(math.remainder(x, _TWO_PI)))
-    return [
-        [abs(exact - value) for value in sums]
-        for sums in _filtered_sums(series, x, degrees, specs)
-    ]
+    return [[abs(exact - value) for value in row] for row in sums]
 
 
 def pointwise_error(

@@ -2,9 +2,9 @@
 
 The experiment harness measures |f(x) - filtered partial sum| over a range
 of truncation degrees, extracts the monotone upper hull of the error
-sequence (its envelope), and fits the model A * exp(-q*N)/N to it.  The
-fitted slope q-hat is the empirical convergence rate to compare against
-the prediction from the singularity set.
+sequence (its envelope), and fits the model A * exp(-q*N)/N to it with
+``rates.fit_rate``.  The fitted slope q-hat is the empirical convergence
+rate to compare against the prediction from the singularity set.
 
 CSV outputs carry their configuration and fit results in ``#`` lines of
 ``key=value`` tokens, written by ``meta_line`` and read by ``parse_meta``.
@@ -13,14 +13,14 @@ CSV outputs carry their configuration and fit results in ``#`` lines of
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .catalog import DEFAULT_N_MAX, TestFunction, get_function
 from .filters import VALID_KINDS, FilterSpec
-from .rates import image_table, penalty_flags, x_grid
+from .rates import fit_rate, image_table, penalty_flags, x_grid
 # rho_of_x and acceleration_penalty_region, the scalar and sample-list
 # forms of the image table, stay in this namespace for callers that wrap
 # them here (bench/tracing.py)
@@ -55,8 +55,8 @@ class ErrorTrace:
     ``envelope`` indexes the rows on the monotone upper hull of
     log(error) vs N; ``fit`` is (A, q_hat) for the model A*exp(-q*N)/N,
     or None before fitting.  Saturated rows (error below the double
-    precision floor) and the degree-0 row never enter the envelope or
-    the fit.
+    precision floor), rows with a zero or infinite error and the
+    degree-0 row never enter the envelope or the fit.
     """
 
     x: float
@@ -138,10 +138,8 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
         for kind, errs in zip(config.filters, errors):
             rows = [ErrorRow(N, e, e < f) for N, e, f in zip(degrees, errs, floors)]
             trace = ErrorTrace(x=x, filter_kind=kind, rows=rows)
-            try:
+            with suppress(InsufficientDataError):
                 fit_envelope(trace)
-            except InsufficientDataError:
-                pass
             traces.append(trace)
     return traces
 
@@ -149,38 +147,30 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
 def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     """Fit A*exp(-q*N)/N to the upper hull of the error sequence.
 
-    The rows that may enter are the unsaturated ones with error > 0 and
-    N >= 1 (the model takes log N).  Of those, the envelope keeps each
-    row whose log error is the maximum of its own and every later one
-    (a suffix maximum): the monotone-decreasing upper hull of log(error)
-    vs N.  The slope comes from ordinary least squares on (N, log error
-    + log N); the prefactor is then raised until the model bounds every
-    envelope point, making A*exp(-q*N)/N a tight upper envelope of the
-    whole trace.  Stores the hull on ``trace.envelope`` (also when it has
-    too few points and InsufficientDataError is raised) and the fit on
-    ``trace.fit``, and returns (A, q_hat).
+    The rows that may enter are the unsaturated ones with 0 < error < inf
+    and N >= 1 (the model takes log N).  ``rates.fit_rate`` fits them
+    with alpha = 1: the envelope is the suffix-maximum hull of log(error)
+    vs N, and A is anchored so that A*exp(-q*N)/N bounds every envelope
+    point, a tight upper envelope of the whole trace.  Stores the hull on
+    ``trace.envelope`` (also when it has too few points and
+    InsufficientDataError is raised) and the fit on ``trace.fit``, and
+    returns (A, q_hat).
     """
     usable = [
-        (i, math.log(r.error), r.N)
+        (i, r.N, math.log(r.error))
         for i, r in enumerate(trace.rows)
-        if not r.saturated and r.error > 0.0 and r.N >= 1
+        if not r.saturated and 0.0 < r.error < math.inf and r.N >= 1
     ]
-    ceilings = list(accumulate((logerr for _, logerr, _ in reversed(usable)), max))
-    hull = [u for u, top in zip(usable, reversed(ceilings)) if u[1] == top]
-    trace.envelope = [i for i, _, _ in hull]
-    if len(hull) < MIN_ENVELOPE_POINTS:
+    index, ns, logs = np.array(usable).reshape(-1, 3).T
+    hull, log_a, q_hat, _ = fit_rate(ns, logs, alpha=1.0)
+    trace.envelope = index[hull].astype(int).tolist()
+    if len(trace.envelope) < MIN_ENVELOPE_POINTS:
         raise InsufficientDataError(
-            f"only {len(hull)} unsaturated envelope points; need "
+            f"only {len(trace.envelope)} unsaturated envelope points; need "
             f"{MIN_ENVELOPE_POINTS}"
         )
-    ns = np.array([N for _, _, N in hull], dtype=float)
-    ys = np.array([logerr + math.log(N) for _, logerr, N in hull])
-    slope, intercept = np.polyfit(ns, ys, 1)
-    q_hat = -float(slope)
-    # anchor the prefactor so the model bounds every envelope point
-    amplitude = math.exp(max(ys + q_hat * ns))
-    trace.fit = (amplitude, q_hat)
-    return amplitude, q_hat
+    trace.fit = (math.exp(log_a), q_hat)
+    return trace.fit
 
 
 def _text(value) -> str:

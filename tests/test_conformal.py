@@ -409,9 +409,8 @@ class TestEstimateRadius:
     def test_log2_image_radius(self):
         # verified against recoefficient on its clean double-precision
         # window (test_log2_closed_form_window); extended by closed form
-        # so the root test can reach its asymptotic regime
         b = [0.0] + [0.5**n / n for n in range(1, 401)]
-        assert 1.95 <= estimate_radius(PowerSeries(tuple(b)), None) <= 2.05
+        assert 1.95 <= estimate_radius(PowerSeries(tuple(b))) <= 2.05
 
     def test_balanced_map_radius(self):
         # re-expansion of log(1+z) under the c=3 map is log((1+w/3)/(1-w/3)):
@@ -422,7 +421,7 @@ class TestEstimateRadius:
         got = recoefficient(log2_series(40), MobiusMap(3.0), 40).coeffs
         for n in range(1, 41):
             assert got[n] == pytest.approx(b[n], rel=1e-9, abs=2e-15)
-        assert 2.9 <= estimate_radius(PowerSeries(tuple(b)), None) <= 3.1
+        assert 2.9 <= estimate_radius(PowerSeries(tuple(b))) <= 3.1
 
     def test_lorentzian_image_matches_rate_theory(self):
         tau = 0.2
@@ -432,6 +431,20 @@ class TestEstimateRadius:
         b = recoefficient(PowerSeries(a), MOBIUS2, 450)
         predicted = zeta_image_modulus(math.exp(tau), x - math.pi)
         assert estimate_radius(b) == pytest.approx(predicted, rel=0.02)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("radius", [1.5, 2.0, 3.0])
+    def test_recovers_radius_with_noise_floor(self, alpha, radius):
+        # b_m = u^m / m^alpha with u = 1/r; the floor cuts the tail below
+        # 1e-13 of the peak, leaving 25 to 73 usable orders
+        b = [0.0] + [radius**-m / m**alpha for m in range(1, 201)]
+        est = estimate_radius(PowerSeries(b))
+        assert est == pytest.approx(radius, rel=1e-9)
+
+    def test_growing_coefficients_rejected(self):
+        # only the last order lies on the upper hull of a growing sequence
+        with pytest.raises(ValueError, match="hull"):
+            estimate_radius(PowerSeries([2.0**n for n in range(40)]))
 
     def test_needs_enough_coefficients(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from gibbsaccel.rates import (
     SingularitySet,
     acceleration_penalty_region,
     delta_truncation_error,
+    fit_rate,
     image_table,
     periodic_distance,
     rho_of_x,
@@ -373,6 +374,34 @@ class TestPenaltyRegion:
             assert (sample.rho_euler, sample.rho_raw, sample.flagged) == (
                 pred.rho, rho_raw, flagged
             )
+
+
+class TestFitRate:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_recovers_exact_model(self, alpha, fixed):
+        ns = np.arange(3, 80)
+        logs = math.log(2.5) - 0.4 * ns - alpha * np.log(ns)
+        hull, log_a, q, got_alpha = fit_rate(ns, logs, alpha if fixed else None)
+        assert hull.all()
+        assert q == pytest.approx(0.4, rel=1e-12)
+        assert got_alpha == pytest.approx(alpha, abs=1e-10)
+        assert log_a == pytest.approx(math.log(2.5), abs=1e-10)
+
+    def test_fits_upper_hull_and_bounds_it(self):
+        ns = np.arange(1, 57)  # ends on a multiple of 4
+        logs = -0.3 * ns - np.log(ns) + np.where(ns % 4, -5.0, 0.0)
+        hull, log_a, q, alpha = fit_rate(ns, logs)
+        assert (ns[hull] % 4 == 0).all()
+        assert q == pytest.approx(0.3, rel=1e-10)
+        assert alpha == pytest.approx(1.0, rel=1e-10)
+        lifts = logs[hull] + alpha * np.log(ns[hull]) + q * ns[hull]
+        assert log_a == lifts.max()  # the model touches the hull and bounds it
+
+    def test_too_few_hull_points_give_no_fit(self):
+        hull, log_a, q, alpha = fit_rate(np.arange(1, 4), np.arange(3.0), 1.0)
+        assert hull.tolist() == [False, False, True]
+        assert math.isnan(log_a) and math.isnan(q) and math.isnan(alpha)
 
 
 class TestMeasuredVersusPredicted:

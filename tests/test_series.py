@@ -187,6 +187,19 @@ class TestPointwiseError:
         with pytest.raises(ValueError):
             pointwise_error(sws, 2 * math.pi, 10, EULER)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, x):
+        sws = make_sws().series
+        calls = [
+            lambda: pointwise_error(sws, x, 10, EULER),
+            lambda: filtered_partial_sum(sws, x, 10, EULER),
+            lambda: trace_errors(sws, x, [5, 10], [EULER]),
+            lambda: delta_truncation_error(x, 10),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="not finite"):
+                call()
+
 
 def per_degree_error(series, x, N, spec):
     """The error from a fold at N itself: the reference for a trace."""

@@ -528,6 +528,25 @@ class TestCli:
         )
         assert result.stdout.strip() == "[]"
 
+    def test_exit_status_of_the_module(self, tmp_path):
+        # the process status, set by sys.exit(main()) under __main__
+        src = str(Path(gibbsaccel.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def status(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "gibbsaccel.cli", *args],
+                capture_output=True, cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": path},
+            ).returncode
+
+        assert status("weights", "--M", "2") == EXIT_OK
+        assert status("sweep", "--fn", "sws", "--x", "0", "--n-max", "10") == EXIT_CONFIG
+        assert status("sweep", "--fn", "nope") == EXIT_CONFIG
+        assert status("sweep", "--fn", "sws", "--x", "1", "--n-min", "5",
+                      "--n-max", "7", "--out", "short.csv") == EXIT_OK
+        assert status("envelope", "--in", "short.csv") == EXIT_INSUFFICIENT
+
     @pytest.mark.parametrize(
         "filters", ["euler,erfclog,hdaf", "identity,euler,erfclog,hdaf"]
     )
@@ -573,6 +592,21 @@ class TestCli:
         assert meta["fn"] == "lorentzian" and meta["p"] == 0.01
         assert len(traces) == 1 and len(traces[0].rows) == 31
         assert main(["envelope", "--in", str(out)]) == EXIT_INSUFFICIENT
+
+    def test_envelope_skips_infinite_error_row(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        lines = out.read_text().splitlines(keepends=True)
+        (row,) = [ln for ln in lines if ln.startswith("1.9635,euler,20,")]
+        reports = []
+        for replacement in ("1.9635,euler,20,inf,0\n", ""):
+            out.write_text("".join(replacement if ln == row else ln for ln in lines))
+            capsys.readouterr()
+            assert main(["envelope", "--in", str(out)]) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert math.isfinite(parse_meta(reports[0])[1]["q_hat"])
 
     def test_envelope_on_input_without_traces(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
