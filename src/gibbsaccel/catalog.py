@@ -122,31 +122,21 @@ def _check_p(p: float) -> None:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A named closed-form test function wrapping its Fourier series."""
+    """A closed-form test function wrapping its Fourier series."""
 
-    name: str
     series: FourierSeries
 
 
-def _entry(
-    name: str, coeff, exact_eval, singularities: SingularitySet, n_max: int,
-    real_valued: bool = True,
-) -> TestFunction:
-    """The one constructor of a catalog entry; each factory passes what differs."""
-    return TestFunction(
-        name, FourierSeries(coeff, n_max, exact_eval, singularities, real_valued)
-    )
-
-
 def make_sws(n_max: int = DEFAULT_N_MAX) -> TestFunction:
-    return _entry("sws", sws_coeff, sws, SingularitySet(real_singularity=0.0), n_max)
+    jump = SingularitySet(real_singularity=0.0)
+    return TestFunction(FourierSeries(sws_coeff, n_max, sws, jump))
 
 
 def make_delta(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     # the summed distribution vanishes away from the singularity, so the
     # exact evaluator is identically zero on the sweepable domain
     jump = SingularitySet(real_singularity=0.0)
-    return _entry("delta", delta_coeff, lambda x: 0.0 + 0j, jump, n_max)
+    return TestFunction(FourierSeries(delta_coeff, n_max, lambda x: 0.0 + 0j, jump))
 
 
 def make_lorentzian(
@@ -155,24 +145,22 @@ def make_lorentzian(
     _check_p(p)
     if not math.isfinite(phi):
         raise ValueError(f"pole phase phi={phi} is not finite")
-    return _entry(
-        "lorentzian",
+    return TestFunction(FourierSeries(
         lambda n: lorentzian_coeff(n, p, phi),
+        n_max,
         lambda x: lorentzian(x, p, phi),
         SingularitySet(off_axis=(Singularity(phi, -math.log(p)),)),
-        n_max,
-    )
+    ))
 
 
 def make_composite(p: float = 0.5, n_max: int = DEFAULT_N_MAX) -> TestFunction:
     _check_p(p)
-    return _entry(
-        "sws+lorentzian",
+    return TestFunction(FourierSeries(
         lambda n: composite_coeff(n, p),
+        n_max,
         lambda x: composite_value(x, p),
         SingularitySet(0.0, off_axis=(Singularity(math.pi, -math.log(p)),)),
-        n_max,
-    )
+    ))
 
 
 def make_log2(n_max: int = DEFAULT_N_MAX) -> TestFunction:
@@ -182,14 +170,12 @@ def make_log2(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     the filtered partial sum at x = 0 is exactly the accelerated plain
     sum; the function is singular on the real axis at x = pi.
     """
-    return _entry(
-        "log2",
+    return TestFunction(FourierSeries(
         log2_coeff,
+        n_max,
         lambda x: cmath.log(1.0 + cmath.exp(1j * x)),
         SingularitySet(real_singularity=math.pi),
-        n_max,
-        real_valued=False,
-    )
+    ))
 
 
 #: Registry key -> (factory, the parameters it takes).  Each default

@@ -476,10 +476,11 @@ def filter_weights(
     ``x_dist`` feeds the adaptive order of Erfc-Log and the truncation
     depth of HDAF; Euler and identity ignore its value.  All weights are
     functions of |n|, so sigma(-theta) = sigma(theta) holds exactly.
-    Raises ValueError for a negative distance, for every kind, and for a
-    negative degree, or one at or beyond 2^53, before any array is built.
+    Raises ValueError for a negative or NaN distance, for every kind, and
+    for a negative degree, or one at or beyond 2^53, before any array is
+    built.
     """
-    if x_dist < 0:
+    if not x_dist >= 0:
         raise ValueError("x_dist must be nonnegative")
     degrees = np.atleast_1d(N).tolist()
     if min(degrees) < 0:

@@ -46,8 +46,6 @@ import numpy as np
 from .filters import FilterSpec, filter_weights, mobius_reexpand
 from .rates import _TWO_PI, SingularitySet, periodic_distance
 
-_SYMMETRY_PROBE = 8  # c(+-n) checked for n = 0..8, n_max // 2 and n_max
-
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory.
 _WEIGHT_BATCH_ENTRIES = 2**12
 
@@ -69,38 +67,26 @@ class FourierSeries:
     |n| <= n_max and returns c_n with the same shape (a complex for an
     int); a constant callable such as ``lambda n: 1.0`` is broadcast to
     the index array.  ``exact_eval`` is the optional closed form of the
-    summed function, used as ground truth in error measurements.  General
-    periods are out of scope; rescale the argument to 2*pi first.
+    summed function, used as ground truth in error measurements.
+    ``singularities`` defaults to the empty set, and the adaptive filters
+    then measure the distance from 0.  General periods are out of scope;
+    rescale the argument to 2*pi first.
     """
 
     coeff: Callable[[int | np.ndarray], complex | np.ndarray]
     n_max: int
     exact_eval: Callable[[float], complex] | None = None
-    singularities: SingularitySet | None = None
-    real_valued: bool = False
+    singularities: SingularitySet = SingularitySet()
 
     def __post_init__(self) -> None:
         if self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.real_valued:
-            probe = min(_SYMMETRY_PROBE, self.n_max)
-            ns = np.array(sorted({*range(probe + 1), self.n_max // 2, self.n_max}))
-            c = self._coefficients_at(np.concatenate((ns, -ns)))
-            c_pos, c_neg = c[: ns.size], c[ns.size :]
-            bad = np.abs(c_neg - c_pos.conj()) > 1e-13 * (1.0 + np.abs(c_pos))
-            if bad.any():
-                raise ValueError(
-                    f"real_valued series needs c(-n) == conj(c(n)); "
-                    f"violated at n={int(ns[np.argmax(bad)])}"
-                )
-
-    def _coefficients_at(self, ns: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.coeff(ns), dtype=complex)
-        return c if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
 
     def coefficients(self, N: int) -> np.ndarray:
         """c_n for n = -N..N as a complex array of length 2N+1."""
-        return self._coefficients_at(np.arange(-N, N + 1))
+        ns = np.arange(-N, N + 1)
+        c = np.asarray(self.coeff(ns), dtype=complex)
+        return c if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
 
     def folded(self, x: float, N: int) -> np.ndarray:
         """The one-sided terms a_0 = c_0, a_n = c_n e^{inx} + c_-n e^{-inx}.
@@ -108,9 +94,11 @@ class FourierSeries:
         The partial sum over |n| <= N at x is sum a_n for n = 0..N, and a
         filter with weights sigma(|n|) gives sum sigma(n) a_n.  The phases
         take x reduced exactly into [-pi, pi] (``math.remainder``), so a
-        large |x| loses no accuracy.  Raises ValueError unless
-        0 <= N <= n_max.
+        large |x| loses no accuracy.  Raises ValueError for a non-finite
+        x and unless 0 <= N <= n_max.
         """
+        if not math.isfinite(x):
+            raise ValueError(f"x={x} is not finite")
         if not 0 <= N <= self.n_max:
             raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
         c = self.coefficients(N)  # c[N + n] = c_n
@@ -123,19 +111,11 @@ class FourierSeries:
         """Periodic distance from x to the declared real singularity.
 
         Falls back to the standard-form convention (singularity at 0)
-        when no singularity set is declared; adaptive filters use this
-        distance for their spatially varying parameters.
+        when none is declared; adaptive filters use this distance for
+        their spatially varying parameters.
         """
-        if self.singularities is not None:
-            d = self.singularities.real_distance(x)
-            if d is not None:
-                return d
-        return periodic_distance(x, 0.0)
-
-
-def partial_sum(series: FourierSeries, x: float, N: int) -> complex:
-    """Raw partial sum of c_n exp(inx) over |n| <= N: identity weights."""
-    return filtered_partial_sum(series, x, N, FilterSpec())
+        d = self.singularities.real_distance(x)
+        return periodic_distance(x, 0.0) if d is None else d
 
 
 def filtered_partial_sum(
@@ -164,7 +144,7 @@ def _filtered_sums(
     weight tables."""
     if min(degrees) < 0:
         raise ValueError(f"truncation degree {min(degrees)} is negative")
-    x_dist = series.real_singularity_distance(x)  # raises for a non-finite x
+    x_dist = series.real_singularity_distance(x)
     a = series.folded(x, max(degrees))
     dense = len(degrees) > 1 and max(degrees) ** 2 <= _DENSE_RATIO * (
         sum(degrees) + len(degrees)
@@ -238,8 +218,7 @@ def trace_errors(
     if series.exact_eval is None:
         raise ValueError("series has no exact evaluator")
     sums = _filtered_sums(series, x, degrees, specs)  # checks x and degrees
-    sings = series.singularities
-    if sings is not None and sings.real_distance(x) == 0.0:
+    if series.singularities.real_distance(x) == 0.0:
         raise ValueError(f"x={x} is a declared real singularity")
     exact = complex(series.exact_eval(math.remainder(x, _TWO_PI)))
     return [[abs(exact - value) for value in row] for row in sums]

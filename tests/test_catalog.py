@@ -22,7 +22,9 @@ from gibbsaccel.catalog import (
 )
 from gibbsaccel.conformal import MOBIUS2, PowerSeries, estimate_radius, recoefficient
 from gibbsaccel.filters import FilterSpec
-from gibbsaccel.series import filtered_partial_sum, partial_sum
+from gibbsaccel.series import filtered_partial_sum
+
+IDENTITY = FilterSpec("identity")
 
 
 class TestSawtooth:
@@ -47,7 +49,8 @@ class TestSawtooth:
     def test_coefficients_sum_to_function(self):
         series = make_sws().series
         for x in (math.pi / 8, math.pi / 2, 7 * math.pi / 8):
-            assert abs(partial_sum(series, x, 2000) - sws(x)) <= 10.0 / 2000
+            value = filtered_partial_sum(series, x, 2000, IDENTITY)
+            assert abs(value - sws(x)) <= 10.0 / 2000
 
 
 class TestLorentzian:
@@ -74,7 +77,7 @@ class TestLorentzian:
     def test_coefficients_sum_to_function(self):
         series = make_lorentzian(0.5, 0.0).series
         for x in (0.0, 1.0, math.pi):
-            assert partial_sum(series, x, 200) == pytest.approx(
+            assert filtered_partial_sum(series, x, 200, IDENTITY) == pytest.approx(
                 lorentzian(x, 0.5), rel=1e-12
             )
 
@@ -155,7 +158,6 @@ class TestRegistry:
     def test_all_keys_resolve(self):
         for key in FUNCTION_KEYS:
             fn = get_function(key)
-            assert fn.name == key
             fn.series.coeff(3)
 
     def test_unknown_key(self):
@@ -205,23 +207,37 @@ class TestRegistry:
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
     def test_conjugate_symmetry_of_real_entries(self):
-        for key in ("sws", "delta", "lorentzian", "sws+lorentzian"):
-            series = get_function(key).series
-            assert series.real_valued
-            for n in (1, 2, 5):
+        # c(-n) = conj(c(n)) on both coefficient paths (index arrays and ints)
+        for key, params in (
+            ("sws", {}),
+            ("delta", {}),
+            ("lorentzian", {}),
+            ("lorentzian", {"p": 0.3, "phi": 1.0}),
+            ("sws+lorentzian", {}),
+            ("sws+lorentzian", {"p": 0.25}),
+        ):
+            series = get_function(key, **params).series
+            ns = np.array([*range(9), series.n_max // 2, series.n_max])
+            c = series.coeff(ns)
+            np.testing.assert_allclose(series.coeff(-ns), c.conj(), rtol=1e-15, atol=0)
+            for n in ns.tolist():
                 assert series.coeff(-n) == pytest.approx(
                     series.coeff(n).conjugate(), rel=1e-15
                 )
+        log2 = get_function("log2").series
+        assert log2.coeff(-1) != pytest.approx(log2.coeff(1).conjugate())
 
     def test_exact_eval_matches_partial_sums(self):
         rng = np.random.default_rng(20260826)
         # the smooth entry converges geometrically ...
         series = get_function("lorentzian", p=0.4).series
         for x in rng.uniform(0.3, 2 * math.pi - 0.3, 4):
-            err = abs(partial_sum(series, float(x), 60) - series.exact_eval(float(x)))
+            value = filtered_partial_sum(series, float(x), 60, IDENTITY)
+            err = abs(value - series.exact_eval(float(x)))
             assert err < 1e-12
         # ... while the jump-bearing one is limited to the 1/N Gibbs tail
         series = get_function("sws+lorentzian", p=0.4).series
         for x in rng.uniform(0.3, 2 * math.pi - 0.3, 4):
-            err = abs(partial_sum(series, float(x), 400) - series.exact_eval(float(x)))
+            value = filtered_partial_sum(series, float(x), 400, IDENTITY)
+            err = abs(value - series.exact_eval(float(x)))
             assert err < 10.0 / 400

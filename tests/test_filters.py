@@ -192,7 +192,7 @@ class TestErfcLog:
 
     def test_nan_distance_rejected(self):
         for N in (4, [0, 4]):
-            with pytest.raises(ValueError, match="order"):
+            with pytest.raises(ValueError, match="nonnegative"):
                 filter_weights(FilterSpec("erfclog"), N, math.nan)
 
 
@@ -428,9 +428,9 @@ class TestFilterWeights:
         for N in (-1, [3, -1]):
             with pytest.raises(ValueError, match="N must be >= 0"):
                 filter_weights(FilterSpec(kind), N, 0.5)
-        for N in (4, [0, 4]):
+        for N, x_dist in itertools.product((4, [0, 4]), (-0.5, math.nan)):
             with pytest.raises(ValueError, match="nonnegative"):
-                filter_weights(FilterSpec(kind), N, -0.5)
+                filter_weights(FilterSpec(kind), N, x_dist)
 
     def test_degenerate_degree(self):
         for kind in ("identity", "euler", "erfclog", "hdaf"):

@@ -21,7 +21,6 @@ from gibbsaccel.series import (
     FourierSeries,
     _filtered_sums,
     filtered_partial_sum,
-    partial_sum,
     pointwise_error,
     saturation_floor,
     trace_errors,
@@ -42,28 +41,29 @@ def random_series(rng, n_max, real_valued=False):
 
     if real_valued:
         values[0] = values[0].real
-    return FourierSeries(coeff=coeff, n_max=n_max, real_valued=real_valued)
+    return FourierSeries(coeff=coeff, n_max=n_max)
 
 
 class TestPartialSum:
     def test_sawtooth_trivial_points(self):
         sws = make_sws().series
-        assert partial_sum(sws, math.pi, 0) == 0
+        assert filtered_partial_sum(sws, math.pi, 0, IDENTITY) == 0
 
     def test_delta_at_origin(self):
         delta = make_delta().series
-        assert partial_sum(delta, 0.0, 3) == pytest.approx(7.0, abs=1e-14)
+        value = filtered_partial_sum(delta, 0.0, 3, IDENTITY)
+        assert value == pytest.approx(7.0, abs=1e-14)
 
     def test_sawtooth_algebraic_rate(self):
         sws = make_sws().series
-        value = partial_sum(sws, math.pi / 2, 200)
+        value = filtered_partial_sum(sws, math.pi / 2, 200, IDENTITY)
         assert abs(value - (-math.pi / 2)) < 2.0 / 200
         assert abs(value.imag) < 1e-12
 
     def test_degree_beyond_n_max_rejected(self):
         series = FourierSeries(coeff=lambda n: 1.0, n_max=10)
         with pytest.raises(ValueError):
-            partial_sum(series, 0.3, 11)
+            filtered_partial_sum(series, 0.3, 11, IDENTITY)
 
 
 class TestArraySum:
@@ -88,7 +88,8 @@ class TestArraySum:
 
     def test_constant_coefficients_broadcast(self):
         series = FourierSeries(coeff=lambda n: 1.0, n_max=10)
-        assert partial_sum(series, 0.0, 10) == pytest.approx(21.0, abs=1e-14)
+        value = filtered_partial_sum(series, 0.0, 10, IDENTITY)
+        assert value == pytest.approx(21.0, abs=1e-14)
         assert saturation_floor(series, 10) == 100.0 * np.finfo(float).eps * 21.0
 
 
@@ -109,6 +110,11 @@ class TestFolded:
         for N in (-1, 11):
             with pytest.raises(ValueError):
                 series.folded(0.3, N)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_rejected(self, x):
+        with pytest.raises(ValueError, match="not finite"):
+            make_sws().series.folded(x, 3)
 
 
 class TestSaturationFloor:
@@ -135,9 +141,8 @@ class TestFilteredPartialSum:
     def test_identity_filter_is_plain_sum(self):
         sws = make_sws().series
         for x in (0.3, 1.1, 2.9):
-            assert filtered_partial_sum(sws, x, 25, IDENTITY) == partial_sum(
-                sws, x, 25
-            )
+            plain = complex(np.sum(sws.folded(x, 25)))
+            assert filtered_partial_sum(sws, x, 25, IDENTITY) == plain
 
     def test_sawtooth_euler_envelope(self):
         sws = make_sws().series
@@ -410,16 +415,3 @@ class TestInvariants:
     def test_negative_n_max_rejected(self):
         with pytest.raises(ValueError, match="n_max"):
             FourierSeries(coeff=lambda n: 1.0, n_max=-1)
-
-    def test_real_valued_flag_checked(self):
-        with pytest.raises(ValueError):
-            FourierSeries(coeff=lambda n: 1j, n_max=10, real_valued=True)
-
-    def test_real_valued_probe_reaches_n_max(self):
-        # conjugate-symmetric up to |n| = 600, then c(n) = c(-n) = 1j
-        def coeff(n):
-            return np.where(np.abs(n) > 600, 1j, 1.0)
-
-        FourierSeries(coeff=coeff, n_max=600, real_valued=True)
-        with pytest.raises(ValueError, match="n=1000"):
-            FourierSeries(coeff=coeff, n_max=1000, real_valued=True)
