@@ -145,6 +145,7 @@ def make_lorentzian(
     _check_p(p)
     if not math.isfinite(phi):
         raise ValueError(f"pole phase phi={phi} is not finite")
+    phi = math.remainder(phi, _TWO_PI)  # exact, as for x in ``folded``
     return TestFunction(FourierSeries(
         lambda n: lorentzian_coeff(n, p, phi),
         n_max,

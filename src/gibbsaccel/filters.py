@@ -18,11 +18,13 @@ provided:
 * HDAF: a truncated-exponential-series weight with an x-adaptive
   truncation depth (fixed shape parameters alpha = 1, kappa = 1/15).
 
-``filter_weights`` takes one degree or a list of them; for a list it
-weights every row in one pass (one Erfc-Log array call, one HDAF
-Poisson loop over the live entries of all rows) and returns the rows
-concatenated, each bit-identical to its one-degree table.  A degree at
-or beyond 2^53 raises ValueError before any array is built.
+``filter_weights`` is the one entry point to the Erfc-Log and HDAF
+weights; the Erfc-Log order at degree N is p = 1 + N*x_dist/(2*pi).  It
+takes one degree or a list of them; for a list it weights every row in
+one pass (one Erfc-Log array call, one HDAF Poisson loop over the live
+entries of all rows) and returns the rows concatenated, each
+bit-identical to its one-degree table.  A degree at or beyond 2^53
+raises ValueError before any array is built.
 
 ``mobius_reexpand`` is the same Euler-Knopp weighting read the other
 way: the Möbius(c) re-expansion b = T_c a of the coefficients, whose
@@ -311,7 +313,7 @@ def erfclog_sigma(theta, p):
 
     The order p is a float or an array broadcast against theta; an order
     that is not a positive finite number (0, negative, NaN or infinite)
-    raises ValueError.
+    raises ValueError, and so does a theta with |theta| > 1 or NaN.
 
     With tb = |theta| - 1/2 the weight is
     erfc(2*sqrt(p)*tb*L(tb))/2 where L(tb) = sqrt(-log(1-4 tb^2)/(4 tb^2)),
@@ -326,28 +328,13 @@ def erfclog_sigma(theta, p):
     if not (np.isfinite(p) & (p > 0)).all():
         raise ValueError("order p must be positive and finite")
     at = np.abs(np.asarray(theta, dtype=float))
-    if (at > 1.0).any():
-        raise ValueError(f"|theta|={at.max()} > 1")
+    if not (at <= 1.0).all():
+        raise ValueError(f"|theta|={at.max()} is not <= 1")
     tb = at - 0.5
     with np.errstate(divide="ignore"):  # log(0) at theta = 0 and |theta| = 1
         arg = np.copysign(np.sqrt(np.log1p(-4.0 * tb * tb) * -p), tb)
     w = 0.5 * _erfc(arg)
     return float(w) if w.ndim == 0 else w
-
-
-def erfclog_order(x_dist: float, N: int) -> float:
-    """Adaptive Erfc-Log order p = 1 + N*x_dist/(2 pi).
-
-    ``x_dist`` is the caller's distance from the evaluation point to the
-    real singularity; at the singularity the order degenerates to 1.  A
-    negative distance raises ValueError, as in ``hdaf_sigma`` and
-    ``filter_weights``.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if x_dist < 0:
-        raise ValueError("x_dist must be nonnegative")
-    return 1.0 + N * x_dist / _TWO_PI
 
 
 def _stirling_error(j: int) -> float:
@@ -367,13 +354,11 @@ def _hdaf_row_params(degrees: list[int], x_dist: float) -> np.ndarray:
     """Per-row HDAF scalars: N*x_dist, the depth J and the log peaks of
     pmf(J) and pmf(J+1), one row of the result per degree.
 
-    Raises ValueError when x_dist is negative or a depth N*x_dist/15 is
-    not finite or reaches 2^53, before any per-entry array exists.  Rows
-    share depths (a trace of a few hundred degrees has a handful), so
-    each log peak is computed once per distinct depth.
+    Raises ValueError when a depth N*x_dist/15 is not finite or reaches
+    2^53, before any per-entry array exists.  Rows share depths (a trace
+    of a few hundred degrees has a handful), so each log peak is computed
+    once per distinct depth.
     """
-    if x_dist < 0:
-        raise ValueError("x_dist must be nonnegative")
     depths = []
     for N in degrees:
         width = N * x_dist / _HDAF_DEPTH_DIVISOR
@@ -389,7 +374,15 @@ def _hdaf_row_params(degrees: list[int], x_dist: float) -> np.ndarray:
 
 
 def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """HDAF weights of several rows at once.
+    """HDAF weights exp(-s) * sum_{j<=J} s^j/j! of several rows at once.
+
+    s = N*x_dist*theta^2/2 and J = floor(N*x_dist/15).  The weight is
+    P(Poisson(s) <= J), the regularized upper incomplete gamma function
+    Q(J+1, s) (Tanner, Math. Comp. 2006).  It is summed from the Poisson
+    term next to the cut, taken in log space, towards the far end, so
+    neither s^j/j! nor exp(-s) is formed: for s < J+1 the weight is 1
+    minus the terms above J, otherwise the terms up to J.  Either way it
+    is finite and lies in [0, 1].
 
     Row r is the next ``sizes[r]`` entries of the flat array ``theta``,
     weighted with the scalars ``params[r]`` from ``_hdaf_row_params``,
@@ -440,36 +433,14 @@ def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.nd
     return np.where(below, 1.0 - tail, tail)
 
 
-def hdaf_sigma(theta, N: int, x_dist: float):
-    """HDAF filter weight exp(-s) * sum_{j<=J} s^j/j! at theta (float or array).
-
-    s = N*x_dist*theta^2/2 and J = floor(N*x_dist/15).  ``x_dist`` is the
-    distance to the nearest real singularity; x_dist = 0 degenerates to
-    the identity weight, and a negative one raises ValueError.
-
-    The weight is P(Poisson(s) <= J), the regularized upper incomplete
-    gamma function Q(J+1, s) (Tanner, Math. Comp. 2006).  It is summed
-    from the Poisson term next to the cut, taken in log space, towards
-    the far end, so neither s^j/j! nor exp(-s) is formed: for s < J+1 the
-    weight is 1 minus the terms above J, otherwise the terms up to J.
-    Either way it is finite and lies in [0, 1].  Raises ValueError when
-    N*x_dist/15 is not finite or reaches 2^53, where J and J+1 are no
-    longer distinct doubles.  This is the one-row case of the batched
-    kernel behind ``filter_weights``.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    params = _hdaf_row_params([N], x_dist)
-    theta = np.asarray(theta, dtype=float)
-    w = _hdaf_rows(theta.ravel(), params, [theta.size]).reshape(theta.shape)
-    return float(w) if w.ndim == 0 else w
-
-
 def filter_weights(
     spec: FilterSpec, N: int | list[int], x_dist: float = 0.0
 ) -> np.ndarray:
     """Weight table sigma(|n|) for |n| = 0..N at truncation degree N.
 
+    The one entry point to the HDAF and Erfc-Log weights.  Both take
+    theta = n/N; Erfc-Log has the adaptive order p = 1 + N*x_dist/(2*pi),
+    and HDAF the depth J = floor(N*x_dist/15) (``_hdaf_rows``).
     N is an int, or a list of degrees, for which the rows' weight vectors
     come back concatenated in order as one flat array: one call weights a
     batch of a trace's rows, each entry bit-identical to its per-N table.
@@ -501,7 +472,7 @@ def filter_weights(
     theta = (np.arange(sum(sizes)) - start) / np.repeat(degrees, sizes)
     if spec.kind == "hdaf":
         return _hdaf_rows(theta, params, sizes)
-    orders = [erfclog_order(x_dist, M) for M in degrees]
+    orders = 1.0 + np.array(degrees) * x_dist / _TWO_PI
     return erfclog_sigma(theta, np.repeat(orders, sizes))
 
 

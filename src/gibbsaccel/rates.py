@@ -15,8 +15,8 @@ log(rho).
 
 The law is declared once, in ``_constraints``: the cap, then the real
 image, then each off-axis image, as floats for one x or as arrays for an
-array of x (``periodic_distance``, ``z_image`` and ``zeta_image_modulus``
-take either).  ``rho_of_x`` takes the first minimum of that list at one
+array of x (``periodic_distance`` and ``zeta_image_modulus`` take
+either).  ``rho_of_x`` takes the first minimum of that list at one
 point; ``image_table`` stacks it over a grid and takes the first
 ``argmin`` (``rho_curve``, ``acceleration_penalty_region``), so the two
 agree bit for bit.
@@ -45,7 +45,10 @@ METRIC_CAP = 2.0
 #: singularity is coded by its index (>= 0) in ``SingularitySet.off_axis``.
 DOMINATED_BY_METRIC = -2
 DOMINATED_BY_REAL = -1
-_NAMES = {DOMINATED_BY_METRIC: "metric", DOMINATED_BY_REAL: "real"}
+
+#: The largest |tau| whose image modulus e^|tau| still has a finite
+#: square; every image of a deeper pole equals the cap to double precision.
+_MAX_TAU = 0.5 * math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,9 @@ class SingularitySet:
     finite tau != 0, stands for the conjugate pair sigma +- i*tau: both
     members have the same image modulus, so declaring one of them (or
     both, which changes no rho) is enough.  A complex-valued function's
-    lone pole is declared the same way.
+    lone pole is declared the same way.  A |tau| whose e^(2|tau|)
+    overflows (above about 354.89) raises ValueError: its image would
+    overflow, and it equals the cap to double precision anyway.
     """
 
     real_singularity: float | None = None
@@ -82,6 +87,8 @@ class SingularitySet:
                 raise ValueError(f"singularity ({s.sigma}, {s.tau}) is not finite")
             if s.tau == 0.0:
                 raise ValueError("off-axis singularities need tau != 0")
+            if abs(s.tau) > _MAX_TAU:
+                raise ValueError(f"tau={s.tau}: image overflows; it is the cap 2")
 
     def real_distance(self, x):
         """Periodic distance from x (float or array) to the real singularity,
@@ -115,29 +122,16 @@ class RatePrediction:
     Where the real image binds, q = -log cos(d/2) is computed from the
     distance d as -log1p(-2 sin^2(d/4)), not from the rounded rho: it
     stays positive and accurate to a few ulps as d -> 0, where rho
-    rounds to 1.  ``dominating`` names the binding constraint: "metric"
-    for the cap introduced by the map, "real" for the on-axis singularity
-    image, or the integer index into the off-axis list.  At the real
-    singularity itself rho = 1 and q = 0: no pointwise acceleration is
-    possible.
+    rounds to 1.  ``dominating`` codes the binding constraint as
+    ``image_table`` does: ``DOMINATED_BY_METRIC`` for the cap introduced
+    by the map, ``DOMINATED_BY_REAL`` for the on-axis singularity image,
+    or the index (>= 0) into the off-axis list.  At the real singularity
+    itself rho = 1 and q = 0: no pointwise acceleration is possible.
     """
 
     rho: float
     q: float
-    dominating: str | int
-
-
-def z_image(sing: tuple[float, float], x):
-    """Image (modulus, angle) in the inflated-series plane of a singularity.
-
-    A singularity at sigma + i*tau of the function maps, for real x (a
-    float or an array), to modulus exp(|tau|) at angle sigma - x
-    (tau < 0) or x - sigma (tau >= 0); the two members of the on-axis
-    pair (tau = 0) share the modulus 1, so a single signed angle is
-    returned.
-    """
-    sigma, tau = sing
-    return math.exp(abs(tau)), sigma - x if tau < 0 else x - sigma
+    dominating: int
 
 
 def zeta_image_modulus(r: float, theta):
@@ -175,8 +169,11 @@ def _constraints(sings: SingularitySet, x) -> list[tuple[int, float]]:
     if sings.real_singularity is not None:
         image = zeta_image_modulus(1.0, sings.real_distance(x))
         bounds.append((DOMINATED_BY_REAL, image))
+    # sigma + i*tau maps to modulus e^|tau| at angle +-(x - sigma); the
+    # modulus reads the angle only through cos, so its sign never matters
     for j, s in enumerate(sings.off_axis):
-        bounds.append((j, zeta_image_modulus(*z_image((s.sigma, s.tau), x))))
+        image = zeta_image_modulus(math.exp(abs(s.tau)), x - s.sigma)
+        bounds.append((j, image))
     return bounds
 
 
@@ -193,7 +190,7 @@ def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
         q = -math.log1p(-2.0 * math.sin(sings.real_distance(x) / 4.0) ** 2)
     else:
         q = math.log(rho)
-    return RatePrediction(rho, q, _NAMES.get(code, code))
+    return RatePrediction(rho, q, code)
 
 
 def delta_truncation_error(x: float, N: int) -> complex:
@@ -248,7 +245,7 @@ def image_table(
     """``rho_of_x`` over an array of x: (rho, dominating, images).
 
     ``dominating`` holds ``DOMINATED_BY_METRIC``, ``DOMINATED_BY_REAL`` or
-    the off-axis index, as ``RatePrediction.dominating`` names them;
+    the off-axis index, the same integer code as ``RatePrediction.dominating``;
     ``images`` holds one array per declared singularity, the real one
     first: ``zeta_image_modulus`` of its image (inf at the real image's
     pole d = pi).  Both read ``_constraints``, so every value is

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +23,7 @@ from gibbsaccel.catalog import (
 )
 from gibbsaccel.conformal import MOBIUS2, PowerSeries, estimate_radius, recoefficient
 from gibbsaccel.filters import FilterSpec
-from gibbsaccel.series import filtered_partial_sum
+from gibbsaccel.series import filtered_partial_sum, saturation_floor
 
 IDENTITY = FilterSpec("identity")
 
@@ -80,6 +81,31 @@ class TestLorentzian:
             assert filtered_partial_sum(series, x, 200, IDENTITY) == pytest.approx(
                 lorentzian(x, 0.5), rel=1e-12
             )
+
+    @pytest.mark.parametrize("phi", [1e3, 1 + 2 * math.pi * 1e9, 1e17, -1e300])
+    def test_phase_reduced_mod_two_pi(self, phi):
+        # n*phi, cos(x - phi) and x - sigma each lose the bits of phi beyond
+        # 2*pi; the entry is that of the exact remainder, bit for bit
+        got = get_function("lorentzian", p=0.5, phi=phi).series
+        reduced = math.remainder(phi, 2 * math.pi)
+        want = get_function("lorentzian", p=0.5, phi=reduced).series
+        ns = np.arange(65)
+        assert got.coeff(ns).tobytes() == want.coeff(ns).tobytes()
+        assert [got.coeff(n) for n in range(65)] == [want.coeff(n) for n in range(65)]
+        xs = (-2.0, 0.0, 1.0, 2.0, 3.0)
+        assert [got.exact_eval(x) for x in xs] == [want.exact_eval(x) for x in xs]
+        assert got.singularities == want.singularities
+
+    def test_far_phase_against_mpmath(self):
+        # the phase, like x, is taken modulo the double 2*pi; the sums then
+        # converge to the closed form of that phase
+        series = get_function("lorentzian", p=0.5, phi=1e17).series
+        phase = mpmath.mpf(math.remainder(1e17, 2 * math.pi))
+        with mpmath.workdps(40):
+            exact = float(0.75 / (1.25 - mpmath.cos(2 - phase)))
+        floor = saturation_floor(series, 60)
+        assert abs(series.exact_eval(2.0) - exact) <= floor
+        assert abs(filtered_partial_sum(series, 2.0, 60, IDENTITY) - exact) <= floor
 
     def test_declared_pole_depth_recoverable(self):
         # the off-axis tau declared by the factory should agree with the

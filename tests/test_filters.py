@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from gibbsaccel.filters import (
     VALID_KINDS,
     FilterSpec,
-    erfclog_order,
     erfclog_sigma,
     euler_mu,
     euler_sigma,
     filter_weights,
-    hdaf_sigma,
 )
 from gibbsaccel.filters import (
     _CODY_FAR,
@@ -183,6 +181,13 @@ class TestErfcLog:
         with pytest.raises(ValueError):
             erfclog_sigma(np.array([0.2, -1.0001]), 1.0)
 
+    def test_rejects_nan_theta(self):
+        # a NaN |theta| fails the range check like |theta| > 1
+        with pytest.raises(ValueError, match="theta"):
+            erfclog_sigma(math.nan, 4.0)
+        with pytest.raises(ValueError, match="theta"):
+            erfclog_sigma(np.array([0.2, math.nan, 0.7]), 4.0)
+
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_order_not_positive_finite(self, p):
         with pytest.raises(ValueError, match="order"):
@@ -258,7 +263,7 @@ class TestErfcKernel:
         got = filter_weights(FilterSpec("erfclog"), degrees, x_dist)
         expected = []
         for N in degrees:
-            p = erfclog_order(x_dist, N)
+            p = 1.0 + N * x_dist / (2 * math.pi)
             for n in range(N + 1):
                 tb = n / N - 0.5
                 if n in (0, N):
@@ -270,19 +275,6 @@ class TestErfcKernel:
                     arg = 2.0 * math.sqrt(p) * tb * math.sqrt(-math.log1p(-t2) / t2)
                 expected.append(0.5 * math.erfc(max(-40.0, min(40.0, arg))))
         assert np.abs(got - expected).max() <= 1e-15
-
-
-class TestErfcLogOrder:
-    def test_values(self):
-        assert erfclog_order(0.0, 100) == 1.0
-        assert erfclog_order(2 * math.pi, 100) == pytest.approx(101.0, rel=1e-14)
-        assert erfclog_order(math.pi / 12, 60) == pytest.approx(3.5, rel=1e-14)
-
-    def test_rejects_degree_below_one_and_negative_distance(self):
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            erfclog_order(0.5, 0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            erfclog_order(-0.5, 10)
 
 
 def reference_hdaf(theta, N, x_dist):
@@ -315,35 +307,26 @@ def reference_hdaf(theta, N, x_dist):
 
 
 class TestHdaf:
+    # row entry n of filter_weights(FilterSpec("hdaf"), N, x_dist) is the
+    # weight at theta = n/N
     def test_identity_limits(self):
-        assert hdaf_sigma(0.0, 10, 1.3) == 1.0
-        for theta in (0.2, 0.7, 1.0):
-            assert hdaf_sigma(theta, 10, 0.0) == 1.0
+        assert filter_weights(FilterSpec("hdaf"), 10, 1.3)[0] == 1.0
+        assert (filter_weights(FilterSpec("hdaf"), 10, 0.0) == 1.0).all()
 
     def test_direct_value(self):
         # s = 15, depth floor(30/15) = 2: exp(-15)*(1 + 15 + 112.5)
         expected = math.exp(-15.0) * (1.0 + 15.0 + 112.5)
-        assert hdaf_sigma(1.0, 30, 1.0) == pytest.approx(expected, rel=1e-13)
+        w = filter_weights(FilterSpec("hdaf"), 30, 1.0)
+        assert w[30] == pytest.approx(expected, rel=1e-13)
         assert expected == pytest.approx(3.93e-5, rel=2e-3)
-
-    def test_symmetric(self):
-        for theta in (0.25, 0.6):
-            assert hdaf_sigma(-theta, 20, 0.8) == hdaf_sigma(theta, 20, 0.8)
-
-    def test_array_matches_scalar_calls(self):
-        theta = np.linspace(-1.0, 1.0, 41)
-        w = hdaf_sigma(theta, 300, 2.2)
-        assert w.shape == theta.shape
-        assert np.array_equal(w, [hdaf_sigma(t, 300, 2.2) for t in theta])
 
     @pytest.mark.parametrize(
         "N, x_dist",
         [(1, 0.7), (14, 0.0), (60, 1.0), (400, 0.2), (1500, 2.25), (2500, 3.1)],
     )
     def test_matches_plain_loop_bit_for_bit(self, N, x_dist):
-        theta = np.arange(N + 1) / N
-        w = hdaf_sigma(theta, N, x_dist)
-        assert np.array_equal(w, reference_hdaf(theta, N, x_dist))
+        w = filter_weights(FilterSpec("hdaf"), N, x_dist)
+        assert np.array_equal(w, reference_hdaf(np.arange(N + 1) / N, N, x_dist))
 
     def test_matches_mpmath_where_terms_overflow(self):
         # s^j/j! overflows a double here; the weight is Q(J+1, s) all the same
@@ -388,18 +371,10 @@ class TestHdaf:
 
     def test_unrepresentable_depth_rejected(self):
         with pytest.raises(ValueError):
-            hdaf_sigma(0.5, 10**17, 2.0)
-        with pytest.raises(ValueError):
-            hdaf_sigma(0.5, 100, math.inf)
+            filter_weights(FilterSpec("hdaf"), 100, math.inf)
         with pytest.raises(ValueError):
             # depth 200e15/15 >= 2^53; the rows at 5 and 40 are representable
             filter_weights(FilterSpec("hdaf"), [5, 200, 40], 1e15)
-
-    def test_rejects_degree_below_one_and_negative_distance(self):
-        with pytest.raises(ValueError, match="N must be >= 1"):
-            hdaf_sigma(0.5, 0, 1.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            hdaf_sigma(0.5, 10, -1.0)
 
     def test_unrepresentable_depth_rejected_before_allocation(self):
         # 10^17 + 1 weights would need petabytes; the degree check must come
@@ -439,7 +414,7 @@ class TestFilterWeights:
             assert w[0] == 1.0
 
     def test_adaptive_order_erfclog(self):
-        p = erfclog_order(2.0, 10)
+        p = 1.0 + 10 * 2.0 / (2 * math.pi)
         w = filter_weights(FilterSpec("erfclog"), 10, x_dist=2.0)
         assert w.tolist() == [erfclog_sigma(n / 10, p) for n in range(11)]
 

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gibbsaccel.catalog import (
     FUNCTION_KEYS,
@@ -26,7 +28,6 @@ from gibbsaccel.rates import (
     periodic_distance,
     rho_of_x,
     x_grid,
-    z_image,
     zeta_image_modulus,
 )
 from gibbsaccel.series import pointwise_error
@@ -63,6 +64,16 @@ class TestSingularitySet:
             assert rho_one.tobytes() == rho_both.tobytes()
             assert dom_one.tolist() == dom_both.tolist()
 
+    def test_deep_pole_limit(self):
+        # e^(2*354) is finite and the image rounds to the cap; beyond
+        # tau = log(DBL_MAX)/2 = 354.89 the image would overflow
+        sings = SingularitySet(off_axis=(Singularity(1.0, -354.0),))
+        assert rho_of_x(sings, 1.0).rho == 2.0
+        assert image_table(sings, np.array([1.0, -2.0]))[0].tolist() == [2.0, 2.0]
+        for tau in (355.0, -355.0, 800.0):
+            with pytest.raises(ValueError, match=f"tau={tau}"):
+                SingularitySet(off_axis=(Singularity(1.0, tau),))
+
     def test_off_axis_needs_nonzero_tau(self):
         with pytest.raises(ValueError):
             SingularitySet(off_axis=(Singularity(1.0, 0.0),))
@@ -90,31 +101,28 @@ class TestFloatOrArray:
         assert periodic_distance(2 * math.pi, 0.0) == 0.0
 
     def test_z_image_and_modulus(self):
-        for sing in ((math.pi, 0.2), (math.pi, -0.2), (0.0, 0.0)):
-            r, theta = z_image(sing, self.XS)
-            images = zeta_image_modulus(r, theta)
-            scalar = [zeta_image_modulus(*z_image(sing, x)) for x in self.XS.tolist()]
-            assert all(type(v) is float for v in scalar)
-            assert images.tolist() == scalar
-
-
-class TestZImage:
-    def test_real_singularity(self):
-        r, theta = z_image((0.0, 0.0), math.pi / 3)
-        assert r == 1.0
-        assert abs(theta) == pytest.approx(math.pi / 3, abs=1e-15)
-
-    def test_off_axis(self):
-        r, theta = z_image((math.pi, 0.2), math.pi)
-        assert r == pytest.approx(math.exp(0.2), rel=1e-14)
-        assert theta == 0.0
-        r_neg, theta_neg = z_image((math.pi, -0.2), math.pi)
-        assert r_neg == r
-        assert theta_neg == 0.0
-
-    def test_coincident_point(self):
-        r, theta = z_image((1.2, 0.0), 1.2)
-        assert (r, theta) == (1.0, 0.0)
+        # the image of sigma + i*tau has modulus e^|tau| at angle x - sigma;
+        # the declaration sigma - i*tau gives the same rho, code and image,
+        # bit for bit, from the array table and from the float law
+        xs = np.concatenate([np.linspace(-7.0, 7.0, 2001), self.XS])
+        for real in (None, 0.0):
+            tables = []
+            for tau in (0.2, -0.2):
+                sings = SingularitySet(real, off_axis=(Singularity(math.pi, tau),))
+                rho, codes, images = image_table(sings, xs)
+                preds = [rho_of_x(sings, x) for x in xs.tolist()]
+                assert all(type(pred.rho) is float for pred in preds)
+                assert rho.tolist() == [pred.rho for pred in preds]
+                assert codes.tolist() == [pred.dominating for pred in preds]
+                scalar = [
+                    zeta_image_modulus(math.exp(0.2), x - math.pi) for x in xs.tolist()
+                ]
+                assert all(type(v) is float for v in scalar)
+                assert images[-1].tolist() == scalar
+                tables.append(
+                    (rho.tobytes(), codes.tobytes(), [im.tobytes() for im in images])
+                )
+            assert tables[0] == tables[1]
 
 
 class TestZetaImageModulus:
@@ -150,12 +158,12 @@ class TestRhoOfX:
         assert at_crossover.rho == pytest.approx(2.0, rel=1e-12)
         beyond = rho_of_x(SAWTOOTH_SET, 2.5)
         assert beyond.rho == 2.0
-        assert beyond.dominating == "metric"
+        assert beyond.dominating == DOMINATED_BY_METRIC
 
     def test_secant_value(self):
         pred = rho_of_x(SAWTOOTH_SET, math.pi / 2)
         assert pred.rho == pytest.approx(math.sqrt(2), rel=1e-13)
-        assert pred.dominating == "real"
+        assert pred.dominating == DOMINATED_BY_REAL
 
     def test_small_x_expansion(self):
         for x in (0.05, 0.02, 0.01):
@@ -170,7 +178,7 @@ class TestRhoOfX:
         # periodic distance is d exactly on both sides of the jump.
         for x in (d, -d):
             pred = rho_of_x(SAWTOOTH_SET, x)
-            assert pred.dominating == "real"
+            assert pred.dominating == DOMINATED_BY_REAL
             with mpmath.workdps(40):
                 exact = -mpmath.log(mpmath.cos(mpmath.mpf(d) / 2))
                 assert abs((pred.q - exact) / exact) <= 1e-15, x
@@ -203,7 +211,7 @@ class TestRhoOfX:
         pred = rho_of_x(sings, math.pi)
         r = math.exp(0.2)
         assert pred.rho == pytest.approx(2 * r / (1 + r), rel=1e-13)
-        assert isinstance(pred.dominating, int)
+        assert pred.dominating == 0
 
 
 def envelope(sings, x, N, prefactor):
@@ -234,7 +242,7 @@ class TestPredictedEnvelope:
     def test_capped_rate(self):
         # 1/cos(1.5) = 14.1 lies above the cap, so rho = 2
         pred = rho_of_x(SAWTOOTH_SET, 3.0)
-        assert (pred.rho, pred.dominating) == (2.0, "metric")
+        assert (pred.rho, pred.dominating) == (2.0, DOMINATED_BY_METRIC)
         assert envelope(SAWTOOTH_SET, 3.0, 1, 1.0) == pytest.approx(0.5, rel=1e-14)
 
 
@@ -302,19 +310,15 @@ class TestImageTable:
         rho, dominating, images = image_table(sings, xs)
         preds = [rho_of_x(sings, x) for x in xs.tolist()]
         assert rho.tolist() == [pred.rho for pred in preds]
-        codes = {"metric": DOMINATED_BY_METRIC, "real": DOMINATED_BY_REAL}
-        assert dominating.tolist() == [
-            codes.get(pred.dominating, pred.dominating) for pred in preds
-        ]
+        assert dominating.tolist() == [pred.dominating for pred in preds]
         expected = []
         if sings.real_singularity is not None:
             expected.append(
                 [zeta_image_modulus(1.0, sings.real_distance(x)) for x in xs.tolist()]
             )
         for s in sings.off_axis:
-            expected.append(
-                [zeta_image_modulus(*z_image((s.sigma, s.tau), x)) for x in xs.tolist()]
-            )
+            r = math.exp(abs(s.tau))
+            expected.append([zeta_image_modulus(r, x - s.sigma) for x in xs.tolist()])
         assert [image.tolist() for image in images] == expected
 
     def test_special_points(self):
@@ -336,6 +340,37 @@ class TestImageTable:
             assert x_grid(resolution).tolist() == expected
         with pytest.raises(ValueError):
             x_grid(1)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestEveryCatalogInput:
+    """The rate law over every p, phi and x that the catalog accepts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.sampled_from(["lorentzian", "sws+lorentzian"]),
+        log_p=st.floats(math.log(5e-324), 0.0),
+        phi=FINITE,
+        xs=st.lists(FINITE, min_size=1, max_size=8),
+    )
+    @example(key="lorentzian", log_p=math.log(5e-324), phi=1e17, xs=[0.0, 2.0])
+    @example(key="sws+lorentzian", log_p=-354.0, phi=0.0, xs=[math.pi, 1e308])
+    def test_rho_within_cap_and_table_agrees(self, key, log_p, phi, xs):
+        try:
+            fn = get_function(
+                key, p=math.exp(log_p), phi=phi if key == "lorentzian" else None
+            )
+        except ValueError:
+            return
+        sings = fn.series.singularities
+        rho, codes, _ = image_table(sings, np.array(xs))
+        for i, x in enumerate(xs):
+            pred = rho_of_x(sings, x)
+            assert 1.0 <= pred.rho <= 2.0
+            assert math.isfinite(pred.q) and pred.q >= 0.0
+            assert (pred.rho, pred.dominating) == (rho[i], codes[i])
 
 
 class TestPenaltyRegion:
@@ -370,7 +405,7 @@ class TestPenaltyRegion:
         rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
         for sample in acceleration_penalty_region(sings, 501):
             pred = rho_of_x(sings, sample.x)
-            flagged = pred.rho < rho_raw and isinstance(pred.dominating, int)
+            flagged = pred.rho < rho_raw and pred.dominating >= 0
             assert (sample.rho_euler, sample.rho_raw, sample.flagged) == (
                 pred.rho, rho_raw, flagged
             )

@@ -18,7 +18,6 @@ from gibbsaccel.rates import (
     SingularitySet,
     delta_truncation_error,
     rho_of_x,
-    z_image,
     zeta_image_modulus,
 )
 from gibbsaccel.series import saturation_floor
@@ -261,10 +260,9 @@ def reference_rho_curve(function_key, resolution, p=None, phi=None):
         if sings.real_singularity is not None:
             row.append(zeta_image_modulus(1.0, sings.real_distance(x)))
         for s in sings.off_axis:
-            r, theta = z_image((s.sigma, s.tau), x)
-            row.append(zeta_image_modulus(r, theta))
+            row.append(zeta_image_modulus(math.exp(abs(s.tau)), x - s.sigma))
         if sings.off_axis:
-            flagged = pred.rho < rho_raw and isinstance(pred.dominating, int)
+            flagged = pred.rho < rho_raw and pred.dominating >= 0
             row.append(int(flagged))
         rows.append(row)
     comments = [meta_line(fn=function_key), meta_line(resolution=resolution)]
@@ -469,6 +467,11 @@ class TestCli:
              "--p", "nan"],
             ["compare", "--fn", "sws", "--x", "1.9", "--n-max", "30",
              "--filters", "euler,euler"],
+            # poles so deep that their image overflows
+            ["rho", "--fn", "lorentzian", "--resolution", "3", "--p", "1e-160"],
+            ["rho", "--fn", "lorentzian", "--resolution", "3", "--p", "1e-320"],
+            ["sweep", "--fn", "sws+lorentzian", "--x", "1", "--n-max", "30",
+             "--p", "1e-200"],
         ],
     )
     def test_invalid_request_exit_code(self, args, capsys):
