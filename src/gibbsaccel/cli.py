@@ -10,10 +10,11 @@ Subcommands:
   and report the empirical rate against the prediction.
 
 All tabular output is CSV with ``#`` comment lines of ``key=value``
-tokens carrying the config echo and fit results.  A trace whose fit was
-skipped has a ``fit`` line with empty ``A`` and ``q_hat`` and its number
-of ``hull_points``.  Rows are flagged ``saturated`` when their error is
-below the fixed floor 100*eps*sum|c_n| (``series.saturation_floor``).
+tokens carrying the config echo and fit results.  Every ``fit`` line
+ends with the trace's number of ``hull_points``; a trace whose fit was
+skipped has empty ``A`` and ``q_hat``.  Rows are flagged ``saturated``
+when their error is below the fixed floor 100*eps*sum|c_n|
+(``series.saturation_floor``).
 Exit codes: 0 success, 2 configuration error (also an unknown function
 key, a bad ``--p`` or ``--phi`` or one the function does not take, a
 ``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, a

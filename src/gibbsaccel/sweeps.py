@@ -226,11 +226,9 @@ def _config_echo(config: ExperimentConfig, *lines: str) -> list[str]:
 
 
 def _fit_line(trace: ErrorTrace, **where) -> str:
-    """The trace's fit, or empty A and q_hat plus its hull size if skipped."""
-    if trace.fit is None:
-        skipped = {"A": None, "q_hat": None, "hull_points": len(trace.envelope)}
-        return meta_line("fit", **where, **skipped)
-    return meta_line("fit", **where, A=trace.fit[0], q_hat=trace.fit[1])
+    """The trace's fit (empty A and q_hat if skipped) and its hull size."""
+    a, q_hat = trace.fit or (None, None)
+    return meta_line("fit", **where, A=a, q_hat=q_hat, hull_points=len(trace.envelope))
 
 
 def render_csv(comments: list[str], header: list[str], rows: list) -> str:

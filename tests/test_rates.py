@@ -411,7 +411,66 @@ class TestPenaltyRegion:
             )
 
 
+def mp_least_squares(n, y, alpha):
+    """(q, alpha) of the least-squares fit of y ~ c - q*n - alpha*log n,
+    alpha fitted when None, by mpmath's QR at 50 digits with exact logs."""
+    with mpmath.workdps(50):
+        n = [mpmath.mpf(v) for v in n.tolist()]
+        log_n = [mpmath.log(v) for v in n]
+        rhs = [mpmath.mpf(v) for v in y.tolist()]
+        if alpha is None:
+            rows = [[v, 1, lv] for v, lv in zip(n, log_n)]
+        else:
+            rows = [[v, 1] for v in n]
+            rhs = [r + alpha * lv for r, lv in zip(rhs, log_n)]
+        coef = mpmath.qr_solve(mpmath.matrix(rows), mpmath.matrix(rhs))[0]
+        return float(-coef[0]), (float(-coef[2]) if alpha is None else alpha)
+
+
+def oscillating_trace(ns, q, alpha):
+    """log of A*exp(-q*n)/n^alpha times an oscillating factor, as the
+    error of a filtered sum at a fixed x: the hull keeps its crests."""
+    wobble = np.log(np.abs(np.cos(0.7 * ns)) + 0.05)
+    return 0.7 - q * ns - alpha * np.log(ns) + wobble
+
+
 class TestFitRate:
+    @pytest.mark.parametrize("fixed", [True, False])
+    @pytest.mark.parametrize(
+        "q, alpha, lo, hi, stride",
+        [
+            (0.6, 1.0, 5, 60, 1),
+            (0.3, 0.0, 5, 120, 1),
+            (0.05, 1.0, 20, 1600, 20),
+            (0.01, 1.0, 5, 1600, 7),
+            (0.002, 2.0, 5, 1600, 3),
+        ],
+    )
+    def test_matches_mpmath_least_squares(self, q, alpha, lo, hi, stride, fixed):
+        ns = np.arange(lo, hi + 1, stride, dtype=float)
+        logs = oscillating_trace(ns, q, alpha)
+        hull, _, got_q, got_alpha = fit_rate(ns, logs, alpha if fixed else None)
+        exact_q, exact_alpha = mp_least_squares(
+            ns[hull], logs[hull], alpha if fixed else None
+        )
+        assert np.count_nonzero(hull) >= 8
+        assert got_q == pytest.approx(exact_q, rel=1e-12)
+        assert got_alpha == pytest.approx(exact_alpha, rel=1e-12)
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_near_collinear_hull_matches_mpmath(self, fixed):
+        # over n = 50000..50050, log n is a straight line in n to 1e-7, so
+        # the fitted alpha rests on that curvature alone; a fit on
+        # uncentred logs misses q here by 0.26 relative
+        ns = np.arange(50000.0, 50051.0)
+        logs = 0.7 - 0.02 * ns - np.log(ns)
+        hull, _, got_q, got_alpha = fit_rate(ns, logs, 1.0 if fixed else None)
+        exact_q, exact_alpha = mp_least_squares(
+            ns[hull], logs[hull], 1.0 if fixed else None
+        )
+        assert got_q == pytest.approx(exact_q, rel=1e-7)
+        assert got_alpha == pytest.approx(exact_alpha, rel=1e-7)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     @pytest.mark.parametrize("fixed", [True, False])
     def test_recovers_exact_model(self, alpha, fixed):

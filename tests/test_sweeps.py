@@ -13,6 +13,7 @@ import gibbsaccel
 from gibbsaccel import cli
 from gibbsaccel.catalog import DEFAULT_N_MAX, FUNCTION_KEYS, get_function
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
+from gibbsaccel.conformal import PowerSeries, estimate_radius
 from gibbsaccel.filters import VALID_KINDS
 from gibbsaccel.rates import (
     SingularitySet,
@@ -40,6 +41,7 @@ from gibbsaccel.sweeps import (
 )
 
 SAWTOOTH_SET = SingularitySet(real_singularity=0.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def synthetic_trace(amplitude, q, ns, wobble=None):
@@ -720,3 +722,47 @@ class TestCli:
         assert main(args) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "has no pole" in captured.err and not captured.out
+
+
+def readme_block(fence: str, marker: str) -> list[str]:
+    """The lines of the first README code block opened by ``fence`` after
+    the ``## CLI`` heading that holds ``marker``."""
+    cli = README.read_text().split("## CLI", 1)[1]
+    blocks = [b.split("```", 1)[0] for b in cli.split(fence)[1:]]
+    return next(b for b in blocks if marker in b).strip("\n").splitlines()
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each ``gibbsaccel`` command in README's CLI block."""
+    block = readme_block("```sh", "gibbsaccel sweep")
+    return [line.split()[1:] for line in block if line.startswith("gibbsaccel ")]
+
+
+class TestReadme:
+    def test_comment_example_is_what_sweep_writes(self, tmp_path, monkeypatch):
+        # README shows every comment line its sweep command writes, the
+        # fit line included, byte for byte
+        monkeypatch.chdir(tmp_path)
+        (sweep,) = [argv for argv in readme_commands() if argv[0] == "sweep"]
+        assert main(sweep) == EXIT_OK
+        example = readme_block("```text", "# fit x=1.9635 filter=euler")
+        written = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert example + [",".join(SWEEP_HEADER)] == written[: len(example) + 1]
+
+    def test_fits_and_commands_call_no_lapack(self, tmp_path, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for name in ("lstsq", "solve", "pinv"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        _, q_hat = fit_envelope(synthetic_trace(2.0, 0.5, range(5, 40)))
+        assert q_hat == pytest.approx(0.5, rel=1e-12)
+        b = [0.0] + [0.5**n / n for n in range(1, 200)]  # -log(1 - z/2)
+        assert estimate_radius(PowerSeries(b)) == pytest.approx(2.0, rel=1e-9)
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "weights", "sweep", "envelope", "rho", "compare"
+        ]
+        for argv in commands:
+            assert main(argv) == EXIT_OK, argv
