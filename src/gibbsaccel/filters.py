@@ -22,9 +22,10 @@ provided:
 weights; the Erfc-Log order at degree N is p = 1 + N*x_dist/(2*pi).  It
 takes one degree or a list of them; for a list it weights every row in
 one pass (one Erfc-Log array call, one HDAF Poisson loop over the live
-entries of all rows) and returns the rows concatenated, each
-bit-identical to its one-degree table.  A degree at or beyond 2^53
-raises ValueError before any array is built.
+entries of all rows, on both sides of the cut) and returns the rows
+concatenated, each bit-identical to its one-degree table.  An empty list,
+or a degree at or beyond 2^53, raises ValueError before any array is
+built.
 
 ``mobius_reexpand`` is the same Euler-Knopp weighting read the other
 way: the Möbius(c) re-expansion b = T_c a of the coefficients, whose
@@ -350,7 +351,7 @@ def _log_poisson_peak(j: int) -> float:
     return 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
 
 
-def _hdaf_row_params(degrees: list[int], x_dist: float) -> np.ndarray:
+def _hdaf_row_params(degrees: list[float], x_dist: float) -> np.ndarray:
     """Per-row HDAF scalars: N*x_dist, the depth J and the log peaks of
     pmf(J) and pmf(J+1), one row of the result per degree.
 
@@ -387,8 +388,9 @@ def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.nd
     Row r is the next ``sizes[r]`` entries of the flat array ``theta``,
     weighted with the scalars ``params[r]`` from ``_hdaf_row_params``,
     which are spread over the row's entries; the Poisson series then runs
-    once for the whole batch.  Every entry is bit-identical to a one-row
-    call.
+    once for the whole batch, as one loop over the live entries of both
+    sides of the cut, so a batch takes as many steps as its slowest
+    entry.  Every entry is bit-identical to a one-row call.
     """
     scale, J, peak_at, peak_above = np.repeat(params, sizes, axis=0).T
     s = scale * np.square(theta) / 2.0
@@ -402,33 +404,36 @@ def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.nd
         r = (s - j) / j
         log_lead = -j * (r - np.log1p(r)) - np.where(below, peak_above, peak_at)
     lead = np.exp(np.where(j == 0.0, -s, log_lead))
+    del j, r, log_lead  # the loop's arrays take their place at the peak
     # Sum the terms from the cut outwards through the ratios of neighbours,
     # pmf(J+1+k)/pmf(J+k) = s/(J+1+k) below the cut and
-    # pmf(J-k)/pmf(J+1-k) = (J+1-k)/s above it.  Both ratios are below 1,
-    # so once a term is at most 2^-54 of its sum, every later term is under
-    # half an ulp of that sum and cannot change it: the entry is done, and
-    # leaves the loop at the next check.  An entry whose lead is 0 has
-    # tail 0 whatever its sum and never enters.
+    # pmf(J-k)/pmf(J+1-k) = (J+1-k)/s above it, each kept as num/den.  Both
+    # sides run in one loop: the live entries below the cut come first, and
+    # each step raises their den and lowers the others' num by 1.  Above
+    # the cut the term is exactly 0 once num reaches 0, whatever sign num
+    # takes after.  Both ratios are below 1, so once a term is at most
+    # 2^-54 of its sum, every later term is under half an ulp of that sum
+    # and cannot change it: the entry is done, and leaves the loop at the
+    # next check.  An entry whose lead is 0 has tail 0 whatever its sum and
+    # never enters.
+    live = np.flatnonzero(below & (lead > 0.0))
+    n_below = live.size
+    live = np.concatenate((live, np.flatnonzero(~below & (lead > 0.0))))
+    num, den = s[live], J[live] + 1.0
+    num[n_below:], den[n_below:] = den[n_below:], s[live[n_below:]]
+    term, acc, ratio = np.ones(live.size), np.ones(live.size), np.empty(live.size)
     total = np.ones_like(s)
-    for side, upward in ((below, True), (~below, False)):
-        live = np.flatnonzero(side & (lead > 0.0))
-        s_live, J1 = s[live], J[live] + 1.0
-        term = np.ones(live.size)
-        acc = np.ones(live.size)
-        k = 0
-        while live.size:
-            k += 1
-            if upward:
-                term *= s_live / (J1 + k)
-            else:
-                term *= np.maximum(J1 - k, 0.0) / s_live
+    while live.size:
+        for _ in range(_HDAF_CHECK_EVERY):
+            den[:n_below] += 1.0
+            num[n_below:] -= 1.0
+            term *= np.divide(num, den, out=ratio)
             acc += term
-            if k % _HDAF_CHECK_EVERY == 0:
-                keep = np.flatnonzero(term > _HDAF_SERIES_TOL * acc)
-                total[live] = acc
-                live, s_live, J1, term, acc = (
-                    v.take(keep) for v in (live, s_live, J1, term, acc)
-                )
+        keep = np.flatnonzero(term > _HDAF_SERIES_TOL * acc)
+        total[live] = acc
+        n_below = int(np.searchsorted(keep, n_below))
+        live, num, den, term, acc = (v.take(keep) for v in (live, num, den, term, acc))
+        ratio = ratio[: live.size]
     tail = lead * total
     return np.where(below, 1.0 - tail, tail)
 
@@ -448,12 +453,14 @@ def filter_weights(
     depth of HDAF; Euler and identity ignore its value.  All weights are
     functions of |n|, so sigma(-theta) = sigma(theta) holds exactly.
     Raises ValueError for a negative or NaN distance, for every kind, and
-    for a negative degree, or one at or beyond 2^53, before any array is
-    built.
+    for an empty list of degrees, a negative degree, or one at or beyond
+    2^53, before any array is built.
     """
     if not x_dist >= 0:
         raise ValueError("x_dist must be nonnegative")
     degrees = np.atleast_1d(N).tolist()
+    if not degrees:
+        raise ValueError("need at least one degree")
     if min(degrees) < 0:
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
@@ -464,12 +471,15 @@ def filter_weights(
     if spec.kind == "euler":
         return np.concatenate([_euler_sigma_table(M)[: M + 1] for M in degrees])
     # theta = n/N within each row.  A degree-0 row takes degree 1's parameters;
-    # its one entry sits at theta = 0, where every weight is exactly 1.
-    degrees = [max(M, 1) for M in degrees]
+    # its one entry sits at theta = 0, where every weight is exactly 1.  n
+    # and N are doubles, exact below 2^53, so the quotient is the correctly
+    # rounded one that int64 division gives at several times the cost.
+    degrees = [float(max(M, 1)) for M in degrees]
     if spec.kind == "hdaf":  # checks every depth before theta is built
         params = _hdaf_row_params(degrees, x_dist)
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    theta = (np.arange(sum(sizes)) - start) / np.repeat(degrees, sizes)
+    theta = np.arange(float(sum(sizes)))
+    theta -= np.repeat(np.cumsum(sizes, dtype=float) - sizes, sizes)  # row starts
+    theta /= np.repeat(degrees, sizes)
     if spec.kind == "hdaf":
         return _hdaf_rows(theta, params, sizes)
     orders = 1.0 + np.array(degrees) * x_dist / _TWO_PI

@@ -313,11 +313,12 @@ def fit_rate(ns, logs, alpha: float | None = None):
     mean, which is large where n is, into q.  log A is then raised until
     the model bounds every hull point.  ns and logs are 1-D arrays of the
     same length, and every n on the hull must be >= 1.  Returns (hull,
-    log_a, q, alpha), with hull a boolean mask over ns; fewer than three
-    hull points determine no fit, and log_a, q and alpha are then NaN.
+    log_a, q, alpha), with hull a boolean mask over ns; hull points at
+    fewer than three distinct n determine no fit, and log_a, q and alpha
+    are then NaN.
     """
     hull = logs == np.maximum.accumulate(logs[::-1])[::-1]
-    if np.count_nonzero(hull) < 3:
+    if len(set(ns[hull].tolist())) < 3:
         return hull, math.nan, math.nan, math.nan
     n, log_n, y = ns[hull], np.log(ns[hull]), logs[hull]
     # sum / size, not mean(): numpy's mean costs microseconds more a call

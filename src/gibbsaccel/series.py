@@ -16,7 +16,9 @@ terms do not depend on N.  A filter's rows then take one of two routes.
 
 * Weight tables (every kind; the one-degree sums and sparse traces):
   one ``filter_weights`` call per filter and batch of degrees (at most
-  ``_WEIGHT_BATCH_ENTRIES`` weights, or one larger row alone); each row
+  ``_WEIGHT_BATCH_ENTRIES`` = 8192 weights, or one larger row alone:
+  HDAF's Poisson loop and Erfc-Log's erfc kernel have a fixed cost per
+  call, which a larger batch spreads over more rows); each row
   sums the product of its own weights with its fold prefix a_0..a_N, so
   every row is bit-identical to the per-N sum (``pointwise_error``).
 * One re-expansion (Euler rows of a dense trace): the Euler sum at N is
@@ -46,8 +48,9 @@ import numpy as np
 from .filters import FilterSpec, filter_weights, mobius_reexpand
 from .rates import _TWO_PI, SingularitySet, periodic_distance
 
-#: Weights per batched ``filter_weights`` call; bounds the batch's memory.
-_WEIGHT_BATCH_ENTRIES = 2**12
+#: Weights per batched ``filter_weights`` call; bounds the batch's memory
+#: (at its peak an HDAF call holds about 160 bytes a weight, Erfc-Log 120).
+_WEIGHT_BATCH_ENTRIES = 2**13
 
 #: A trace is dense, and its Euler rows come from one re-expansion, when
 #: N_max^2 <= _DENSE_RATIO * sum(N + 1): about the cost of a weight table
@@ -142,6 +145,8 @@ def _filtered_sums(
     (inner), every one a prefix of a single fold at the largest N: Euler
     rows of a dense trace from one re-expansion, every other row from
     weight tables."""
+    if not degrees:
+        raise ValueError("need at least one degree")
     if min(degrees) < 0:
         raise ValueError(f"truncation degree {min(degrees)} is negative")
     x_dist = series.real_singularity_distance(x)
@@ -212,8 +217,8 @@ def trace_errors(
     that N, except the Euler rows of a dense trace, which agree with it
     to well within a saturation floor.  Raises
     ValueError when the series has no exact evaluator, when x is not
-    finite or is a declared real singularity, or when a degree is outside
-    [0, n_max].
+    finite or is a declared real singularity, when ``degrees`` is empty,
+    or when a degree is outside [0, n_max].
     """
     if series.exact_eval is None:
         raise ValueError("series has no exact evaluator")

@@ -307,11 +307,13 @@ def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
     n_min, n_max, stride, and p and phi when set).  Raises ConfigError
     when the first non-comment line is not the sweep header (a
     ``compare`` output, for one), and when a data row does not have the
-    five sweep cells or a cell does not convert; the message names the
-    line.
+    five sweep cells or a cell does not convert, or when a degree repeats
+    within one (x, filter) trace, which the rate fit cannot use; the
+    message names the line.
     """
     meta: dict = {}
     traces: dict[tuple[float, str], ErrorTrace] = {}
+    first_line: dict[tuple[float, str, int], int] = {}  # of each (x, kind, N)
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     for tags, fields in (parse_meta(ln[1:]) for _, ln in lines if ln.startswith("#")):
         if not tags:
@@ -327,6 +329,8 @@ def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
             raise ConfigError(
                 f"line {lineno}: bad sweep row {','.join(cells)!r} ({exc})"
             ) from None
+        if (first := first_line.setdefault((x, kind, row.N), lineno)) != lineno:
+            raise ConfigError(f"line {lineno}: repeats N={row.N} of line {first}")
         if (x, kind) not in traces:
             traces[x, kind] = ErrorTrace(x=x, filter_kind=kind)
         traces[x, kind].rows.append(row)

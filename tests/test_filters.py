@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -20,14 +21,18 @@ from gibbsaccel.filters import (
     _CODY_FAR,
     _CODY_HUGE,
     _CODY_SMALL,
+    _HDAF_CHECK_EVERY,
     _KEPT_TABLE_MAX_M,
     _LOG_SQRT_TWO_PI,
     _erfc,
     _euler_mu_row,
     _euler_sigma_table,
+    _hdaf_row_params,
+    _hdaf_rows,
     _kept_euler_sigma_table,
     _stirling_error,
 )
+from gibbsaccel.series import _weight_batches
 
 
 class TestEulerMu:
@@ -328,6 +333,42 @@ class TestHdaf:
         w = filter_weights(FilterSpec("hdaf"), N, x_dist)
         assert np.array_equal(w, reference_hdaf(np.arange(N + 1) / N, N, x_dist))
 
+    def test_one_batch_matches_plain_loop_row_by_row(self):
+        # one list call at x_dist = 3: depth-0 rows (N*x_dist < 15), rows of
+        # depth 1..5 whose entries above the cut reach numerator 0 before
+        # the first convergence check, and a deep row (J = 300)
+        x_dist = 3.0
+        degrees = [0, 1, 3, 4, 5, 9, 12, 27, 1500, 2, 60]
+        depths = [math.floor(N * x_dist / 15) for N in degrees]
+        assert 0 in depths and 300 in depths
+        assert any(0 < J < _HDAF_CHECK_EVERY - 1 for J in depths)
+        w = filter_weights(FilterSpec("hdaf"), degrees, x_dist)
+        start = 0
+        for N in degrees:
+            row = w[start : start + N + 1]
+            start += N + 1
+            n = max(N, 1)
+            assert np.array_equal(row, reference_hdaf(np.arange(N + 1) / n, n, x_dist))
+        assert start == w.size
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_batch_on_one_side_of_the_cut(self, side):
+        # every entry of the batch on one side: the other side's slice of
+        # the loop is empty from the first step
+        x_dist, degrees = 3.0, [1500, 1200, 700]
+        params = _hdaf_row_params(degrees, x_dist)
+        rows = []
+        for N in degrees:
+            J1 = math.floor(N * x_dist / 15) + 1.0
+            s = J1 * (np.linspace(0.6, 0.99, 40) if side == "below" else
+                      np.linspace(1.0, 1.4, 40))
+            assert ((s < J1) == (side == "below")).all()
+            rows.append(np.sqrt(2.0 * s / (N * x_dist)))
+        w = _hdaf_rows(np.concatenate(rows), params, [40] * len(degrees))
+        expected = [reference_hdaf(t, N, x_dist) for t, N in zip(rows, degrees)]
+        assert np.array_equal(w, np.concatenate(expected))
+        assert ((0.0 < w) & (w < 1.0)).sum() >= 60  # the series ran for them
+
     def test_matches_mpmath_where_terms_overflow(self):
         # s^j/j! overflows a double here; the weight is Q(J+1, s) all the same
         N, x_dist = 2000, 3.0
@@ -407,6 +448,11 @@ class TestFilterWeights:
             with pytest.raises(ValueError, match="nonnegative"):
                 filter_weights(FilterSpec(kind), N, x_dist)
 
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_empty_degree_list_rejected(self, kind):
+        with pytest.raises(ValueError, match="at least one degree"):
+            filter_weights(FilterSpec(kind), [], 0.5)
+
     def test_degenerate_degree(self):
         for kind in ("identity", "euler", "erfclog", "hdaf"):
             w = filter_weights(FilterSpec(kind), 0, 0.5)
@@ -417,6 +463,31 @@ class TestFilterWeights:
         p = 1.0 + 10 * 2.0 / (2 * math.pi)
         w = filter_weights(FilterSpec("erfclog"), 10, x_dist=2.0)
         assert w.tolist() == [erfclog_sigma(n / 10, p) for n in range(11)]
+
+
+#: Peak bytes that tracemalloc sees in one full weight batch at x_dist = 3
+#: (7896 weights, degrees 5, 70, ..., 980): measured 1.25 MB for HDAF and
+#: 0.95 MB for Erfc-Log (158 and 121 bytes a weight), so the bounds leave
+#: 12% and 10%.
+PEAK_BATCH_BYTES = {"hdaf": 1.40e6, "erfclog": 1.05e6}
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize("kind", sorted(PEAK_BATCH_BYTES))
+    def test_peak_of_a_full_batch(self, kind):
+        # the largest batch that series makes of a far trace: a larger
+        # budget, or a kernel holding more arrays at once, fails here
+        batch = max(
+            _weight_batches(list(range(5, 1501, 65))), key=lambda b: sum(b) + len(b)
+        )
+        filter_weights(FilterSpec(kind), batch, 3.0)  # caches and first-call set-up
+        tracemalloc.start()
+        try:
+            filter_weights(FilterSpec(kind), batch, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_BATCH_BYTES[kind]
 
 
 class TestWeightProperties:

@@ -497,6 +497,17 @@ class TestFitRate:
         assert hull.tolist() == [False, False, True]
         assert math.isnan(log_a) and math.isnan(q) and math.isnan(alpha)
 
+    @pytest.mark.parametrize("ns", [[7] * 6, [5, 5, 5, 9, 9, 9]])
+    @pytest.mark.parametrize("alpha", [None, 1.0])
+    def test_repeated_n_give_no_fit(self, ns, alpha):
+        # six hull points at one or two distinct n: no rate, and no
+        # divide-by-zero warning (an error under this suite's settings)
+        ns = np.array(ns, dtype=float)
+        logs = -0.3 * ns
+        hull, log_a, q, got_alpha = fit_rate(ns, logs, alpha)
+        assert hull.all()
+        assert math.isnan(log_a) and math.isnan(q) and math.isnan(got_alpha)
+
 
 class TestMeasuredVersusPredicted:
     @pytest.mark.parametrize(

@@ -284,15 +284,27 @@ class TestTraceErrors:
                 assert row.error == per_degree_error(series, trace.x, row.N, spec)
 
     def test_rows_across_weight_batches(self):
-        # several weight batches, one of them a single row larger than a batch
+        # several weight batches, one of them a single row larger than a
+        # batch, and runs of rows that straddle a batch boundary
+        budget = series_module._WEIGHT_BATCH_ENTRIES
+        half, third = budget // 2, budget // 3
+        degrees = [2, half, half, budget + 5, 3, third, third, third, third, 0]
+        batches = series_module._weight_batches(degrees)
+        assert [budget + 5] in batches
+        assert [2, half] in batches and [half] in batches
+        assert sum(len(b) > 1 for b in batches) >= 3
         series = FourierSeries(
-            coeff=lambda n: 1.0, n_max=6000, exact_eval=lambda x: 0.0
+            coeff=lambda n: 1.0, n_max=budget + 5, exact_eval=lambda x: 0.0
         )
-        degrees = [2, 900, 1700, 2500, 5000, 3, 1200, 1400, 1600, 0]
         specs = [FilterSpec(kind) for kind in VALID_KINDS]
         errors = trace_errors(series, 2.2, degrees, specs)
         for spec, errs in zip(specs, errors):
             assert errs == [per_degree_error(series, 2.2, N, spec) for N in degrees]
+
+    def test_empty_degree_list_rejected(self):
+        sws = make_sws(n_max=50).series
+        with pytest.raises(ValueError, match="at least one degree"):
+            trace_errors(sws, 1.0, [], [EULER])
 
     def test_degree_range(self):
         sws = make_sws(n_max=50).series

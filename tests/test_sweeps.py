@@ -578,6 +578,23 @@ class TestCli:
         assert err.startswith("config error:")
         assert f"line {lineno}" in err and bad_row in err
 
+    def test_envelope_rejects_repeated_degree(self, tmp_path, capsys):
+        # the README sweep with its N=7 row six times: one distinct N for
+        # six hull points, which determines no rate
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        row = next(ln for ln in lines if ln.startswith("1.9635,euler,7,"))
+        first = lines.index(row) + 1
+        out.write_text("\n".join(lines[:first] + [row] * 5 + lines[first:]))
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"line {first + 1}: repeats N=7 of line {first}" in err
+        with pytest.raises(ConfigError, match="repeats N=7"):
+            parse_sweep_csv(out.read_text())
+
     def test_insufficient_data_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         # deep pole: everything saturates almost immediately
