@@ -8,8 +8,11 @@ by the keys "sws", "delta", "lorentzian", "sws+lorentzian" and "log2".
 
 Each coefficient generator takes an int n, returning a complex, or an
 integer ndarray of indices, returning the complex array of c_n of the
-same shape.  Ints take a plain-Python path, so per-term callers stay
-cheap.
+same shape.  It tests for an int first and returns the closed form in
+plain Python, touching no numpy, so per-term callers stay cheap.  A
+numpy integer scalar goes through ``int`` and takes the same path, so
+it returns the int's builtin complex, which can differ in the last bit
+from numpy's own power of a numpy integer.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ def sws(x: float) -> float:
     return r - math.pi
 
 
-def _is_index(n) -> bool:
-    """Whether n is a single integer index rather than an index array."""
-    return isinstance(n, (int, np.integer))
+#: A single index that is not exactly an int (a numpy integer, a bool);
+#: it goes through ``int`` to the int path
+_INDEX_TYPES = (int, np.integer)
 
 
 def _reciprocal(ns: np.ndarray) -> np.ndarray:
@@ -54,8 +57,10 @@ def _reciprocal(ns: np.ndarray) -> np.ndarray:
 
 def sws_coeff(n):
     """Exponential-form coefficients of the sawtooth sine series: c_n = i/n."""
-    if _is_index(n):
+    if type(n) is int:
         return 1j / n if n else 0j
+    if isinstance(n, _INDEX_TYPES):
+        return sws_coeff(int(n))
     return 1j * _reciprocal(np.asarray(n))
 
 
@@ -73,15 +78,17 @@ def lorentzian(x: float, p: float, phi: float = 0.0) -> float:
 def lorentzian_coeff(n, p: float, phi: float = 0.0):
     """Coefficients p^|n| exp(-i n phi); c_0 = 1."""
     _check_p(p)
-    if _is_index(n):
+    if type(n) is int:
         return p ** abs(n) * cmath.exp(-1j * n * phi)
+    if isinstance(n, _INDEX_TYPES):
+        return lorentzian_coeff(int(n), p, phi)
     n = np.asarray(n)
     return p ** np.abs(n) * np.exp(-1j * n * phi)
 
 
 def delta_coeff(n):
     """Periodized delta: every coefficient is 1."""
-    if _is_index(n):
+    if type(n) is int or isinstance(n, _INDEX_TYPES):
         return 1.0 + 0j
     return np.ones(np.shape(n), dtype=complex)
 
@@ -98,8 +105,11 @@ def composite_coeff(n, p: float):
 
 def log2_coeff(n):
     """Alternating harmonic coefficients (-1)^(n+1)/n for n >= 1, else 0."""
-    if _is_index(n):
-        return complex((-1.0) ** (n + 1) / n) if n > 0 else 0j
+    if type(n) is int:
+        # the sign from parity: +-1 is exact, so the quotient is (-1)^(n+1)/n
+        return complex((1.0 if n & 1 else -1.0) / n) if n > 0 else 0j
+    if isinstance(n, _INDEX_TYPES):
+        return log2_coeff(int(n))
     n = np.asarray(n)
     sign = np.where(n % 2 == 1, 1.0, -1.0)
     return (np.where(n > 0, sign, 0.0) * _reciprocal(n)).astype(complex)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,11 @@ class InsufficientDataError(RuntimeError):
     """Not enough unsaturated envelope points to fit a rate."""
 
 
-@dataclass(frozen=True)
-class ErrorRow:
+class ErrorRow(NamedTuple):
+    """One measured error: the truncation degree N, |f(x) - S_N(x)|, and
+    whether that error is below the saturation floor.  An immutable
+    tuple, built by position or by keyword."""
+
     N: int
     error: float
     saturated: bool
@@ -52,11 +56,13 @@ class ErrorRow:
 class ErrorTrace:
     """Measured errors for one (x, filter) pair, plus the envelope fit.
 
-    ``envelope`` indexes the rows on the monotone upper hull of
-    log(error) vs N; ``fit`` is (A, q_hat) for the model A*exp(-q*N)/N,
-    or None before fitting.  Saturated rows (error below the double
-    precision floor), rows with a zero or infinite error and the
-    degree-0 row never enter the envelope or the fit.
+    ``rows`` is a plain list of ``ErrorRow``, which callers may extend
+    before fitting.  ``envelope`` indexes the rows on the monotone upper
+    hull of log(error) vs N; ``fit`` is (A, q_hat) for the model
+    A*exp(-q*N)/N, or None before fitting and when the fit is skipped.
+    Saturated rows (error below the double precision floor), rows with a
+    zero or infinite error and the degree-0 row never enter the envelope
+    or the fit.
     """
 
     x: float
@@ -135,8 +141,9 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
     traces = []
     for x in config.xs:
         errors = trace_errors(fn.series, x, degrees, specs)
-        for kind, errs in zip(config.filters, errors):
-            rows = [ErrorRow(N, e, e < f) for N, e, f in zip(degrees, errs, floors)]
+        saturated = (np.array(errors) < floors).tolist()
+        for kind, errs, sat in zip(config.filters, errors, saturated):
+            rows = list(map(ErrorRow, degrees, errs, sat))
             trace = ErrorTrace(x=x, filter_kind=kind, rows=rows)
             with suppress(InsufficientDataError):
                 fit_envelope(trace)
@@ -152,9 +159,11 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     with alpha = 1: the envelope is the suffix-maximum hull of log(error)
     vs N, and A is anchored so that A*exp(-q*N)/N bounds every envelope
     point, a tight upper envelope of the whole trace.  Stores the hull on
-    ``trace.envelope`` (also when it has too few points and
-    InsufficientDataError is raised) and the fit on ``trace.fit``, and
-    returns (A, q_hat).
+    ``trace.envelope`` and the fit on ``trace.fit``, and returns (A,
+    q_hat).  Raises InsufficientDataError, keeping the hull and leaving
+    ``trace.fit`` as it was, when the hull has fewer than
+    ``MIN_ENVELOPE_POINTS`` points or sits at fewer than three distinct N
+    (rows a caller appended with a repeated N), which fix no slope.
     """
     usable = [
         (i, r.N, math.log(r.error))
@@ -169,6 +178,8 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
             f"only {len(trace.envelope)} unsaturated envelope points; need "
             f"{MIN_ENVELOPE_POINTS}"
         )
+    if math.isnan(q_hat):  # fit_rate found fewer than 3 distinct N
+        raise InsufficientDataError("hull at fewer than 3 distinct N")
     trace.fit = (math.exp(log_a), q_hat)
     return trace.fit
 

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import gibbsaccel.catalog
 from gibbsaccel.catalog import (
     FUNCTION_KEYS,
     composite_coeff,
@@ -68,6 +69,10 @@ class TestLorentzian:
             lorentzian(0.0, 1.5)
         with pytest.raises(ValueError):
             lorentzian_coeff(1, -0.1)
+        with pytest.raises(ValueError):
+            make_lorentzian(p=1.5)
+        with pytest.raises(ValueError):
+            composite_coeff(1, 1.5)
 
     def test_coefficients(self):
         assert lorentzian_coeff(0, 0.5) == 1.0
@@ -267,3 +272,67 @@ class TestRegistry:
             value = filtered_partial_sum(series, float(x), 400, IDENTITY)
             err = abs(value - series.exact_eval(float(x)))
             assert err < 10.0 / 400
+
+
+#: Every entry, with default and non-default parameters (phi inside
+#: (-pi, pi], which make_lorentzian leaves as it is)
+ENTRIES = [
+    ("sws", {}),
+    ("delta", {}),
+    ("log2", {}),
+    ("lorentzian", {}),
+    ("lorentzian", {"p": 0.3, "phi": 2.0}),
+    ("sws+lorentzian", {}),
+    ("sws+lorentzian", {"p": 0.9}),
+]
+ENTRY_IDS = [
+    key + "".join(f"-{k}={v}" for k, v in params.items()) for key, params in ENTRIES
+]
+
+
+def closed_form(key, n, p=None, phi=None):
+    """c_n written out in plain Python, independently of the catalog."""
+    sawtooth = 1j / n if n else 0j
+    if key == "sws":
+        return sawtooth
+    if key == "delta":
+        return 1 + 0j
+    if key == "log2":
+        return complex((-1.0) ** (n + 1) / n) if n > 0 else 0j
+    if key == "lorentzian":
+        p, phi = p or math.exp(-0.2), math.pi if phi is None else phi
+        return p ** abs(n) * cmath.exp(-1j * n * phi)
+    p = p or 0.5
+    return sawtooth + p ** abs(n) * cmath.exp(-1j * n * math.pi)
+
+
+def bits(z):
+    """The exact bits of a complex, signed zeros included."""
+    return z.real.hex(), z.imag.hex()
+
+
+class TestScalarPath:
+    SAMPLE = [-3, 0, 1, 7]
+
+    def test_int_path_stays_in_plain_python(self, monkeypatch):
+        coeffs = [get_function(key, **params).series.coeff for key, params in ENTRIES]
+
+        class NoNumpy:
+            def __getattr__(self, name):
+                raise AssertionError(f"int path touched np.{name}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gibbsaccel.catalog, "np", NoNumpy())
+            got = [[coeff(n) for n in self.SAMPLE] for coeff in coeffs]
+        for coeff, values in zip(coeffs, got):
+            assert all(type(v) is complex for v in values)
+            for n, v in zip(self.SAMPLE, values):
+                scalar = coeff(np.int64(n))
+                assert type(scalar) is complex and bits(scalar) == bits(v)
+
+    @pytest.mark.parametrize("key, params", ENTRIES, ids=ENTRY_IDS)
+    def test_bit_for_bit_against_closed_form(self, key, params):
+        coeff = get_function(key, **params).series.coeff
+        for n in [*range(-500, 501), 10**6, -(10**6), 2 * 10**6]:
+            want = complex(closed_form(key, n, **params))
+            assert bits(coeff(n)) == bits(want), n

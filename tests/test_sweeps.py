@@ -124,6 +124,29 @@ class TestFitEnvelope:
             pass
         assert trace.envelope == hull[::-1]
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(7, 1e-3)] * 6,
+            [(5, 1e-2)] * 3 + [(6, 1e-3)] * 3,
+        ],
+        ids=["one-degree", "two-degrees"],
+    )
+    def test_hull_at_fewer_than_three_degrees_raises(self, rows):
+        # enough hull points, but repeated N fix no slope
+        trace = ErrorTrace(x=1.0, filter_kind="euler")
+        for N, err in rows:
+            trace.rows.append(ErrorRow(N, err, False))
+        with pytest.raises(InsufficientDataError, match="distinct N"):
+            fit_envelope(trace)
+        assert len(trace.envelope) == 6 and trace.fit is None
+
+    def test_rows_are_immutable_tuples(self):
+        row = ErrorRow(N=7, error=0.5, saturated=False)
+        assert row == ErrorRow(7, 0.5, False) == (7, 0.5, False)
+        with pytest.raises(AttributeError):
+            row.error = 1.0
+
     def test_degree_zero_row_never_fitted(self):
         trace = synthetic_trace(2.0, 0.5, range(1, 40))
         fit = fit_envelope(trace)
