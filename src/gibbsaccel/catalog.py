@@ -5,6 +5,11 @@ generator and a declared singularity set, so measured truncation errors
 and predicted convergence rates can be compared without any numerical
 coefficient estimation.  Addressable from the CLI through ``get_function``
 by the keys "sws", "delta", "lorentzian", "sws+lorentzian" and "log2".
+The generators of the entries without parameters (``sws_coeff``,
+``delta_coeff``, ``log2_coeff``) live at module level; a parametrized
+entry checks its parameters once, in its factory, and binds the checked
+values in its generator and closed form, so a per-term call checks
+nothing (``make_lorentzian``; ``make_composite`` builds on it).
 
 Each coefficient generator takes an int n, returning a complex, or an
 integer ndarray of indices, returning the complex array of c_n of the
@@ -64,43 +69,11 @@ def sws_coeff(n):
     return 1j * _reciprocal(np.asarray(n))
 
 
-def lorentzian(x: float, p: float, phi: float = 0.0) -> float:
-    """Periodized simple pole (1-p^2)/((1+p^2) - 2p cos(x-phi)), 0 < p < 1.
-
-    Peaks at (1+p)/(1-p) for x = phi, troughs at (1-p)/(1+p) opposite,
-    and is singularity-free on the real axis; its poles sit at
-    x = phi +- i*tau (mod 2*pi) with tau = -log(p).
-    """
-    _check_p(p)
-    return (1.0 - p * p) / ((1.0 + p * p) - 2.0 * p * math.cos(x - phi))
-
-
-def lorentzian_coeff(n, p: float, phi: float = 0.0):
-    """Coefficients p^|n| exp(-i n phi); c_0 = 1."""
-    _check_p(p)
-    if type(n) is int:
-        return p ** abs(n) * cmath.exp(-1j * n * phi)
-    if isinstance(n, _INDEX_TYPES):
-        return lorentzian_coeff(int(n), p, phi)
-    n = np.asarray(n)
-    return p ** np.abs(n) * np.exp(-1j * n * phi)
-
-
 def delta_coeff(n):
     """Periodized delta: every coefficient is 1."""
     if type(n) is int or isinstance(n, _INDEX_TYPES):
         return 1.0 + 0j
     return np.ones(np.shape(n), dtype=complex)
-
-
-def composite_value(x: float, p: float) -> float:
-    """Sawtooth plus periodized pole with phase pi (poles on Re x = pi)."""
-    return sws(x) + lorentzian(x, p, math.pi)
-
-
-def composite_coeff(n, p: float):
-    """Coefficient-wise sum of the sawtooth and phase-pi pole series."""
-    return sws_coeff(n) + lorentzian_coeff(n, p, math.pi)
 
 
 def log2_coeff(n):
@@ -152,25 +125,44 @@ def make_delta(n_max: int = DEFAULT_N_MAX) -> TestFunction:
 def make_lorentzian(
     p: float = math.exp(-0.2), phi: float = math.pi, n_max: int = DEFAULT_N_MAX
 ) -> TestFunction:
+    """Periodized simple pole (1-p^2)/((1+p^2) - 2p cos(x-phi)), 0 < p < 1.
+
+    Its coefficients are p^|n| exp(-i n phi), with c_0 = 1.  It peaks at
+    (1+p)/(1-p) for x = phi, troughs at (1-p)/(1+p) opposite, and is
+    singularity-free on the real axis; its poles sit at x = phi +- i*tau
+    (mod 2*pi) with tau = -log(p).  p and phi are checked here, once, and
+    phi is reduced mod 2*pi; the coefficient generator and the closed
+    form bind the checked values.
+    """
     _check_p(p)
     if not math.isfinite(phi):
         raise ValueError(f"pole phase phi={phi} is not finite")
     phi = math.remainder(phi, _TWO_PI)  # exact, as for x in ``folded``
-    return TestFunction(FourierSeries(
-        lambda n: lorentzian_coeff(n, p, phi),
-        n_max,
-        lambda x: lorentzian(x, p, phi),
-        SingularitySet(off_axis=(Singularity(phi, -math.log(p)),)),
-    ))
+
+    def coeff(n):
+        if type(n) is int:
+            return p ** abs(n) * cmath.exp(-1j * n * phi)
+        if isinstance(n, _INDEX_TYPES):
+            return coeff(int(n))
+        n = np.asarray(n)
+        return p ** np.abs(n) * np.exp(-1j * n * phi)
+
+    def value(x: float) -> float:
+        return (1.0 - p * p) / ((1.0 + p * p) - 2.0 * p * math.cos(x - phi))
+
+    poles = SingularitySet(off_axis=(Singularity(phi, -math.log(p)),))
+    return TestFunction(FourierSeries(coeff, n_max, value, poles))
 
 
 def make_composite(p: float = 0.5, n_max: int = DEFAULT_N_MAX) -> TestFunction:
-    _check_p(p)
+    """Sawtooth plus the phase-pi pole of ``make_lorentzian`` (poles on
+    Re x = pi), summed coefficient by coefficient."""
+    pole = make_lorentzian(p, math.pi, n_max).series
     return TestFunction(FourierSeries(
-        lambda n: composite_coeff(n, p),
+        lambda n: sws_coeff(n) + pole.coeff(n),
         n_max,
-        lambda x: composite_value(x, p),
-        SingularitySet(0.0, off_axis=(Singularity(math.pi, -math.log(p)),)),
+        lambda x: sws(x) + pole.exact_eval(x),
+        SingularitySet(0.0, off_axis=pole.singularities.off_axis),
     ))
 
 

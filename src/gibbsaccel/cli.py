@@ -7,7 +7,10 @@ Subcommands:
 * ``rho``      -- tabulate the predicted convergence factor over x.
 * ``compare``  -- run several filters at one x side by side.
 * ``envelope`` -- refit the envelope of a previously written sweep CSV
-  and report the empirical rate against the prediction.
+  and report the empirical rate, one line per trace.  Only Euler traces
+  get a ``q_predicted`` and ``rel_gap``, the other filters having no
+  rate law; a trace whose fit fails gets empty ``A``, ``q_hat`` and
+  ``rel_gap``.  Every trace is reported before the exit status is set.
 
 All tabular output is CSV with ``#`` comment lines of ``key=value``
 tokens carrying the config echo and fit results.  Every ``fit`` line
@@ -18,16 +21,16 @@ when their error is below the fixed floor 100*eps*sum|c_n|
 Exit codes: 0 success, 2 configuration error (also an unknown function
 key, a bad ``--p`` or ``--phi`` or one the function does not take, a
 ``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, a
-non-numeric ``p=`` or ``phi=`` or an x that ``ExperimentConfig.validate``
-rejects in an ``envelope`` input, and an input or output file that
-cannot be opened), 3 insufficient data.
+non-numeric ``p=`` or ``phi=``, or an x or filter name that
+``ExperimentConfig.validate`` rejects in an ``envelope`` input, and an
+input or output file that cannot be opened), 3 insufficient data (for
+``envelope``, any trace without a fit, each named on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 # get_function, called through sweeps._resolve_function, stays in this
@@ -115,15 +118,27 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     for key in ("p", "phi"):
         if isinstance(meta.get(key), str):  # parse_meta keeps a non-number as text
             raise ConfigError(f"input has a non-numeric {key}={meta[key]}")
+    kinds = tuple(dict.fromkeys(trace.filter_kind for trace in traces))
     xs = tuple(trace.x for trace in traces)
-    config = ExperimentConfig(meta["fn"], xs=xs, p=meta.get("p"), phi=meta.get("phi"))
+    config = ExperimentConfig(
+        meta["fn"], kinds, xs, p=meta.get("p"), phi=meta.get("phi")
+    )
     sings = config.validate().series.singularities
+    skipped = []
     for trace in traces:
-        amplitude, q_hat = fit_envelope(trace)
-        q_pred = rho_of_x(sings, trace.x).q
-        gap = abs(q_hat - q_pred) / q_pred if q_pred != 0 else math.inf
+        try:
+            fit_envelope(trace)
+        except InsufficientDataError as exc:
+            skipped.append(f"x={trace.x} filter={trace.filter_kind}: {exc}")
+        amplitude, q_hat = trace.fit or (None, None)
+        # only Euler has a rate law; validate keeps x off the real
+        # singularity, so its predicted rate is positive
+        q_pred = rho_of_x(sings, trace.x).q if trace.filter_kind == "euler" else None
+        gap = None if q_hat is None or q_pred is None else abs(q_hat - q_pred) / q_pred
         fields = dict(x=trace.x, filter=trace.filter_kind, A=amplitude, q_hat=q_hat)
         print(meta_line(**fields, q_predicted=q_pred, rel_gap=gap))
+    if skipped:
+        raise InsufficientDataError("; ".join(skipped))
     return EXIT_OK
 
 
@@ -142,13 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each option is declared once: --out on every subcommand that writes,
-    # --fn and --p on those that read a function, the degree range on the
+    # --fn, --p and --phi on those that read a function, the degree range on the
     # two that sum one.
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
     fn = argparse.ArgumentParser(add_help=False, parents=[out])
     fn.add_argument("--fn", required=True, choices=FUNCTION_KEYS)
     fn.add_argument("--p", type=float, default=None)
+    fn.add_argument("--phi", type=float, default=None)
     run = argparse.ArgumentParser(add_help=False, parents=[fn])
     run.add_argument("--x", type=float, required=True)
     run.add_argument("--n-min", type=int, default=2)
@@ -169,12 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rho", parents=[fn], help="predicted convergence factor over x")
     r.add_argument("--resolution", type=int, required=True)
     r.set_defaults(run=_cmd_rho)
-    for phi_taker in (s, r):  # compare fixes phi to the catalog default
-        phi_taker.add_argument("--phi", type=float, default=None)
 
     c = sub.add_parser("compare", parents=[run], help="compare filters at one x")
     c.add_argument("--filters", default="euler,erfclog,hdaf")
-    c.set_defaults(run=_cmd_compare, phi=None)
+    c.set_defaults(run=_cmd_compare)
 
     e = sub.add_parser("envelope", help="refit the envelope of a sweep CSV")
     e.add_argument("--in", required=True)

@@ -8,13 +8,9 @@ import pytest
 import gibbsaccel.catalog
 from gibbsaccel.catalog import (
     FUNCTION_KEYS,
-    composite_coeff,
-    composite_value,
     delta_coeff,
     get_function,
     log2_series,
-    lorentzian,
-    lorentzian_coeff,
     make_composite,
     make_log2,
     make_lorentzian,
@@ -56,35 +52,46 @@ class TestSawtooth:
 
 
 class TestLorentzian:
+    # the factory's phase defaults to pi, so each test passes phi itself
     def test_peak_and_trough(self):
         p = 0.5
-        assert lorentzian(0.0, p) == pytest.approx((1 + p) / (1 - p), rel=1e-15)
-        assert lorentzian(math.pi, p) == pytest.approx((1 - p) / (1 + p), rel=1e-15)
+        value = make_lorentzian(p, 0.0).series.exact_eval
+        assert value(0.0) == pytest.approx((1 + p) / (1 - p), rel=1e-15)
+        assert value(math.pi) == pytest.approx((1 - p) / (1 + p), rel=1e-15)
 
     def test_weak_pole_limit(self):
-        assert lorentzian(1.3, 1e-9) == pytest.approx(1.0, abs=1e-8)
+        value = make_lorentzian(1e-9, 0.0).series.exact_eval
+        assert value(1.3) == pytest.approx(1.0, abs=1e-8)
 
     def test_parameter_range(self):
-        with pytest.raises(ValueError):
-            lorentzian(0.0, 1.5)
-        with pytest.raises(ValueError):
-            lorentzian_coeff(1, -0.1)
-        with pytest.raises(ValueError):
-            make_lorentzian(p=1.5)
-        with pytest.raises(ValueError):
-            composite_coeff(1, 1.5)
+        builds = (
+            lambda p: make_lorentzian(p, 0.0),
+            make_composite,
+            lambda p: get_function("lorentzian", p=p),
+            lambda p: get_function("sws+lorentzian", p=p),
+        )
+        for p in (1.5, -0.1, 0.0, 1.0, math.nan):
+            for build in builds:
+                with pytest.raises(ValueError, match="outside"):
+                    build(p)
+        for phi in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                make_lorentzian(0.5, phi)
 
     def test_coefficients(self):
-        assert lorentzian_coeff(0, 0.5) == 1.0
-        assert lorentzian_coeff(2, 0.5, 0.0) == pytest.approx(0.25)
-        assert lorentzian_coeff(1, 0.5, math.pi) == pytest.approx(-0.5)
-        assert lorentzian_coeff(-1, 0.5, math.pi) == pytest.approx(-0.5)
+        coeff = make_lorentzian(0.5, 0.0).series.coeff
+        assert coeff(0) == 1.0
+        assert coeff(2) == pytest.approx(0.25)
+        coeff = make_lorentzian(0.5, math.pi).series.coeff
+        assert coeff(0) == 1.0
+        assert coeff(1) == pytest.approx(-0.5)
+        assert coeff(-1) == pytest.approx(-0.5)
 
     def test_coefficients_sum_to_function(self):
         series = make_lorentzian(0.5, 0.0).series
         for x in (0.0, 1.0, math.pi):
             assert filtered_partial_sum(series, x, 200, IDENTITY) == pytest.approx(
-                lorentzian(x, 0.5), rel=1e-12
+                0.75 / (1.25 - math.cos(x)), rel=1e-12
             )
 
     @pytest.mark.parametrize("phi", [1e3, 1 + 2 * math.pi * 1e9, 1e17, -1e300])
@@ -132,16 +139,18 @@ class TestDeltaAndComposite:
         assert delta_coeff(-17) == 1.0
 
     def test_composite_value(self):
-        assert composite_value(math.pi, 0.5) == pytest.approx(3.0, rel=1e-15)
+        value = make_composite(0.5).series.exact_eval
+        assert value(math.pi) == pytest.approx(3.0, rel=1e-15)
 
     def test_composite_coefficient(self):
-        assert composite_coeff(1, 0.5) == pytest.approx(1j - 0.5)
+        coeff = get_function("sws+lorentzian", p=0.5).series.coeff
+        assert coeff(1) == pytest.approx(1j - 0.5)
+        np.testing.assert_allclose(coeff(np.array([1, -2])), [1j - 0.5, 0.25 - 0.5j])
 
     def test_weak_pole_reduces_to_sawtooth(self):
+        value = make_composite(1e-10).series.exact_eval
         for x in (0.7, 2.0, -1.1):
-            assert composite_value(x, 1e-10) == pytest.approx(
-                sws(x) + 1.0, abs=1e-8
-            )
+            assert value(x) == pytest.approx(sws(x) + 1.0, abs=1e-8)
 
     def test_composite_declares_both_singularity_kinds(self):
         sings = make_composite(0.5).series.singularities
@@ -336,3 +345,22 @@ class TestScalarPath:
         for n in [*range(-500, 501), 10**6, -(10**6), 2 * 10**6]:
             want = complex(closed_form(key, n, **params))
             assert bits(coeff(n)) == bits(want), n
+
+
+class TestBoundParameters:
+    def test_per_term_calls_check_nothing(self, monkeypatch):
+        # an entry checks p when it is built; its calls only evaluate
+        series = [get_function(key, **params).series for key, params in ENTRIES]
+
+        def refuse(p):
+            raise AssertionError(f"p={p} checked again")
+
+        monkeypatch.setattr(gibbsaccel.catalog, "_check_p", refuse)
+        ns = np.arange(-40, 41)
+        for s in series:
+            assert s.coeff(ns).shape == ns.shape
+            assert all(type(s.coeff(n)) is complex for n in ns.tolist())
+            assert type(s.coeff(np.int64(7))) is complex
+            s.exact_eval(0.7)
+        with pytest.raises(AssertionError, match="checked again"):
+            make_composite(0.5)

@@ -82,3 +82,8 @@ def test_no_flag_exits_zero(tmp_path, capsys):
     write(tmp_path / "bench" / "more.py", "from gibbsaccel.mod import wrapped, count\n")
     assert tool.main(["readers.py", str(tmp_path)]) == 0
     assert "read only" not in capsys.readouterr().out
+
+
+def test_repository_flags_no_name(capsys):
+    # a public name that only unit tests read is code that nothing needs
+    assert tool.main(["readers.py", str(TOOL.parents[1])]) == 0, capsys.readouterr().out

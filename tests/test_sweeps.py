@@ -431,6 +431,43 @@ class TestCli:
         assert "q_hat" in fields and "q_predicted" in fields
         assert fields["rel_gap"] < 0.05
 
+    @pytest.mark.parametrize("kind", ["identity", "erfclog", "hdaf"])
+    def test_envelope_predicts_only_euler(self, kind, tmp_path, capsys):
+        # Euler's law is not these filters' rate, so none is written
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.0", "--n-max", "60",
+              "--filter", kind, "--out", str(out)])
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_OK
+        _, fields = parse_meta(capsys.readouterr().out)
+        assert fields["filter"] == kind and math.isfinite(fields["q_hat"])
+        assert fields["q_predicted"] is None and fields["rel_gap"] is None
+
+    def test_envelope_unknown_filter_in_input(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        out.write_text(out.read_text().replace("euler", "bogus"))
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "unknown filter kind 'bogus'" in captured.err and not captured.out
+
+    def test_envelope_reports_every_trace(self, tmp_path, capsys):
+        # the trace at x = 1.0 has too few points for a fit, the one at
+        # x = 0.05 has one; both are reported before the exit status
+        config = ExperimentConfig("sws", xs=(1.0, 0.05), n_min=2, n_max=8)
+        out = tmp_path / "sweep.csv"
+        out.write_text(sweep_csv(config, sweep_errors(config)))
+        assert main(["envelope", "--in", str(out)]) == EXIT_INSUFFICIENT
+        captured = capsys.readouterr()
+        skipped, fitted = (parse_meta(ln)[1] for ln in captured.out.splitlines())
+        assert skipped["x"] == 1.0 and skipped["q_predicted"] > 0
+        assert skipped["A"] is skipped["q_hat"] is skipped["rel_gap"] is None
+        assert fitted["x"] == 0.05 and math.isfinite(fitted["rel_gap"])
+        assert captured.err.startswith("insufficient data: x=1.0 filter=euler: ")
+        assert "x=0.05" not in captured.err
+
     def test_rho_command(self, capsys):
         assert main(["rho", "--fn", "lorentzian", "--resolution", "33"]) == EXIT_OK
         out = capsys.readouterr().out
@@ -444,6 +481,12 @@ class TestCli:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "err_euler" in out and "err_hdaf" in out
+
+    def test_compare_takes_phi(self, capsys):
+        argv = ["compare", "--fn", "lorentzian", "--phi", "1.0", "--x", "2.0",
+                "--n-max", "30"]
+        assert main(argv) == EXIT_OK
+        assert "# phi=1.0" in capsys.readouterr().out.splitlines()
 
     def test_degree_zero_row_written_not_fitted(self, tmp_path, capsys):
         paths = {n_min: tmp_path / f"sweep{n_min}.csv" for n_min in (0, 1)}
@@ -788,6 +831,18 @@ class TestReadme:
         example = readme_block("```text", "# fit x=1.9635 filter=euler")
         written = (tmp_path / "sweep.csv").read_text().splitlines()
         assert example + [",".join(SWEEP_HEADER)] == written[: len(example) + 1]
+
+    def test_envelope_output_of_the_readme_sweep(self, tmp_path, monkeypatch, capsys):
+        # the readme-cli benchmark parses each token as key=value; the line
+        # is pinned byte for byte, as the README's sweep comment lines are
+        monkeypatch.chdir(tmp_path)
+        commands = {argv[0]: argv for argv in readme_commands()}
+        assert main(commands["sweep"]) == EXIT_OK
+        assert main(commands["envelope"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "x=1.9635 filter=euler A=1.179725161946198 q_hat=0.5839226823204039 "
+            "q_predicted=0.5877636816618133 rel_gap=0.006534938209433952\n"
+        )
 
     def test_fits_and_commands_call_no_lapack(self, tmp_path, monkeypatch):
         def no_lapack(*args, **kwargs):
