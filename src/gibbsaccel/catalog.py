@@ -3,21 +3,23 @@
 Every entry pairs a closed-form evaluator with its exact coefficient
 generator and a declared singularity set, so measured truncation errors
 and predicted convergence rates can be compared without any numerical
-coefficient estimation.  Addressable from the CLI through ``get_function``
-by the keys "sws", "delta", "lorentzian", "sws+lorentzian" and "log2".
+coefficient estimation.  Addressable from the CLI through
+``get_function`` by the keys "sws", "delta", "lorentzian",
+"sws+lorentzian" and "log2".  Each set declares the power law alpha of
+its real singularity too: 1 for the jumps of "sws" and "sws+lorentzian"
+and the log branch of "log2", 0 for the pole of "delta".
 The generators of the entries without parameters (``sws_coeff``,
 ``delta_coeff``, ``log2_coeff``) live at module level; a parametrized
 entry checks its parameters once, in its factory, and binds the checked
 values in its generator and closed form, so a per-term call checks
 nothing (``make_lorentzian``; ``make_composite`` builds on it).
 
-Each coefficient generator takes an int n, returning a complex, or an
-integer ndarray of indices, returning the complex array of c_n of the
-same shape.  It tests for an int first and returns the closed form in
-plain Python, touching no numpy, so per-term callers stay cheap.  A
-numpy integer scalar goes through ``int`` and takes the same path, so
-it returns the int's builtin complex, which can differ in the last bit
-from numpy's own power of a numpy integer.
+Each coefficient generator takes a Python int n, returning a complex,
+or an integer ndarray of indices, returning the complex array of c_n of
+the same shape.  It tests for an int first and returns the closed form
+in plain Python, touching no numpy, so per-term callers stay cheap.
+Anything else takes the array path: a numpy integer scalar is a 0-d
+index and gets a 0-d result, bit-identical to its entry of the array.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ def sws(x: float) -> float:
     return r - math.pi
 
 
-#: A single index that is not exactly an int (a numpy integer, a bool);
-#: it goes through ``int`` to the int path
-_INDEX_TYPES = (int, np.integer)
-
-
 def _reciprocal(ns: np.ndarray) -> np.ndarray:
     """1/n, with 0 at n = 0."""
     return np.divide(1.0, ns, out=np.zeros(np.shape(ns)), where=ns != 0)
@@ -64,14 +61,12 @@ def sws_coeff(n):
     """Exponential-form coefficients of the sawtooth sine series: c_n = i/n."""
     if type(n) is int:
         return 1j / n if n else 0j
-    if isinstance(n, _INDEX_TYPES):
-        return sws_coeff(int(n))
     return 1j * _reciprocal(np.asarray(n))
 
 
 def delta_coeff(n):
     """Periodized delta: every coefficient is 1."""
-    if type(n) is int or isinstance(n, _INDEX_TYPES):
+    if type(n) is int:
         return 1.0 + 0j
     return np.ones(np.shape(n), dtype=complex)
 
@@ -81,8 +76,6 @@ def log2_coeff(n):
     if type(n) is int:
         # the sign from parity: +-1 is exact, so the quotient is (-1)^(n+1)/n
         return complex((1.0 if n & 1 else -1.0) / n) if n > 0 else 0j
-    if isinstance(n, _INDEX_TYPES):
-        return log2_coeff(int(n))
     n = np.asarray(n)
     sign = np.where(n % 2 == 1, 1.0, -1.0)
     return (np.where(n > 0, sign, 0.0) * _reciprocal(n)).astype(complex)
@@ -117,9 +110,10 @@ def make_sws(n_max: int = DEFAULT_N_MAX) -> TestFunction:
 
 def make_delta(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     # the summed distribution vanishes away from the singularity, so the
-    # exact evaluator is identically zero on the sweepable domain
-    jump = SingularitySet(real_singularity=0.0)
-    return TestFunction(FourierSeries(delta_coeff, n_max, lambda x: 0.0 + 0j, jump))
+    # exact evaluator is identically zero on the sweepable domain; its
+    # inflated series, the sum of (z e^(ix))^n, has a simple pole: alpha 0
+    pole = SingularitySet(real_singularity=0.0, real_alpha=0.0)
+    return TestFunction(FourierSeries(delta_coeff, n_max, lambda x: 0.0 + 0j, pole))
 
 
 def make_lorentzian(
@@ -142,8 +136,6 @@ def make_lorentzian(
     def coeff(n):
         if type(n) is int:
             return p ** abs(n) * cmath.exp(-1j * n * phi)
-        if isinstance(n, _INDEX_TYPES):
-            return coeff(int(n))
         n = np.asarray(n)
         return p ** np.abs(n) * np.exp(-1j * n * phi)
 

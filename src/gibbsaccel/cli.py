@@ -7,17 +7,20 @@ Subcommands:
 * ``rho``      -- tabulate the predicted convergence factor over x.
 * ``compare``  -- run several filters at one x side by side.
 * ``envelope`` -- refit the envelope of a previously written sweep CSV
-  and report the empirical rate, one line per trace.  Only Euler traces
-  get a ``q_predicted`` and ``rel_gap``, the other filters having no
-  rate law; a trace whose fit fails gets empty ``A``, ``q_hat`` and
-  ``rel_gap``.  Every trace is reported before the exit status is set.
+  and report the empirical rate, one line per trace, with the ``alpha``
+  it was fitted with.  Only Euler traces get a ``q_predicted`` and
+  ``rel_gap``, and the alpha of their rate law; the other filters have
+  no rate law and are fitted with alpha = 1.  A trace whose fit fails
+  gets empty ``A``, ``q_hat`` and ``rel_gap``.  Every trace is reported
+  before the exit status is set.
 
 All tabular output is CSV with ``#`` comment lines of ``key=value``
 tokens carrying the config echo and fit results.  Every ``fit`` line
-ends with the trace's number of ``hull_points``; a trace whose fit was
-skipped has empty ``A`` and ``q_hat``.  Rows are flagged ``saturated``
-when their error is below the fixed floor 100*eps*sum|c_n|
-(``series.saturation_floor``).
+gives the ``alpha`` of the model A*exp(-q*N)/N^alpha it fits
+(``sweeps.law_alpha``) and ends with the trace's number of
+``hull_points``; a trace whose fit was skipped has empty ``A`` and
+``q_hat``.  Rows are flagged ``saturated`` when their error is below the
+fixed floor 100*eps*sum|c_n| (``series.saturation_floor``).
 Exit codes: 0 success, 2 configuration error (also an unknown function
 key, a bad ``--p`` or ``--phi`` or one the function does not take, a
 ``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, a
@@ -126,17 +129,18 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     sings = config.validate().series.singularities
     skipped = []
     for trace in traces:
+        # only Euler has a rate law (``sweeps.law_alpha``); validate keeps x
+        # off the real singularity, so its predicted rate is positive
+        law = rho_of_x(sings, trace.x) if trace.filter_kind == "euler" else None
+        alpha, q_pred = (law.alpha, law.q) if law else (1.0, None)
         try:
-            fit_envelope(trace)
+            fit_envelope(trace, alpha)
         except InsufficientDataError as exc:
             skipped.append(f"x={trace.x} filter={trace.filter_kind}: {exc}")
         amplitude, q_hat = trace.fit or (None, None)
-        # only Euler has a rate law; validate keeps x off the real
-        # singularity, so its predicted rate is positive
-        q_pred = rho_of_x(sings, trace.x).q if trace.filter_kind == "euler" else None
         gap = None if q_hat is None or q_pred is None else abs(q_hat - q_pred) / q_pred
         fields = dict(x=trace.x, filter=trace.filter_kind, A=amplitude, q_hat=q_hat)
-        print(meta_line(**fields, q_predicted=q_pred, rel_gap=gap))
+        print(meta_line(**fields, alpha=alpha, q_predicted=q_pred, rel_gap=gap))
     if skipped:
         raise InsufficientDataError("; ".join(skipped))
     return EXIT_OK

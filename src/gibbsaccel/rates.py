@@ -13,13 +13,20 @@ cos(d/2) rounds to 1 (for d below about 2e-8), so that q is taken as
 -log1p(-2 sin^2(d/4)), which has no cancellation; every other q is
 log(rho).
 
+The error at x then behaves like e^(-qN)/N^alpha, where the power alpha
+belongs to the binding singularity: 1 for a jump or a log branch point,
+0 for a pole.  The real singularity declares its own
+(``SingularitySet.real_alpha``); an off-axis pole has alpha = 0, and the
+cap alpha = 1, from the log branch at infinity of ``log2``, the one
+catalog entry whose inflated function is singular there.
+
 The law is declared once, in ``_constraints``: the cap, then the real
-image, then each off-axis image, as floats for one x or as arrays for an
-array of x (``periodic_distance`` and ``zeta_image_modulus`` take
-either).  ``rho_of_x`` takes the first minimum of that list at one
-point; ``image_table`` stacks it over a grid and takes the first
-``argmin`` (``rho_curve``, ``acceleration_penalty_region``), so the two
-agree bit for bit.
+image, then each off-axis image, each with its alpha, as floats for one
+x or as arrays for an array of x (``periodic_distance`` and
+``zeta_image_modulus`` take either).  ``rho_of_x`` takes the first
+minimum of that list at one point; ``image_table`` stacks it over a grid
+and takes the first ``argmin`` (``rho_curve``,
+``acceleration_penalty_region``), so the two agree bit for bit.
 
 The measured rate is fitted here too, by ``fit_rate``: one least-squares
 fit of log A - q*n - alpha*log n to the upper hull of a log-magnitude
@@ -67,10 +74,13 @@ class SingularitySet:
 
     ``real_singularity`` is the location of the (at most one) singularity
     on the real axis in (-pi, pi]; ``None`` declares the function regular
-    on the real axis.  Each ``off_axis`` entry, with a finite sigma and a
-    finite tau != 0, stands for the conjugate pair sigma +- i*tau: both
-    members have the same image modulus, so declaring one of them (or
-    both, which changes no rho) is enough.  A complex-valued function's
+    on the real axis.  ``real_alpha`` is its power law: the error where
+    its image binds falls like e^(-qN)/N^real_alpha, 1 (the default) for
+    a jump or a log branch point, 0 for a pole; a negative or non-finite
+    value raises ValueError.  Each ``off_axis`` entry, with a finite sigma
+    and a finite tau != 0, stands for the conjugate pair sigma +- i*tau:
+    both members have the same image modulus, so declaring one of them
+    (or both, which changes no rho) is enough.  A complex-valued function's
     lone pole is declared the same way.  A |tau| whose e^(2|tau|)
     overflows (above about 354.89) raises ValueError: its image would
     overflow, and it equals the cap to double precision anyway.
@@ -78,12 +88,15 @@ class SingularitySet:
 
     real_singularity: float | None = None
     off_axis: tuple[Singularity, ...] = field(default=())
+    real_alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if self.real_singularity is not None and not (
             -math.pi < self.real_singularity <= math.pi
         ):
             raise ValueError("real singularity must lie in (-pi, pi]")
+        if not 0.0 <= self.real_alpha < math.inf:
+            raise ValueError(f"real_alpha={self.real_alpha} is not finite and >= 0")
         for s in self.off_axis:
             if not (math.isfinite(s.sigma) and math.isfinite(s.tau)):
                 raise ValueError(f"singularity ({s.sigma}, {s.tau}) is not finite")
@@ -127,13 +140,16 @@ class RatePrediction:
     rounds to 1.  ``dominating`` codes the binding constraint as
     ``image_table`` does: ``DOMINATED_BY_METRIC`` for the cap introduced
     by the map, ``DOMINATED_BY_REAL`` for the on-axis singularity image,
-    or the index (>= 0) into the off-axis list.  At the real singularity
-    itself rho = 1 and q = 0: no pointwise acceleration is possible.
+    or the index (>= 0) into the off-axis list.  ``alpha`` is the power
+    law of that constraint: the error falls like e^(-qN)/N^alpha.  At the
+    real singularity itself rho = 1 and q = 0: no pointwise acceleration
+    is possible.
     """
 
     rho: float
     q: float
     dominating: int
+    alpha: float
 
 
 def zeta_image_modulus(r: float, theta):
@@ -156,8 +172,9 @@ def zeta_image_modulus(r: float, theta):
         return 2.0 * r / denom
 
 
-def _constraints(sings: SingularitySet, x) -> list[tuple[int, float]]:
-    """Every bound on rho at x (float or array) with its ``dominating`` code.
+def _constraints(sings: SingularitySet, x) -> list[tuple[int, float, float]]:
+    """Every bound on rho at x (float or array): its ``dominating`` code,
+    the bound and its alpha.
 
     In order: the metric cap, the real image (inf at d = pi), then each
     off-axis image.  A minimum over the list that keeps the first of
@@ -167,15 +184,17 @@ def _constraints(sings: SingularitySet, x) -> list[tuple[int, float]]:
     """
     if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise ValueError("x must be finite")
-    bounds = [(DOMINATED_BY_METRIC, METRIC_CAP)]
+    # the cap's alpha is 1, from log2's log branch at infinity
+    bounds = [(DOMINATED_BY_METRIC, METRIC_CAP, 1.0)]
     if sings.real_singularity is not None:
         image = zeta_image_modulus(1.0, sings.real_distance(x))
-        bounds.append((DOMINATED_BY_REAL, image))
+        bounds.append((DOMINATED_BY_REAL, image, sings.real_alpha))
     # sigma + i*tau maps to modulus e^|tau| at angle +-(x - sigma); the
-    # modulus reads the angle only through cos, so its sign never matters
+    # modulus reads the angle only through cos, so its sign never matters;
+    # each is a simple pole, alpha 0
     for j, s in enumerate(sings.off_axis):
         image = zeta_image_modulus(math.exp(abs(s.tau)), x - s.sigma)
-        bounds.append((j, image))
+        bounds.append((j, image, 0.0))
     return bounds
 
 
@@ -187,12 +206,12 @@ def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
     the crossover of the on-axis image through the cap at |x| = 2*pi/3
     when no other singularity interferes) emerges from the minimum.
     """
-    code, rho = min(_constraints(sings, x), key=operator.itemgetter(1))
+    code, rho, alpha = min(_constraints(sings, x), key=operator.itemgetter(1))
     if code == DOMINATED_BY_REAL:  # cos(d/2) = 1 - 2 sin^2(d/4)
         q = -math.log1p(-2.0 * math.sin(sings.real_distance(x) / 4.0) ** 2)
     else:
         q = math.log(rho)
-    return RatePrediction(rho, q, code)
+    return RatePrediction(rho, q, code, alpha)
 
 
 def delta_truncation_error(x: float, N: int) -> complex:
@@ -254,7 +273,7 @@ def image_table(
     bit-identical to ``rho_of_x`` at that x.
     """
     xs = np.asarray(xs, dtype=float)
-    codes, bounds = zip(*_constraints(sings, xs))
+    codes, bounds, _ = zip(*_constraints(sings, xs))
     table = np.stack(np.broadcast_arrays(xs, *bounds)[1:])
     return table.min(axis=0), np.array(codes)[table.argmin(axis=0)], list(table[1:])
 

@@ -2,9 +2,12 @@
 
 The experiment harness measures |f(x) - filtered partial sum| over a range
 of truncation degrees, extracts the monotone upper hull of the error
-sequence (its envelope), and fits the model A * exp(-q*N)/N to it with
-``rates.fit_rate``.  The fitted slope q-hat is the empirical convergence
-rate to compare against the prediction from the singularity set.
+sequence (its envelope), and fits the model A * exp(-q*N)/N^alpha to it
+with ``rates.fit_rate``.  An Euler trace is fitted with the alpha of the
+singularity that binds at its x (``rates.rho_of_x``); the other filters
+have no rate law and keep alpha = 1.  The fitted slope q-hat is the
+empirical convergence rate to compare against the prediction from the
+singularity set.
 
 CSV outputs carry their configuration and fit results in ``#`` lines of
 ``key=value`` tokens, written by ``meta_line`` and read by ``parse_meta``.
@@ -21,11 +24,10 @@ import numpy as np
 
 from .catalog import DEFAULT_N_MAX, TestFunction, get_function
 from .filters import VALID_KINDS, FilterSpec
-from .rates import fit_rate, image_table, penalty_flags, x_grid
-# rho_of_x and acceleration_penalty_region, the scalar and sample-list
-# forms of the image table, stay in this namespace for callers that wrap
-# them here (bench/tracing.py)
-from .rates import acceleration_penalty_region, rho_of_x  # noqa: F401
+from .rates import SingularitySet, fit_rate, image_table, penalty_flags, rho_of_x, x_grid
+# acceleration_penalty_region, the sample-list form of the image table,
+# stays in this namespace for callers that wrap it here (bench/tracing.py)
+from .rates import acceleration_penalty_region  # noqa: F401
 # pointwise_error, the one-row case of trace_errors, stays in this
 # namespace for callers that wrap it here (bench/tracing.py)
 from .series import pointwise_error, saturation_floor, trace_errors  # noqa: F401
@@ -59,7 +61,8 @@ class ErrorTrace:
     ``rows`` is a plain list of ``ErrorRow``, which callers may extend
     before fitting.  ``envelope`` indexes the rows on the monotone upper
     hull of log(error) vs N; ``fit`` is (A, q_hat) for the model
-    A*exp(-q*N)/N, or None before fitting and when the fit is skipped.
+    A*exp(-q*N)/N^alpha, or None before fitting and when the fit is
+    skipped.
     Saturated rows (error below the double precision floor), rows with a
     zero or infinite error and the degree-0 row never enter the envelope
     or the fit.
@@ -130,9 +133,9 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
     agree with them to well within a saturation floor.  Rows
     are produced in ascending N for each trace and traces in the order
     (x outer, filter inner), so identical configs give identical output.
-    Each trace is envelope-fitted when possible; a trace with too few
-    unsaturated hull points keeps ``fit = None`` and its ``envelope``,
-    which the CSV writers report as a skipped fit.
+    Each trace is envelope-fitted with its ``law_alpha`` when possible;
+    a trace with too few unsaturated hull points keeps ``fit = None`` and
+    its ``envelope``, which the CSV writers report as a skipped fit.
     """
     fn = config.validate()
     degrees = config.degrees()
@@ -143,27 +146,34 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
         errors = trace_errors(fn.series, x, degrees, specs)
         saturated = (np.array(errors) < floors).tolist()
         for kind, errs, sat in zip(config.filters, errors, saturated):
-            rows = list(map(ErrorRow, degrees, errs, sat))
-            trace = ErrorTrace(x=x, filter_kind=kind, rows=rows)
+            trace = ErrorTrace(x, kind, list(map(ErrorRow, degrees, errs, sat)))
             with suppress(InsufficientDataError):
-                fit_envelope(trace)
+                fit_envelope(trace, law_alpha(fn.series.singularities, trace))
             traces.append(trace)
     return traces
 
 
-def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
-    """Fit A*exp(-q*N)/N to the upper hull of the error sequence.
+def law_alpha(sings: SingularitySet, trace: ErrorTrace) -> float:
+    """The alpha ``trace`` is fitted with: that of the singularity binding
+    at its x (``rates.rho_of_x``) for an Euler trace, 1 for the other
+    filters, which have no rate law."""
+    return rho_of_x(sings, trace.x).alpha if trace.filter_kind == "euler" else 1.0
+
+
+def fit_envelope(trace: ErrorTrace, alpha: float = 1.0) -> tuple[float, float]:
+    """Fit A*exp(-q*N)/N^alpha to the upper hull of the error sequence.
 
     The rows that may enter are the unsaturated ones with 0 < error < inf
     and N >= 1 (the model takes log N).  ``rates.fit_rate`` fits them
-    with alpha = 1: the envelope is the suffix-maximum hull of log(error)
-    vs N, and A is anchored so that A*exp(-q*N)/N bounds every envelope
-    point, a tight upper envelope of the whole trace.  Stores the hull on
-    ``trace.envelope`` and the fit on ``trace.fit``, and returns (A,
-    q_hat).  Raises InsufficientDataError, keeping the hull and leaving
-    ``trace.fit`` as it was, when the hull has fewer than
-    ``MIN_ENVELOPE_POINTS`` points or sits at fewer than three distinct N
-    (rows a caller appended with a repeated N), which fix no slope.
+    with the given alpha held fixed: the envelope is the suffix-maximum
+    hull of log(error) vs N, and A is anchored so that A*exp(-q*N)/N^alpha
+    bounds every envelope point, a tight upper envelope of the whole
+    trace.  Stores the hull on ``trace.envelope`` and the fit on
+    ``trace.fit``, and returns (A, q_hat).  Raises InsufficientDataError,
+    keeping the hull and leaving ``trace.fit`` as it was, when the hull
+    has fewer than ``MIN_ENVELOPE_POINTS`` points or sits at fewer than
+    three distinct N (rows a caller appended with a repeated N), which
+    fix no slope.
     """
     usable = [
         (i, r.N, math.log(r.error))
@@ -171,7 +181,7 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
         if not r.saturated and 0.0 < r.error < math.inf and r.N >= 1
     ]
     index, ns, logs = np.array(usable).reshape(-1, 3).T
-    hull, log_a, q_hat, _ = fit_rate(ns, logs, alpha=1.0)
+    hull, log_a, q_hat, _ = fit_rate(ns, logs, alpha=alpha)
     trace.envelope = index[hull].astype(int).tolist()
     if len(trace.envelope) < MIN_ENVELOPE_POINTS:
         raise InsufficientDataError(
@@ -236,10 +246,12 @@ def _config_echo(config: ExperimentConfig, *lines: str) -> list[str]:
     return _echo(config.function_key, config.p, config.phi, *lines, span)
 
 
-def _fit_line(trace: ErrorTrace, **where) -> str:
-    """The trace's fit (empty A and q_hat if skipped) and its hull size."""
+def _fit_line(trace: ErrorTrace, sings: SingularitySet, **where) -> str:
+    """The trace's fit (empty A and q_hat if skipped), its ``law_alpha``
+    and its hull size."""
     a, q_hat = trace.fit or (None, None)
-    return meta_line("fit", **where, A=a, q_hat=q_hat, hull_points=len(trace.envelope))
+    fields = dict(A=a, q_hat=q_hat, alpha=law_alpha(sings, trace))
+    return meta_line("fit", **where, **fields, hull_points=len(trace.envelope))
 
 
 def render_csv(comments: list[str], header: list[str], rows: list) -> str:
@@ -249,10 +261,9 @@ def render_csv(comments: list[str], header: list[str], rows: list) -> str:
 
 
 def sweep_csv(config: ExperimentConfig, traces: list[ErrorTrace]) -> str:
+    sings = config.validate().series.singularities
     comments = _config_echo(config)
-    for t in traces:
-        comments.append(meta_line("trace", x=t.x, filter=t.filter_kind))
-        comments.append(_fit_line(t, x=t.x, filter=t.filter_kind))
+    comments += [_fit_line(t, sings, x=t.x, filter=t.filter_kind) for t in traces]
     rows = [
         [t.x, t.filter_kind, r.N, r.error, int(r.saturated)]
         for t in traces
@@ -307,7 +318,8 @@ def compare_filters(config: ExperimentConfig) -> str:
     degrees = config.degrees()
     rows = [[N] + [t.rows[k].error for t in traces] for k, N in enumerate(degrees)]
     comments = _config_echo(config, meta_line(x=config.xs[0]))
-    comments += [_fit_line(t, filter=t.filter_kind) for t in traces]
+    sings = config.validate().series.singularities
+    comments += [_fit_line(t, sings, filter=t.filter_kind) for t in traces]
     return render_csv(comments, header, rows)
 
 

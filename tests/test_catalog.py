@@ -333,11 +333,21 @@ class TestScalarPath:
         with monkeypatch.context() as patch:
             patch.setattr(gibbsaccel.catalog, "np", NoNumpy())
             got = [[coeff(n) for n in self.SAMPLE] for coeff in coeffs]
-        for coeff, values in zip(coeffs, got):
+        for values in got:
             assert all(type(v) is complex for v in values)
-            for n, v in zip(self.SAMPLE, values):
-                scalar = coeff(np.int64(n))
-                assert type(scalar) is complex and bits(scalar) == bits(v)
+
+    @pytest.mark.parametrize("key, params", ENTRIES, ids=ENTRY_IDS)
+    def test_numpy_integer_takes_the_array_path(self, key, params):
+        # a numpy integer is a 0-d index, not an int: its result is 0-d
+        # and equals its entry of the array bit for bit
+        coeff = get_function(key, **params).series.coeff
+        for n in [*self.SAMPLE, 10**6, -(10**6)]:
+            for index in (np.int64(n), np.int32(n)):
+                value = coeff(index)
+                assert isinstance(value, (np.ndarray, np.generic))
+                assert np.ndim(value) == 0
+                want = coeff(np.array([index]))[0]
+                assert bits(complex(value)) == bits(complex(want)), (n, type(index))
 
     @pytest.mark.parametrize("key, params", ENTRIES, ids=ENTRY_IDS)
     def test_bit_for_bit_against_closed_form(self, key, params):
@@ -360,7 +370,7 @@ class TestBoundParameters:
         for s in series:
             assert s.coeff(ns).shape == ns.shape
             assert all(type(s.coeff(n)) is complex for n in ns.tolist())
-            assert type(s.coeff(np.int64(7))) is complex
+            assert np.ndim(s.coeff(np.int64(7))) == 0
             s.exact_eval(0.7)
         with pytest.raises(AssertionError, match="checked again"):
             make_composite(0.5)

@@ -230,6 +230,40 @@ class TestSweepErrors:
         original = sweep_errors(config)[0].fit
         assert refit == pytest.approx(original)
 
+    def test_one_fit_line_per_trace_and_no_trace_line(self):
+        # the fit line names its trace's x and filter; nothing else does
+        config = ExperimentConfig(
+            "delta", filters=("euler", "hdaf"), xs=(0.9, 2.1), n_min=5, n_max=30
+        )
+        traces = sweep_errors(config)
+        comments = [
+            ln[2:] for ln in sweep_csv(config, traces).splitlines() if ln[0] == "#"
+        ]
+        assert not [c for c in comments if c.split()[0] == "trace"]
+        fits = [parse_meta(c)[1] for c in comments if c.startswith("fit ")]
+        assert [(f["x"], f["filter"]) for f in fits] == [
+            (t.x, t.filter_kind) for t in traces
+        ]
+
+    def test_each_trace_fitted_with_its_law_alpha(self):
+        # delta's pole has alpha 0 where its image binds; the cap at
+        # x = 2.5 and a filter without a law take alpha 1
+        config = ExperimentConfig(
+            "delta", filters=("euler", "hdaf"), xs=(1.0, 2.5), n_min=5, n_max=120
+        )
+        traces = sweep_errors(config)
+        comments = sweep_csv(config, traces).splitlines()
+        fits = [parse_meta(ln[2:])[1] for ln in comments if ln.startswith("# fit ")]
+        assert [f["alpha"] for f in fits] == [0.0, 1.0, 1.0, 1.0]
+        for trace, fit in zip(traces, fits):
+            refit = ErrorTrace(trace.x, trace.filter_kind, trace.rows)
+            assert fit_envelope(refit, fit["alpha"]) == trace.fit
+            assert (fit["A"], fit["q_hat"]) == trace.fit
+        hdaf, euler = traces[-1], traces[0]
+        # alpha 1 is the default, and a pole's trace fitted with it differs
+        assert fit_envelope(ErrorTrace(2.5, "hdaf", hdaf.rows)) == hdaf.fit
+        assert fit_envelope(ErrorTrace(1.0, "euler", euler.rows)) != euler.fit
+
 
 def _is_number(text):
     for cast in (int, float):
@@ -431,6 +465,18 @@ class TestCli:
         assert "q_hat" in fields and "q_predicted" in fields
         assert fields["rel_gap"] < 0.05
 
+    def test_envelope_fits_delta_with_its_pole_alpha(self, tmp_path, capsys):
+        # the refit is the sweep's own fit, with alpha 0, not 1
+        config = ExperimentConfig("delta", xs=(1.0,), n_min=5, n_max=120)
+        (trace,) = sweep_errors(config)
+        out = tmp_path / "sweep.csv"
+        out.write_text(sweep_csv(config, [trace]))
+        assert main(["envelope", "--in", str(out)]) == EXIT_OK
+        _, fields = parse_meta(capsys.readouterr().out)
+        assert fields["alpha"] == 0.0
+        assert (fields["A"], fields["q_hat"]) == trace.fit
+        assert fields["rel_gap"] < 0.01
+
     @pytest.mark.parametrize("kind", ["identity", "erfclog", "hdaf"])
     def test_envelope_predicts_only_euler(self, kind, tmp_path, capsys):
         # Euler's law is not these filters' rate, so none is written
@@ -442,6 +488,7 @@ class TestCli:
         _, fields = parse_meta(capsys.readouterr().out)
         assert fields["filter"] == kind and math.isfinite(fields["q_hat"])
         assert fields["q_predicted"] is None and fields["rel_gap"] is None
+        assert fields["alpha"] == 1.0
 
     def test_envelope_unknown_filter_in_input(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -839,10 +886,13 @@ class TestReadme:
         commands = {argv[0]: argv for argv in readme_commands()}
         assert main(commands["sweep"]) == EXIT_OK
         assert main(commands["envelope"]) == EXIT_OK
-        assert capsys.readouterr().out == (
+        line = (
             "x=1.9635 filter=euler A=1.179725161946198 q_hat=0.5839226823204039 "
-            "q_predicted=0.5877636816618133 rel_gap=0.006534938209433952\n"
+            "alpha=1.0 q_predicted=0.5877636816618133 "
+            "rel_gap=0.006534938209433952"
         )
+        assert capsys.readouterr().out == line + "\n"
+        assert f"`{line}`" in README.read_text()  # README quotes it
 
     def test_fits_and_commands_call_no_lapack(self, tmp_path, monkeypatch):
         def no_lapack(*args, **kwargs):
