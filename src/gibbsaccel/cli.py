@@ -7,20 +7,21 @@ Subcommands:
 * ``rho``      -- tabulate the predicted convergence factor over x.
 * ``compare``  -- run several filters at one x side by side.
 * ``envelope`` -- refit the envelope of a previously written sweep CSV
-  and report the empirical rate, one line per trace, with the ``alpha``
-  it was fitted with.  Only Euler traces get a ``q_predicted`` and
-  ``rel_gap``, and the alpha of their rate law; the other filters have
-  no rate law and are fitted with alpha = 1.  A trace whose fit fails
-  gets empty ``A``, ``q_hat`` and ``rel_gap``.  Every trace is reported
-  before the exit status is set.
+  and report the empirical rate, one line per trace: the sweep's own
+  fit line without its ``fit`` tag.  Every trace is reported before the
+  exit status is set.
 
 All tabular output is CSV with ``#`` comment lines of ``key=value``
-tokens carrying the config echo and fit results.  Every ``fit`` line
-gives the ``alpha`` of the model A*exp(-q*N)/N^alpha it fits
-(``sweeps.law_alpha``) and ends with the trace's number of
-``hull_points``; a trace whose fit was skipped has empty ``A`` and
-``q_hat``.  Rows are flagged ``saturated`` when their error is below the
-fixed floor 100*eps*sum|c_n| (``series.saturation_floor``).
+tokens carrying the config echo and fit results.  Every fit record (a
+``fit`` line, an ``envelope`` line) is one ``sweeps.fit_line``: the
+trace's ``A`` and ``q_hat``, the ``alpha`` of the model
+A*exp(-q*N)/N^alpha it fits, ``q_predicted`` and ``rel_gap``, and its
+number of ``hull_points``.  Only Euler traces have a rate law
+(``sweeps.fit_traces``); the other filters have empty ``q_predicted``
+and ``rel_gap`` and are fitted with alpha = 1.  A skipped fit has empty
+``A``, ``q_hat`` and ``rel_gap``.  Rows are flagged ``saturated``
+when their error is below the fixed floor 100*eps*sum|c_n|
+(``series.saturation_floor``).
 Exit codes: 0 success, 2 configuration error (also an unknown function
 key, a bad ``--p`` or ``--phi`` or one the function does not take, a
 ``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, a
@@ -40,13 +41,17 @@ import sys
 # namespace for callers that wrap it here (bench/tracing.py)
 from .catalog import DEFAULT_N_MAX, FUNCTION_KEYS, get_function  # noqa: F401
 from .filters import VALID_KINDS, _euler_sigma_table, _euler_mu_row
-from .rates import rho_of_x
+# rho_of_x and fit_envelope, called through sweeps.fit_traces, stay in
+# this namespace for callers that wrap them here (bench/tracing.py)
+from .rates import rho_of_x  # noqa: F401
+from .sweeps import fit_envelope  # noqa: F401
 from .sweeps import (
     ConfigError,
     ExperimentConfig,
     InsufficientDataError,
     compare_filters,
-    fit_envelope,
+    fit_line,
+    fit_traces,
     meta_line,
     parse_sweep_csv,
     render_csv,
@@ -126,21 +131,9 @@ def _cmd_envelope(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
         meta["fn"], kinds, xs, p=meta.get("p"), phi=meta.get("phi")
     )
-    sings = config.validate().series.singularities
-    skipped = []
+    skipped = fit_traces(config.validate().series.singularities, traces)
     for trace in traces:
-        # only Euler has a rate law (``sweeps.law_alpha``); validate keeps x
-        # off the real singularity, so its predicted rate is positive
-        law = rho_of_x(sings, trace.x) if trace.filter_kind == "euler" else None
-        alpha, q_pred = (law.alpha, law.q) if law else (1.0, None)
-        try:
-            fit_envelope(trace, alpha)
-        except InsufficientDataError as exc:
-            skipped.append(f"x={trace.x} filter={trace.filter_kind}: {exc}")
-        amplitude, q_hat = trace.fit or (None, None)
-        gap = None if q_hat is None or q_pred is None else abs(q_hat - q_pred) / q_pred
-        fields = dict(x=trace.x, filter=trace.filter_kind, A=amplitude, q_hat=q_hat)
-        print(meta_line(**fields, alpha=alpha, q_predicted=q_pred, rel_gap=gap))
+        print(fit_line(trace, x=trace.x, filter=trace.filter_kind))
     if skipped:
         raise InsufficientDataError("; ".join(skipped))
     return EXIT_OK

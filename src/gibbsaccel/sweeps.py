@@ -3,20 +3,22 @@
 The experiment harness measures |f(x) - filtered partial sum| over a range
 of truncation degrees, extracts the monotone upper hull of the error
 sequence (its envelope), and fits the model A * exp(-q*N)/N^alpha to it
-with ``rates.fit_rate``.  An Euler trace is fitted with the alpha of the
-singularity that binds at its x (``rates.rho_of_x``); the other filters
-have no rate law and keep alpha = 1.  The fitted slope q-hat is the
-empirical convergence rate to compare against the prediction from the
-singularity set.
+with ``rates.fit_rate``.  ``fit_traces`` is the one place that decides
+which filter has a rate law: an Euler trace carries the prediction at its
+x (``rates.rho_of_x``) and is fitted with that law's alpha; the other
+filters have no rate law and keep alpha = 1.  The fitted slope q-hat is
+the empirical convergence rate to compare against the predicted one.
 
 CSV outputs carry their configuration and fit results in ``#`` lines of
 ``key=value`` tokens, written by ``meta_line`` and read by ``parse_meta``.
+Every fit record, the ``# fit`` lines of ``sweep`` and ``compare`` files
+and the ``envelope`` report lines, is written by ``fit_line`` from the
+trace alone.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -24,7 +26,8 @@ import numpy as np
 
 from .catalog import DEFAULT_N_MAX, TestFunction, get_function
 from .filters import VALID_KINDS, FilterSpec
-from .rates import SingularitySet, fit_rate, image_table, penalty_flags, rho_of_x, x_grid
+from .rates import RatePrediction, SingularitySet, fit_rate, image_table, penalty_flags
+from .rates import rho_of_x, x_grid
 # acceleration_penalty_region, the sample-list form of the image table,
 # stays in this namespace for callers that wrap it here (bench/tracing.py)
 from .rates import acceleration_penalty_region  # noqa: F401
@@ -62,7 +65,9 @@ class ErrorTrace:
     before fitting.  ``envelope`` indexes the rows on the monotone upper
     hull of log(error) vs N; ``fit`` is (A, q_hat) for the model
     A*exp(-q*N)/N^alpha, or None before fitting and when the fit is
-    skipped.
+    skipped.  ``law`` is the rate law the trace was fitted with, set by
+    ``fit_traces``: ``rates.rho_of_x`` at x for an Euler trace, None for
+    the other filters (fitted with alpha = 1) and before fitting.
     Saturated rows (error below the double precision floor), rows with a
     zero or infinite error and the degree-0 row never enter the envelope
     or the fit.
@@ -73,6 +78,7 @@ class ErrorTrace:
     rows: list[ErrorRow] = field(default_factory=list)
     envelope: list[int] = field(default_factory=list)
     fit: tuple[float, float] | None = None
+    law: RatePrediction | None = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
     agree with them to well within a saturation floor.  Rows
     are produced in ascending N for each trace and traces in the order
     (x outer, filter inner), so identical configs give identical output.
-    Each trace is envelope-fitted with its ``law_alpha`` when possible;
+    Every trace is given its law and envelope-fitted by ``fit_traces``;
     a trace with too few unsaturated hull points keeps ``fit = None`` and
     its ``envelope``, which the CSV writers report as a skipped fit.
     """
@@ -146,18 +152,27 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
         errors = trace_errors(fn.series, x, degrees, specs)
         saturated = (np.array(errors) < floors).tolist()
         for kind, errs, sat in zip(config.filters, errors, saturated):
-            trace = ErrorTrace(x, kind, list(map(ErrorRow, degrees, errs, sat)))
-            with suppress(InsufficientDataError):
-                fit_envelope(trace, law_alpha(fn.series.singularities, trace))
-            traces.append(trace)
+            traces.append(ErrorTrace(x, kind, list(map(ErrorRow, degrees, errs, sat))))
+    fit_traces(fn.series.singularities, traces)
     return traces
 
 
-def law_alpha(sings: SingularitySet, trace: ErrorTrace) -> float:
-    """The alpha ``trace`` is fitted with: that of the singularity binding
-    at its x (``rates.rho_of_x``) for an Euler trace, 1 for the other
-    filters, which have no rate law."""
-    return rho_of_x(sings, trace.x).alpha if trace.filter_kind == "euler" else 1.0
+def fit_traces(sings: SingularitySet, traces: list[ErrorTrace]) -> list[str]:
+    """Give each trace its rate law and fit its envelope with the law's alpha.
+
+    Only Euler has a rate law: an Euler trace gets ``rho_of_x(sings, x)``
+    on ``trace.law``, every other trace None, and is fitted with alpha = 1.
+    Returns one ``"x=... filter=...: <reason>"`` per trace left without a
+    fit (``fit_envelope`` raised InsufficientDataError), in trace order.
+    """
+    skipped = []
+    for trace in traces:
+        trace.law = rho_of_x(sings, trace.x) if trace.filter_kind == "euler" else None
+        try:
+            fit_envelope(trace, trace.law.alpha if trace.law else 1.0)
+        except InsufficientDataError as exc:
+            skipped.append(f"x={trace.x} filter={trace.filter_kind}: {exc}")
+    return skipped
 
 
 def fit_envelope(trace: ErrorTrace, alpha: float = 1.0) -> tuple[float, float]:
@@ -246,12 +261,18 @@ def _config_echo(config: ExperimentConfig, *lines: str) -> list[str]:
     return _echo(config.function_key, config.p, config.phi, *lines, span)
 
 
-def _fit_line(trace: ErrorTrace, sings: SingularitySet, **where) -> str:
-    """The trace's fit (empty A and q_hat if skipped), its ``law_alpha``
-    and its hull size."""
+def fit_line(trace: ErrorTrace, *tags: str, **where) -> str:
+    """The trace's fit record: ``tags``, ``where`` (its x and filter), then
+    A and q_hat (empty if the fit was skipped), the alpha it was fitted
+    with, its law's q_predicted and rel_gap = |q_hat - q_predicted| /
+    q_predicted (both empty without a law, rel_gap also without a fit),
+    and its number of hull_points.  q_predicted underflows to 0.0 within
+    about 6e-162 of the real singularity; rel_gap is then inf."""
     a, q_hat = trace.fit or (None, None)
-    fields = dict(A=a, q_hat=q_hat, alpha=law_alpha(sings, trace))
-    return meta_line("fit", **where, **fields, hull_points=len(trace.envelope))
+    alpha, q = (trace.law.alpha, trace.law.q) if trace.law else (1.0, None)
+    gap = None if q_hat is None or q is None else abs(q_hat - q) / q if q else math.inf
+    fields = dict(A=a, q_hat=q_hat, alpha=alpha, q_predicted=q, rel_gap=gap)
+    return meta_line(*tags, **where, **fields, hull_points=len(trace.envelope))
 
 
 def render_csv(comments: list[str], header: list[str], rows: list) -> str:
@@ -261,9 +282,8 @@ def render_csv(comments: list[str], header: list[str], rows: list) -> str:
 
 
 def sweep_csv(config: ExperimentConfig, traces: list[ErrorTrace]) -> str:
-    sings = config.validate().series.singularities
     comments = _config_echo(config)
-    comments += [_fit_line(t, sings, x=t.x, filter=t.filter_kind) for t in traces]
+    comments += [fit_line(t, "fit", x=t.x, filter=t.filter_kind) for t in traces]
     rows = [
         [t.x, t.filter_kind, r.N, r.error, int(r.saturated)]
         for t in traces
@@ -318,8 +338,7 @@ def compare_filters(config: ExperimentConfig) -> str:
     degrees = config.degrees()
     rows = [[N] + [t.rows[k].error for t in traces] for k, N in enumerate(degrees)]
     comments = _config_echo(config, meta_line(x=config.xs[0]))
-    sings = config.validate().series.singularities
-    comments += [_fit_line(t, sings, filter=t.filter_kind) for t in traces]
+    comments += [fit_line(t, "fit", filter=t.filter_kind) for t in traces]
     return render_csv(comments, header, rows)
 
 

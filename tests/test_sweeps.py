@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gibbsaccel
-from gibbsaccel import cli
+from gibbsaccel import cli, sweeps
 from gibbsaccel.catalog import DEFAULT_N_MAX, FUNCTION_KEYS, get_function
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
 from gibbsaccel.conformal import PowerSeries, estimate_radius
@@ -31,6 +31,7 @@ from gibbsaccel.sweeps import (
     InsufficientDataError,
     compare_filters,
     fit_envelope,
+    fit_traces,
     meta_line,
     parse_meta,
     parse_sweep_csv,
@@ -264,6 +265,55 @@ class TestSweepErrors:
         assert fit_envelope(ErrorTrace(2.5, "hdaf", hdaf.rows)) == hdaf.fit
         assert fit_envelope(ErrorTrace(1.0, "euler", euler.rows)) != euler.fit
 
+    def test_fit_traces_gives_only_euler_a_law(self):
+        # the law is rho_of_x at x on an Euler trace and None on the other
+        # filters; the reasons name exactly the traces left without a fit
+        config = ExperimentConfig(
+            "sws", filters=("hdaf", "euler", "identity"), xs=(1.0, 0.05),
+            n_min=2, n_max=8,
+        )
+        sings = get_function("sws").series.singularities
+        swept = sweep_errors(config)
+        traces = [ErrorTrace(t.x, t.filter_kind, t.rows) for t in swept]
+        assert all(t.law is None for t in traces)
+        skipped = fit_traces(sings, traces)
+        for trace, before in zip(traces, swept):
+            if trace.filter_kind == "euler":
+                assert trace.law == rho_of_x(sings, trace.x)
+            else:
+                assert trace.law is None
+            assert (trace.law, trace.fit) == (before.law, before.fit)
+        unfitted = [t for t in traces if t.fit is None]
+        assert unfitted and len(unfitted) < len(traces)
+        assert [r.partition(": ")[0] for r in skipped] == [
+            f"x={t.x} filter={t.filter_kind}" for t in unfitted
+        ]
+
+    def test_one_catalog_build_and_one_law_per_euler_trace(self, monkeypatch):
+        builds, laws = [], []
+        get_fn, law = sweeps.get_function, sweeps.rho_of_x
+
+        def counting_get_function(*args, **kwargs):
+            builds.append(args)
+            return get_fn(*args, **kwargs)
+
+        def counting_rho_of_x(sings, x):
+            laws.append(x)
+            return law(sings, x)
+
+        monkeypatch.setattr(sweeps, "get_function", counting_get_function)
+        monkeypatch.setattr(sweeps, "rho_of_x", counting_rho_of_x)
+        config = ExperimentConfig(
+            "sws", filters=("identity", "euler", "hdaf"), xs=(0.9, 2.1),
+            n_min=5, n_max=30,
+        )
+        sweep_csv(config, sweep_errors(config))
+        assert (len(builds), laws) == (1, [0.9, 2.1])
+        builds.clear()
+        laws.clear()
+        compare_filters(ExperimentConfig("sws", config.filters, (0.9,), 5, 30))
+        assert (len(builds), laws) == (1, [0.9])
+
 
 def _is_number(text):
     for cast in (int, float):
@@ -489,6 +539,53 @@ class TestCli:
         assert fields["filter"] == kind and math.isfinite(fields["q_hat"])
         assert fields["q_predicted"] is None and fields["rel_gap"] is None
         assert fields["alpha"] == 1.0
+
+    @pytest.mark.parametrize(
+        "config, status",
+        [
+            (None, EXIT_OK),  # README's sweep command
+            (ExperimentConfig("delta", ("euler", "hdaf"), (1.0, 2.5), 5, 120), EXIT_OK),
+            (ExperimentConfig("sws", xs=(1.0, 0.05), n_min=2, n_max=8), EXIT_INSUFFICIENT),
+        ],
+        ids=["readme", "delta-alphas-0-1-1-1", "one-skipped"],
+    )
+    def test_envelope_repeats_the_sweep_fit_lines(
+        self, config, status, tmp_path, monkeypatch, capsys
+    ):
+        # each envelope line is the file's fit line without its tag, byte
+        # for byte, and stderr names the skipped traces and no others
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "sweep.csv"
+        if config is None:
+            (argv,) = [argv for argv in readme_commands() if argv[0] == "sweep"]
+            assert main(argv) == EXIT_OK
+        else:
+            out.write_text(sweep_csv(config, sweep_errors(config)))
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == status
+        captured = capsys.readouterr()
+        fits = [
+            ln.removeprefix("# fit ")
+            for ln in out.read_text().splitlines()
+            if ln.startswith("# fit ")
+        ]
+        assert captured.out.splitlines() == fits
+        for fields in (parse_meta(fit)[1] for fit in fits):
+            named = f"x={fields['x']} filter={fields['filter']}: " in captured.err
+            assert named == (fields["A"] is None)
+        assert bool(captured.err) == (status == EXIT_INSUFFICIENT)
+
+    def test_predicted_rate_underflow_writes_inf(self, tmp_path, capsys):
+        # q = -log cos(d/2) underflows to 0.0 within about 6e-162 of the
+        # jump; every fit record then writes rel_gap=inf and no command fails
+        out = tmp_path / "sweep.csv"
+        run = ["--fn", "sws", "--x", "1e-200", "--n-max", "60"]
+        assert main(["sweep", *run, "--out", str(out)]) == EXIT_OK
+        assert main(["compare", "--filters", "euler", *run]) == EXIT_OK
+        compared = capsys.readouterr().out
+        assert main(["envelope", "--in", str(out)]) == EXIT_OK
+        for text in (out.read_text(), compared, capsys.readouterr().out):
+            assert text.count(" q_predicted=0.0 rel_gap=inf ") == 1
 
     def test_envelope_unknown_filter_in_input(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -889,7 +986,7 @@ class TestReadme:
         line = (
             "x=1.9635 filter=euler A=1.179725161946198 q_hat=0.5839226823204039 "
             "alpha=1.0 q_predicted=0.5877636816618133 "
-            "rel_gap=0.006534938209433952"
+            "rel_gap=0.006534938209433952 hull_points=28"
         )
         assert capsys.readouterr().out == line + "\n"
         assert f"`{line}`" in README.read_text()  # README quotes it
