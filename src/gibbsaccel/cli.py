@@ -8,8 +8,9 @@ Subcommands:
 * ``compare``  -- run several filters at one x side by side.
 * ``envelope`` -- refit the envelope of a previously written sweep CSV
   and report the empirical rate, one line per trace: the sweep's own
-  fit line without its ``fit`` tag.  Every trace is reported before the
-  exit status is set.
+  fit line without its ``fit`` tag.  A file holds one sweep, read by
+  ``sweeps.parse_sweep_csv`` as its config and its traces.  Every trace
+  is reported before the exit status is set.
 
 All tabular output is CSV with ``#`` comment lines of ``key=value``
 tokens carrying the config echo and fit results.  Every fit record (a
@@ -24,11 +25,12 @@ when their error is below the fixed floor 100*eps*sum|c_n|
 (``series.saturation_floor``).
 Exit codes: 0 success, 2 configuration error (also an unknown function
 key, a bad ``--p`` or ``--phi`` or one the function does not take, a
-``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, a
-non-numeric ``p=`` or ``phi=``, or an x or filter name that
-``ExperimentConfig.validate`` rejects in an ``envelope`` input, and an
-input or output file that cannot be opened), 3 insufficient data (for
-``envelope``, any trace without a fit, each named on stderr).
+``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, an
+``envelope`` input that ``parse_sweep_csv`` or
+``ExperimentConfig.validate`` rejects, among them a second header or a
+``saturated`` cell other than 0 or 1, and an input or output file that
+cannot be opened), 3 insufficient data (for ``envelope``, an input
+without traces, or any trace without a fit, each named on stderr).
 """
 
 from __future__ import annotations
@@ -76,12 +78,8 @@ def _write(text: str, path: str | None) -> None:
 def _cmd_weights(args: argparse.Namespace) -> int:
     if not 1 <= args.M <= DEFAULT_N_MAX:
         raise ConfigError(f"M must be in [1, {DEFAULT_N_MAX}]")
-    sigma = _euler_sigma_table(args.M)
-    mu = _euler_mu_row(args.M)
-    rows = [
-        [j, float(sigma[j]), float(mu[j]) if j <= args.M else None]
-        for j in range(args.M + 2)
-    ]
+    sigma, mu = _euler_sigma_table(args.M), _euler_mu_row(args.M)
+    rows = [*zip(range(args.M + 1), sigma, mu), (args.M + 1, 0.0, None)]
     text = render_csv([meta_line(filter="euler", M=args.M)], ["j", "sigma", "mu"], rows)
     _write(text, args.out)
     return EXIT_OK
@@ -118,19 +116,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_envelope(args: argparse.Namespace) -> int:
     with open(getattr(args, "in")) as fh:
-        meta, traces = parse_sweep_csv(fh.read())
-    if not traces:
-        raise InsufficientDataError("no traces found in input")
-    if meta.get("fn") is None:
-        raise ConfigError("input has no fn= line naming the swept function")
-    for key in ("p", "phi"):
-        if isinstance(meta.get(key), str):  # parse_meta keeps a non-number as text
-            raise ConfigError(f"input has a non-numeric {key}={meta[key]}")
-    kinds = tuple(dict.fromkeys(trace.filter_kind for trace in traces))
-    xs = tuple(trace.x for trace in traces)
-    config = ExperimentConfig(
-        meta["fn"], kinds, xs, p=meta.get("p"), phi=meta.get("phi")
-    )
+        config, traces = parse_sweep_csv(fh.read())
     skipped = fit_traces(config.validate().series.singularities, traces)
     for trace in traces:
         print(fit_line(trace, x=trace.x, filter=trace.filter_kind))

@@ -131,7 +131,7 @@ def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:
     O(N) weight vector, no re-expansion.
     """
     a = _prefix(series, N)
-    sigma = _euler_sigma_table(N, (mapping.c - 1.0) / mapping.c)[: N + 1]
+    sigma = _euler_sigma_table(N, (mapping.c - 1.0) / mapping.c)
     return complex(np.sum(sigma * a))
 
 
@@ -144,7 +144,7 @@ def euler_equivalence_check(series: PowerSeries, N: int) -> float:
     times sum |a_n|.
     """
     mapped = np.sum(recoefficient(series, MOBIUS2, N).coeffs)
-    weighted = np.sum(_euler_sigma_table(N)[: N + 1] * _prefix(series, N))
+    weighted = np.sum(_euler_sigma_table(N) * _prefix(series, N))
     return abs(complex(mapped - weighted))
 
 

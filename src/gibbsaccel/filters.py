@@ -212,14 +212,16 @@ _last_euler_mu_row = lru_cache(maxsize=1)(_euler_mu_row)
 
 
 def _euler_sigma_table(M: int, p: float = 0.5) -> np.ndarray:
-    """Euler-Knopp weights P(Binomial(M, p) >= j) for j = 0..M+1.
+    """Euler-Knopp weights P(Binomial(M, p) >= j) for j = 0..M.
 
-    At p = 1/2 these are sigma_E at arguments j/(M+1).  The tail sums of
-    mu(M, k) over k >= j are accumulated from the small end; dividing by
-    the full sum makes sigma_E(0) exactly 1 and keeps the table
-    nonincreasing and inside [0, 1].  Tables up to M =
-    ``_KEPT_TABLE_MAX_M`` are cached; a larger one is rebuilt by every
-    call, so the cache never holds more than a few megabytes.
+    At p = 1/2 these are sigma_E at arguments j/(M+1); the table holds
+    only the M+1 weights a degree-M sum applies, not the 0 at j = M+1
+    (``euler_sigma`` returns that one).  The tail sums of mu(M, k) over
+    k >= j are accumulated from the small end; dividing by the full sum
+    makes sigma_E(0) exactly 1 and keeps the table nonincreasing and
+    inside [0, 1].  Tables up to M = ``_KEPT_TABLE_MAX_M`` are cached; a
+    larger one is rebuilt by every call, so the cache never holds more
+    than a few megabytes.
     """
     if M <= _KEPT_TABLE_MAX_M:
         return _kept_euler_sigma_table(M, p)
@@ -228,8 +230,7 @@ def _euler_sigma_table(M: int, p: float = 0.5) -> np.ndarray:
 
 def _build_euler_sigma_table(M: int, p: float) -> np.ndarray:
     tails = np.cumsum(_euler_mu_row(M, p)[::-1])[::-1]
-    sigma = np.zeros(M + 2)
-    sigma[: M + 1] = tails / tails[0]
+    sigma = tails / tails[0]
     sigma.flags.writeable = False
     return sigma
 
@@ -240,12 +241,15 @@ _kept_euler_sigma_table = lru_cache(maxsize=256)(_build_euler_sigma_table)
 def euler_sigma(j: int, M: int) -> float:
     """Euler filter weight sigma_E(j/(M+1)): 1 at j=0, 0 at j=M+1.
 
+    The 0 at j = M+1 is not in the table, which holds sigma(0..M); it is
+    returned here once the table is built, so a negative M still raises.
     Above M = ``_KEPT_TABLE_MAX_M`` every call builds the whole table;
     ``filter_weights`` returns a row in one call.
     """
     if not 0 <= j <= M + 1:
         raise ValueError(f"j={j} outside [0, M+1={M + 1}]")
-    return float(_euler_sigma_table(M)[j])
+    sigma = _euler_sigma_table(M)
+    return float(sigma[j]) if j <= M else 0.0
 
 
 def _rational(t: np.ndarray, coeffs, out: np.ndarray) -> np.ndarray:
@@ -469,7 +473,7 @@ def filter_weights(
     if spec.kind == "identity":
         return np.ones(sum(sizes))
     if spec.kind == "euler":
-        return np.concatenate([_euler_sigma_table(M)[: M + 1] for M in degrees])
+        return np.concatenate([_euler_sigma_table(M) for M in degrees])
     # theta = n/N within each row.  A degree-0 row takes degree 1's parameters;
     # its one entry sits at theta = 0, where every weight is exactly 1.  n
     # and N are doubles, exact below 2^53, so the quotient is the correctly

@@ -55,8 +55,9 @@ METRIC_CAP = 2.0
 DOMINATED_BY_METRIC = -2
 DOMINATED_BY_REAL = -1
 
-#: The largest |tau| whose image modulus e^|tau| still has a finite
-#: square; every image of a deeper pole equals the cap to double precision.
+#: The largest |tau| whose modulus r = e^|tau| still has a finite square
+#: r*r in ``zeta_image_modulus``; the image of a deeper pole,
+#: 2r/sqrt(1 + r^2 + 2r cos(theta)), is 2 to double precision.
 _MAX_TAU = 0.5 * math.log(np.finfo(float).max)
 
 

@@ -13,7 +13,11 @@ CSV outputs carry their configuration and fit results in ``#`` lines of
 ``key=value`` tokens, written by ``meta_line`` and read by ``parse_meta``.
 Every fit record, the ``# fit`` lines of ``sweep`` and ``compare`` files
 and the ``envelope`` report lines, is written by ``fit_line`` from the
-trace alone.
+trace alone.  This module owns the sweep file's layout both ways:
+``sweep_csv`` writes the config echo and the rows, and
+``parse_sweep_csv`` reads back the one sweep a file holds as an
+``ExperimentConfig`` and its traces; a second header, or a ``saturated``
+cell other than 0 or 1, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -342,16 +346,21 @@ def compare_filters(config: ExperimentConfig) -> str:
     return render_csv(comments, header, rows)
 
 
-def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
-    """Read back a sweep CSV: config echo from comments, rows into traces.
+def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
+    """Read back the one sweep a sweep CSV holds: its config and its traces.
 
-    The returned dict holds the values of the untagged comment lines (fn,
-    n_min, n_max, stride, and p and phi when set).  Raises ConfigError
+    The config carries the echo's fn, p and phi (the values of the
+    untagged comment lines), and the file's filters and x's, each in
+    order of first appearance; its degree range keeps the dataclass
+    defaults, since a refit reads each row's own N.  Raises ConfigError
     when the first non-comment line is not the sweep header (a
-    ``compare`` output, for one), and when a data row does not have the
-    five sweep cells or a cell does not convert, or when a degree repeats
-    within one (x, filter) trace, which the rate fit cannot use; the
-    message names the line.
+    ``compare`` output, for one), at a second header (two files
+    concatenated), when a data row does not have the five sweep cells,
+    a cell does not convert or a ``saturated`` cell is neither 0 nor 1,
+    or when a degree repeats within one (x, filter) trace, which the
+    rate fit cannot use; the message names the line.  Then raises
+    InsufficientDataError when there is no data row, and ConfigError
+    when the echo has no ``fn=`` or a non-numeric ``p=`` or ``phi=``.
     """
     meta: dict = {}
     traces: dict[tuple[float, str], ErrorTrace] = {}
@@ -363,10 +372,14 @@ def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
     rows = [(i, ln.split(",")) for i, ln in lines if not ln.startswith("#")]
     if rows and rows[0][1] != SWEEP_HEADER:
         raise ConfigError(f"not a sweep CSV: header {','.join(rows[0][1])!r}")
-    for lineno, cells in (r for r in rows if r[1] != SWEEP_HEADER):
+    for lineno, cells in rows[1:]:
+        if cells == SWEEP_HEADER:
+            raise ConfigError(f"line {lineno}: a second sweep header")
         try:
             x_s, kind, n_s, err_s, sat_s = cells
-            x, row = float(x_s), ErrorRow(int(n_s), float(err_s), bool(int(sat_s)))
+            if sat_s not in ("0", "1"):
+                raise ValueError(f"saturated={sat_s!r} is neither 0 nor 1")
+            x, row = float(x_s), ErrorRow(int(n_s), float(err_s), sat_s == "1")
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: bad sweep row {','.join(cells)!r} ({exc})"
@@ -376,4 +389,14 @@ def parse_sweep_csv(text: str) -> tuple[dict, list[ErrorTrace]]:
         if (x, kind) not in traces:
             traces[x, kind] = ErrorTrace(x=x, filter_kind=kind)
         traces[x, kind].rows.append(row)
-    return meta, list(traces.values())
+    if not traces:
+        raise InsufficientDataError("no traces found in input")
+    if meta.get("fn") is None:
+        raise ConfigError("input has no fn= line naming the swept function")
+    for key in ("p", "phi"):
+        if isinstance(meta.get(key), str):  # parse_meta keeps a non-number as text
+            raise ConfigError(f"input has a non-numeric {key}={meta[key]}")
+    kinds = tuple(dict.fromkeys(kind for _, kind in traces))
+    xs = tuple(dict.fromkeys(x for x, _ in traces))
+    config = ExperimentConfig(meta["fn"], kinds, xs, p=meta.get("p"), phi=meta.get("phi"))
+    return config, list(traces.values())

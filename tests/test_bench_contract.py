@@ -87,3 +87,42 @@ def test_readme_lists_every_benchmarked_command():
     lines = {line.strip() for line in block.splitlines()}
     for argv in commands:
         assert "gibbsaccel " + " ".join(argv) in lines
+
+
+def unread_imports(module) -> set[tuple[str, str]]:
+    """(module, name) of each package-relative import that ``module``
+    never reads: no ``Name`` in its source loads the bound name."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    short = module.__name__.rpartition(".")[2]
+    return {
+        (short, alias.asname or alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if (alias.asname or alias.name) not in read
+    }
+
+
+def test_unread_imports_are_the_ones_the_tracer_wraps():
+    # a name imported only so that the tracer can wrap it where it is
+    # imported is kept for the tracer alone; any other unread import is
+    # dead code
+    unread = set().union(*map(unread_imports, MODULES))
+    assert unread == {
+        ("cli", "get_function"),
+        ("cli", "rho_of_x"),
+        ("cli", "fit_envelope"),
+        ("sweeps", "acceleration_penalty_region"),
+        ("sweeps", "pointwise_error"),
+    }
+    tracing = load_tracing()
+    lib = SimpleNamespace(**{m.__name__.rpartition(".")[2]: m for m in MODULES})
+    saved = tracing.install(tracing.Tracer(), lib)
+    tracing.uninstall(saved)
+    wrapped = {(m.__name__.rpartition(".")[2], name) for m, name, _ in saved}
+    assert unread <= wrapped

@@ -101,7 +101,7 @@ class TestEulerSigma:
         for M in (_KEPT_TABLE_MAX_M + 1, 10**6):
             before = _kept_euler_sigma_table.cache_info()
             table = _euler_sigma_table(M)
-            assert table.shape == (M + 2,) and table[0] == 1.0
+            assert table.shape == (M + 1,) and table[0] == 1.0
             assert _euler_sigma_table(M) is not table
             after = _kept_euler_sigma_table.cache_info()
             assert (after.hits, after.misses) == (before.hits, before.misses)
@@ -129,13 +129,14 @@ class TestEulerKnopp:
     def test_tails_match_exact_binomial(self, p):
         sigma = _euler_sigma_table(200, p)
         exact = exact_binomial_tails(200, p)
-        np.testing.assert_allclose(sigma[:201], exact, rtol=0, atol=1e-15)
-        assert sigma[0] == 1.0 and sigma[201] == 0.0
+        np.testing.assert_allclose(sigma, exact, rtol=0, atol=1e-15)
+        # sigma(0..200); the 0 at j = 201 is euler_sigma's, not the table's
+        assert sigma[0] == 1.0 and sigma.shape == (201,)
 
     def test_half_is_the_euler_table(self):
         for M in (1, 2, 37, 1100):
             table = _euler_sigma_table(M, 0.5)
-            assert table.tolist() == [euler_sigma(j, M) for j in range(M + 2)]
+            assert table.tolist() == [euler_sigma(j, M) for j in range(M + 1)]
 
     def test_rejects_p_outside_unit_interval(self):
         for p in (0.0, 1.0, -0.2, 1.5):

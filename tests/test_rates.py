@@ -30,7 +30,7 @@ from gibbsaccel.rates import (
     x_grid,
     zeta_image_modulus,
 )
-from gibbsaccel.series import pointwise_error
+from gibbsaccel.series import pointwise_error, saturation_floor
 from gibbsaccel.sweeps import (
     ErrorRow,
     ErrorTrace,
@@ -549,6 +549,18 @@ class TestFitRate:
         assert math.isnan(log_a) and math.isnan(q) and math.isnan(got_alpha)
 
 
+def log_tails(w, n_lo, n_hi):
+    """sum_{m>N} w^m/m for N = n_lo..n_hi at mpmath's working precision:
+    w^(n_hi+1) lerchphi(w, 1, n_hi+1) at n_hi, and the terms added back
+    below it, so each tail keeps its relative precision."""
+    tail = w ** (n_hi + 1) * mpmath.lerchphi(w, 1, n_hi + 1)
+    tails = [tail]
+    for m in range(n_hi, n_lo, -1):
+        tail += w**m / m
+        tails.append(tail)
+    return tails[::-1]
+
+
 class TestMeasuredVersusPredicted:
     @pytest.mark.parametrize(
         "x,n_lo,n_hi,stride,tol",
@@ -611,20 +623,59 @@ class TestMeasuredVersusPredicted:
     @staticmethod
     def sws_euler_tails(x, n_lo, n_hi):
         """|sum_{m>N} b_m| for N = n_lo..n_hi, the exact tail of the Euler
-        re-expanded sawtooth, b_m = -2 cos^m(x/2) sin(m x/2)/m, from one
-        mpmath suffix sum at n_hi and the terms added back below it."""
-        with mpmath.workdps(30):
-            c, h = mpmath.cos(mpmath.mpf(x) / 2), mpmath.mpf(x) / 2
+        re-expanded sawtooth, b_m = -2 cos^m(x/2) sin(m x/2)/m, which is
+        -2 Im(w^m)/m with w = cos(x/2) e^{ix/2}."""
+        with mpmath.workdps(40):
+            h = mpmath.mpf(x) / 2
+            tails = log_tails(mpmath.cos(h) * mpmath.expj(h), n_lo, n_hi)
+            return np.array([float(abs(2 * t.imag)) for t in tails])
 
-            def b(m):
-                return -2 * c**m * mpmath.sin(m * h) / m
+    @staticmethod
+    def log2_euler_tails(x, n_lo, n_hi):
+        """|sum_{m>N} b_m| for N = n_lo..n_hi, the exact tail of the Euler
+        re-expanded log(1 + e^{ix}), b_m = (2^-m - u^m)/m with
+        u = (1 - e^{ix})/2."""
+        with mpmath.workdps(40):
+            u = (1 - mpmath.expj(x)) / 2
+            halves = log_tails(mpmath.mpf(0.5), n_lo, n_hi)
+            pairs = zip(halves, log_tails(u, n_lo, n_hi))
+            return np.array([float(abs(a - b)) for a, b in pairs])
 
-            tail = mpmath.nsum(b, [n_hi + 1, mpmath.inf])
-            tails = [tail]
-            for m in range(n_hi, n_lo, -1):
-                tail += b(m)
-                tails.append(tail)
-            return np.array([float(abs(t)) for t in reversed(tails)])
+    @pytest.mark.parametrize(
+        "key,x",
+        [("sws", 1.0), ("sws", 2.5), ("sws", 2.9),
+         ("log2", 0.0), ("log2", 1.0), ("log2", 2.0), ("log2", 2.8)],
+    )
+    def test_every_euler_row_is_its_exact_tail(self, key, x):
+        # an oracle that needs no fit: every row, saturated or not, lies
+        # within 0.05 saturation floors of the exact tail (measured: at
+        # most 0.0084 floors)
+        config = ExperimentConfig(key, xs=(x,), n_min=2, n_max=200)
+        (trace,) = sweep_errors(config)
+        errors = np.array([row.error for row in trace.rows])
+        exact = getattr(self, f"{key}_euler_tails")(x, 2, 200)
+        floors = saturation_floor(get_function(key).series, np.array(config.degrees()))
+        assert np.all(np.abs(errors - exact) <= 0.05 * floors)
+
+    @pytest.mark.parametrize(
+        "key,x,q",
+        [
+            ("sws", 2.5, -math.log(math.cos(1.25))),
+            ("sws", 2.9, -math.log(math.cos(1.45))),
+            ("log2", 0.0, math.log(2.0)),
+            ("log2", 1.0, math.log(2.0)),
+        ],
+    )
+    def test_exact_tails_show_where_the_cap_binds(self, key, x, q):
+        # a free-alpha fit of the exact tails over N = 10..100: beyond
+        # 2*pi/3 the sawtooth, regular at infinity, decays at
+        # -log cos(x/2), above the cap log 2 (1.162 against 1.154 at 2.5,
+        # 2.118 against 2.116 at 2.9); log2, singular at infinity, decays
+        # at the cap itself (0.694 and 0.696)
+        ns = np.arange(10, 101)
+        tails = getattr(self, f"{key}_euler_tails")(x, 10, 100)
+        _, _, q_hat, _ = fit_rate(ns.astype(float), np.log(tails))
+        assert abs(q_hat - q) <= 0.01 * q
 
     @pytest.mark.parametrize("x", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("key", ["delta", "sws"])

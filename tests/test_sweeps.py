@@ -223,13 +223,32 @@ class TestSweepErrors:
         text_a = sweep_csv(config, sweep_errors(config))
         text_b = sweep_csv(config, sweep_errors(config))
         assert text_a == text_b
-        meta, traces = parse_sweep_csv(text_a)
-        assert meta["fn"] == "sws"
+        config_read, traces = parse_sweep_csv(text_a)
+        assert config_read.function_key == "sws"
         assert len(traces) == 4
         assert all(len(t.rows) == 26 for t in traces)
         refit = fit_envelope(traces[0])
         original = sweep_errors(config)[0].fit
         assert refit == pytest.approx(original)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(
+                "lorentzian", xs=(1.0,), n_min=5, n_max=30, p=0.3, phi=2.0
+            ),
+            ExperimentConfig(
+                "sws", filters=("euler", "hdaf"), xs=(0.9, 2.1), n_min=5, n_max=30
+            ),
+        ],
+        ids=["lorentzian", "sws"],
+    )
+    def test_parse_returns_the_sweep_config(self, config):
+        # the file's echo and its traces give back the function, its
+        # parameters, the filters and the x's, in the order swept
+        read, _ = parse_sweep_csv(sweep_csv(config, sweep_errors(config)))
+        for field in ("function_key", "p", "phi", "filters", "xs"):
+            assert getattr(read, field) == getattr(config, field), field
 
     def test_one_fit_line_per_trace_and_no_trace_line(self):
         # the fit line names its trace's x and filter; nothing else does
@@ -500,8 +519,8 @@ class TestCli:
              "--out", str(out)]
         )
         assert code == EXIT_OK
-        meta, traces = parse_sweep_csv(out.read_text())
-        assert meta["fn"] == "sws"
+        config, traces = parse_sweep_csv(out.read_text())
+        assert config.function_key == "sws"
         assert len(traces) == 1 and len(traces[0].rows) == 39
 
     def test_envelope_command(self, tmp_path, capsys):
@@ -805,6 +824,40 @@ class TestCli:
         with pytest.raises(ConfigError, match="repeats N=7"):
             parse_sweep_csv(out.read_text())
 
+    def test_envelope_rejects_two_concatenated_sweeps(self, tmp_path, capsys):
+        # a file holds one sweep: a second header is an error, not a point
+        # from which the later fn= refits the earlier traces under its law
+        texts = []
+        for fn, x in (("sws", "1.9635"), ("delta", "1.0")):
+            out = tmp_path / f"{fn}.csv"
+            main(["sweep", "--fn", fn, "--x", x, "--n-min", "5", "--n-max", "50",
+                  "--out", str(out)])
+            texts.append(out.read_text())
+        both = tmp_path / "both.csv"
+        both.write_text("".join(texts))
+        header = ",".join(SWEEP_HEADER)
+        lines = both.read_text().splitlines()
+        lineno = lines.index(header, lines.index(header) + 1) + 1
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(both)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"line {lineno}: a second sweep header" in captured.err
+        assert not captured.out
+
+    def test_envelope_rejects_saturated_cell_other_than_0_or_1(self, tmp_path, capsys):
+        # a 7 is not read as saturated, which would drop its row silently
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        lines = out.read_text().splitlines()
+        (k,) = [k for k, ln in enumerate(lines) if ln.startswith("1.9635,euler,20,")]
+        lines[k] = lines[k].removesuffix(",0") + ",7"
+        out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"line {k + 1}: bad sweep row {lines[k]!r}" in err
+
     def test_insufficient_data_exit_code(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         # deep pole: everything saturates almost immediately
@@ -820,8 +873,8 @@ class TestCli:
         assert len(fit_lines) == 1
         assert fit_lines[0]["A"] is None and fit_lines[0]["q_hat"] is None
         assert fit_lines[0]["hull_points"] < 5
-        meta, traces = parse_sweep_csv(out.read_text())
-        assert meta["fn"] == "lorentzian" and meta["p"] == 0.01
+        config, traces = parse_sweep_csv(out.read_text())
+        assert config.function_key == "lorentzian" and config.p == 0.01
         assert len(traces) == 1 and len(traces[0].rows) == 31
         assert main(["envelope", "--in", str(out)]) == EXIT_INSUFFICIENT
 
