@@ -31,8 +31,9 @@ vector, with no re-expansion; with c = 2 (p = 1/2) the weights are the
 classical Euler summation weights.  Read the other way, the prefix sums
 of one re-expansion give that weighted sum at every degree at once:
 ``series`` sums dense Euler traces that way.  ``euler_equivalence_check``
-compares the two constructions of the table: the row recurrence and the
-binomial tails.
+compares the two constructions of the table: the sum of
+``recoefficient``'s b_m, by the row recurrence, with ``accelerate_sum``
+at c = 2, by the binomial tails.
 
 A ``PowerSeries`` holds a_0..a_N as one read-only complex array; the
 functions here read a prefix view of it, and ``MobiusMap`` is no more
@@ -138,14 +139,13 @@ def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:
 def euler_equivalence_check(series: PowerSeries, N: int) -> float:
     """|Möbius(2) sum by the row recurrence - Euler-weighted sum|.
 
-    The sum of ``recoefficient``'s b_m against sigma_E . a with the
-    binomial Euler table: two independent constructions of the same
-    weights, so the residual is pure floating-point noise, below 1e-14
-    times sum |a_n|.
+    The sum of ``recoefficient``'s b_m against ``accelerate_sum`` at
+    c = 2, sigma_E . a with the binomial Euler table: two independent
+    constructions of the same weights, so the residual is pure
+    floating-point noise, below 1e-14 times sum |a_n|.
     """
     mapped = np.sum(recoefficient(series, MOBIUS2, N).coeffs)
-    weighted = np.sum(_euler_sigma_table(N) * _prefix(series, N))
-    return abs(complex(mapped - weighted))
+    return abs(complex(mapped) - accelerate_sum(series, MOBIUS2, N))
 
 
 def estimate_radius(series: PowerSeries) -> float:
@@ -170,6 +170,6 @@ def estimate_radius(series: PowerSeries) -> float:
     orders = mag[1 : usable[-1] + 1].nonzero()[0] + 1
     tail = orders[len(orders) // 3 :]
     hull, _, q, _ = fit_rate(tail, np.log(mag[tail]))
-    if hull.sum() < 3:
+    if np.isnan(q):  # fit_rate found fewer than 3 distinct orders on the hull
         raise ValueError(f"only {hull.sum()} orders on the upper hull; need 3")
     return float(np.exp(q))

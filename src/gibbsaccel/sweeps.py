@@ -5,9 +5,11 @@ of truncation degrees, extracts the monotone upper hull of the error
 sequence (its envelope), and fits the model A * exp(-q*N)/N^alpha to it
 with ``rates.fit_rate``.  ``fit_traces`` is the one place that decides
 which filter has a rate law: an Euler trace carries the prediction at its
-x (``rates.rho_of_x``) and is fitted with that law's alpha; the other
-filters have no rate law and keep alpha = 1.  The fitted slope q-hat is
-the empirical convergence rate to compare against the predicted one.
+x (``rates.rho_of_x``); the other filters have no rate law.  The law is
+the fit's only model: ``fit_envelope`` fits a trace with its law's alpha,
+or alpha = 1 without a law, and takes no alpha of its own, so a refit
+reproduces the trace's fit record.  The fitted slope q-hat is the
+empirical convergence rate to compare against the predicted one.
 
 CSV outputs carry their configuration and fit results in ``#`` lines of
 ``key=value`` tokens, written by ``meta_line`` and read by ``parse_meta``.
@@ -69,9 +71,10 @@ class ErrorTrace:
     before fitting.  ``envelope`` indexes the rows on the monotone upper
     hull of log(error) vs N; ``fit`` is (A, q_hat) for the model
     A*exp(-q*N)/N^alpha, or None before fitting and when the fit is
-    skipped.  ``law`` is the rate law the trace was fitted with, set by
-    ``fit_traces``: ``rates.rho_of_x`` at x for an Euler trace, None for
-    the other filters (fitted with alpha = 1) and before fitting.
+    skipped.  ``law`` is the rate law, set by ``fit_traces``:
+    ``rates.rho_of_x`` at x for an Euler trace, None for the other
+    filters and before fitting.  ``fit_envelope`` fits with the law's
+    alpha, or alpha = 1 when ``law`` is None.
     Saturated rows (error below the double precision floor), rows with a
     zero or infinite error and the degree-0 row never enter the envelope
     or the fit.
@@ -162,10 +165,10 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
 
 
 def fit_traces(sings: SingularitySet, traces: list[ErrorTrace]) -> list[str]:
-    """Give each trace its rate law and fit its envelope with the law's alpha.
+    """Give each trace its rate law, then fit its envelope (``fit_envelope``).
 
     Only Euler has a rate law: an Euler trace gets ``rho_of_x(sings, x)``
-    on ``trace.law``, every other trace None, and is fitted with alpha = 1.
+    on ``trace.law``, every other trace None.
     Returns one ``"x=... filter=...: <reason>"`` per trace left without a
     fit (``fit_envelope`` raised InsufficientDataError), in trace order.
     """
@@ -173,26 +176,28 @@ def fit_traces(sings: SingularitySet, traces: list[ErrorTrace]) -> list[str]:
     for trace in traces:
         trace.law = rho_of_x(sings, trace.x) if trace.filter_kind == "euler" else None
         try:
-            fit_envelope(trace, trace.law.alpha if trace.law else 1.0)
+            fit_envelope(trace)
         except InsufficientDataError as exc:
             skipped.append(f"x={trace.x} filter={trace.filter_kind}: {exc}")
     return skipped
 
 
-def fit_envelope(trace: ErrorTrace, alpha: float = 1.0) -> tuple[float, float]:
+def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     """Fit A*exp(-q*N)/N^alpha to the upper hull of the error sequence.
 
-    The rows that may enter are the unsaturated ones with 0 < error < inf
-    and N >= 1 (the model takes log N).  ``rates.fit_rate`` fits them
-    with the given alpha held fixed: the envelope is the suffix-maximum
-    hull of log(error) vs N, and A is anchored so that A*exp(-q*N)/N^alpha
-    bounds every envelope point, a tight upper envelope of the whole
-    trace.  Stores the hull on ``trace.envelope`` and the fit on
-    ``trace.fit``, and returns (A, q_hat).  Raises InsufficientDataError,
-    keeping the hull and leaving ``trace.fit`` as it was, when the hull
-    has fewer than ``MIN_ENVELOPE_POINTS`` points or sits at fewer than
-    three distinct N (rows a caller appended with a repeated N), which
-    fix no slope.
+    alpha is the trace's own: ``trace.law.alpha``, or 1 when the trace
+    has no law, the alpha that ``fit_line`` prints, so a refit never
+    changes the trace's fit record.  The rows that may enter are the
+    unsaturated ones with 0 < error < inf and N >= 1 (the model takes
+    log N).  ``rates.fit_rate`` fits them with that alpha held fixed: the
+    envelope is the suffix-maximum hull of log(error) vs N, and A is
+    anchored so that A*exp(-q*N)/N^alpha bounds every envelope point, a
+    tight upper envelope of the whole trace.  Stores the hull on
+    ``trace.envelope`` and the fit on ``trace.fit``, and returns
+    (A, q_hat).  Raises InsufficientDataError, keeping the hull and
+    leaving ``trace.fit`` as it was, when the hull has fewer than
+    ``MIN_ENVELOPE_POINTS`` points or sits at fewer than three distinct N
+    (rows a caller appended with a repeated N), which fix no slope.
     """
     usable = [
         (i, r.N, math.log(r.error))
@@ -200,7 +205,7 @@ def fit_envelope(trace: ErrorTrace, alpha: float = 1.0) -> tuple[float, float]:
         if not r.saturated and 0.0 < r.error < math.inf and r.N >= 1
     ]
     index, ns, logs = np.array(usable).reshape(-1, 3).T
-    hull, log_a, q_hat, _ = fit_rate(ns, logs, alpha=alpha)
+    hull, log_a, q_hat, _ = fit_rate(ns, logs, trace.law.alpha if trace.law else 1.0)
     trace.envelope = index[hull].astype(int).tolist()
     if len(trace.envelope) < MIN_ENVELOPE_POINTS:
         raise InsufficientDataError(

@@ -60,3 +60,41 @@ def test_main_prints_each_module_then_the_total(tmp_path, capsys):
     assert tool.main(["code_lines.py", str(tmp_path)]) == 0
     out = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert out == [["2", "a.py"], ["1", "b.py"], ["3", "total"]]
+
+
+def test_defs_prints_each_definition_then_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(textwrap.dedent('''
+        """Doc."""
+        import math
+
+        LIMIT = 3
+        x, y = 1, 2
+        count: int = 0
+
+
+        @staticmethod
+        def f(
+            a,
+        ):
+            """Docstring, not counted."""
+            # a comment, not counted
+            return math.sqrt(a)
+
+
+        class C:
+            """Doc."""
+
+            z = 1
+    '''))
+    (tmp_path / "b.py").write_text("if True:\n    w = 4\n")
+    assert tool.main(["code_lines.py", "--defs", str(tmp_path)]) == 0
+    out = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # the total is the default one: it also holds the import and the if
+    assert out == [
+        ["1", "a:LIMIT"],
+        ["1", "a:x,y"],
+        ["1", "a:count"],
+        ["5", "a:f"],  # the decorator, the def over three lines, the return
+        ["2", "a:C"],
+        ["13", "total"],
+    ]

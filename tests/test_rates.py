@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -561,6 +562,37 @@ def log_tails(w, n_lo, n_hi):
     return tails[::-1]
 
 
+def mp_erfclog_weight(n, N, d):
+    """erfc(sign(tb) sqrt(-p log(1 - 4 tb^2)))/2 at tb = n/N - 1/2, with
+    the adaptive order p = 1 + N d/(2 pi); 1 at n = 0 and 0 at n = N."""
+    if n in (0, N):
+        return mpmath.mpf(n == 0)
+    tb = mpmath.mpf(n) / N - mpmath.mpf(1) / 2
+    p = 1 + N * d / (2 * mpmath.pi)
+    arg = mpmath.sign(tb) * mpmath.sqrt(-p * mpmath.log(1 - 4 * tb**2))
+    return mpmath.erfc(arg) / 2
+
+
+def mp_hdaf_weight(n, N, d):
+    """Q(J + 1, s), the regularized upper incomplete gamma function, at
+    s = N d (n/N)^2 / 2 and depth J = floor(N d/15)."""
+    s = N * d * (mpmath.mpf(n) / N) ** 2 / 2
+    return mpmath.gammainc(int(mpmath.floor(N * d / 15)) + 1, s, regularized=True)
+
+
+def mp_sawtooth_error(weight, x, N):
+    """|f(x) - sum_{n=1..N} sigma(n/N) a_n| for the sawtooth, f(x) = x - pi
+    on (0, 2 pi) with a_n = -2 sin(n x)/n, at 40 digits; ``weight(n, N, d)``
+    gives sigma, d = x being the distance to the jump at 0 for x <= pi.
+    Uses no weight code of the library."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        total = mpmath.fsum(
+            weight(n, N, x) * -2 * mpmath.sin(n * x) / n for n in range(1, N + 1)
+        )
+        return float(abs(x - mpmath.pi - total))
+
+
 class TestMeasuredVersusPredicted:
     @pytest.mark.parametrize(
         "x,n_lo,n_hi,stride,tol",
@@ -588,10 +620,11 @@ class TestMeasuredVersusPredicted:
     @staticmethod
     def law_check_gaps(alpha=None):
         """rel_gap of every Euler trace of every catalog key on a coarse x
-        grid, fitted with the declared alpha (or the given one).  The x
-        are the interior points of linspace(-pi, pi, 17) at least 0.25
-        from a real singularity; traces where the cap binds are left out,
-        but for log2, the only entry singular at infinity."""
+        grid, fitted with the declared alpha (or the given one, set on
+        each trace's law before a refit).  The x are the interior points
+        of linspace(-pi, pi, 17) at least 0.25 from a real singularity;
+        traces where the cap binds are left out, but for log2, the only
+        entry singular at infinity."""
         gaps = []
         for key in FUNCTION_KEYS:
             sings = get_function(key).series.singularities
@@ -606,7 +639,8 @@ class TestMeasuredVersusPredicted:
             for trace in sweep_errors(config):
                 q = preds[trace.x].q
                 if alpha is not None:
-                    fit_envelope(trace, alpha)
+                    trace.law = dataclasses.replace(trace.law, alpha=alpha)
+                    fit_envelope(trace)
                 gaps.append(abs(trace.fit[1] - q) / q)
         return np.array(gaps)
 
@@ -656,6 +690,22 @@ class TestMeasuredVersusPredicted:
         exact = getattr(self, f"{key}_euler_tails")(x, 2, 200)
         floors = saturation_floor(get_function(key).series, np.array(config.degrees()))
         assert np.all(np.abs(errors - exact) <= 0.05 * floors)
+
+    @pytest.mark.parametrize(
+        "kind, weight",
+        [("erfclog", mp_erfclog_weight), ("hdaf", mp_hdaf_weight)],
+        ids=["erfclog", "hdaf"],
+    )
+    def test_every_adaptive_row_is_its_multiprecision_sum(self, kind, weight):
+        # every row, saturated or not, within 0.05 saturation floors of a
+        # 40-digit sum of the same weights (measured: at most 0.0043)
+        config = ExperimentConfig("sws", (kind,), (1.0, 2.5), 8, 40, 4)
+        degrees = config.degrees()
+        floors = saturation_floor(get_function("sws").series, np.array(degrees))
+        for trace in sweep_errors(config):
+            errors = np.array([row.error for row in trace.rows])
+            exact = [mp_sawtooth_error(weight, trace.x, N) for N in degrees]
+            assert np.all(np.abs(errors - exact) <= 0.05 * floors)
 
     @pytest.mark.parametrize(
         "key,x,q",

@@ -18,6 +18,7 @@ from gibbsaccel.filters import VALID_KINDS
 from gibbsaccel.rates import (
     SingularitySet,
     delta_truncation_error,
+    fit_rate,
     rho_of_x,
     zeta_image_modulus,
 )
@@ -31,6 +32,7 @@ from gibbsaccel.sweeps import (
     InsufficientDataError,
     compare_filters,
     fit_envelope,
+    fit_line,
     fit_traces,
     meta_line,
     parse_meta,
@@ -276,13 +278,28 @@ class TestSweepErrors:
         fits = [parse_meta(ln[2:])[1] for ln in comments if ln.startswith("# fit ")]
         assert [f["alpha"] for f in fits] == [0.0, 1.0, 1.0, 1.0]
         for trace, fit in zip(traces, fits):
-            refit = ErrorTrace(trace.x, trace.filter_kind, trace.rows)
-            assert fit_envelope(refit, fit["alpha"]) == trace.fit
+            refit = ErrorTrace(trace.x, trace.filter_kind, trace.rows, law=trace.law)
+            assert fit_envelope(refit) == trace.fit
             assert (fit["A"], fit["q_hat"]) == trace.fit
         hdaf, euler = traces[-1], traces[0]
-        # alpha 1 is the default, and a pole's trace fitted with it differs
+        # a trace without a law is fitted with alpha 1, and a pole's trace
+        # fitted with it differs
         assert fit_envelope(ErrorTrace(2.5, "hdaf", hdaf.rows)) == hdaf.fit
         assert fit_envelope(ErrorTrace(1.0, "euler", euler.rows)) != euler.fit
+
+    def test_refit_keeps_every_fit_line(self):
+        # fit_envelope fits with the trace's own law, so a refit cannot
+        # change the record; delta's Euler trace at x = 1.0 keeps alpha 0
+        config = ExperimentConfig(
+            "delta", filters=("euler", "hdaf"), xs=(1.0, 2.5), n_min=5, n_max=120
+        )
+        traces = sweep_errors(config)
+        lines = [fit_line(trace) for trace in traces]
+        for trace in traces:
+            fit_envelope(trace)
+        assert [fit_line(trace) for trace in traces] == lines
+        fields = parse_meta(lines[0])[1]
+        assert (fields["alpha"], fields["rel_gap"]) == (0.0, 0.0031507847593967193)
 
     def test_fit_traces_gives_only_euler_a_law(self):
         # the law is rho_of_x at x on an Euler trace and None on the other
@@ -593,6 +610,31 @@ class TestCli:
             named = f"x={fields['x']} filter={fields['filter']}: " in captured.err
             assert named == (fields["A"] is None)
         assert bool(captured.err) == (status == EXIT_INSUFFICIENT)
+        self.assert_fit_records_reproduce(out.read_text())
+
+    @staticmethod
+    def assert_fit_records_reproduce(text):
+        """Each fitted ``# fit`` record of a sweep file follows from that
+        file alone: ``fit_rate`` over the trace's usable rows (saturated 0,
+        0 < error < inf, N >= 1) at the printed alpha gives the printed A
+        and q_hat bit for bit, and rel_gap is |q_hat - q_predicted| /
+        q_predicted of the printed values."""
+        lines = text.splitlines()
+        rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+        fits = [parse_meta(ln[6:])[1] for ln in lines if ln.startswith("# fit ")]
+        for fit in (f for f in fits if f["A"] is not None):
+            usable = [
+                (float(n), math.log(float(err)))
+                for x, kind, n, err, sat in rows
+                if (float(x), kind) == (fit["x"], fit["filter"])
+                and sat == "0" and 0.0 < float(err) < math.inf and int(n) >= 1
+            ]
+            ns, logs = np.array(usable).T
+            _, log_a, q_hat, _ = fit_rate(ns, logs, fit["alpha"])
+            assert (math.exp(log_a), q_hat) == (fit["A"], fit["q_hat"])
+            q = fit["q_predicted"]
+            gap = None if q is None else abs(fit["q_hat"] - q) / q
+            assert fit["rel_gap"] == gap
 
     def test_predicted_rate_underflow_writes_inf(self, tmp_path, capsys):
         # q = -log cos(d/2) underflows to 0.0 within about 6e-162 of the
