@@ -28,9 +28,10 @@ key, a bad ``--p`` or ``--phi`` or one the function does not take, a
 ``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, an
 ``envelope`` input that ``parse_sweep_csv`` or
 ``ExperimentConfig.validate`` rejects, among them a second header or a
-``saturated`` cell other than 0 or 1, and an input or output file that
-cannot be opened), 3 insufficient data (for ``envelope``, an input
-without traces, or any trace without a fit, each named on stderr).
+``saturated`` cell other than 0 or 1, an input that is not UTF-8 text,
+and an input or output file that cannot be opened), 3 insufficient
+data (for ``envelope``, an input without traces, or any trace without a
+fit, each named on stderr).
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientDataError as exc:

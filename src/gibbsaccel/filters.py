@@ -252,11 +252,11 @@ def euler_sigma(j: int, M: int) -> float:
     return float(sigma[j]) if j <= M else 0.0
 
 
-def _rational(t: np.ndarray, coeffs, out: np.ndarray) -> np.ndarray:
-    """num(t)/den(t) into ``out`` for a ``(num, den)`` coefficient pair,
-    each polynomial by Horner's rule from its highest power."""
+def _rational(t: np.ndarray, coeffs) -> np.ndarray:
+    """num(t)/den(t) for a ``(num, den)`` coefficient pair, each
+    polynomial by Horner's rule from its highest power."""
     num, den = (_horner(t, c) for c in coeffs)
-    return np.divide(num, den, out=out)
+    return num / den
 
 
 def _horner(t: np.ndarray, coeffs) -> np.ndarray:
@@ -271,46 +271,38 @@ def _horner(t: np.ndarray, coeffs) -> np.ndarray:
 def _erfc(x) -> np.ndarray:
     """erfc of a float or float array, by Cody's rational approximations.
 
-    The entries are sorted stably by range of |x| (one radix sort of a
-    small key), so each range is one contiguous slice and its rational
-    function runs once over that slice.  Outside |x| <= 0.46875, exp(-x^2)
-    is exp(-s^2) exp(-(x-s)(x+s)) with s = x truncated to a multiple of
-    1/16: s^2 is exact, so the large exponent carries no rounding error
-    (Cody's splitting).  A negative x reflects as 2 - erfc(|x|).  Each
-    entry's value depends on that entry alone, so a 0-d or one-entry call
-    is bit-identical to the same entry of any array.  Against mpmath the
-    relative error is at most 7.7e-16 for |x| < 26.543, and every value
-    is within 2^-52 of the correctly rounded one.
+    One boolean mask per range of |x| selects its entries, and that
+    range's rational function runs once over them.  NaN is not above
+    0.46875, so it falls in the range |x| <= 0.46875 and stays NaN; from
+    Cody's cut 26.543 on (and at +-inf) erfc(|x|) is 0.  Outside
+    |x| <= 0.46875, exp(-x^2) is exp(-s^2) exp(-(x-s)(x+s)) with s = x
+    truncated to a multiple of 1/16: s^2 is exact, so the large exponent
+    carries no rounding error (Cody's splitting).  A negative x reflects
+    as 2 - erfc(|x|).  Each entry's value depends on that entry alone, so
+    a 0-d or one-entry call is bit-identical to the same entry of any
+    array.  Against mpmath the relative error is at most 7.7e-16 for
+    |x| < 26.543, and every value is within 2^-52 of the correctly
+    rounded one.
     The error against the exact value reaches 1.35 * 2^-52 for x in
     (-0.85, -0.47), where 2 - erfc(|x|) adds its own rounding to that
     of erfc(|x|) near 1/2.
     """
-    flat = np.ravel(x)
-    y = np.abs(flat)
-    mid, far, huge = y > _CODY_SMALL, y > _CODY_FAR, y >= _CODY_HUGE
-    key = mid.view(np.uint8) + far.view(np.uint8) + huge.view(np.uint8)
-    order = np.argsort(key, kind="stable")
-    n_mid, n_far, n_huge = (y.size - np.count_nonzero(m) for m in (mid, far, huge))
-    xs = flat[order]
-    ys = np.abs(xs)
-    out = np.empty_like(ys)
-    small, o = xs[:n_mid], out[:n_mid]
-    np.multiply(small, _rational(small * small, _CODY_ERF, o), out=o)
-    np.subtract(1.0, o, out=o)
-    _rational(ys[n_mid:n_far], _CODY_ERFC_MID, out[n_mid:n_far])
-    y_far, o = ys[n_far:n_huge], out[n_far:n_huge]
-    _rational(y_far * y_far, _CODY_ERFC_FAR, o)
-    np.subtract(_FRAC_SQRT_PI, o, out=o)
-    np.divide(o, y_far, out=o)
-    out[n_huge:] = 0.0
-    y_exp = ys[n_mid:n_huge]
-    s = np.floor(y_exp * 16.0) / 16.0
-    out[n_mid:n_huge] *= np.exp(-s * s) * np.exp((s - y_exp) * (y_exp + s))
-    tail = out[n_mid:]
-    tail[:] = np.where(xs[n_mid:] < 0.0, 2.0 - tail, tail)
-    result = np.empty_like(out)
-    result[order] = out
-    return result.reshape(np.shape(x))
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    small = ~(y > _CODY_SMALL)
+    mid = ~small & (y <= _CODY_FAR)
+    far = (y > _CODY_FAR) & (y < _CODY_HUGE)
+    out = np.zeros_like(y)
+    t = x[small]
+    out[small] = 1.0 - t * _rational(t * t, _CODY_ERF)
+    out[mid] = _rational(y[mid], _CODY_ERFC_MID)
+    t = y[far]
+    out[far] = (_FRAC_SQRT_PI - _rational(t * t, _CODY_ERFC_FAR)) / t
+    split = mid | far
+    t = y[split]
+    s = np.floor(t * 16.0) / 16.0
+    out[split] *= np.exp(-s * s) * np.exp((s - t) * (t + s))
+    return np.where(~small & (x < 0.0), 2.0 - out, out)
 
 
 def erfclog_sigma(theta, p):

@@ -101,8 +101,8 @@ class ExperimentConfig:
     p: float | None = None
     phi: float | None = None
 
-    def degrees(self) -> list[int]:
-        return list(range(self.n_min, self.n_max + 1, self.n_stride))
+    def degrees(self) -> range:
+        return range(self.n_min, self.n_max + 1, self.n_stride)
 
     def validate(self) -> TestFunction:
         """Check the request; returns the catalog entry it names."""

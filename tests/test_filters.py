@@ -207,18 +207,24 @@ class TestErfcLog:
                 filter_weights(FilterSpec("erfclog"), N, math.nan)
 
 
-def _kernel_points() -> np.ndarray:
-    """[-40, 40] on a grid, both sides of every range boundary, +-0, +-40
-    and 20000 seeded uniform points."""
+def _kernel_edges() -> np.ndarray:
+    """Every range boundary and both its neighbours, 0, 1e-300, the
+    smallest subnormal and 40, then all of them negated."""
     edges = [
         v
         for b in (_CODY_SMALL, _CODY_FAR, _CODY_HUGE)
         for v in (b, np.nextafter(b, 0.0), np.nextafter(b, 50.0))
     ]
     edges += [0.0, 1e-300, 5e-324, 40.0]
+    return np.concatenate([edges, np.negative(edges)])
+
+
+def _kernel_points() -> np.ndarray:
+    """[-40, 40] on a grid, 20000 seeded uniform points, both sides of
+    every range boundary, +-0 and +-40."""
     grid = np.linspace(-40.0, 40.0, 8001)
     random = np.random.default_rng(12).uniform(-40.0, 40.0, 20_000)
-    return np.concatenate([grid, random, edges, np.negative(edges)])
+    return np.concatenate([grid, random, _kernel_edges()])
 
 
 class TestErfcKernel:
@@ -256,12 +262,22 @@ class TestErfcKernel:
         assert math.isnan(_erfc(math.nan))
 
     def test_entries_independent_of_the_batch(self):
-        xs = _kernel_points()[::7]
+        # every range edge and both its neighbours, and NaN inside the
+        # array; compared as bits, so NaN and -0.0 count
+        edges = _kernel_edges()
+        xs = np.concatenate([_kernel_points()[::7], edges, [math.nan, math.inf]])
         got = _erfc(xs)
-        assert got.tolist() == [float(_erfc(x)) for x in xs.tolist()]
+        bits = got.view(np.int64)
+        singles = np.array([float(_erfc(x)) for x in xs.tolist()])
+        assert singles.view(np.int64).tolist() == bits.tolist()
+        zero_d = np.array([_erfc(np.array(x))[()] for x in xs.tolist()])
+        assert zero_d.view(np.int64).tolist() == bits.tolist()
         order = np.random.default_rng(3).permutation(xs.size)
-        assert _erfc(xs[order]).tolist() == got[order].tolist()
-        assert _erfc(xs.reshape(-1, 1)).ravel().tolist() == got.tolist()
+        assert _erfc(xs[order]).view(np.int64).tolist() == bits[order].tolist()
+        column = _erfc(xs.reshape(-1, 1))
+        assert column.shape == (xs.size, 1)
+        assert column.ravel().view(np.int64).tolist() == bits.tolist()
+        assert np.isnan(got[-2]) and got[-1] == 0.0
 
     @pytest.mark.parametrize("x_dist", [0.05, 0.2618, 1.3, 3.0])
     def test_erfclog_rows_match_math_erfc(self, x_dist):

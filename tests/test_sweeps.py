@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,18 @@ class TestSweepErrors:
     def test_singular_x_rejected(self):
         with pytest.raises(ConfigError):
             sweep_errors(ExperimentConfig("sws", xs=(0.0,)))
+
+    def test_degree_range_checked_before_any_list_is_built(self):
+        # a list of five million degrees would peak near 200 MB
+        config = ExperimentConfig("sws", xs=(1.0,), n_max=5_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="outside"):
+                config.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_unknown_function_rejected(self):
         with pytest.raises(ConfigError):
@@ -1008,6 +1021,13 @@ class TestCli:
     def test_input_is_a_directory(self, tmp_path, capsys):
         assert main(["envelope", "--in", str(tmp_path)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_input_not_utf8_text(self, tmp_path, capsys):
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(b"\xff\xfe")
+        assert main(["envelope", "--in", str(binary)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and not captured.out
 
     @pytest.mark.parametrize("p", ["1.5", "nan"])
     def test_envelope_bad_p_in_input(self, p, tmp_path, capsys):
