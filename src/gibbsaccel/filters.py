@@ -24,8 +24,9 @@ takes one degree or a list of them; for a list it weights every row in
 one pass (one Erfc-Log array call, one HDAF Poisson loop over the live
 entries of all rows, on both sides of the cut) and returns the rows
 concatenated, each bit-identical to its one-degree table.  An empty list,
-or a degree at or beyond 2^53, raises ValueError before any array is
-built.
+a degree at or beyond 2^53, or an HDAF depth N*x_dist/15 at or beyond
+2^53 raises ValueError before any array is built; the depth grows with
+N, so one check on the top row covers every row.
 
 ``mobius_reexpand`` is the same Euler-Knopp weighting read the other
 way: the Möbius(c) re-expansion b = T_c a of the coefficients, whose
@@ -347,30 +348,7 @@ def _log_poisson_peak(j: int) -> float:
     return 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
 
 
-def _hdaf_row_params(degrees: list[float], x_dist: float) -> np.ndarray:
-    """Per-row HDAF scalars: N*x_dist, the depth J and the log peaks of
-    pmf(J) and pmf(J+1), one row of the result per degree.
-
-    Raises ValueError when a depth N*x_dist/15 is not finite or reaches
-    2^53, before any per-entry array exists.  Rows share depths (a trace
-    of a few hundred degrees has a handful), so each log peak is computed
-    once per distinct depth.
-    """
-    depths = []
-    for N in degrees:
-        width = N * x_dist / _HDAF_DEPTH_DIVISOR
-        if not width < _MAX_EXACT_INDEX:
-            raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
-        depths.append(math.floor(width))
-    distinct = set(depths)
-    peaks = {j: _log_poisson_peak(j) for j in distinct | {J + 1 for J in distinct} if j}
-    peaks[0] = 0.0  # unused: pmf(0) is exp(-s)
-    return np.array(
-        [(N * x_dist, J, peaks[J], peaks[J + 1]) for N, J in zip(degrees, depths)]
-    )
-
-
-def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.ndarray:
+def _hdaf_rows(theta, degrees: list, x_dist: float, sizes: list) -> np.ndarray:
     """HDAF weights exp(-s) * sum_{j<=J} s^j/j! of several rows at once.
 
     s = N*x_dist*theta^2/2 and J = floor(N*x_dist/15).  The weight is
@@ -382,12 +360,20 @@ def _hdaf_rows(theta: np.ndarray, params: np.ndarray, sizes: list[int]) -> np.nd
     is finite and lies in [0, 1].
 
     Row r is the next ``sizes[r]`` entries of the flat array ``theta``,
-    weighted with the scalars ``params[r]`` from ``_hdaf_row_params``,
-    which are spread over the row's entries; the Poisson series then runs
-    once for the whole batch, as one loop over the live entries of both
-    sides of the cut, so a batch takes as many steps as its slowest
-    entry.  Every entry is bit-identical to a one-row call.
+    weighted at degree ``degrees[r]``.  Each row's scalars (N*x_dist, J
+    and the log peaks of pmf(J) and pmf(J+1)) are spread over its
+    entries; rows share depths (a trace of a few hundred degrees has a
+    handful), so each log peak is computed once per distinct depth.  The
+    depths are not checked here: ``filter_weights`` checks the top row's
+    before ``theta`` exists.  The Poisson series then runs once for the
+    whole batch, as one loop over the live entries of both sides of the
+    cut, so a batch takes as many steps as its slowest entry.  Every
+    entry is bit-identical to a one-row call.
     """
+    depths = [math.floor(N * x_dist / _HDAF_DEPTH_DIVISOR) for N in degrees]
+    peaks = {j: _log_poisson_peak(j) for j in {*depths, *(J + 1 for J in depths)} if j}
+    peaks[0] = 0.0  # unused: pmf(0) is exp(-s)
+    params = [(N * x_dist, J, peaks[J], peaks[J + 1]) for N, J in zip(degrees, depths)]
     scale, J, peak_at, peak_above = np.repeat(params, sizes, axis=0).T
     s = scale * np.square(theta) / 2.0
     below = s < J + 1.0
@@ -450,7 +436,10 @@ def filter_weights(
     functions of |n|, so sigma(-theta) = sigma(theta) holds exactly.
     Raises ValueError for a negative or NaN distance, for every kind, and
     for an empty list of degrees, a negative degree, or one at or beyond
-    2^53, before any array is built.
+    2^53, before any array is built.  For HDAF it also raises when the
+    top row's depth max(N, 1)*x_dist/15 is not finite or reaches 2^53,
+    before ``theta`` exists: the depth grows with N, so that one check
+    covers every row.
     """
     if not x_dist >= 0:
         raise ValueError("x_dist must be nonnegative")
@@ -461,6 +450,10 @@ def filter_weights(
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
         raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")
+    # HDAF's depth grows with N: the top row's bounds every row's
+    width = max(max(degrees), 1) * x_dist / _HDAF_DEPTH_DIVISOR
+    if spec.kind == "hdaf" and not width < _MAX_EXACT_INDEX:
+        raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
     sizes = [M + 1 for M in degrees]
     if spec.kind == "identity":
         return np.ones(sum(sizes))
@@ -471,13 +464,11 @@ def filter_weights(
     # and N are doubles, exact below 2^53, so the quotient is the correctly
     # rounded one that int64 division gives at several times the cost.
     degrees = [float(max(M, 1)) for M in degrees]
-    if spec.kind == "hdaf":  # checks every depth before theta is built
-        params = _hdaf_row_params(degrees, x_dist)
     theta = np.arange(float(sum(sizes)))
     theta -= np.repeat(np.cumsum(sizes, dtype=float) - sizes, sizes)  # row starts
     theta /= np.repeat(degrees, sizes)
     if spec.kind == "hdaf":
-        return _hdaf_rows(theta, params, sizes)
+        return _hdaf_rows(theta, degrees, x_dist, sizes)
     orders = 1.0 + np.array(degrees) * x_dist / _TWO_PI
     return erfclog_sigma(theta, np.repeat(orders, sizes))
 

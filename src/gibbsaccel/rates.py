@@ -227,7 +227,11 @@ def delta_truncation_error(x: float, N: int) -> complex:
     (A frequently quoted two-term form with exponent N+1 and numerator
     u^{N+1} drops the cross term of the (1 - w/2) factor and does not
     reproduce the filtered sum for general N; this one is exact.)
+    Raises TypeError for a degree N that is not an integer (2.5) and
+    ValueError for a negative one.
     """
+    if operator.index(N) < 0:
+        raise ValueError(f"truncation degree {N} is negative")
     if periodic_distance(x, 0.0) == 0.0:
         raise ValueError("truncation error is singular at x = 0 (mod 2*pi)")
     err = 0j

@@ -244,12 +244,14 @@ def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.n
     measured errors under this floor are roundoff, not truncation.  N is
     an int, giving a float, or an integer array of degrees, giving the
     floors of the same shape from one coefficient call at the largest
-    degree and a cumulative sum over |n|.
+    degree and a cumulative sum over |n|.  Raises ValueError, as
+    ``FourierSeries.folded`` does, unless every degree is in [0, n_max].
     """
     degrees = np.asarray(N)
-    if degrees.min() < 0:
-        raise ValueError("truncation degree must be >= 0")
     top = int(degrees.max())
+    for end in (int(degrees.min()), top):
+        if not 0 <= end <= series.n_max:
+            raise ValueError(f"truncation degree {end} outside [0, n_max={series.n_max}]")
     mag = np.abs(series.coefficients(top))  # mag[top + n] = |c_n|
     pairs = mag[top + 1 :] + mag[:top][::-1]  # |c_n| + |c_-n|, n = 1..top
     totals = mag[top] + np.concatenate(([0.0], np.cumsum(pairs)))

@@ -354,10 +354,10 @@ def compare_filters(config: ExperimentConfig) -> str:
 def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
     """Read back the one sweep a sweep CSV holds: its config and its traces.
 
-    The config carries the echo's fn, p and phi (the values of the
-    untagged comment lines), and the file's filters and x's, each in
-    order of first appearance; its degree range keeps the dataclass
-    defaults, since a refit reads each row's own N.  Raises ConfigError
+    The config carries the echo's fn, n_min, n_max, stride, p and phi
+    (the values of the untagged comment lines), and the file's filters
+    and x's, each in order of first appearance, so ``sweep_csv`` of the
+    config and the refitted traces gives the file back.  Raises ConfigError
     when the first non-comment line is not the sweep header (a
     ``compare`` output, for one), at a second header (two files
     concatenated), when a data row does not have the five sweep cells,
@@ -365,7 +365,8 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
     or when a degree repeats within one (x, filter) trace, which the
     rate fit cannot use; the message names the line.  Then raises
     InsufficientDataError when there is no data row, and ConfigError
-    when the echo has no ``fn=`` or a non-numeric ``p=`` or ``phi=``.
+    when the echo has no ``fn=``, a non-numeric ``p=`` or ``phi=``, or
+    no integer ``n_min=``, ``n_max=`` or ``stride=``.
     """
     meta: dict = {}
     traces: dict[tuple[float, str], ErrorTrace] = {}
@@ -401,7 +402,13 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
     for key in ("p", "phi"):
         if isinstance(meta.get(key), str):  # parse_meta keeps a non-number as text
             raise ConfigError(f"input has a non-numeric {key}={meta[key]}")
+    span = {key: meta.get(key) for key in ("n_min", "n_max", "stride")}
+    for key, value in span.items():
+        if type(value) is not int:  # missing, empty, or not an integer
+            raise ConfigError(f"input has no integer {key}= in its echo")
     kinds = tuple(dict.fromkeys(kind for _, kind in traces))
     xs = tuple(dict.fromkeys(x for x, _ in traces))
-    config = ExperimentConfig(meta["fn"], kinds, xs, p=meta.get("p"), phi=meta.get("phi"))
+    config = ExperimentConfig(
+        meta["fn"], kinds, xs, *span.values(), p=meta.get("p"), phi=meta.get("phi")
+    )
     return config, list(traces.values())

@@ -27,7 +27,6 @@ from gibbsaccel.filters import (
     _erfc,
     _euler_mu_row,
     _euler_sigma_table,
-    _hdaf_row_params,
     _hdaf_rows,
     _kept_euler_sigma_table,
     _stirling_error,
@@ -373,7 +372,6 @@ class TestHdaf:
         # every entry of the batch on one side: the other side's slice of
         # the loop is empty from the first step
         x_dist, degrees = 3.0, [1500, 1200, 700]
-        params = _hdaf_row_params(degrees, x_dist)
         rows = []
         for N in degrees:
             J1 = math.floor(N * x_dist / 15) + 1.0
@@ -381,7 +379,7 @@ class TestHdaf:
                       np.linspace(1.0, 1.4, 40))
             assert ((s < J1) == (side == "below")).all()
             rows.append(np.sqrt(2.0 * s / (N * x_dist)))
-        w = _hdaf_rows(np.concatenate(rows), params, [40] * len(degrees))
+        w = _hdaf_rows(np.concatenate(rows), degrees, x_dist, [40] * len(degrees))
         expected = [reference_hdaf(t, N, x_dist) for t, N in zip(rows, degrees)]
         assert np.array_equal(w, np.concatenate(expected))
         assert ((0.0 < w) & (w < 1.0)).sum() >= 60  # the series ran for them
@@ -440,6 +438,16 @@ class TestHdaf:
         for kind, N in itertools.product(VALID_KINDS, ([5, 10**17], 10**17)):
             with pytest.raises(ValueError, match="not representable"):
                 filter_weights(FilterSpec(kind), N, 2.0)
+        # HDAF's depth 10^7 * 10^11/15 >= 2^53 at representable degrees: one
+        # check on the top row, before theta (10^7 doubles, 80 MB), rejects it
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="not representable"):
+                filter_weights(FilterSpec("hdaf"), [5, 10**7], 1e11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestFilterWeights:

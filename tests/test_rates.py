@@ -323,6 +323,14 @@ class TestDeltaTruncationError:
         with pytest.raises(ValueError):
             delta_truncation_error(2 * math.pi, 5)
 
+    def test_degree_must_be_a_nonnegative_integer(self):
+        # a series has no degree -5 or 2.5 to truncate at
+        with pytest.raises(ValueError, match="negative"):
+            delta_truncation_error(1.0, -5)
+        with pytest.raises(TypeError):
+            delta_truncation_error(1.0, 2.5)
+        assert delta_truncation_error(1.0, np.int64(7)) == delta_truncation_error(1.0, 7)
+
 
 def special_points(sings):
     """x = x_s, the 2*pi/3 crossovers around it, and +-pi."""

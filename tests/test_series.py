@@ -136,6 +136,16 @@ class TestSaturationFloor:
         with pytest.raises(ValueError):
             saturation_floor(series, np.array([3, -1]))
 
+    def test_degree_beyond_n_max_rejected(self):
+        # the floor of a sum that folded() refuses to form is no floor
+        series = make_sws(n_max=10).series
+        with pytest.raises(ValueError, match="outside"):
+            series.folded(1.0, 20)
+        for N in (20, np.array([5, 20]), np.array([11])):
+            with pytest.raises(ValueError, match=r"outside \[0, n_max=10\]"):
+                saturation_floor(series, N)
+        assert saturation_floor(series, np.array([0, 10])).shape == (2,)
+
 
 class TestFilteredPartialSum:
     def test_identity_filter_is_plain_sum(self):

@@ -160,6 +160,21 @@ class TestFitEnvelope:
         assert 0 not in trace.envelope
 
 
+#: Sweeps whose files are read back: parameters, several filters and
+#: x's, a stride, and the README sweep.
+SWEEP_CONFIGS = [
+    ExperimentConfig("lorentzian", xs=(1.0,), n_min=5, n_max=30, p=0.3, phi=2.0),
+    ExperimentConfig(
+        "sws", filters=("euler", "hdaf"), xs=(0.9, 2.1), n_min=5, n_max=30
+    ),
+    ExperimentConfig(
+        "delta", filters=("erfclog",), xs=(2.5,), n_min=7, n_max=61, n_stride=6
+    ),
+    ExperimentConfig("sws", xs=(1.9635,), n_min=5, n_max=50),
+]
+SWEEP_CONFIG_IDS = ["lorentzian", "sws", "delta-stride", "readme"]
+
+
 class TestSweepErrors:
     def test_sawtooth_rate_matches_prediction(self):
         x = math.pi / 8
@@ -246,24 +261,20 @@ class TestSweepErrors:
         original = sweep_errors(config)[0].fit
         assert refit == pytest.approx(original)
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ExperimentConfig(
-                "lorentzian", xs=(1.0,), n_min=5, n_max=30, p=0.3, phi=2.0
-            ),
-            ExperimentConfig(
-                "sws", filters=("euler", "hdaf"), xs=(0.9, 2.1), n_min=5, n_max=30
-            ),
-        ],
-        ids=["lorentzian", "sws"],
-    )
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS, ids=SWEEP_CONFIG_IDS)
     def test_parse_returns_the_sweep_config(self, config):
         # the file's echo and its traces give back the function, its
-        # parameters, the filters and the x's, in the order swept
+        # parameters, the degree range, the filters and the x's, in the
+        # order swept
         read, _ = parse_sweep_csv(sweep_csv(config, sweep_errors(config)))
-        for field in ("function_key", "p", "phi", "filters", "xs"):
-            assert getattr(read, field) == getattr(config, field), field
+        assert read == config
+
+    @pytest.mark.parametrize("config", SWEEP_CONFIGS, ids=SWEEP_CONFIG_IDS)
+    def test_parse_refit_write_gives_the_file_back(self, config):
+        text = sweep_csv(config, sweep_errors(config))
+        read, traces = parse_sweep_csv(text)
+        fit_traces(read.validate().series.singularities, traces)
+        assert sweep_csv(read, traces) == text
 
     def test_one_fit_line_per_trace_and_no_trace_line(self):
         # the fit line names its trace's x and filter; nothing else does
@@ -989,6 +1000,26 @@ class TestCli:
         assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "fn=" in err
+
+    def test_input_without_its_degree_range_is_config_error(self, tmp_path, capsys):
+        # the echo's span line is the sweep's degree range, which envelope
+        # validates: a missing or non-integer value is named on stderr
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        text = out.read_text()
+        span = "# n_min=5 n_max=50 stride=1\n"
+        assert span in text
+        for key, bad in [
+            ("n_min", text.replace(span, "")),
+            ("n_max", text.replace("n_max=50", "n_max=50.0")),
+            ("stride", text.replace("stride=1", "stride=")),
+        ]:
+            out.write_text(bad)
+            capsys.readouterr()
+            assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and f"{key}=" in err
 
     def test_parser_survives_argparse_error(self, capsys):
         argv = ["sweep", "--fn", "sws", "--x", "0.9", "--n-max", "40",
