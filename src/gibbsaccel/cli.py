@@ -28,8 +28,9 @@ key, a bad ``--p`` or ``--phi`` or one the function does not take, a
 ``--M`` or ``--resolution`` above the catalog's ``DEFAULT_N_MAX``, an
 ``envelope`` input that ``parse_sweep_csv`` or
 ``ExperimentConfig.validate`` rejects, among them a second header, a
-``saturated`` cell other than 0 or 1 and an echo without an integer
-``n_min``, ``n_max`` or ``stride``, an input that is not UTF-8 text,
+``saturated`` cell other than 0 or 1, an echo without an integer
+``n_min``, ``n_max`` or ``stride`` and a row whose N is not one of the
+echo's degrees, an input that is not UTF-8 text,
 and an input or output file that cannot be opened), 3 insufficient
 data (for ``envelope``, an input without traces, or any trace without a
 fit, each named on stderr).

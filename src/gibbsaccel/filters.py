@@ -28,6 +28,17 @@ a degree at or beyond 2^53, or an HDAF depth N*x_dist/15 at or beyond
 2^53 raises ValueError before any array is built; the depth grows with
 N, so one check on the top row covers every row.
 
+Both adaptive filters fall from 1 to 0 in a transition band, around
+theta = 1/2 (Erfc-Log) or the Poisson cut s = J+1 (HDAF).
+``weight_bands`` gives each row the range lo..hi outside which every
+weight is within 2^-60 of 1 (below lo) or at most 2^-60 (above hi), from
+closed-form tail bounds, in one vectorized pass over the rows; it holds
+O(sqrt(N/x_dist)) of the N+1 entries.  Given the bands, ``filter_weights``
+weighs only those entries, each weight the same as in the whole row.
+Euler and identity rows are always whole.  A row's band depends on its
+N and x_dist alone, so a row of a trace is the same sum as its one-degree
+call.
+
 ``mobius_reexpand`` is the same Euler-Knopp weighting read the other
 way: the Möbius(c) re-expansion b = T_c a of the coefficients, whose
 prefix sums b_0 + ... + b_N are the weighted sums at every degree N at
@@ -147,6 +158,16 @@ _HDAF_SERIES_TOL = 2.0**-54
 #: Steps of the HDAF series between convergence checks: a check and the
 #: compaction after it cost more numpy calls than a step.
 _HDAF_CHECK_EVERY = 8
+
+#: L = 60 log 2: an Erfc-Log or HDAF weight outside its row's band
+#: (``weight_bands``) is within e^-L = 2^-60 of 1 below it, or at most
+#: 2^-60 above it.
+_BAND_LOG_TOL = 60.0 * math.log(2.0)
+
+#: A band starts at 0 unless it leaves at least this many entries below
+#: it: a row adds those entries apart, in one more numpy call (about
+#: 1.3 us), which costs about as much as weighing 30-40 of them.
+_MIN_BAND_START = 32
 
 VALID_KINDS = ("identity", "euler", "erfclog", "hdaf")
 
@@ -406,9 +427,10 @@ def _hdaf_rows(theta, degrees: list, x_dist: float, sizes: list) -> np.ndarray:
     term, acc, ratio = np.ones(live.size), np.ones(live.size), np.empty(live.size)
     total = np.ones_like(s)
     while live.size:
+        rising, falling = den[:n_below], num[n_below:]  # views, updated in place
         for _ in range(_HDAF_CHECK_EVERY):
-            den[:n_below] += 1.0
-            num[n_below:] -= 1.0
+            rising += 1.0
+            falling -= 1.0
             term *= np.divide(num, den, out=ratio)
             acc += term
         keep = np.flatnonzero(term > _HDAF_SERIES_TOL * acc)
@@ -420,8 +442,57 @@ def _hdaf_rows(theta, degrees: list, x_dist: float, sizes: list) -> np.ndarray:
     return np.where(below, 1.0 - tail, tail)
 
 
+def weight_bands(
+    spec: FilterSpec, degrees: list[int], x_dist: float = 0.0
+) -> tuple[list[int], list[int]]:
+    """Each row's band lo..hi: the only entries whose weight can move its sum.
+
+    For Erfc-Log and HDAF, every weight at n < lo is within 2^-60 of 1 and
+    every weight at n > hi is at most 2^-60, by closed-form tail bounds
+    with L = 60 log 2 and one entry of margin on each side.  Erfc-Log:
+    erfc(y) <= exp(-y^2), so the weight is within e^-L of 1 or of 0 once
+    |n/N - 1/2| >= sqrt(-expm1(-L/p))/2.  HDAF: with X ~ Poisson(s),
+    Chernoff's bounds give P(X > J) <= e^-L for
+    s <= J+1 - sqrt(2(J+1)L) and P(X <= J) <= e^-L for
+    s >= J + L + sqrt(L^2 + 2JL), at n = sqrt(2N*s/x_dist).  The band
+    holds O(sqrt(N/x_dist)) entries, and at x_dist = 0, where every HDAF
+    weight is exactly 1 and no Erfc-Log weight is, the whole row.  A band
+    starts at 0 unless it leaves at least ``_MIN_BAND_START`` = 32
+    entries below it.  Euler and identity rows are whole: 0..N.  So is
+    every HDAF row with N*x_dist <= 4L, since s_hi >= 2L puts n_hi at or
+    beyond N there.  A row's band depends on its N and x_dist alone, not
+    on the other rows.  One vectorized pass over the rows, none for Euler
+    and identity or when the top HDAF row has N*x_dist <= 4L;
+    ``filter_weights`` checks the arguments.
+    """
+    L = _BAND_LOG_TOL
+    if spec.kind == "erfclog":
+        N = np.array(degrees, dtype=float)
+        p = 1.0 + N * x_dist / _TWO_PI  # as in filter_weights
+        reach = N * np.sqrt(np.expm1(-L / p) * -0.25)
+        mid = N * 0.5
+        first, last = mid - reach, mid + reach
+    elif spec.kind == "hdaf" and max(degrees) * x_dist > 4.0 * L:
+        N = np.array(degrees, dtype=float)
+        J = np.floor(N * x_dist / _HDAF_DEPTH_DIVISOR)  # as in _hdaf_rows
+        s_lo = J + 1.0 - np.sqrt((J + 1.0) * (2.0 * L))
+        s_hi = J + L + np.sqrt(J * (2.0 * L) + L * L)
+        per_s = N * (2.0 / x_dist)  # n^2 per unit of s
+        first = np.sqrt(np.maximum(s_lo, 0.0) * per_s)
+        last = np.sqrt(s_hi * per_s)
+    else:
+        return [0] * len(degrees), list(degrees)
+    lo = np.ceil(first) - 1.0
+    lo[lo < _MIN_BAND_START] = 0.0
+    hi = np.minimum(np.floor(last) + 1.0, N)
+    return lo.astype(int).tolist(), hi.astype(int).tolist()
+
+
 def filter_weights(
-    spec: FilterSpec, N: int | list[int], x_dist: float = 0.0
+    spec: FilterSpec,
+    N: int | list[int],
+    x_dist: float = 0.0,
+    bands: tuple[list[int], list[int]] | None = None,
 ) -> np.ndarray:
     """Weight table sigma(|n|) for |n| = 0..N at truncation degree N.
 
@@ -431,15 +502,18 @@ def filter_weights(
     N is an int, or a list of degrees, for which the rows' weight vectors
     come back concatenated in order as one flat array: one call weights a
     batch of a trace's rows, each entry bit-identical to its per-N table.
-    ``x_dist`` feeds the adaptive order of Erfc-Log and the truncation
-    depth of HDAF; Euler and identity ignore its value.  All weights are
-    functions of |n|, so sigma(-theta) = sigma(theta) holds exactly.
-    Raises ValueError for a negative or NaN distance, for every kind, and
-    for an empty list of degrees, a negative degree, or one at or beyond
-    2^53, before any array is built.  For HDAF it also raises when the
-    top row's depth max(N, 1)*x_dist/15 is not finite or reaches 2^53,
-    before ``theta`` exists: the depth grows with N, so that one check
-    covers every row.
+    ``bands``, a list of lo and a list of hi with one entry per row
+    (``weight_bands``), limits row r to its entries lo[r]..hi[r]; by
+    default every row is whole.  Each weight is the same whatever the
+    band.  ``x_dist`` feeds the adaptive order of Erfc-Log and the
+    truncation depth of HDAF; Euler and identity ignore its value.  All
+    weights are functions of |n|, so sigma(-theta) = sigma(theta) holds
+    exactly.  Raises ValueError for a negative or NaN distance, for every
+    kind, for an empty list of degrees, a negative degree, or one at or
+    beyond 2^53, and for a band that is not 0 <= lo <= hi <= N, before
+    any array is built.  For HDAF it also raises when the top row's depth
+    max(N, 1)*x_dist/15 is not finite or reaches 2^53, before ``theta``
+    exists: the depth grows with N, so that one check covers every row.
     """
     if not x_dist >= 0:
         raise ValueError("x_dist must be nonnegative")
@@ -454,18 +528,29 @@ def filter_weights(
     width = max(max(degrees), 1) * x_dist / _HDAF_DEPTH_DIVISOR
     if spec.kind == "hdaf" and not width < _MAX_EXACT_INDEX:
         raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
-    sizes = [M + 1 for M in degrees]
+    if bands is None:
+        los, his = [0] * len(degrees), degrees
+    else:
+        los, his = bands
+        if not len(los) == len(his) == len(degrees) or not all(
+            0 <= lo <= hi <= M for lo, hi, M in zip(los, his, degrees)
+        ):
+            raise ValueError("need one band 0 <= lo <= hi <= N per degree")
+    sizes = [hi - lo + 1 for lo, hi in zip(los, his)]
     if spec.kind == "identity":
         return np.ones(sum(sizes))
     if spec.kind == "euler":
-        return np.concatenate([_euler_sigma_table(M) for M in degrees])
+        tables = [_euler_sigma_table(M) for M in degrees]
+        return np.concatenate([t[lo : hi + 1] for t, lo, hi in zip(tables, los, his)])
     # theta = n/N within each row.  A degree-0 row takes degree 1's parameters;
     # its one entry sits at theta = 0, where every weight is exactly 1.  n
     # and N are doubles, exact below 2^53, so the quotient is the correctly
     # rounded one that int64 division gives at several times the cost.
     degrees = [float(max(M, 1)) for M in degrees]
-    theta = np.arange(float(sum(sizes)))
-    theta -= np.repeat(np.cumsum(sizes, dtype=float) - sizes, sizes)  # row starts
+    # Entry k of the flat array, counted from 1, is n = lo + k - (row start
+    # + 1) = k - (row end - hi), with row end = row start + size.
+    theta = np.arange(1.0, sum(sizes) + 1.0)
+    theta -= np.repeat(np.cumsum(sizes, dtype=float) - his, sizes)
     theta /= np.repeat(degrees, sizes)
     if spec.kind == "hdaf":
         return _hdaf_rows(theta, degrees, x_dist, sizes)

@@ -15,12 +15,21 @@ degree, and each N sums the prefix a_0..a_N of that fold: the folded
 terms do not depend on N.  A filter's rows then take one of two routes.
 
 * Weight tables (every kind; the one-degree sums and sparse traces):
-  one ``filter_weights`` call per filter and batch of degrees (at most
-  ``_WEIGHT_BATCH_ENTRIES`` = 8192 weights, or one larger row alone:
+  each row reads only its band lo..hi (``filters.weight_bands``; the
+  whole row 0..N for Euler and identity, and for the Erfc-Log and HDAF
+  rows where no weight can be left out), and one ``filter_weights``
+  call per filter and batch of rows weighs the bands (at most
+  ``_WEIGHT_BATCH_ENTRIES`` = 8192 weights, or one larger band alone:
   HDAF's Poisson loop and Erfc-Log's erfc kernel have a fixed cost per
-  call, which a larger batch spreads over more rows); each row
-  sums the product of its own weights with its fold prefix a_0..a_N, so
-  every row is bit-identical to the per-N sum (``pointwise_error``).
+  call, which a larger batch spreads over more rows).  A row's sum is
+  the pairwise sum of a_0..a_{lo-1} (none when lo = 0) plus the pairwise
+  sum of its band's weights times a_lo..a_hi.  Every Erfc-Log or HDAF
+  weight left out is within 2^-60 of 1 below the band and at most 2^-60
+  above it, so a row differs from the whole weighted row by at most
+  2^-60*sum|a_n| plus rounding, far below the saturation floor; a row
+  whose band is the whole row is summed exactly as the whole row and is
+  bit-identical to it.  Every row equals ``pointwise_error``'s sum at
+  its N bit for bit.
 * One re-expansion (Euler rows of a dense trace): the Euler sum at N is
   b_0 + ... + b_N with b the Möbius(2) re-expansion of the fold
   (``filters.mobius_reexpand``), so one re-expansion at the top degree
@@ -45,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .filters import FilterSpec, filter_weights, mobius_reexpand
+from .filters import FilterSpec, filter_weights, mobius_reexpand, weight_bands
 from .rates import _TWO_PI, SingularitySet, periodic_distance
 
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory
@@ -126,9 +135,13 @@ def filtered_partial_sum(
 ) -> complex:
     """Filtered partial sum sum sigma(|n|) c_n exp(inx) over |n| <= N.
 
-    Summed as sum sigma(n) a_n over the N+1 folded terms (``folded``),
-    by the same path as every row of ``trace_errors``.  Raises ValueError
-    for a non-finite x (``rates.periodic_distance``).
+    Summed over the N+1 folded terms (``folded``) by the same path as
+    every row of ``trace_errors``: sum sigma(n) a_n over the row's band
+    lo..hi (``filters.weight_bands``) plus the plain sum of a_0..a_{lo-1}.
+    A row whose band is the whole row is exactly sum sigma(n) a_n; a
+    narrower Erfc-Log or HDAF row differs from it by at most
+    2^-60*sum|a_n| plus rounding.  Raises ValueError for a non-finite x
+    (``rates.periodic_distance``).
 
     Adaptive filters (Erfc-Log, HDAF) receive the periodic distance from
     x to the series' real singularity; Euler and identity weights depend
@@ -165,17 +178,24 @@ def _filtered_sums(
 def _table_sums(
     spec: FilterSpec, a: np.ndarray, degrees: list[int], x_dist: float
 ) -> list[complex]:
-    """The sums at each N in degrees from weight tables: one
-    ``filter_weights`` call per batch of degrees, and each row the
-    pairwise sum of its weights times a_0..a_N."""
+    """The sums at each N in degrees from weight tables.  Each row reads
+    only its band lo..hi (``weight_bands``): one ``filter_weights`` call
+    per batch of bands, and each row the pairwise sum of a_0..a_{lo-1}
+    (none when lo = 0) plus the pairwise sum of its weights times
+    a_lo..a_hi."""
+    degrees = list(degrees)  # a range's slices are ranges, not degree lists
+    los, his = weight_bands(spec, degrees, x_dist)
+    add = np.add.reduce  # ndarray.sum's pairwise sum, without its wrapper
     sums = []
-    for batch in _weight_batches(degrees):
-        weights = filter_weights(spec, batch, x_dist)
+    for rows in _weight_batches([hi - lo + 1 for lo, hi in zip(los, his)]):
+        weights = filter_weights(spec, degrees[rows], x_dist, (los[rows], his[rows]))
         start = 0
-        for N in batch:
-            sums.append(complex((weights[start : start + N + 1] * a[: N + 1]).sum()))
-            start += N + 1
-    return sums
+        for lo, hi in zip(los[rows], his[rows]):
+            end = start + hi - lo + 1
+            total = add(weights[start:end] * a[lo : hi + 1])
+            sums.append(total + add(a[:lo]) if lo else total)
+            start = end
+    return np.array(sums).tolist()
 
 
 def _euler_prefix_sums(a: np.ndarray, degrees: list[int]) -> list[complex]:
@@ -192,18 +212,18 @@ def _euler_prefix_sums(a: np.ndarray, degrees: list[int]) -> list[complex]:
     return (before[block] + inside[block, offset]).tolist()
 
 
-def _weight_batches(degrees: list[int]) -> list[list[int]]:
-    """Consecutive runs of degrees holding at most _WEIGHT_BATCH_ENTRIES
-    weights together; a row larger than that is a batch of its own."""
-    batches: list[list[int]] = []
+def _weight_batches(sizes: list[int]) -> list[slice]:
+    """Consecutive runs of rows, as slices of the row list, whose sizes
+    add up to at most _WEIGHT_BATCH_ENTRIES weights; a row larger than
+    that is a batch of its own."""
+    starts = []
     size = _WEIGHT_BATCH_ENTRIES
-    for N in degrees:
-        if size + N + 1 > _WEIGHT_BATCH_ENTRIES:
-            batches.append([])
+    for row, n in enumerate(sizes):
+        if size + n > _WEIGHT_BATCH_ENTRIES:
+            starts.append(row)
             size = 0
-        batches[-1].append(N)
-        size += N + 1
-    return batches
+        size += n
+    return [slice(*ends) for ends in zip(starts, starts[1:] + [len(sizes)])]
 
 
 def trace_errors(

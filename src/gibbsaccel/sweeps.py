@@ -366,7 +366,8 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
     rate fit cannot use; the message names the line.  Then raises
     InsufficientDataError when there is no data row, and ConfigError
     when the echo has no ``fn=``, a non-numeric ``p=`` or ``phi=``, or
-    no integer ``n_min=``, ``n_max=`` or ``stride=``.
+    no integer ``n_min=``, ``n_max=`` or ``stride=``, and, naming the
+    line, for a row whose N is not one of the echo's degrees.
     """
     meta: dict = {}
     traces: dict[tuple[float, str], ErrorTrace] = {}
@@ -411,4 +412,12 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
     config = ExperimentConfig(
         meta["fn"], kinds, xs, *span.values(), p=meta.get("p"), phi=meta.get("phi")
     )
+    if config.n_stride >= 1:  # ExperimentConfig.validate rejects the others
+        degrees = config.degrees()
+        for (_, _, N), lineno in first_line.items():
+            if N not in degrees:
+                raise ConfigError(
+                    f"line {lineno}: N={N} is not in the echo's degrees "
+                    f"n_min={config.n_min} n_max={config.n_max} stride={config.n_stride}"
+                )
     return config, list(traces.values())

@@ -16,6 +16,7 @@ from gibbsaccel.filters import (
     euler_mu,
     euler_sigma,
     filter_weights,
+    weight_bands,
 )
 from gibbsaccel.filters import (
     _CODY_FAR,
@@ -450,6 +451,87 @@ class TestHdaf:
         assert peak < 1e6
 
 
+#: Every Erfc-Log and HDAF weight outside its row's band is within this of
+#: 1 (below the band) or at most this (above it).
+BAND_TOL = 2.0**-60
+
+
+def assert_band_sound(kind, N, x_dist):
+    """The weights that ``weight_bands`` leaves out of the row: within
+    BAND_TOL of 1 below the band, at most BAND_TOL above it; the band's
+    own weights are the row's entries lo..hi."""
+    spec = FilterSpec(kind)
+    w = filter_weights(spec, N, x_dist)
+    (lo,), (hi,) = weight_bands(spec, [N], x_dist)
+    assert 0 <= lo <= hi <= N
+    assert (1.0 - w[:lo] <= BAND_TOL).all(), (kind, N, x_dist, lo)
+    assert (w[hi + 1 :] <= BAND_TOL).all(), (kind, N, x_dist, hi)
+    assert np.array_equal(filter_weights(spec, N, x_dist, ([lo], [hi])), w[lo : hi + 1])
+
+
+class TestWeightBands:
+    @pytest.mark.parametrize("kind", ["erfclog", "hdaf"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 17, 400, 1500, 10**5])
+    def test_left_out_weights_within_tolerance(self, kind, N):
+        for x_dist in (0.0, 5e-324, 1e-3, 0.26, 1.5, 3.0, math.pi):
+            assert_band_sound(kind, N, x_dist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["erfclog", "hdaf"]),
+        N=st.integers(0, 3000),
+        x_dist=st.floats(0.0, math.pi),
+    )
+    def test_left_out_weights_within_tolerance_drawn(self, kind, N, x_dist):
+        assert_band_sound(kind, N, x_dist)
+
+    def test_far_rows_are_narrow(self):
+        # the band holds O(sqrt(N/x_dist)) entries: at N = 1000 and
+        # x_dist = 2.2 about a third of the row
+        for kind in ("erfclog", "hdaf"):
+            (lo,), (hi,) = weight_bands(FilterSpec(kind), [1000], 2.2)
+            assert 0 < lo and hi < 1000 and hi - lo + 1 < 400, kind
+
+    def test_whole_rows(self):
+        # Euler and identity rows are whole, and so is every row at
+        # x_dist = 0: HDAF's weights are all 1 there, Erfc-Log's are not
+        degrees = [0, 3, 400, 1500]
+        whole = ([0] * len(degrees), degrees)
+        for kind, x_dist in itertools.product(VALID_KINDS, (0.0, 2.0)):
+            if x_dist == 0.0 or kind in ("identity", "euler"):
+                assert weight_bands(FilterSpec(kind), degrees, x_dist) == whole
+        # a band that would leave fewer than 32 entries below it starts at 0
+        for kind, N in (("erfclog", 100), ("hdaf", 400)):
+            (lo,), (hi,) = weight_bands(FilterSpec(kind), [N], math.pi)
+            assert lo == 0 and hi < N, kind
+        # every HDAF row is whole while N*x_dist <= 4L, and a row's band is
+        # the same alone and among other rows
+        top = math.floor(4 * 60 * math.log(2) / math.pi)
+        assert weight_bands(FilterSpec("hdaf"), [7, top], math.pi) == ([0, 0], [7, top])
+        for kind in ("erfclog", "hdaf"):
+            degrees = [7, top, 100, 400, 1500]
+            los, his = weight_bands(FilterSpec(kind), degrees, math.pi)
+            for N, lo, hi in zip(degrees, los, his):
+                assert weight_bands(FilterSpec(kind), [N], math.pi) == ([lo], [hi])
+        assert (filter_weights(FilterSpec("hdaf"), 1500, 0.0) == 1.0).all()
+        assert (1.0 - filter_weights(FilterSpec("erfclog"), 1500, 0.0)[1:] > BAND_TOL).all()
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_batch_of_bands_is_the_rows_slices(self, kind):
+        degrees, x_dist = [0, 40, 1500, 7, 900], 2.5
+        los, his = weight_bands(FilterSpec(kind), degrees, x_dist)
+        got = filter_weights(FilterSpec(kind), degrees, x_dist, (los, his))
+        rows = [filter_weights(FilterSpec(kind), N, x_dist) for N in degrees]
+        expected = [w[lo : hi + 1] for w, lo, hi in zip(rows, los, his)]
+        assert np.array_equal(got, np.concatenate(expected))
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_bad_band_rejected(self, kind):
+        for bands in (([0], [11]), ([3], [2]), ([-1], [4]), ([0, 0], [5, 5]), ([0], [])):
+            with pytest.raises(ValueError, match="band"):
+                filter_weights(FilterSpec(kind), 10, 1.0, bands)
+
+
 class TestFilterWeights:
     def test_identity(self):
         assert np.all(filter_weights(FilterSpec("identity"), 12) == 1.0)
@@ -500,10 +582,13 @@ PEAK_BATCH_BYTES = {"hdaf": 1.40e6, "erfclog": 1.05e6}
 class TestBatchMemory:
     @pytest.mark.parametrize("kind", sorted(PEAK_BATCH_BYTES))
     def test_peak_of_a_full_batch(self, kind):
-        # the largest batch that series makes of a far trace: a larger
-        # budget, or a kernel holding more arrays at once, fails here
+        # the largest batch that series makes of a far trace, as whole rows
+        # (a band only drops entries): a larger budget, or a kernel holding
+        # more arrays at once, fails here
+        degrees = list(range(5, 1501, 65))
         batch = max(
-            _weight_batches(list(range(5, 1501, 65))), key=lambda b: sum(b) + len(b)
+            (degrees[rows] for rows in _weight_batches([N + 1 for N in degrees])),
+            key=lambda b: sum(b) + len(b),
         )
         filter_weights(FilterSpec(kind), batch, 3.0)  # caches and first-call set-up
         tracemalloc.start()

@@ -15,7 +15,7 @@ from gibbsaccel.catalog import (
     make_delta,
     make_sws,
 )
-from gibbsaccel.filters import VALID_KINDS, FilterSpec, filter_weights
+from gibbsaccel.filters import VALID_KINDS, FilterSpec, filter_weights, weight_bands
 from gibbsaccel.rates import delta_truncation_error, rho_of_x
 from gibbsaccel.series import (
     FourierSeries,
@@ -222,6 +222,26 @@ def per_degree_error(series, x, N, spec):
     return abs(complex(series.exact_eval(x)) - complex(np.sum(w * series.folded(x, N))))
 
 
+def exact_table_sum(w, a):
+    """sum w_n a_n over a whole row, each product rounded once and the
+    products summed exactly."""
+    terms = w * a
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def assert_row_matches_full_row(series, x, N, spec, error):
+    """A row whose band is the whole row is the full-row sum bit for bit;
+    a narrower one lies within DENSE_TOL_FLOORS floors of the exactly
+    summed full row."""
+    x_dist = series.real_singularity_distance(x)
+    if weight_bands(spec, [N], x_dist) == ([0], [N]):
+        assert error == per_degree_error(series, x, N, spec)
+        return
+    ref = exact_table_sum(filter_weights(spec, N, x_dist), series.folded(x, N))
+    exact_error = abs(complex(series.exact_eval(x)) - ref)
+    assert abs(error - exact_error) <= DENSE_TOL_FLOORS * saturation_floor(series, N)
+
+
 @functools.lru_cache(maxsize=None)
 def cached_euler_tails(M):
     """``exact_euler_tails(M)``, built once per degree: the integer tails
@@ -248,9 +268,9 @@ def weight_kinds(monkeypatch):
     """The filter kind of every ``filter_weights`` call made by ``series``."""
     kinds = []
 
-    def recording(spec, N, x_dist=0.0):
+    def recording(spec, N, x_dist=0.0, bands=None):
         kinds.append(spec.kind)
-        return filter_weights(spec, N, x_dist)
+        return filter_weights(spec, N, x_dist, bands)
 
     monkeypatch.setattr(series_module, "filter_weights", recording)
     return kinds
@@ -268,7 +288,8 @@ class TestTraceErrors:
             errors = trace_errors(series, x, degrees, specs)
             for spec, errs in zip(specs, errors):
                 assert errs == [pointwise_error(series, x, N, spec) for N in degrees]
-                assert errs == [per_degree_error(series, x, N, spec) for N in degrees]
+                for N, error in zip(degrees, errs):
+                    assert_row_matches_full_row(series, x, N, spec, error)
 
     def test_sweep_rows_match_per_degree_fold(self):
         config = ExperimentConfig(
@@ -291,7 +312,7 @@ class TestTraceErrors:
                 continue
             for row in trace.rows:
                 assert row.error == pointwise_error(series, trace.x, row.N, spec)
-                assert row.error == per_degree_error(series, trace.x, row.N, spec)
+                assert_row_matches_full_row(series, trace.x, row.N, spec, row.error)
 
     def test_rows_across_weight_batches(self):
         # several weight batches, one of them a single row larger than a
@@ -299,7 +320,8 @@ class TestTraceErrors:
         budget = series_module._WEIGHT_BATCH_ENTRIES
         half, third = budget // 2, budget // 3
         degrees = [2, half, half, budget + 5, 3, third, third, third, third, 0]
-        batches = series_module._weight_batches(degrees)
+        sizes = [N + 1 for N in degrees]  # the batches of whole rows (Euler's)
+        batches = [degrees[rows] for rows in series_module._weight_batches(sizes)]
         assert [budget + 5] in batches
         assert [2, half] in batches and [half] in batches
         assert sum(len(b) > 1 for b in batches) >= 3
@@ -309,7 +331,8 @@ class TestTraceErrors:
         specs = [FilterSpec(kind) for kind in VALID_KINDS]
         errors = trace_errors(series, 2.2, degrees, specs)
         for spec, errs in zip(specs, errors):
-            assert errs == [per_degree_error(series, 2.2, N, spec) for N in degrees]
+            for N, error in zip(degrees, errs):
+                assert_row_matches_full_row(series, 2.2, N, spec, error)
 
     def test_empty_degree_list_rejected(self):
         sws = make_sws(n_max=50).series
@@ -338,6 +361,50 @@ class TestTraceErrors:
             near = np.array(trace_errors(series, x, degrees, specs))
             far_rows = np.array(trace_errors(series, far, degrees, specs))
             assert np.max(np.abs(far_rows - near) / floors) <= 0.01, (x0, k)
+
+
+class TestBandedRows:
+    """Erfc-Log and HDAF rows read only their band lo..hi
+    (``filters.weight_bands``) and the pairwise sum of a_0..a_{lo-1}."""
+
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_rows_match_exactly_summed_full_rows(self, key):
+        series = get_function(key).series
+        degrees = list(range(2, 1601, 37))
+        floors = saturation_floor(series, np.array(degrees))
+        starts = np.cumsum([0] + [N + 1 for N in degrees])
+        narrow = 0
+        for x, kind in itertools.product((0.3, 1.1, 2.0, 2.9), ("erfclog", "hdaf")):
+            spec = FilterSpec(kind)
+            (sums,) = _filtered_sums(series, x, degrees, [spec])
+            a = series.folded(x, degrees[-1])
+            x_dist = series.real_singularity_distance(x)
+            w = filter_weights(spec, degrees, x_dist)  # whole rows
+            ref = [
+                exact_table_sum(w[start : start + N + 1], a[: N + 1])
+                for start, N in zip(starts, degrees)
+            ]
+            worst = np.max(np.abs(np.subtract(sums, ref)) / floors)
+            assert worst <= DENSE_TOL_FLOORS, (x, kind)
+            narrow += sum(lo > 0 for lo in weight_bands(spec, degrees, x_dist)[0])
+        assert narrow >= len(degrees)  # the prefix sums ran
+
+    def test_batches_reach_filter_weights_as_lists(self, monkeypatch):
+        # a sweep's degrees are a range, whose slices are ranges: each batch
+        # is handed on as a list of degrees and one list of lo and of hi
+        calls = []
+
+        def recording(spec, N, x_dist=0.0, bands=None):
+            calls.append((N, bands))
+            return filter_weights(spec, N, x_dist, bands)
+
+        monkeypatch.setattr(series_module, "filter_weights", recording)
+        series = get_function("sws").series
+        for kind in VALID_KINDS:
+            trace_errors(series, 2.5, range(3, 1500, 61), [FilterSpec(kind)])
+        assert len(calls) >= len(VALID_KINDS)
+        for N, (los, his) in calls:
+            assert type(N) is list and type(los) is list and type(his) is list
 
 
 class TestDenseEulerRoute:

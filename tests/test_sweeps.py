@@ -1021,6 +1021,24 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and f"{key}=" in err
 
+    def test_rows_outside_the_echo_degrees_are_config_error(self, tmp_path, capsys):
+        # the echo says N = 20 and 27, the rows hold N = 5..50: the first
+        # row outside the echo's degrees is named on stderr
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        text = out.read_text()
+        span = "# n_min=5 n_max=50 stride=1\n"
+        assert span in text
+        out.write_text(text.replace(span, "# n_min=20 n_max=30 stride=7\n"))
+        lineno = next(
+            i for i, ln in enumerate(text.splitlines(), 1) if ln.startswith("1.9635,euler,5,")
+        )
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: line {lineno}: N=5 is not in")
+
     def test_parser_survives_argparse_error(self, capsys):
         argv = ["sweep", "--fn", "sws", "--x", "0.9", "--n-max", "40",
                 "--stride", "3"]
