@@ -34,8 +34,6 @@ from .conformal import PowerSeries
 from .rates import Singularity, SingularitySet
 from .series import FourierSeries
 
-_TWO_PI = 2.0 * math.pi
-
 DEFAULT_N_MAX = 2_000_000
 
 
@@ -46,9 +44,9 @@ def sws(x: float) -> float:
     as the right limit -pi (the series itself converges to the mean 0
     there, which is why error sweeps exclude the jump).
     """
-    r = math.fmod(x, _TWO_PI)
+    r = math.fmod(x, math.tau)
     if r < 0:
-        r += _TWO_PI
+        r += math.tau
     return r - math.pi
 
 
@@ -131,7 +129,7 @@ def make_lorentzian(
     _check_p(p)
     if not math.isfinite(phi):
         raise ValueError(f"pole phase phi={phi} is not finite")
-    phi = math.remainder(phi, _TWO_PI)  # exact, as for x in ``folded``
+    phi = math.remainder(phi, math.tau)  # exact, as for x in ``folded``
 
     def coeff(n):
         if type(n) is int:

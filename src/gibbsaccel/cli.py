@@ -82,7 +82,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     if not 1 <= args.M <= DEFAULT_N_MAX:
         raise ConfigError(f"M must be in [1, {DEFAULT_N_MAX}]")
     sigma, mu = _euler_sigma_table(args.M), _euler_mu_row(args.M)
-    rows = [*zip(range(args.M + 1), sigma, mu), (args.M + 1, 0.0, None)]
+    rows = [*zip(range(args.M + 1), sigma.tolist(), mu.tolist()), (args.M + 1, 0.0, "")]
     text = render_csv([meta_line(filter="euler", M=args.M)], ["j", "sigma", "mu"], rows)
     _write(text, args.out)
     return EXIT_OK

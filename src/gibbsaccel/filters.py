@@ -59,8 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_TWO_PI = 2.0 * math.pi
-_LOG_SQRT_TWO_PI = 0.5 * math.log(_TWO_PI)
+_LOG_SQRT_TWO_PI = 0.5 * math.log(math.tau)
 
 # W. J. Cody's rational approximations to erf and erfc (Math. Comp. 23,
 # 1969; the SPECFUN routine CALERF), each a (numerator, denominator) pair
@@ -468,7 +467,7 @@ def weight_bands(
     L = _BAND_LOG_TOL
     if spec.kind == "erfclog":
         N = np.array(degrees, dtype=float)
-        p = 1.0 + N * x_dist / _TWO_PI  # as in filter_weights
+        p = 1.0 + N * x_dist / math.tau  # as in filter_weights
         reach = N * np.sqrt(np.expm1(-L / p) * -0.25)
         mid = N * 0.5
         first, last = mid - reach, mid + reach
@@ -554,7 +553,7 @@ def filter_weights(
     theta /= np.repeat(degrees, sizes)
     if spec.kind == "hdaf":
         return _hdaf_rows(theta, degrees, x_dist, sizes)
-    orders = 1.0 + np.array(degrees) * x_dist / _TWO_PI
+    orders = 1.0 + np.array(degrees) * x_dist / math.tau
     return erfclog_sigma(theta, np.repeat(orders, sizes))
 
 

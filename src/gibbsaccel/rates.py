@@ -45,8 +45,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_TWO_PI = 2.0 * math.pi
-
 #: The re-summation map is singular at 2, capping every achievable rate.
 METRIC_CAP = 2.0
 
@@ -127,8 +125,8 @@ def periodic_distance(x, x_s: float):
     if isinstance(diff, float) and not math.isfinite(diff):  # _constraints checks arrays
         raise ValueError(f"x={x} is not finite")
     fmod, least = (math.fmod, min) if isinstance(diff, float) else (np.fmod, np.minimum)
-    d = abs(fmod(diff, _TWO_PI))
-    return least(d, _TWO_PI - d)
+    d = abs(fmod(diff, math.tau))
+    return least(d, math.tau - d)
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def x_grid(resolution: int) -> np.ndarray:
     """``resolution`` uniform points on [-pi, pi], ends included."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    return -math.pi + _TWO_PI * np.arange(resolution) / (resolution - 1)
+    return -math.pi + math.tau * np.arange(resolution) / (resolution - 1)
 
 
 def image_table(

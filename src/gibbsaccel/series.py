@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .filters import FilterSpec, filter_weights, mobius_reexpand, weight_bands
-from .rates import _TWO_PI, SingularitySet, periodic_distance
+from .rates import SingularitySet, periodic_distance
 
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory
 #: (at its peak an HDAF call holds about 160 bytes a weight, Erfc-Log 120).
@@ -114,7 +114,7 @@ class FourierSeries:
         if not 0 <= N <= self.n_max:
             raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
         c = self.coefficients(N)  # c[N + n] = c_n
-        phase = np.exp(1j * np.arange(N + 1) * math.remainder(x, _TWO_PI))
+        phase = np.exp(1j * np.arange(N + 1) * math.remainder(x, math.tau))
         a = c[N:] * phase + c[N::-1] * phase.conj()
         a[0] = c[N]
         return a
@@ -245,7 +245,7 @@ def trace_errors(
     sums = _filtered_sums(series, x, degrees, specs)  # checks x and degrees
     if series.singularities.real_distance(x) == 0.0:
         raise ValueError(f"x={x} is a declared real singularity")
-    exact = complex(series.exact_eval(math.remainder(x, _TWO_PI)))
+    exact = complex(series.exact_eval(math.remainder(x, math.tau)))
     return [[abs(exact - value) for value in row] for row in sums]
 
 

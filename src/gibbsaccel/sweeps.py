@@ -151,7 +151,7 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
     its ``envelope``, which the CSV writers report as a skipped fit.
     """
     fn = config.validate()
-    degrees = config.degrees()
+    degrees = list(config.degrees())
     floors = saturation_floor(fn.series, np.array(degrees))
     specs = [FilterSpec(kind) for kind in config.filters]
     traces = []
@@ -219,21 +219,18 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
 
 
 def _text(value) -> str:
-    """A CSV cell or metadata value: shortest round-trip repr for floats,
-    empty for None."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
+    """A ``#`` line's value: its ``str``, empty for None (a skipped fit's
+    ``A=``)."""
+    return "" if value is None else str(value)
 
 
 def meta_line(*tags: str, **fields) -> str:
     """One metadata line: bare tags, then ``key=value`` tokens.
 
-    Floats are written as their shortest round-trip repr and None as an
-    empty value.  ``parse_meta`` reads the line back.  Every ``#`` line of
-    the CSV outputs and the ``envelope`` report line is written here.
+    A value is written as its ``str`` (a float's shortest round-trip
+    repr) and None as an empty value.  ``parse_meta`` reads the line
+    back.  Every ``#`` line of the CSV outputs and the ``envelope``
+    report line is written here.
     """
     return " ".join([*tags, *(f"{k}={_text(v)}" for k, v in fields.items())])
 
@@ -286,7 +283,7 @@ def fit_line(trace: ErrorTrace, *tags: str, **where) -> str:
 
 def render_csv(comments: list[str], header: list[str], rows: list) -> str:
     lines = [f"# {c}" for c in comments] + [",".join(header)]
-    lines += [",".join(_text(v) for v in row) for row in rows]
+    lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

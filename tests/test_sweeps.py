@@ -15,7 +15,12 @@ from gibbsaccel import cli, sweeps
 from gibbsaccel.catalog import DEFAULT_N_MAX, FUNCTION_KEYS, get_function
 from gibbsaccel.cli import EXIT_CONFIG, EXIT_INSUFFICIENT, EXIT_OK, main
 from gibbsaccel.conformal import PowerSeries, estimate_radius
-from gibbsaccel.filters import VALID_KINDS
+from gibbsaccel.filters import (
+    _KEPT_TABLE_MAX_M,
+    VALID_KINDS,
+    _euler_mu_row,
+    _euler_sigma_table,
+)
 from gibbsaccel.rates import (
     SingularitySet,
     delta_truncation_error,
@@ -410,6 +415,33 @@ class TestMetadataLines:
         assert line == "fit x=0.1 N=3 A= q_hat=inf"
 
 
+# floats whose text a fixed-precision format would change: signed zeros,
+# inf and nan, the least subnormal, and exponents small and large
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-5, 1e16]
+
+
+def _float_repr_cell(value) -> str:
+    """A CSV cell as ``repr(float(v))`` for a float (numpy's float64
+    among them), and ``str(v)`` for any other value."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+class TestRenderCsv:
+    @given(
+        st.lists(
+            st.lists(
+                st.floats() | st.floats().map(np.float64) | st.integers() | _WORD,
+                max_size=6,
+            ),
+            max_size=6,
+        )
+    )
+    def test_cells_are_float_reprs(self, rows):
+        rows = [_EDGE_FLOATS, *rows]
+        lines = ["# c", "h", *(",".join(map(_float_repr_cell, row)) for row in rows)]
+        assert render_csv(["c"], ["h"], rows) == "\n".join(lines) + "\n"
+
+
 def reference_rho_curve(function_key, resolution, p=None, phi=None):
     """``rho_curve`` from one scalar ``rho_of_x`` call per grid point: the
     reference for the image table."""
@@ -552,6 +584,16 @@ class TestCli:
         assert lines[0] == "j,sigma,mu"
         assert lines[1].startswith("0,1.0,0.25")
         assert lines[-1].startswith("3,0.0")
+
+    @pytest.mark.parametrize("M", [1, 8, 2049])
+    def test_weights_cells_are_float_reprs(self, M, capsys):
+        # 2049 is rebuilt on every call rather than taken from the cache
+        assert 8 < _KEPT_TABLE_MAX_M < 2049
+        assert main(["weights", "--M", str(M)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        rows = zip(_euler_sigma_table(M), _euler_mu_row(M))
+        cells = [f"{j},{float(s)!r},{float(m)!r}" for j, (s, m) in enumerate(rows)]
+        assert out == [f"# filter=euler M={M}", "j,sigma,mu", *cells, f"{M + 1},0.0,"]
 
     def test_sweep_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
