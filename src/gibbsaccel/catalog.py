@@ -42,12 +42,11 @@ def sws(x: float) -> float:
 
     Jumps at x = 0 (mod 2*pi); the value exactly at the jump is defined
     as the right limit -pi (the series itself converges to the mean 0
-    there, which is why error sweeps exclude the jump).
+    there, which is why error sweeps exclude the jump).  Python's float
+    ``%`` is fmod shifted by 2*pi when negative, so a tiny negative x
+    rounds up to pi; a NaN or infinite x gives NaN.
     """
-    r = math.fmod(x, math.tau)
-    if r < 0:
-        r += math.tau
-    return r - math.pi
+    return x % math.tau - math.pi
 
 
 def _reciprocal(ns: np.ndarray) -> np.ndarray:

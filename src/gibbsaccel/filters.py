@@ -24,9 +24,11 @@ takes one degree or a list of them; for a list it weights every row in
 one pass (one Erfc-Log array call, one HDAF Poisson loop over the live
 entries of all rows, on both sides of the cut) and returns the rows
 concatenated, each bit-identical to its one-degree table.  An empty list,
-a degree at or beyond 2^53, or an HDAF depth N*x_dist/15 at or beyond
-2^53 raises ValueError before any array is built; the depth grows with
-N, so one check on the top row covers every row.
+a degree at or beyond 2^53, or, for Erfc-Log and HDAF, a top row with
+N*x_dist/15 (HDAF's depth) at or beyond 2^53 raises ValueError before
+any array is built.  The Erfc-Log order and the HDAF depth grow with N,
+so one check on the top row covers every row, and the kernels beneath
+``filter_weights`` check nothing.
 
 Both adaptive filters fall from 1 to 0 in a transition band, around
 theta = 1/2 (Erfc-Log) or the Poisson cut s = J+1 (HDAF).
@@ -140,7 +142,8 @@ _FRAC_SQRT_PI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 _HDAF_DEPTH_DIVISOR = 15.0
 
 #: Degrees and HDAF depths at and beyond 2^53 have no exact double
-#: neighbours n, n+1.
+#: neighbours n, n+1.  Erfc-Log rows take HDAF's bound N*x_dist/15 < 2^53,
+#: which every distance up to 15 meets at every such degree.
 _MAX_EXACT_INDEX = 2.0**53
 
 #: Largest M whose Euler table is cached: 256 tables of at most 2050
@@ -331,7 +334,9 @@ def erfclog_sigma(theta, p):
 
     The order p is a float or an array broadcast against theta; an order
     that is not a positive finite number (0, negative, NaN or infinite)
-    raises ValueError, and so does a theta with |theta| > 1 or NaN.
+    raises ValueError, and so does a theta with |theta| > 1 or NaN.  These
+    checks are this function's own: ``filter_weights`` builds its orders
+    and thetas in range and calls the unchecked kernel ``_erfclog``.
 
     With tb = |theta| - 1/2 the weight is
     erfc(2*sqrt(p)*tb*L(tb))/2 where L(tb) = sqrt(-log(1-4 tb^2)/(4 tb^2)),
@@ -348,11 +353,17 @@ def erfclog_sigma(theta, p):
     at = np.abs(np.asarray(theta, dtype=float))
     if not (at <= 1.0).all():
         raise ValueError(f"|theta|={at.max()} is not <= 1")
+    w = _erfclog(at, p)
+    return float(w) if w.ndim == 0 else w
+
+
+def _erfclog(at: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``erfclog_sigma``'s weights at |theta| = ``at`` in [0, 1] and positive
+    finite orders ``p``, with no checks: both callers ensure them."""
     tb = at - 0.5
     with np.errstate(divide="ignore"):  # log(0) at theta = 0 and |theta| = 1
         arg = np.copysign(np.sqrt(np.log1p(-4.0 * tb * tb) * -p), tb)
-    w = 0.5 * _erfc(arg)
-    return float(w) if w.ndim == 0 else w
+    return 0.5 * _erfc(arg)
 
 
 def _stirling_error(j: int) -> float:
@@ -510,9 +521,11 @@ def filter_weights(
     exactly.  Raises ValueError for a negative or NaN distance, for every
     kind, for an empty list of degrees, a negative degree, or one at or
     beyond 2^53, and for a band that is not 0 <= lo <= hi <= N, before
-    any array is built.  For HDAF it also raises when the top row's depth
-    max(N, 1)*x_dist/15 is not finite or reaches 2^53, before ``theta``
-    exists: the depth grows with N, so that one check covers every row.
+    any array is built.  For Erfc-Log and HDAF it also raises when the
+    top row's max(N, 1)*x_dist/15 (HDAF's depth) is not finite or reaches
+    2^53, before ``theta`` exists: the Erfc-Log order and the HDAF depth
+    grow with N, so that one check covers every row, and every order is
+    then finite and >= 1.  Neither kernel checks its arguments again.
     """
     if not x_dist >= 0:
         raise ValueError("x_dist must be nonnegative")
@@ -523,10 +536,10 @@ def filter_weights(
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
         raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")
-    # HDAF's depth grows with N: the top row's bounds every row's
+    # Erfc-Log's order and HDAF's depth grow with N: the top row bounds all rows
     width = max(max(degrees), 1) * x_dist / _HDAF_DEPTH_DIVISOR
-    if spec.kind == "hdaf" and not width < _MAX_EXACT_INDEX:
-        raise ValueError(f"HDAF depth N*x_dist/15 = {width} is not representable")
+    if spec.kind in ("erfclog", "hdaf") and not width < _MAX_EXACT_INDEX:
+        raise ValueError(f"{spec.kind}: N*x_dist/15 = {width} is not representable")
     if bands is None:
         los, his = [0] * len(degrees), degrees
     else:
@@ -554,7 +567,7 @@ def filter_weights(
     if spec.kind == "hdaf":
         return _hdaf_rows(theta, degrees, x_dist, sizes)
     orders = 1.0 + np.array(degrees) * x_dist / math.tau
-    return erfclog_sigma(theta, np.repeat(orders, sizes))
+    return _erfclog(theta, np.repeat(orders, sizes))
 
 
 @lru_cache(maxsize=16)

@@ -218,21 +218,16 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     return trace.fit
 
 
-def _text(value) -> str:
-    """A ``#`` line's value: its ``str``, empty for None (a skipped fit's
-    ``A=``)."""
-    return "" if value is None else str(value)
-
-
 def meta_line(*tags: str, **fields) -> str:
     """One metadata line: bare tags, then ``key=value`` tokens.
 
     A value is written as its ``str`` (a float's shortest round-trip
-    repr) and None as an empty value.  ``parse_meta`` reads the line
-    back.  Every ``#`` line of the CSV outputs and the ``envelope``
-    report line is written here.
+    repr) and None as an empty value (a skipped fit's ``A=``).
+    ``parse_meta`` reads the line back.  Every ``#`` line of the CSV
+    outputs and the ``envelope`` report line is written here.
     """
-    return " ".join([*tags, *(f"{k}={_text(v)}" for k, v in fields.items())])
+    pairs = (f"{k}={'' if v is None else v}" for k, v in fields.items())
+    return " ".join([*tags, *pairs])
 
 
 def parse_meta(line: str) -> tuple[list[str], dict]:
@@ -367,7 +362,7 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
     line, for a row whose N is not one of the echo's degrees.
     """
     meta: dict = {}
-    traces: dict[tuple[float, str], ErrorTrace] = {}
+    grouped: dict[tuple[float, str], list[ErrorRow]] = {}  # each trace's rows
     first_line: dict[tuple[float, str, int], int] = {}  # of each (x, kind, N)
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     for tags, fields in (parse_meta(ln[1:]) for _, ln in lines if ln.startswith("#")):
@@ -390,10 +385,8 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
             ) from None
         if (first := first_line.setdefault((x, kind, row.N), lineno)) != lineno:
             raise ConfigError(f"line {lineno}: repeats N={row.N} of line {first}")
-        if (x, kind) not in traces:
-            traces[x, kind] = ErrorTrace(x=x, filter_kind=kind)
-        traces[x, kind].rows.append(row)
-    if not traces:
+        grouped.setdefault((x, kind), []).append(row)
+    if not grouped:
         raise InsufficientDataError("no traces found in input")
     if meta.get("fn") is None:
         raise ConfigError("input has no fn= line naming the swept function")
@@ -404,8 +397,7 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
     for key, value in span.items():
         if type(value) is not int:  # missing, empty, or not an integer
             raise ConfigError(f"input has no integer {key}= in its echo")
-    kinds = tuple(dict.fromkeys(kind for _, kind in traces))
-    xs = tuple(dict.fromkeys(x for x, _ in traces))
+    xs, kinds = (tuple(dict.fromkeys(column)) for column in zip(*grouped))
     config = ExperimentConfig(
         meta["fn"], kinds, xs, *span.values(), p=meta.get("p"), phi=meta.get("phi")
     )
@@ -417,4 +409,4 @@ def parse_sweep_csv(text: str) -> tuple[ExperimentConfig, list[ErrorTrace]]:
                     f"line {lineno}: N={N} is not in the echo's degrees "
                     f"n_min={config.n_min} n_max={config.n_max} stride={config.n_stride}"
                 )
-    return config, list(traces.values())
+    return config, [ErrorTrace(x, kind, group) for (x, kind), group in grouped.items()]

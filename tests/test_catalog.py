@@ -39,6 +39,25 @@ class TestSawtooth:
     def test_jump_value(self):
         assert sws(0.0) == -math.pi
 
+    def test_reduction_is_fmod_shifted_when_negative(self):
+        # Python's float % is fmod plus 2 pi when negative, bit for bit
+        def fmod_sws(x):
+            r = math.fmod(x, math.tau)
+            if r < 0:
+                r += math.tau
+            return r - math.pi
+
+        taus = [k * math.tau for k in (-3, -1, 1, 2, 1e6)]
+        for x in (0.0, 5e-324, 1e-300, 1e6, 1.0, math.pi, *taus):
+            for v in (x, -x):
+                assert sws(v).hex() == fmod_sws(v).hex(), v
+        assert sws(-5e-324) == math.pi  # fmod's -5e-324 + 2 pi rounds to 2 pi
+
+    def test_non_finite_is_nan(self):
+        # x % 2pi is NaN at +-inf, where math.fmod raises "math domain error"
+        for x in (math.inf, -math.inf, math.nan):
+            assert math.isnan(sws(x))
+
     def test_coefficients(self):
         assert sws_coeff(0) == 0j
         assert sws_coeff(1) == 1j

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -449,6 +450,26 @@ class TestEstimateRadius:
     def test_needs_enough_coefficients(self):
         with pytest.raises(ValueError):
             estimate_radius(PowerSeries(tuple(0.5**n for n in range(10))))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ValueError,
+        reason="near x = pi the re-expanded sws peaks at max|b_m| ~ 8e-4, so "
+        "the floor RADIUS_NOISE_FLOOR * max|b_m| ~ 8e-17 keeps roundoff orders "
+        "42-50 (|b_m| ~ 1e-16) and the fitted last two thirds are roundoff: "
+        "'only 2 orders on the upper hull; need 3'",
+    )
+    def test_sws_near_pi_radius(self):
+        # resum-conformal's op: sws inflated per term at x = 3.14078, N = 50,
+        # re-expanded at c = 2; its radius is at least 2 (1/cos(x/2) ~ 2461)
+        coeff = make_sws().series.coeff
+        x, N = 3.14078, 50
+        a = [complex(coeff(0))] + [
+            coeff(n) * cmath.exp(1j * n * x) + coeff(-n) * cmath.exp(-1j * n * x)
+            for n in range(1, N + 1)
+        ]
+        radius = estimate_radius(recoefficient(PowerSeries(tuple(a)), MOBIUS2, N))
+        assert math.isfinite(radius) and radius >= 2.0
 
     def test_all_zero_tail_rejected(self):
         coeffs = (1.0,) + (0.0,) * 40

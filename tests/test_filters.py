@@ -206,6 +206,43 @@ class TestErfcLog:
             with pytest.raises(ValueError, match="nonnegative"):
                 filter_weights(FilterSpec("erfclog"), N, math.nan)
 
+    def test_unrepresentable_order_rejected_before_allocation(self):
+        # the order 1 + N*x_dist/(2 pi) takes HDAF's top-row bound
+        # N*x_dist/15 < 2^53: an infinite distance, or a product past it at
+        # representable degrees, raises before theta (10^6 or 10^7 doubles)
+        for N, x_dist in ((10**6, math.inf), ([5, 10**7], 1e11)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="not representable"):
+                    filter_weights(FilterSpec("erfclog"), N, x_dist)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6, (N, x_dist)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(0, 1600), min_size=1, max_size=6),
+        x_dist=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+    )
+    def test_rows_are_erfclog_sigma(self, degrees, x_dist):
+        # filter_weights calls the unchecked kernel beneath erfclog_sigma:
+        # whole and banded rows are erfclog_sigma(n/N, 1 + N*x_dist/(2 pi))
+        # byte for byte, a degree-0 row at degree 1's order
+        spec = FilterSpec("erfclog")
+        rows = []
+        for N in degrees:
+            M = max(N, 1)
+            rows.append(erfclog_sigma(np.arange(N + 1) / M, 1 + M * x_dist / math.tau))
+            # the kernel's signs: 1 at theta = 0 and 0 at theta = 1
+            assert rows[-1][0] == 1.0 and rows[-1][N] == float(N == 0)
+        whole = filter_weights(spec, degrees, x_dist)
+        assert whole.tobytes() == np.concatenate(rows).tobytes()
+        los, his = weight_bands(spec, degrees, x_dist)
+        banded = filter_weights(spec, degrees, x_dist, (los, his))
+        slices = [w[lo : hi + 1] for w, lo, hi in zip(rows, los, his)]
+        assert banded.tobytes() == np.concatenate(slices).tobytes()
+
 
 def _kernel_edges() -> np.ndarray:
     """Every range boundary and both its neighbours, 0, 1e-300, the
