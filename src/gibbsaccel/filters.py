@@ -17,12 +17,18 @@ provided:
   and within 2^-52 of the correctly rounded value everywhere.
 * HDAF: a truncated-exponential-series weight with an x-adaptive
   truncation depth (fixed shape parameters alpha = 1, kappa = 1/15).
+  The weight is Q(J+1, s), the regularized upper incomplete gamma
+  function: below depth J = 83 the finite sum exp(-s) * sum_{j<=J}
+  s^j/j! by Horner's rule, from it on Temme's uniform expansion on the
+  Cody erfc, with a checked-in table of its Taylor coefficients
+  (``tools/temme_table.py``).  Neither has a convergence loop, and both
+  are within 2^-48 of mpmath.
 
 ``filter_weights`` is the one entry point to the Erfc-Log and HDAF
 weights; the Erfc-Log order at degree N is p = 1 + N*x_dist/(2*pi).  It
 takes one degree or a list of them; for a list it weights every row in
-one pass (one Erfc-Log array call, one HDAF Poisson loop over the live
-entries of all rows, on both sides of the cut) and returns the rows
+one pass (one Erfc-Log array call; one HDAF sum over the shallow rows
+and one expansion over the deep ones) and returns the rows
 concatenated, each bit-identical to its one-degree table.  An empty list,
 a degree at or beyond 2^53, or, for Erfc-Log and HDAF, a top row with
 N*x_dist/15 (HDAF's depth) at or beyond 2^53 raises ValueError before
@@ -56,12 +62,12 @@ interchangeable; this module pins one behavior for each family.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
-
-_LOG_SQRT_TWO_PI = 0.5 * math.log(math.tau)
 
 # W. J. Cody's rational approximations to erf and erfc (Math. Comp. 23,
 # 1969; the SPECFUN routine CALERF), each a (numerator, denominator) pair
@@ -154,12 +160,65 @@ _KEPT_TABLE_MAX_M = 2048
 #: Orders of the Möbius re-expansion that ``mobius_reexpand`` advances per step.
 _BLOCK = 64
 
-#: Relative size at which the HDAF series terms stop contributing.
-_HDAF_SERIES_TOL = 2.0**-54
+#: Rows of HDAF depth J below this take the finite sum exp(-s) * sum_{j<=J}
+#: s^j/j!, the others Temme's expansion.  The sum costs about J+1 array
+#: steps and Temme's expansion a fixed ~100, and the sum was the faster
+#: of the two at every depth up to 90 (measured).  83 is the first depth
+#: whose band can start above 0 (``weight_bands``: s_lo > 0 needs
+#: J+1 > 2L), so no sum, which can round to 1 - 2^-53, is ever left out
+#: as a 1.  And s <= N*x_dist/2 < 7.5*(J+1) keeps the sum below e^623.
+_HDAF_TEMME_DEPTH = 83
 
-#: Steps of the HDAF series between convergence checks: a check and the
-#: compaction after it cost more numpy calls than a step.
-_HDAF_CHECK_EVERY = 8
+#: 1/j! for j below ``_HDAF_TEMME_DEPTH``, each correctly rounded.
+_INV_FACTORIALS = [1 / math.factorial(j) for j in range(_HDAF_TEMME_DEPTH)]
+
+#: d_{k,n}, the eta^n Taylor coefficient of Temme's C_k(eta), row k
+#: (DLMF 8.12.12), correctly rounded; printed by tools/temme_table.py.
+_TEMME_D = (
+    (
+        -0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
+        0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
+        3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
+        8.296711340953087e-07, -1.7665952736826078e-07,
+    ),
+    (
+        -0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+        -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+        -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+        4.647127802807434e-09, 1.378633446915721e-07,
+    ),
+    (
+        0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+        2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+        -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+        -6.298992138380055e-07, 1.4280614206064242e-07,
+    ),
+    (
+        0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+        0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+        1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+        -2.7861080291528143e-11, -1.6958404091930278e-07,
+    ),
+    (
+        -0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+        -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+        1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+        8.907507532205309e-07, -2.292934834000805e-07,
+    ),
+    (
+        -0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+        -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+        -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
+        -3.252473551298454e-10, 3.4652846491085265e-07,
+    ),
+)
+
+#: ``_TEMME_D`` for ``_horner`` in 1/a: rows k = K-1..0, each a column.
+_TEMME_ROWS = np.array(_TEMME_D)[::-1, :, None]
+
+#: 1/(2m+3) for m = 7..0: mu - log(1 + mu) = t*mu - 2 t^3 (1/3 + t^2/5 + ...)
+#: with t = mu/(2+mu), to 2^-54 relative for |t| <= 1/8.
+_ATANH_TAIL = [1.0 / (2 * m + 3) for m in range(7, -1, -1)]
 
 #: L = 60 log 2: an Erfc-Log or HDAF weight outside its row's band
 #: (``weight_bands``) is within e^-L = 2^-60 of 1 below it, or at most
@@ -366,90 +425,114 @@ def _erfclog(at: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(arg)
 
 
-def _stirling_error(j: int) -> float:
-    """log(j!) - log(sqrt(2 pi j) (j/e)^j) for j >= 1."""
-    if j < 16:
-        return math.lgamma(j + 1.0) - (j + 0.5) * math.log(j) + j - _LOG_SQRT_TWO_PI
-    r = 1.0 / (j * j)
-    return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / j
-
-
-def _log_poisson_peak(j: int) -> float:
-    """log(sqrt(2 pi j)) plus the Stirling error of j!, for j >= 1."""
-    return 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
-
-
 def _hdaf_rows(theta, degrees: list, x_dist: float, sizes: list) -> np.ndarray:
     """HDAF weights exp(-s) * sum_{j<=J} s^j/j! of several rows at once.
 
     s = N*x_dist*theta^2/2 and J = floor(N*x_dist/15).  The weight is
     P(Poisson(s) <= J), the regularized upper incomplete gamma function
-    Q(J+1, s) (Tanner, Math. Comp. 2006).  It is summed from the Poisson
-    term next to the cut, taken in log space, towards the far end, so
-    neither s^j/j! nor exp(-s) is formed: for s < J+1 the weight is 1
-    minus the terms above J, otherwise the terms up to J.  Either way it
-    is finite and lies in [0, 1].
-
-    Row r is the next ``sizes[r]`` entries of the flat array ``theta``,
-    weighted at degree ``degrees[r]``.  Each row's scalars (N*x_dist, J
-    and the log peaks of pmf(J) and pmf(J+1)) are spread over its
-    entries; rows share depths (a trace of a few hundred degrees has a
-    handful), so each log peak is computed once per distinct depth.  The
+    Q(J+1, s) (Tanner, Math. Comp. 2006).  Row r is the next ``sizes[r]``
+    entries of the flat array ``theta``, weighted at degree
+    ``degrees[r]``.  Rows below depth ``_HDAF_TEMME_DEPTH`` take the
+    finite sum (``_poisson_weights``), the others Temme's expansion
+    (``_temme_weights``), each a fixed number of numpy steps.  Both need
+    the rows in nondecreasing depth; a trace's rows are, and other
+    batches have their entries sorted by depth and put back after.  The
     depths are not checked here: ``filter_weights`` checks the top row's
-    before ``theta`` exists.  The Poisson series then runs once for the
-    whole batch, as one loop over the live entries of both sides of the
-    cut, so a batch takes as many steps as its slowest entry.  Every
-    entry is bit-identical to a one-row call.
+    before ``theta`` exists.  Every entry depends on its own row alone,
+    so it is bit-identical to a one-row call.
     """
     depths = [math.floor(N * x_dist / _HDAF_DEPTH_DIVISOR) for N in degrees]
-    peaks = {j: _log_poisson_peak(j) for j in {*depths, *(J + 1 for J in depths)} if j}
-    peaks[0] = 0.0  # unused: pmf(0) is exp(-s)
-    params = [(N * x_dist, J, peaks[J], peaks[J + 1]) for N, J in zip(degrees, depths)]
-    scale, J, peak_at, peak_above = np.repeat(params, sizes, axis=0).T
-    s = scale * np.square(theta) / 2.0
-    below = s < J + 1.0
-    # The term next to the cut, pmf(J+1) below it and pmf(J) above, in log
-    # space as -j*(r - log1p(r)) - log_peak(j) with s = j*(1+r), so the
-    # large terms j*log(s), s and log(j!) never cancel: the rounding error
-    # stays near eps*|s - j| instead of eps*j*log(s).  pmf(0) is exp(-s).
-    j = np.where(below, J + 1.0, J)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = (s - j) / j
-        log_lead = -j * (r - np.log1p(r)) - np.where(below, peak_above, peak_at)
-    lead = np.exp(np.where(j == 0.0, -s, log_lead))
-    del j, r, log_lead  # the loop's arrays take their place at the peak
-    # Sum the terms from the cut outwards through the ratios of neighbours,
-    # pmf(J+1+k)/pmf(J+k) = s/(J+1+k) below the cut and
-    # pmf(J-k)/pmf(J+1-k) = (J+1-k)/s above it, each kept as num/den.  Both
-    # sides run in one loop: the live entries below the cut come first, and
-    # each step raises their den and lowers the others' num by 1.  Above
-    # the cut the term is exactly 0 once num reaches 0, whatever sign num
-    # takes after.  Both ratios are below 1, so once a term is at most
-    # 2^-54 of its sum, every later term is under half an ulp of that sum
-    # and cannot change it: the entry is done, and leaves the loop at the
-    # next check.  An entry whose lead is 0 has tail 0 whatever its sum and
-    # never enters.
-    live = np.flatnonzero(below & (lead > 0.0))
-    n_below = live.size
-    live = np.concatenate((live, np.flatnonzero(~below & (lead > 0.0))))
-    num, den = s[live], J[live] + 1.0
-    num[n_below:], den[n_below:] = den[n_below:], s[live[n_below:]]
-    term, acc, ratio = np.ones(live.size), np.ones(live.size), np.empty(live.size)
-    total = np.ones_like(s)
-    while live.size:
-        rising, falling = den[:n_below], num[n_below:]  # views, updated in place
-        for _ in range(_HDAF_CHECK_EVERY):
-            rising += 1.0
-            falling -= 1.0
-            term *= np.divide(num, den, out=ratio)
-            acc += term
-        keep = np.flatnonzero(term > _HDAF_SERIES_TOL * acc)
-        total[live] = acc
-        n_below = int(np.searchsorted(keep, n_below))
-        live, num, den, term, acc = (v.take(keep) for v in (live, num, den, term, acc))
-        ratio = ratio[: live.size]
-    tail = lead * total
-    return np.where(below, 1.0 - tail, tail)
+    s = np.repeat([N * x_dist for N in degrees], sizes) * np.square(theta) / 2.0
+    order = None
+    if depths != sorted(depths):
+        order = np.argsort(np.repeat(depths, sizes), kind="stable")
+        rank = sorted(range(len(depths)), key=depths.__getitem__)
+        depths, sizes, s = [depths[r] for r in rank], [sizes[r] for r in rank], s[order]
+    split = bisect_left(depths, _HDAF_TEMME_DEPTH)
+    cut = sum(sizes[:split])
+    w = np.empty_like(s)
+    if split:
+        w[:cut] = _poisson_weights(s[:cut], depths[:split], sizes[:split])
+    if split < len(depths):
+        w[cut:] = _temme_weights(s[cut:], depths[split:], sizes[split:])
+    if order is not None:
+        w[order] = w.copy()
+    return w
+
+
+def _poisson_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
+    """exp(-s) * sum_{j<=J} s^j/j! for rows of nondecreasing depth J.
+
+    Horner's rule in s from the top depth down: the entries of depth at
+    least j are a suffix of ``s``, and step j multiplies that suffix by s
+    and adds 1/j!.  An entry's own first step is 0*s + 1/J!, so its bits
+    do not depend on the deeper rows beside it.  All terms are positive:
+    the relative error grows like J*eps, and the exp(-s) * sum that can
+    round above 1 is clamped to 1.
+    """
+    starts = list(accumulate(sizes, initial=0))
+    acc = np.zeros_like(s)
+    for j in range(depths[-1], -1, -1):
+        k = starts[bisect_left(depths, j)]
+        tail = acc[k:]
+        tail *= s[k:]
+        tail += _INV_FACTORIALS[j]
+    return np.minimum(np.exp(-s) * acc, 1.0)
+
+
+def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
+    """Q(a, s) with a = J+1 by Temme's uniform expansion, for rows of depth J.
+
+    Q(a, s) = erfc(eta*sqrt(a/2))/2 + exp(-a*eta^2/2)/sqrt(2 pi a) *
+    sum_k C_k(eta) a^-k, with mu = s/a - 1 and eta^2/2 = mu - log(1+mu)
+    = f, eta of the sign of mu (Temme, SIAM J. Math. Anal. 1979; DLMF
+    8.12).  Each row's coefficients of eta^n, sum_k d_{k,n} a^-k over
+    sqrt(2 pi a), come from Horner's rule in 1/a, elementwise, so they
+    depend on that row's a alone.  mu = (s-a)/a is exact to rounding
+    near the cut, and for |t| <= 1/8, t = mu/(2+mu), f is the series in
+    t, so that neither cancels.  Beyond |eta| = 2 the polynomial only has
+    to stay finite: exp(-a*eta^2/2) <= e^-168 there.  Each weight is
+    clamped to [0, 1]; at s = 0 it is exactly 1.
+    """
+    a_rows = np.array(depths, dtype=float) + 1.0
+    coef = _horner(1.0 / a_rows, _TEMME_ROWS) / np.sqrt(math.tau * a_rows)
+    a = np.repeat(a_rows, sizes)
+    mu = (s - a) / a
+    t = mu / (2.0 + mu)
+    u = t * t
+    near = t * mu - 2.0 * t * u * _horner(u, _ATANH_TAIL)
+    with np.errstate(divide="ignore"):  # log(0) at s = 0, where f is inf
+        f = np.where(np.abs(t) <= 0.125, near, mu - np.log(s / a))
+    del t, u, near
+    af = a * f
+    eta = np.clip(np.copysign(np.sqrt(2.0 * f), mu), -2.0, 2.0)
+    rows = np.repeat(np.arange(len(depths)), sizes)
+    poly = coef[-1].take(rows)
+    for c in coef[-2::-1]:
+        poly *= eta
+        poly += c.take(rows)
+    poly *= np.exp(-af)
+    poly += 0.5 * _erfc(np.copysign(np.sqrt(af), mu))
+    return np.clip(poly, 0.0, 1.0, out=poly)
+
+
+def _checked_degrees(spec: FilterSpec, N, x_dist: float) -> list:
+    """N, an int or a list of degrees, as a list, after the checks that
+    ``filter_weights`` documents on the degrees and the distance."""
+    if not x_dist >= 0:
+        raise ValueError("x_dist must be nonnegative")
+    degrees = np.atleast_1d(N).tolist()
+    if not degrees:
+        raise ValueError("need at least one degree")
+    if min(degrees) < 0:
+        raise ValueError("N must be >= 0")
+    if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
+        raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")
+    # Erfc-Log's order and HDAF's depth grow with N: the top row bounds all rows
+    width = max(max(degrees), 1) * x_dist / _HDAF_DEPTH_DIVISOR
+    if spec.kind in ("erfclog", "hdaf") and not width < _MAX_EXACT_INDEX:
+        raise ValueError(f"{spec.kind}: N*x_dist/15 = {width} is not representable")
+    return degrees
 
 
 def weight_bands(
@@ -472,9 +555,12 @@ def weight_bands(
     every HDAF row with N*x_dist <= 4L, since s_hi >= 2L puts n_hi at or
     beyond N there.  A row's band depends on its N and x_dist alone, not
     on the other rows.  One vectorized pass over the rows, none for Euler
-    and identity or when the top HDAF row has N*x_dist <= 4L;
-    ``filter_weights`` checks the arguments.
+    and identity or when the top HDAF row has N*x_dist <= 4L.  Raises the
+    ValueError that ``filter_weights`` raises for the same degrees and
+    distance (a NaN, negative or, for Erfc-Log and HDAF, infinite one),
+    before any array is built.
     """
+    degrees = _checked_degrees(spec, degrees, x_dist)
     L = _BAND_LOG_TOL
     if spec.kind == "erfclog":
         N = np.array(degrees, dtype=float)
@@ -527,19 +613,7 @@ def filter_weights(
     grow with N, so that one check covers every row, and every order is
     then finite and >= 1.  Neither kernel checks its arguments again.
     """
-    if not x_dist >= 0:
-        raise ValueError("x_dist must be nonnegative")
-    degrees = np.atleast_1d(N).tolist()
-    if not degrees:
-        raise ValueError("need at least one degree")
-    if min(degrees) < 0:
-        raise ValueError("N must be >= 0")
-    if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
-        raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")
-    # Erfc-Log's order and HDAF's depth grow with N: the top row bounds all rows
-    width = max(max(degrees), 1) * x_dist / _HDAF_DEPTH_DIVISOR
-    if spec.kind in ("erfclog", "hdaf") and not width < _MAX_EXACT_INDEX:
-        raise ValueError(f"{spec.kind}: N*x_dist/15 = {width} is not representable")
+    degrees = _checked_degrees(spec, N, x_dist)
     if bands is None:
         los, his = [0] * len(degrees), degrees
     else:

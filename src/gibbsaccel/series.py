@@ -20,8 +20,8 @@ terms do not depend on N.  A filter's rows then take one of two routes.
   rows where no weight can be left out), and one ``filter_weights``
   call per filter and batch of rows weighs the bands (at most
   ``_WEIGHT_BATCH_ENTRIES`` = 8192 weights, or one larger band alone:
-  HDAF's Poisson loop and Erfc-Log's erfc kernel have a fixed cost per
-  call, which a larger batch spreads over more rows).  A row's sum is
+  HDAF's Temme expansion and Erfc-Log's erfc kernel have a fixed cost
+  per call, which a larger batch spreads over more rows).  A row's sum is
   the pairwise sum of a_0..a_{lo-1} (none when lo = 0) plus the pairwise
   sum of its band's weights times a_lo..a_hi.  Every Erfc-Log or HDAF
   weight left out is within 2^-60 of 1 below the band and at most 2^-60
@@ -58,7 +58,7 @@ from .filters import FilterSpec, filter_weights, mobius_reexpand, weight_bands
 from .rates import SingularitySet, periodic_distance
 
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory
-#: (at its peak an HDAF call holds about 160 bytes a weight, Erfc-Log 120).
+#: (at its peak an HDAF call holds about 140 bytes a weight, Erfc-Log 105).
 _WEIGHT_BATCH_ENTRIES = 2**13
 
 #: A trace is dense, and its Euler rows come from one re-expansion, when

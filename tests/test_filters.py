@@ -22,15 +22,13 @@ from gibbsaccel.filters import (
     _CODY_FAR,
     _CODY_HUGE,
     _CODY_SMALL,
-    _HDAF_CHECK_EVERY,
+    _HDAF_TEMME_DEPTH,
     _KEPT_TABLE_MAX_M,
-    _LOG_SQRT_TWO_PI,
     _erfc,
     _euler_mu_row,
     _euler_sigma_table,
     _hdaf_rows,
     _kept_euler_sigma_table,
-    _stirling_error,
 )
 from gibbsaccel.series import _weight_batches
 
@@ -336,33 +334,32 @@ class TestErfcKernel:
         assert np.abs(got - expected).max() <= 1e-15
 
 
-def reference_hdaf(theta, N, x_dist):
-    """HDAF weights by the plain Poisson loop: every entry is updated until
-    all have converged, one row at a time."""
-    depth = math.floor(N * x_dist / 15)
-    s = N * x_dist * np.square(theta, dtype=float) / 2.0
-    below = s < depth + 1
+#: Largest distance of an HDAF weight from Q(J+1, s), at the library's own s,
+#: and of one from Temme's expansion (depth >= _HDAF_TEMME_DEPTH; measured
+#: at most 2^-53 on rows of depth 83-20000, and 12 and 47 * 2^-53 at
+#: depths 2000 and 20000 with mu - log1p(mu) in place of its series).
+HDAF_TOL = 2.0**-48
+TEMME_TOL = 2.0**-50
 
-    def log_pmf(j):
-        if j == 0:
-            return -s
-        r = (s - j) / j
-        log_peak = 0.5 * math.log(j) + _LOG_SQRT_TWO_PI + _stirling_error(j)
-        return -j * (r - np.log1p(r)) - log_peak
 
-    with np.errstate(divide="ignore"):
-        lead = np.exp(np.where(below, log_pmf(depth + 1), log_pmf(depth)))
-    s_above = np.where(below, 1.0, s)
-    term = np.ones_like(s)
-    total = np.ones_like(s)
-    k = 0
-    while (term > 2.0**-54 * total).any():
-        k += 1
-        down = max(depth + 1.0 - k, 0.0) / s_above
-        term *= np.where(below, s / (depth + 1.0 + k), down)
-        total += term
-    tail = lead * total
-    return np.where(below, 1.0 - tail, tail)
+def library_s(N, x_dist):
+    """The s = N*x_dist*theta^2/2 that filter_weights forms for the whole
+    row of degree N (degree 0 takes degree 1's parameters)."""
+    n = max(N, 1)
+    return n * x_dist * np.square(np.arange(N + 1) / n) / 2.0
+
+
+def assert_hdaf_exact(w, N, x_dist, s=None, tol=HDAF_TOL):
+    """Each weight within ``tol`` of mpmath's Q(J+1, s) at 30 digits, s the
+    library's own (the whole row's unless given)."""
+    depth = math.floor(max(N, 1) * x_dist / 15)
+    s = library_s(N, x_dist) if s is None else s
+    with mpmath.workdps(30):
+        ref = [
+            float(mpmath.gammainc(depth + 1, v, mpmath.inf, regularized=True))
+            for v in map(mpmath.mpf, s.tolist())
+        ]
+    assert np.abs(w - ref).max() <= tol, (N, x_dist)
 
 
 class TestHdaf:
@@ -384,43 +381,93 @@ class TestHdaf:
         [(1, 0.7), (14, 0.0), (60, 1.0), (400, 0.2), (1500, 2.25), (2500, 3.1)],
     )
     def test_matches_plain_loop_bit_for_bit(self, N, x_dist):
+        # named for the Poisson loop these rows once matched bit for bit;
+        # now each weight is within 2^-48 of Q(J+1, s), and the row is the
+        # same bits alone and in a batch with rows of other depths
         w = filter_weights(FilterSpec("hdaf"), N, x_dist)
-        assert np.array_equal(w, reference_hdaf(np.arange(N + 1) / N, N, x_dist))
+        assert_hdaf_exact(w, N, x_dist)
+        batch = filter_weights(FilterSpec("hdaf"), [3, N, 900], x_dist)
+        assert np.array_equal(batch[4 : N + 5], w)
 
     def test_one_batch_matches_plain_loop_row_by_row(self):
-        # one list call at x_dist = 3: depth-0 rows (N*x_dist < 15), rows of
-        # depth 1..5 whose entries above the cut reach numerator 0 before
-        # the first convergence check, and a deep row (J = 300)
+        # one list call at x_dist = 3, out of depth order: depth-0 rows
+        # (N*x_dist < 15), shallow rows, both sides of _HDAF_TEMME_DEPTH
+        # and a deep row (J = 300); each row is its one-degree call, bit
+        # for bit, and within 2^-48 of Q(J+1, s)
         x_dist = 3.0
-        degrees = [0, 1, 3, 4, 5, 9, 12, 27, 1500, 2, 60]
+        J0 = _HDAF_TEMME_DEPTH
+        degrees = [0, 1, 3, 4, 5, 9, 12, 27, 1500, 5 * J0, 2, 5 * J0 - 1, 60]
         depths = [math.floor(N * x_dist / 15) for N in degrees]
-        assert 0 in depths and 300 in depths
-        assert any(0 < J < _HDAF_CHECK_EVERY - 1 for J in depths)
+        assert {0, 300, J0 - 1, J0} <= set(depths)
         w = filter_weights(FilterSpec("hdaf"), degrees, x_dist)
         start = 0
         for N in degrees:
             row = w[start : start + N + 1]
             start += N + 1
-            n = max(N, 1)
-            assert np.array_equal(row, reference_hdaf(np.arange(N + 1) / n, n, x_dist))
+            assert np.array_equal(row, filter_weights(FilterSpec("hdaf"), N, x_dist))
+            assert_hdaf_exact(row, N, x_dist)
         assert start == w.size
 
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_batch_on_one_side_of_the_cut(self, side):
-        # every entry of the batch on one side: the other side's slice of
-        # the loop is empty from the first step
+        # every entry of the batch on one side of the cut s = J+1, rows in
+        # falling depth; each row is its one-row call, bit for bit
         x_dist, degrees = 3.0, [1500, 1200, 700]
-        rows = []
+        rows, ss = [], []
         for N in degrees:
             J1 = math.floor(N * x_dist / 15) + 1.0
             s = J1 * (np.linspace(0.6, 0.99, 40) if side == "below" else
                       np.linspace(1.0, 1.4, 40))
             assert ((s < J1) == (side == "below")).all()
             rows.append(np.sqrt(2.0 * s / (N * x_dist)))
+            ss.append(N * x_dist * np.square(rows[-1]) / 2.0)
         w = _hdaf_rows(np.concatenate(rows), degrees, x_dist, [40] * len(degrees))
-        expected = [reference_hdaf(t, N, x_dist) for t, N in zip(rows, degrees)]
+        expected = [_hdaf_rows(t, [N], x_dist, [40]) for t, N in zip(rows, degrees)]
         assert np.array_equal(w, np.concatenate(expected))
-        assert ((0.0 < w) & (w < 1.0)).sum() >= 60  # the series ran for them
+        for row, N, s in zip(expected, degrees, ss):
+            assert_hdaf_exact(row, N, x_dist, s)
+        assert ((0.0 < w) & (w < 1.0)).sum() >= 60
+
+    @pytest.mark.parametrize(
+        "depth", [0, 1, _HDAF_TEMME_DEPTH - 1, _HDAF_TEMME_DEPTH, 50, 300, 2000]
+    )
+    def test_matches_mpmath_on_rows_and_bands(self, depth):
+        # x_dist = 3 gives depth floor(N/5); the whole row, and its band;
+        # Temme's rows to TEMME_TOL, and inside [0, 1] where their terms
+        # underflow (unclamped, a row of depth >= 157 reads about -1e-309)
+        N, x_dist = 5 * depth + 2, 3.0
+        tol = HDAF_TOL if depth < _HDAF_TEMME_DEPTH else TEMME_TOL
+        w = filter_weights(FilterSpec("hdaf"), N, x_dist)
+        assert_hdaf_exact(w, N, x_dist, tol=tol)
+        assert ((0.0 <= w) & (w <= 1.0)).all()
+        (lo,), (hi,) = weight_bands(FilterSpec("hdaf"), [N], x_dist)
+        band = filter_weights(FilterSpec("hdaf"), N, x_dist, ([lo], [hi]))
+        assert_hdaf_exact(band, N, x_dist, library_s(N, x_dist)[lo : hi + 1], tol)
+
+    def test_expansion_near_the_cut_at_large_depth(self):
+        # J = 20000: every 10th entry of the band, to TEMME_TOL at the
+        # library's own s, where mu - log(1 + mu) would cancel
+        N, x_dist = 10**5, 3.0
+        (lo,), (hi,) = weight_bands(FilterSpec("hdaf"), [N], x_dist)
+        band = filter_weights(FilterSpec("hdaf"), N, x_dist, ([lo], [hi]))
+        s = library_s(N, x_dist)[lo : hi + 1]
+        assert_hdaf_exact(band[::10], N, x_dist, s[::10], TEMME_TOL)
+
+    def test_shallow_rows_are_never_cut_below(self):
+        # the finite sum can round to 1 - 2^-53, where a band's left-out
+        # entries count as exactly 1: no row below _HDAF_TEMME_DEPTH may
+        # have a band that starts above 0, and rows at that depth can
+        J0 = _HDAF_TEMME_DEPTH
+        for N in (10**4, 10**6):
+            below = weight_bands(FilterSpec("hdaf"), [N], 15 * (J0 - 0.5) / N)
+            at = weight_bands(FilterSpec("hdaf"), [N], 15 * (J0 + 0.5) / N)
+            assert below[0] == [0] and at[0][0] > 0, N
+        assert_band_sound("hdaf", 1245, 1.0)  # depth 83, its band from 32
+
+    def test_weight_one_at_zero_s(self):
+        # s = 0 at n = 0 for both kernels, with no log(0) warning
+        for N in (5 * _HDAF_TEMME_DEPTH - 1, 5 * _HDAF_TEMME_DEPTH, 10**4):
+            assert filter_weights(FilterSpec("hdaf"), N, 3.0, ([0], [3]))[0] == 1.0
 
     def test_matches_mpmath_where_terms_overflow(self):
         # s^j/j! overflows a double here; the weight is Q(J+1, s) all the same
@@ -568,6 +615,18 @@ class TestWeightBands:
             with pytest.raises(ValueError, match="band"):
                 filter_weights(FilterSpec(kind), 10, 1.0, bands)
 
+    @pytest.mark.parametrize("kind", ["erfclog", "hdaf"])
+    def test_bad_distance_rejected_as_by_filter_weights(self, kind):
+        # NaN and negative distances, and an infinite one for the adaptive
+        # filters, raise filter_weights' own ValueError, with no warning
+        # from an array built first (a RuntimeWarning fails the test)
+        for x_dist in (math.nan, -0.5, math.inf):
+            with pytest.raises(ValueError) as from_weights:
+                filter_weights(FilterSpec(kind), [100, 400], x_dist)
+            with pytest.raises(ValueError, match="nonnegative|representable") as raised:
+                weight_bands(FilterSpec(kind), [100, 400], x_dist)
+            assert str(raised.value) == str(from_weights.value)
+
 
 class TestFilterWeights:
     def test_identity(self):
@@ -610,9 +669,9 @@ class TestFilterWeights:
 
 
 #: Peak bytes that tracemalloc sees in one full weight batch at x_dist = 3
-#: (7896 weights, degrees 5, 70, ..., 980): measured 1.25 MB for HDAF and
-#: 0.95 MB for Erfc-Log (158 and 121 bytes a weight), so the bounds leave
-#: 12% and 10%.
+#: (7896 weights, degrees 5, 70, ..., 980): measured 1.08 MB for HDAF and
+#: 0.82 MB for Erfc-Log (137 and 103 bytes a weight), under bounds set
+#: when they were 1.25 MB and 0.95 MB.
 PEAK_BATCH_BYTES = {"hdaf": 1.40e6, "erfclog": 1.05e6}
 
 
