@@ -160,14 +160,20 @@ _KEPT_TABLE_MAX_M = 2048
 #: Orders of the Möbius re-expansion that ``mobius_reexpand`` advances per step.
 _BLOCK = 64
 
-#: Rows of HDAF depth J below this take the finite sum exp(-s) * sum_{j<=J}
-#: s^j/j!, the others Temme's expansion.  The sum costs about J+1 array
-#: steps and Temme's expansion a fixed ~100, and the sum was the faster
-#: of the two at every depth up to 90 (measured).  83 is the first depth
+#: L = 60 log 2: an Erfc-Log or HDAF weight outside its row's band
+#: (``weight_bands``) is within e^-L = 2^-60 of 1 below it, or at most
+#: 2^-60 above it.
+_BAND_LOG_TOL = 60.0 * math.log(2.0)
+
+#: Rows of HDAF depth J below this, 83, take the finite sum exp(-s) *
+#: sum_{j<=J} s^j/j!, the others Temme's expansion.  It is the first depth
 #: whose band can start above 0 (``weight_bands``: s_lo > 0 needs
 #: J+1 > 2L), so no sum, which can round to 1 - 2^-53, is ever left out
-#: as a 1.  And s <= N*x_dist/2 < 7.5*(J+1) keeps the sum below e^623.
-_HDAF_TEMME_DEPTH = 83
+#: as a 1.  The sum costs about J+1 array steps and Temme's expansion a
+#: fixed ~100, and the sum was the faster of the two at every depth up to
+#: 90 (measured).  And s <= N*x_dist/2 < 7.5*(J+1) keeps the sum below
+#: e^623.
+_HDAF_TEMME_DEPTH = math.floor(2.0 * _BAND_LOG_TOL)
 
 #: 1/j! for j below ``_HDAF_TEMME_DEPTH``, each correctly rounded.
 _INV_FACTORIALS = [1 / math.factorial(j) for j in range(_HDAF_TEMME_DEPTH)]
@@ -219,11 +225,6 @@ _TEMME_ROWS = np.array(_TEMME_D)[::-1, :, None]
 #: 1/(2m+3) for m = 7..0: mu - log(1 + mu) = t*mu - 2 t^3 (1/3 + t^2/5 + ...)
 #: with t = mu/(2+mu), to 2^-54 relative for |t| <= 1/8.
 _ATANH_TAIL = [1.0 / (2 * m + 3) for m in range(7, -1, -1)]
-
-#: L = 60 log 2: an Erfc-Log or HDAF weight outside its row's band
-#: (``weight_bands``) is within e^-L = 2^-60 of 1 below it, or at most
-#: 2^-60 above it.
-_BAND_LOG_TOL = 60.0 * math.log(2.0)
 
 #: A band starts at 0 unless it leaves at least this many entries below
 #: it: a row adds those entries apart, in one more numpy call (about

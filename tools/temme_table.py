@@ -28,12 +28,11 @@ the ``NETA`` correctly rounded doubles d_{k,0..NETA-1}, in the layout of
 ``gibbsaccel.filters``.  Nothing is downloaded; mpmath is a test-only
 dependency of the package, and the package reads only the literal.
 
-    python tools/temme_table.py [--digits 50]
+    python tools/temme_table.py
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 import mpmath
@@ -41,6 +40,9 @@ import mpmath
 #: Powers a^0..a^-(K-1) and eta^0..eta^(NETA-1) of the checked-in table.
 K = 6
 NETA = 11
+
+#: mpmath working digits of the checked-in table, before rounding to doubles.
+DIGITS = 50
 
 
 def _mul(p: list, q: list, size: int) -> list:
@@ -108,9 +110,9 @@ def temme_coefficients(k_max: int, n_eta: int) -> list[list]:
     return [row[:n_eta] for row in rows]
 
 
-def literal(digits: int = 50) -> str:
+def literal() -> str:
     """The ``_TEMME_D`` assignment, its doubles correctly rounded."""
-    with mpmath.workdps(digits):
+    with mpmath.workdps(DIGITS):
         table = temme_coefficients(K, NETA)
         rows = [[float(v) for v in row] for row in table]
     lines = ["_TEMME_D = ("]
@@ -123,13 +125,10 @@ def literal(digits: int = 50) -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--digits", type=int, default=50, help="mpmath working digits")
-    args = parser.parse_args(argv[1:])
-    print(literal(args.digits))
+def main() -> int:
+    print(literal())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
