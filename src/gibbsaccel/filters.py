@@ -24,16 +24,22 @@ provided:
   (``tools/temme_table.py``).  Neither has a convergence loop, and both
   are within 2^-48 of mpmath.
 
+An adaptive row is its width.  Both adaptive weights depend only on
+theta = n/N and on the row's width w = N*x_dist, a degree-0 row counting
+as N = 1: Erfc-Log's order is p = 1 + w/(2*pi), and HDAF's depth is
+J = floor(w/15) and its Poisson mean s = w*theta^2/2.  The check that
+``filter_weights`` and ``weight_bands`` share (``_checked_rows``) forms
+each row's w once, and everything else reads it.
+
 ``filter_weights`` is the one entry point to the Erfc-Log and HDAF
-weights; the Erfc-Log order at degree N is p = 1 + N*x_dist/(2*pi).  It
-takes one degree or a list of them; for a list it weights every row in
-one pass (one Erfc-Log array call; one HDAF sum over the shallow rows
-and one expansion over the deep ones) and returns the rows
+weights.  It takes one degree or a list of them; for a list it weights
+every row in one pass (one Erfc-Log array call; one HDAF sum over the
+shallow rows and one expansion over the deep ones) and returns the rows
 concatenated, each bit-identical to its one-degree table.  An empty list,
 a degree at or beyond 2^53, or, for Erfc-Log and HDAF, a top row with
-N*x_dist/15 (HDAF's depth) at or beyond 2^53 raises ValueError before
-any array is built.  The Erfc-Log order and the HDAF depth grow with N,
-so one check on the top row covers every row, and the kernels beneath
+w/15 (HDAF's depth) at or beyond 2^53 raises ValueError before any array
+is built.  The Erfc-Log order and the HDAF depth grow with w, so one
+check on the top row covers every row, and the kernels beneath
 ``filter_weights`` check nothing.
 
 Both adaptive filters fall from 1 to 0 in a transition band, around
@@ -148,8 +154,8 @@ _FRAC_SQRT_PI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 _HDAF_DEPTH_DIVISOR = 15.0
 
 #: Degrees and HDAF depths at and beyond 2^53 have no exact double
-#: neighbours n, n+1.  Erfc-Log rows take HDAF's bound N*x_dist/15 < 2^53,
-#: which every distance up to 15 meets at every such degree.
+#: neighbours n, n+1.  Erfc-Log rows take HDAF's bound w/15 < 2^53 on the
+#: width, which every distance up to 15 meets at every such degree.
 _MAX_EXACT_INDEX = 2.0**53
 
 #: Largest M whose Euler table is cached: 256 tables of at most 2050
@@ -171,7 +177,7 @@ _BAND_LOG_TOL = 60.0 * math.log(2.0)
 #: J+1 > 2L), so no sum, which can round to 1 - 2^-53, is ever left out
 #: as a 1.  The sum costs about J+1 array steps and Temme's expansion a
 #: fixed ~100, and the sum was the faster of the two at every depth up to
-#: 90 (measured).  And s <= N*x_dist/2 < 7.5*(J+1) keeps the sum below
+#: 90 (measured).  And s <= w/2 < 7.5*(J+1) keeps the sum below
 #: e^623.
 _HDAF_TEMME_DEPTH = math.floor(2.0 * _BAND_LOG_TOL)
 
@@ -236,9 +242,9 @@ VALID_KINDS = ("identity", "euler", "erfclog", "hdaf")
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Selects a filter family.  Euler and HDAF have no free parameters;
-    Erfc-Log uses the adaptive order p = 1 + N*d/(2*pi) with d the
-    distance to the real singularity."""
+    """Selects a filter family.  None has a free parameter: Erfc-Log and
+    HDAF adapt to the distance to the real singularity through each
+    row's width (module docstring)."""
 
     kind: str = "identity"
 
@@ -426,14 +432,14 @@ def _erfclog(at: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 0.5 * _erfc(arg)
 
 
-def _hdaf_rows(theta, degrees: list, x_dist: float, sizes: list) -> np.ndarray:
+def _hdaf_rows(theta, widths: np.ndarray, sizes: list) -> np.ndarray:
     """HDAF weights exp(-s) * sum_{j<=J} s^j/j! of several rows at once.
 
-    s = N*x_dist*theta^2/2 and J = floor(N*x_dist/15).  The weight is
-    P(Poisson(s) <= J), the regularized upper incomplete gamma function
-    Q(J+1, s) (Tanner, Math. Comp. 2006).  Row r is the next ``sizes[r]``
-    entries of the flat array ``theta``, weighted at degree
-    ``degrees[r]``.  Rows below depth ``_HDAF_TEMME_DEPTH`` take the
+    The weight is P(Poisson(s) <= J), the regularized upper incomplete
+    gamma function Q(J+1, s) (Tanner, Math. Comp. 2006), with s and J
+    read from the row's width (module docstring).  Row r is the next
+    ``sizes[r]`` entries of the flat array ``theta``, of width
+    ``widths[r]``.  Rows below depth ``_HDAF_TEMME_DEPTH`` take the
     finite sum (``_poisson_weights``), the others Temme's expansion
     (``_temme_weights``), each a fixed number of numpy steps.  Both need
     the rows in nondecreasing depth; a trace's rows are, and other
@@ -442,8 +448,8 @@ def _hdaf_rows(theta, degrees: list, x_dist: float, sizes: list) -> np.ndarray:
     before ``theta`` exists.  Every entry depends on its own row alone,
     so it is bit-identical to a one-row call.
     """
-    depths = [math.floor(N * x_dist / _HDAF_DEPTH_DIVISOR) for N in degrees]
-    s = np.repeat([N * x_dist for N in degrees], sizes) * np.square(theta) / 2.0
+    depths = np.floor(widths / _HDAF_DEPTH_DIVISOR).astype(int).tolist()
+    s = np.repeat(widths, sizes) * np.square(theta) / 2.0
     order = None
     if depths != sorted(depths):
         order = np.argsort(np.repeat(depths, sizes), kind="stable")
@@ -517,9 +523,11 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
     return np.clip(poly, 0.0, 1.0, out=poly)
 
 
-def _checked_degrees(spec: FilterSpec, N, x_dist: float) -> list:
+def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:
     """N, an int or a list of degrees, as a list, after the checks that
-    ``filter_weights`` documents on the degrees and the distance."""
+    ``filter_weights`` documents on the degrees and the distance; with
+    each row's N as a float of at least 1 (theta's divisor) and its width
+    w = that N*x_dist, as arrays."""
     if not x_dist >= 0:
         raise ValueError("x_dist must be nonnegative")
     degrees = np.atleast_1d(N).tolist()
@@ -529,11 +537,14 @@ def _checked_degrees(spec: FilterSpec, N, x_dist: float) -> list:
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
         raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")
-    # Erfc-Log's order and HDAF's depth grow with N: the top row bounds all rows
-    width = max(max(degrees), 1) * x_dist / _HDAF_DEPTH_DIVISOR
-    if spec.kind in ("erfclog", "hdaf") and not width < _MAX_EXACT_INDEX:
-        raise ValueError(f"{spec.kind}: N*x_dist/15 = {width} is not representable")
-    return degrees
+    divisors = np.maximum(degrees, 1.0)
+    with np.errstate(over="ignore"):  # inf fails the check below, or is not read
+        widths = divisors * x_dist
+    # Erfc-Log's order and HDAF's depth grow with w: the top row bounds all rows
+    depth = widths.max() / _HDAF_DEPTH_DIVISOR
+    if spec.kind in ("erfclog", "hdaf") and not depth < _MAX_EXACT_INDEX:
+        raise ValueError(f"{spec.kind}: N*x_dist/15 = {depth} is not representable")
+    return degrees, divisors, widths
 
 
 def weight_bands(
@@ -553,25 +564,23 @@ def weight_bands(
     weight is exactly 1 and no Erfc-Log weight is, the whole row.  A band
     starts at 0 unless it leaves at least ``_MIN_BAND_START`` = 32
     entries below it.  Euler and identity rows are whole: 0..N.  So is
-    every HDAF row with N*x_dist <= 4L, since s_hi >= 2L puts n_hi at or
+    every HDAF row of width w <= 4L, since s_hi >= 2L puts n_hi at or
     beyond N there.  A row's band depends on its N and x_dist alone, not
     on the other rows.  One vectorized pass over the rows, none for Euler
-    and identity or when the top HDAF row has N*x_dist <= 4L.  Raises the
+    and identity or when the top HDAF row has w <= 4L.  Raises the
     ValueError that ``filter_weights`` raises for the same degrees and
     distance (a NaN, negative or, for Erfc-Log and HDAF, infinite one),
     before any array is built.
     """
-    degrees = _checked_degrees(spec, degrees, x_dist)
+    degrees, N, widths = _checked_rows(spec, degrees, x_dist)
     L = _BAND_LOG_TOL
     if spec.kind == "erfclog":
-        N = np.array(degrees, dtype=float)
-        p = 1.0 + N * x_dist / math.tau  # as in filter_weights
+        p = 1.0 + widths / math.tau
         reach = N * np.sqrt(np.expm1(-L / p) * -0.25)
         mid = N * 0.5
         first, last = mid - reach, mid + reach
-    elif spec.kind == "hdaf" and max(degrees) * x_dist > 4.0 * L:
-        N = np.array(degrees, dtype=float)
-        J = np.floor(N * x_dist / _HDAF_DEPTH_DIVISOR)  # as in _hdaf_rows
+    elif spec.kind == "hdaf" and widths.max() > 4.0 * L:
+        J = np.floor(widths / _HDAF_DEPTH_DIVISOR)
         s_lo = J + 1.0 - np.sqrt((J + 1.0) * (2.0 * L))
         s_hi = J + L + np.sqrt(J * (2.0 * L) + L * L)
         per_s = N * (2.0 / x_dist)  # n^2 per unit of s
@@ -581,7 +590,7 @@ def weight_bands(
         return [0] * len(degrees), list(degrees)
     lo = np.ceil(first) - 1.0
     lo[lo < _MIN_BAND_START] = 0.0
-    hi = np.minimum(np.floor(last) + 1.0, N)
+    hi = np.minimum(np.floor(last) + 1.0, degrees)  # a degree-0 row's N is 1
     return lo.astype(int).tolist(), hi.astype(int).tolist()
 
 
@@ -593,56 +602,49 @@ def filter_weights(
 ) -> np.ndarray:
     """Weight table sigma(|n|) for |n| = 0..N at truncation degree N.
 
-    The one entry point to the HDAF and Erfc-Log weights.  Both take
-    theta = n/N; Erfc-Log has the adaptive order p = 1 + N*x_dist/(2*pi),
-    and HDAF the depth J = floor(N*x_dist/15) (``_hdaf_rows``).
-    N is an int, or a list of degrees, for which the rows' weight vectors
-    come back concatenated in order as one flat array: one call weights a
-    batch of a trace's rows, each entry bit-identical to its per-N table.
+    The one entry point to the HDAF and Erfc-Log weights, which read
+    theta = n/N and each row's width (module docstring).  N is an int,
+    or a list of degrees, for which the rows' weight vectors come back
+    concatenated in order as one flat array: one call weights a batch of
+    a trace's rows, each entry bit-identical to its per-N table.
     ``bands``, a list of lo and a list of hi with one entry per row
     (``weight_bands``), limits row r to its entries lo[r]..hi[r]; by
     default every row is whole.  Each weight is the same whatever the
-    band.  ``x_dist`` feeds the adaptive order of Erfc-Log and the
-    truncation depth of HDAF; Euler and identity ignore its value.  All
+    band.  Euler and identity ignore the value of ``x_dist``.  All
     weights are functions of |n|, so sigma(-theta) = sigma(theta) holds
     exactly.  Raises ValueError for a negative or NaN distance, for every
     kind, for an empty list of degrees, a negative degree, or one at or
     beyond 2^53, and for a band that is not 0 <= lo <= hi <= N, before
     any array is built.  For Erfc-Log and HDAF it also raises when the
-    top row's max(N, 1)*x_dist/15 (HDAF's depth) is not finite or reaches
-    2^53, before ``theta`` exists: the Erfc-Log order and the HDAF depth
-    grow with N, so that one check covers every row, and every order is
-    then finite and >= 1.  Neither kernel checks its arguments again.
+    top row's width over 15 (HDAF's depth) is not finite or reaches
+    2^53, before ``theta`` exists: that one check covers every row, and
+    every Erfc-Log order is then finite and >= 1.  Neither kernel checks
+    its arguments again.
     """
-    degrees = _checked_degrees(spec, N, x_dist)
-    if bands is None:
-        los, his = [0] * len(degrees), degrees
-    else:
-        los, his = bands
-        if not len(los) == len(his) == len(degrees) or not all(
-            0 <= lo <= hi <= M for lo, hi, M in zip(los, his, degrees)
-        ):
-            raise ValueError("need one band 0 <= lo <= hi <= N per degree")
+    degrees, divisors, widths = _checked_rows(spec, N, x_dist)
+    los, his = bands or ([0] * len(degrees), degrees)
+    if not len(los) == len(his) == len(degrees) or not all(
+        0 <= lo <= hi <= M for lo, hi, M in zip(los, his, degrees)
+    ):
+        raise ValueError("need one band 0 <= lo <= hi <= N per degree")
     sizes = [hi - lo + 1 for lo, hi in zip(los, his)]
     if spec.kind == "identity":
         return np.ones(sum(sizes))
     if spec.kind == "euler":
         tables = [_euler_sigma_table(M) for M in degrees]
         return np.concatenate([t[lo : hi + 1] for t, lo, hi in zip(tables, los, his)])
-    # theta = n/N within each row.  A degree-0 row takes degree 1's parameters;
-    # its one entry sits at theta = 0, where every weight is exactly 1.  n
-    # and N are doubles, exact below 2^53, so the quotient is the correctly
-    # rounded one that int64 division gives at several times the cost.
-    degrees = [float(max(M, 1)) for M in degrees]
+    # theta = n/N within each row.  A degree-0 row's one entry sits at
+    # theta = 0, where every weight is exactly 1.  n and N are doubles,
+    # exact below 2^53, so the quotient is the correctly rounded one that
+    # int64 division gives at several times the cost.
     # Entry k of the flat array, counted from 1, is n = lo + k - (row start
     # + 1) = k - (row end - hi), with row end = row start + size.
     theta = np.arange(1.0, sum(sizes) + 1.0)
     theta -= np.repeat(np.cumsum(sizes, dtype=float) - his, sizes)
-    theta /= np.repeat(degrees, sizes)
+    theta /= np.repeat(divisors, sizes)
     if spec.kind == "hdaf":
-        return _hdaf_rows(theta, degrees, x_dist, sizes)
-    orders = 1.0 + np.array(degrees) * x_dist / math.tau
-    return _erfclog(theta, np.repeat(orders, sizes))
+        return _hdaf_rows(theta, widths, sizes)
+    return _erfclog(theta, np.repeat(1.0 + widths / math.tau, sizes))
 
 
 @lru_cache(maxsize=16)

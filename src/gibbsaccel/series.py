@@ -237,14 +237,15 @@ def trace_errors(
     that N, except the Euler rows of a dense trace, which agree with it
     to well within a saturation floor.  Raises
     ValueError when the series has no exact evaluator, when x is not
-    finite or is a declared real singularity, when ``degrees`` is empty,
-    or when a degree is outside [0, n_max].
+    finite or is a declared real singularity (before any array is
+    built), when ``degrees`` is empty, or when a degree is outside
+    [0, n_max].
     """
     if series.exact_eval is None:
         raise ValueError("series has no exact evaluator")
-    sums = _filtered_sums(series, x, degrees, specs)  # checks x and degrees
-    if series.singularities.real_distance(x) == 0.0:
+    if series.singularities.real_distance(x) == 0.0:  # raises for a non-finite x
         raise ValueError(f"x={x} is a declared real singularity")
+    sums = _filtered_sums(series, x, degrees, specs)  # checks x and degrees
     exact = complex(series.exact_eval(math.remainder(x, math.tau)))
     return [[abs(exact - value) for value in row] for row in sums]
 

@@ -62,13 +62,17 @@ class TestEulerMu:
             euler_mu(4, -1)
 
 
-def exact_euler_tails(M):
-    """sum_{k>=j} C(M, k) / 2^M for j = 0..M: integer tails, correctly rounded."""
+def binomial_tails(M):
+    """sum_{k>=j} C(M, k) for j = 0..M, as exact integers."""
     row = [1]
     for k in range(M):
         row.append(row[-1] * (M - k) // (k + 1))
-    tails = list(itertools.accumulate(reversed(row)))[::-1]
-    return np.array([t / 2**M for t in tails])
+    return list(itertools.accumulate(reversed(row)))[::-1]
+
+
+def exact_euler_tails(M):
+    """sum_{k>=j} C(M, k) / 2^M for j = 0..M: integer tails, correctly rounded."""
+    return np.array([t / 2**M for t in binomial_tails(M)])
 
 
 class TestEulerSigma:
@@ -421,8 +425,9 @@ class TestHdaf:
             assert ((s < J1) == (side == "below")).all()
             rows.append(np.sqrt(2.0 * s / (N * x_dist)))
             ss.append(N * x_dist * np.square(rows[-1]) / 2.0)
-        w = _hdaf_rows(np.concatenate(rows), degrees, x_dist, [40] * len(degrees))
-        expected = [_hdaf_rows(t, [N], x_dist, [40]) for t, N in zip(rows, degrees)]
+        widths = np.array(degrees, dtype=float) * x_dist
+        w = _hdaf_rows(np.concatenate(rows), widths, [40] * len(degrees))
+        expected = [_hdaf_rows(t, widths[r : r + 1], [40]) for r, t in enumerate(rows)]
         assert np.array_equal(w, np.concatenate(expected))
         for row, N, s in zip(expected, degrees, ss):
             assert_hdaf_exact(row, N, x_dist, s)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_filters import TEMME_TOL, assert_hdaf_exact, binomial_tails
 
 from gibbsaccel.catalog import (
     FUNCTION_KEYS,
@@ -16,7 +18,7 @@ from gibbsaccel.catalog import (
     make_lorentzian,
     make_sws,
 )
-from gibbsaccel.filters import FilterSpec
+from gibbsaccel.filters import FilterSpec, filter_weights
 from gibbsaccel.rates import (
     DOMINATED_BY_METRIC,
     DOMINATED_BY_REAL,
@@ -588,6 +590,15 @@ def mp_hdaf_weight(n, N, d):
     return mpmath.gammainc(int(mpmath.floor(N * d / 15)) + 1, s, regularized=True)
 
 
+_binomial_tails = functools.lru_cache(maxsize=1)(binomial_tails)  # one N per sum
+
+
+def mp_euler_weight(n, N, d):
+    """P(Binomial(N, 1/2) >= n), the Euler weight at n/(N+1), from exact
+    integer binomial tails; d is not read."""
+    return mpmath.mpf(_binomial_tails(N)[n]) / 2**N
+
+
 def mp_sawtooth_error(weight, x, N):
     """|f(x) - sum_{n=1..N} sigma(n/N) a_n| for the sawtooth, f(x) = x - pi
     on (0, 2 pi) with a_n = -2 sin(n x)/n, at 40 digits; ``weight(n, N, d)``
@@ -714,6 +725,35 @@ class TestMeasuredVersusPredicted:
             errors = np.array([row.error for row in trace.rows])
             exact = [mp_sawtooth_error(weight, trace.x, N) for N in degrees]
             assert np.all(np.abs(errors - exact) <= 0.05 * floors)
+
+    @pytest.mark.parametrize("N,x", [(1180, 3.0), (1500, 2.5), (1500, 3.0)])
+    def test_deep_hdaf_rows_are_their_multiprecision_sums(self, N, x):
+        # rows of Temme's expansion (depths 236, 250, 300) that compare-far's
+        # correctness check excuses (bench/oracle.py hdaf_sum_overflows):
+        # within 0.05 saturation floors of a 40-digit sum (measured:
+        # at most 0.0008)
+        series, spec = make_sws().series, FilterSpec("hdaf")
+        error = pointwise_error(series, x, N, spec)
+        exact = mp_sawtooth_error(mp_hdaf_weight, x, N)
+        assert abs(error - exact) <= 0.05 * saturation_floor(series, N)
+        # a smooth weight error barely moves a sum this far from the jump:
+        # with Temme's expansion cut to its leading erfc term the errors
+        # keep their bits, so the row's weights are checked as well
+        assert_hdaf_exact(filter_weights(spec, N, x), N, x, tol=TEMME_TOL)
+
+    @pytest.mark.parametrize("x", [0.3, 1.0, 2.5])
+    def test_long_euler_rows_are_their_multiprecision_sums(self, x):
+        # Euler rows from N = 1100 on, where 0.5**N underflows and the
+        # benchmark checks excuse them (bench/oracle.py euler_collapses):
+        # within 0.05 saturation floors of a 40-digit sum (measured: at
+        # most 0.0022)
+        config = ExperimentConfig("sws", ("euler",), (x,), 1100, 1600, 100)
+        degrees = config.degrees()
+        floors = saturation_floor(make_sws().series, np.array(degrees))
+        (trace,) = sweep_errors(config)
+        errors = np.array([row.error for row in trace.rows])
+        exact = [mp_sawtooth_error(mp_euler_weight, x, N) for N in degrees]
+        assert np.all(np.abs(errors - exact) <= 0.05 * floors)
 
     @pytest.mark.parametrize(
         "key,x,q",

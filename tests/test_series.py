@@ -2,6 +2,7 @@ import cmath
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,6 +202,25 @@ class TestPointwiseError:
             pointwise_error(sws, 0.0, 10, EULER)
         with pytest.raises(ValueError):
             pointwise_error(sws, 2 * math.pi, 10, EULER)
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    @pytest.mark.parametrize("x", [0.0, 2 * math.pi])
+    def test_singular_point_rejected_before_any_array(self, x, kind):
+        # the row's fold and weights would take 160-190 MB at their peak
+        sws, spec = make_sws().series, FilterSpec(kind)
+        calls = [
+            lambda: trace_errors(sws, x, [2_000_000], [spec]),
+            lambda: pointwise_error(sws, x, 2_000_000, spec),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="declared real singularity"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_x(self, x):
