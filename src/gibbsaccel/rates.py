@@ -244,10 +244,11 @@ def delta_truncation_error(x: float, N: int) -> complex:
 class PenaltySample:
     """One grid point of an acceleration-penalty scan.
 
-    ``flagged`` marks points where the accelerated factor is below the
-    raw geometric factor of the unaccelerated series *because of an
-    off-axis singularity image*; slowdowns caused purely by the metric
-    cap are not attributed to the declared poles.
+    ``rho_raw`` is the raw series' own factor, 1 with a real singularity,
+    and ``flagged`` marks points where the accelerated factor is below it,
+    capped at 2: there Euler's sum converges more slowly than the
+    truncated series, except where a jump's terms cancel (the sawtooth's
+    at x = +-pi, ``penalty_flags``).
     """
 
     x: float
@@ -281,19 +282,21 @@ def image_table(
     return table.min(axis=0), np.array(codes)[table.argmin(axis=0)], list(table[1:])
 
 
-def penalty_flags(
-    sings: SingularitySet, rho: np.ndarray, dominating: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """The acceleration-penalty rule over an ``image_table`` of a set with
-    at least one off-axis singularity.
+def penalty_flags(sings: SingularitySet, rho: np.ndarray) -> tuple[float, np.ndarray]:
+    """The acceleration penalty over the rho of an ``image_table``.
 
-    Returns the raw factor exp(min|tau|) of the unaccelerated series and
-    a flag per point: rho is below it *and* an off-axis image dominates,
-    so slowdowns caused purely by the metric cap are not attributed to
-    the declared poles.
+    Returns the raw series' factor and a flag per point where rho is below
+    it, capped at ``METRIC_CAP`` since no Euler rate passes 2.  The raw
+    factor is 1 (an algebraic rate) when a real singularity is declared,
+    else exp(min|tau|).  Without one, a flag therefore falls exactly where
+    an off-axis image binds below exp(min|tau|); with one, nothing is
+    flagged.  That law misses a jump whose terms cancel one by one: the
+    sawtooth's -2 sin(n x)/n vanish at x = +-pi, where the raw series of
+    ``sws+lorentzian`` converges at the pole's rate and Euler's does not.
     """
-    rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
-    return rho_raw, (rho < rho_raw) & (dominating >= 0)
+    real = sings.real_singularity is not None
+    rho_raw = 1.0 if real else math.exp(min(abs(s.tau) for s in sings.off_axis))
+    return rho_raw, rho < min(rho_raw, METRIC_CAP)
 
 
 def acceleration_penalty_region(
@@ -301,16 +304,17 @@ def acceleration_penalty_region(
 ) -> list[PenaltySample]:
     """Scan [-pi, pi] for subintervals where acceleration slows convergence.
 
-    The unaccelerated series of a function whose nearest singularity sits
-    a distance tau off the real axis converges with factor exp(min|tau|)
-    at every x; the accelerated factor rho(x) can dip below that near the
-    real part of the poles (``penalty_flags``).
+    Without a real singularity the unaccelerated series converges with
+    factor exp(min|tau|) at every x, and the accelerated factor rho(x) can
+    dip below that near the real part of the poles; with one the raw
+    series is algebraic (factor 1) except where its terms cancel, as the
+    sawtooth's do at x = +-pi (``penalty_flags``).
     """
     if not sings.off_axis:
         raise ValueError("penalty scan needs at least one off-axis singularity")
     xs = x_grid(resolution)
-    rho, dominating, _ = image_table(sings, xs)
-    rho_raw, flagged = penalty_flags(sings, rho, dominating)
+    rho = image_table(sings, xs)[0]
+    rho_raw, flagged = penalty_flags(sings, rho)
     return [
         PenaltySample(x, r, rho_raw, f)
         for x, r, f in zip(xs.tolist(), rho.tolist(), flagged.tolist())

@@ -22,6 +22,7 @@ from gibbsaccel.filters import FilterSpec, filter_weights
 from gibbsaccel.rates import (
     DOMINATED_BY_METRIC,
     DOMINATED_BY_REAL,
+    METRIC_CAP,
     Singularity,
     SingularitySet,
     acceleration_penalty_region,
@@ -453,13 +454,32 @@ class TestPenaltyRegion:
     @pytest.mark.parametrize("key", ["lorentzian", "sws+lorentzian"])
     def test_samples_follow_rho_of_x(self, key):
         sings = get_function(key).series.singularities
-        rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
+        real = sings.real_singularity is not None
+        rho_raw = 1.0 if real else math.exp(min(abs(s.tau) for s in sings.off_axis))
         for sample in acceleration_penalty_region(sings, 501):
             pred = rho_of_x(sings, sample.x)
-            flagged = pred.rho < rho_raw and pred.dominating >= 0
+            flagged = pred.rho < min(rho_raw, METRIC_CAP)
+            if not real:  # the cap-free rule: an off-axis image binds
+                assert flagged == (pred.rho < rho_raw and pred.dominating >= 0)
             assert (sample.rho_euler, sample.rho_raw, sample.flagged) == (
                 pred.rho, rho_raw, flagged
             )
+
+    @pytest.mark.parametrize("key", ["lorentzian", "sws+lorentzian"])
+    def test_flags_agree_with_measured_errors(self, key):
+        # flagged exactly where Euler's error at N = 80 exceeds the raw
+        # series'; the sawtooth's terms vanish at +-pi, where the raw
+        # series converges at the pole's rate (penalty_flags)
+        series = get_function(key).series
+        skip = (-math.pi, 0.0, math.pi) if key == "sws+lorentzian" else (0.0,)
+        for sample in acceleration_penalty_region(series.singularities, 13):
+            if any(abs(sample.x - x) < 1e-12 for x in skip):
+                continue
+            raw, euler = (
+                pointwise_error(series, sample.x, 80, FilterSpec(kind))
+                for kind in ("identity", "euler")
+            )
+            assert sample.flagged == (euler > raw), (sample.x, raw, euler)
 
 
 def mp_least_squares(n, y, alpha):

@@ -22,6 +22,7 @@ from gibbsaccel.filters import (
     _euler_sigma_table,
 )
 from gibbsaccel.rates import (
+    METRIC_CAP,
     SingularitySet,
     delta_truncation_error,
     fit_rate,
@@ -452,7 +453,8 @@ def reference_rho_curve(function_key, resolution, p=None, phi=None):
     header += [f"zeta_off{j}" for j in range(len(sings.off_axis))]
     if sings.off_axis:
         header.append("penalty")
-        rho_raw = math.exp(min(abs(s.tau) for s in sings.off_axis))
+        real = sings.real_singularity is not None
+        rho_raw = 1.0 if real else math.exp(min(abs(s.tau) for s in sings.off_axis))
     rows = []
     for i in range(resolution):
         x = -math.pi + 2.0 * math.pi * i / (resolution - 1)
@@ -463,7 +465,9 @@ def reference_rho_curve(function_key, resolution, p=None, phi=None):
         for s in sings.off_axis:
             row.append(zeta_image_modulus(math.exp(abs(s.tau)), x - s.sigma))
         if sings.off_axis:
-            flagged = pred.rho < rho_raw and pred.dominating >= 0
+            flagged = pred.rho < min(rho_raw, METRIC_CAP)
+            if not real:  # the cap-free rule: an off-axis image binds
+                assert flagged == (pred.rho < rho_raw and pred.dominating >= 0)
             row.append(int(flagged))
         rows.append(row)
     comments = [meta_line(fn=function_key), meta_line(resolution=resolution)]
