@@ -32,15 +32,16 @@ J = floor(w/15) and its Poisson mean s = w*theta^2/2.  The check that
 each row's w once, and everything else reads it.
 
 ``filter_weights`` is the one entry point to the Erfc-Log and HDAF
-weights.  It takes one degree or a list of them; for a list it weights
-every row in one pass (one Erfc-Log array call; one HDAF sum over the
-shallow rows and one expansion over the deep ones) and returns the rows
-concatenated, each bit-identical to its one-degree table.  An empty list,
+weights.  It takes one degree or a list of them, and a list of degrees
+does not decrease (a degree may repeat); for a list it weights every row
+in one pass (one Erfc-Log array call; one HDAF sum over the shallow rows
+and one expansion over the deep ones) and returns the rows concatenated,
+each bit-identical to its one-degree table.  An empty or decreasing list,
 a degree at or beyond 2^53, or, for Erfc-Log and HDAF, a top row with
 w/15 (HDAF's depth) at or beyond 2^53 raises ValueError before any array
 is built.  The Erfc-Log order and the HDAF depth grow with w, so one
-check on the top row covers every row, and the kernels beneath
-``filter_weights`` check nothing.
+check on the top row covers every row, the HDAF rows come in depth
+order, and the kernels beneath ``filter_weights`` check nothing.
 
 Both adaptive filters fall from 1 to 0 in a transition band, around
 theta = 1/2 (Erfc-Log) or the Poisson cut s = J+1 (HDAF).
@@ -441,20 +442,15 @@ def _hdaf_rows(theta, widths: np.ndarray, sizes: list) -> np.ndarray:
     ``sizes[r]`` entries of the flat array ``theta``, of width
     ``widths[r]``.  Rows below depth ``_HDAF_TEMME_DEPTH`` take the
     finite sum (``_poisson_weights``), the others Temme's expansion
-    (``_temme_weights``), each a fixed number of numpy steps.  Both need
-    the rows in nondecreasing depth; a trace's rows are, and other
-    batches have their entries sorted by depth and put back after.  The
-    depths are not checked here: ``filter_weights`` checks the top row's
-    before ``theta`` exists.  Every entry depends on its own row alone,
-    so it is bit-identical to a one-row call.
+    (``_temme_weights``), each a fixed number of numpy steps.  The split
+    and the finite sum need the rows in nondecreasing depth, which
+    nondecreasing degrees give (``filter_weights`` rejects any other
+    list).  The depths are not checked here: ``filter_weights`` checks
+    the top row's before ``theta`` exists.  Every entry depends on its
+    own row alone, so it is bit-identical to a one-row call.
     """
     depths = np.floor(widths / _HDAF_DEPTH_DIVISOR).astype(int).tolist()
     s = np.repeat(widths, sizes) * np.square(theta) / 2.0
-    order = None
-    if depths != sorted(depths):
-        order = np.argsort(np.repeat(depths, sizes), kind="stable")
-        rank = sorted(range(len(depths)), key=depths.__getitem__)
-        depths, sizes, s = [depths[r] for r in rank], [sizes[r] for r in rank], s[order]
     split = bisect_left(depths, _HDAF_TEMME_DEPTH)
     cut = sum(sizes[:split])
     w = np.empty_like(s)
@@ -462,20 +458,19 @@ def _hdaf_rows(theta, widths: np.ndarray, sizes: list) -> np.ndarray:
         w[:cut] = _poisson_weights(s[:cut], depths[:split], sizes[:split])
     if split < len(depths):
         w[cut:] = _temme_weights(s[cut:], depths[split:], sizes[split:])
-    if order is not None:
-        w[order] = w.copy()
     return w
 
 
 def _poisson_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
     """exp(-s) * sum_{j<=J} s^j/j! for rows of nondecreasing depth J.
 
-    Horner's rule in s from the top depth down: the entries of depth at
-    least j are a suffix of ``s``, and step j multiplies that suffix by s
-    and adds 1/j!.  An entry's own first step is 0*s + 1/J!, so its bits
-    do not depend on the deeper rows beside it.  All terms are positive:
-    the relative error grows like J*eps, and the exp(-s) * sum that can
-    round above 1 is clamped to 1.
+    Horner's rule in s from the top depth down: the rows come in
+    nondecreasing depth, so the entries of depth at least j are a suffix
+    of ``s``, and step j multiplies that suffix by s and adds 1/j!.  An
+    entry's own first step is 0*s + 1/J!, so its bits do not depend on
+    the deeper rows beside it.  All terms are positive: the relative
+    error grows like J*eps, and the exp(-s) * sum that can round above 1
+    is clamped to 1.
     """
     starts = list(accumulate(sizes, initial=0))
     acc = np.zeros_like(s)
@@ -524,10 +519,10 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
 
 
 def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:
-    """N, an int or a list of degrees, as a list, after the checks that
-    ``filter_weights`` documents on the degrees and the distance; with
-    each row's N as a float of at least 1 (theta's divisor) and its width
-    w = that N*x_dist, as arrays."""
+    """N, an int or a nondecreasing list of degrees, as a list, after the
+    checks that ``filter_weights`` documents on the degrees and the
+    distance; with each row's N as a float of at least 1 (theta's
+    divisor) and its width w = that N*x_dist, as arrays."""
     if not x_dist >= 0:
         raise ValueError("x_dist must be nonnegative")
     degrees = np.atleast_1d(N).tolist()
@@ -544,6 +539,8 @@ def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:
     depth = widths.max() / _HDAF_DEPTH_DIVISOR
     if spec.kind in ("erfclog", "hdaf") and not depth < _MAX_EXACT_INDEX:
         raise ValueError(f"{spec.kind}: N*x_dist/15 = {depth} is not representable")
+    if degrees != sorted(degrees):
+        raise ValueError("a list of degrees must not decrease")
     return degrees, divisors, widths
 
 
@@ -567,10 +564,11 @@ def weight_bands(
     every HDAF row of width w <= 4L, since s_hi >= 2L puts n_hi at or
     beyond N there.  A row's band depends on its N and x_dist alone, not
     on the other rows.  One vectorized pass over the rows, none for Euler
-    and identity or when the top HDAF row has w <= 4L.  Raises the
-    ValueError that ``filter_weights`` raises for the same degrees and
-    distance (a NaN, negative or, for Erfc-Log and HDAF, infinite one),
-    before any array is built.
+    and identity or when the top HDAF row has w <= 4L.  ``degrees`` does
+    not decrease.  Raises the ValueError that ``filter_weights`` raises
+    for the same degrees (a decreasing list among them) and distance (a
+    NaN, negative or, for Erfc-Log and HDAF, infinite one), before any
+    array is built.
     """
     degrees, N, widths = _checked_rows(spec, degrees, x_dist)
     L = _BAND_LOG_TOL
@@ -604,22 +602,23 @@ def filter_weights(
 
     The one entry point to the HDAF and Erfc-Log weights, which read
     theta = n/N and each row's width (module docstring).  N is an int,
-    or a list of degrees, for which the rows' weight vectors come back
-    concatenated in order as one flat array: one call weights a batch of
-    a trace's rows, each entry bit-identical to its per-N table.
+    or a nondecreasing list of degrees (a degree may repeat), for which
+    the rows' weight vectors come back concatenated in order as one flat
+    array: one call weights a batch of a trace's rows, each entry
+    bit-identical to its per-N table.
     ``bands``, a list of lo and a list of hi with one entry per row
     (``weight_bands``), limits row r to its entries lo[r]..hi[r]; by
     default every row is whole.  Each weight is the same whatever the
     band.  Euler and identity ignore the value of ``x_dist``.  All
     weights are functions of |n|, so sigma(-theta) = sigma(theta) holds
     exactly.  Raises ValueError for a negative or NaN distance, for every
-    kind, for an empty list of degrees, a negative degree, or one at or
-    beyond 2^53, and for a band that is not 0 <= lo <= hi <= N, before
-    any array is built.  For Erfc-Log and HDAF it also raises when the
-    top row's width over 15 (HDAF's depth) is not finite or reaches
-    2^53, before ``theta`` exists: that one check covers every row, and
-    every Erfc-Log order is then finite and >= 1.  Neither kernel checks
-    its arguments again.
+    kind, for an empty or decreasing list of degrees, a negative degree,
+    or one at or beyond 2^53, and for a band that is not
+    0 <= lo <= hi <= N, before any array is built.  For Erfc-Log and
+    HDAF it also raises when the top row's width over 15 (HDAF's depth)
+    is not finite or reaches 2^53, before ``theta`` exists: that one
+    check covers every row, and every Erfc-Log order is then finite and
+    >= 1.  Neither kernel checks its arguments again.
     """
     degrees, divisors, widths = _checked_rows(spec, N, x_dist)
     los, his = bands or ([0] * len(degrees), degrees)

@@ -326,7 +326,11 @@ def fit_rate(ns, logs, alpha: float | None = None):
 
     The hull keeps each point whose log value is the maximum of its own
     and every later one (a suffix maximum): the monotone-decreasing upper
-    hull.  q (and alpha, when it is None) come from least squares on the
+    hull.  "Later" is in the order ns are given, which is n order only
+    when they ascend; both callers pass them ascending
+    (``sweeps.fit_envelope`` sorts its rows by N, and
+    ``conformal.estimate_radius`` passes the orders from nonzero()).
+    q (and alpha, when it is None) come from least squares on the
     hull points, solved in closed form on centred columns: with dn, dl
     and dy the hull's n, log n and logs less their means, a fitted alpha
     is -(r.s)/(r.r), where r and s are dl and dy with their dn components

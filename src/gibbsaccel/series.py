@@ -155,13 +155,15 @@ def _filtered_sums(
     series: FourierSeries, x: float, degrees: list[int], specs: list[FilterSpec]
 ) -> list[list[complex]]:
     """``filtered_partial_sum`` for each spec (outer) and each N in degrees
-    (inner), every one a prefix of a single fold at the largest N: Euler
-    rows of a dense trace from one re-expansion, every other row from
-    weight tables."""
+    (inner, nondecreasing, checked before the fold), every one a prefix
+    of a single fold at the largest N: Euler rows of a dense trace from
+    one re-expansion, every other row from weight tables."""
     if not degrees:
         raise ValueError("need at least one degree")
     if min(degrees) < 0:
         raise ValueError(f"truncation degree {min(degrees)} is negative")
+    if list(degrees) != sorted(degrees):  # degrees may be a range
+        raise ValueError("a list of degrees must not decrease")
     x_dist = series.real_singularity_distance(x)
     a = series.folded(x, max(degrees))
     dense = len(degrees) > 1 and max(degrees) ** 2 <= _DENSE_RATIO * (
@@ -235,11 +237,12 @@ def trace_errors(
     the prefix a_0..a_N of that fold (see the module docstring for the
     two routes): every error is bit-identical to ``pointwise_error`` at
     that N, except the Euler rows of a dense trace, which agree with it
-    to well within a saturation floor.  Raises
+    to well within a saturation floor.  ``degrees`` does not decrease (a
+    degree may repeat), as ``filters.filter_weights`` requires.  Raises
     ValueError when the series has no exact evaluator, when x is not
-    finite or is a declared real singularity (before any array is
-    built), when ``degrees`` is empty, or when a degree is outside
-    [0, n_max].
+    finite or is a declared real singularity, when ``degrees`` is empty
+    or decreases (each before any array is built), or when a degree is
+    outside [0, n_max].
     """
     if series.exact_eval is None:
         raise ValueError("series has no exact evaluator")

@@ -189,21 +189,25 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
     has no law, the alpha that ``fit_line`` prints, so a refit never
     changes the trace's fit record.  The rows that may enter are the
     unsaturated ones with 0 < error < inf and N >= 1 (the model takes
-    log N).  ``rates.fit_rate`` fits them with that alpha held fixed: the
-    envelope is the suffix-maximum hull of log(error) vs N, and A is
-    anchored so that A*exp(-q*N)/N^alpha bounds every envelope point, a
-    tight upper envelope of the whole trace.  Stores the hull on
-    ``trace.envelope`` and the fit on ``trace.fit``, and returns
-    (A, q_hat).  Raises InsufficientDataError, keeping the hull and
-    leaving ``trace.fit`` as it was, when the hull has fewer than
-    ``MIN_ENVELOPE_POINTS`` points or sits at fewer than three distinct N
-    (rows a caller appended with a repeated N), which fix no slope.
+    log N).  The rows may come in any order (``parse_sweep_csv`` keeps a
+    file's): they are taken in ascending N, by a stable sort, so rows
+    with a repeated N stay in order.  ``rates.fit_rate`` fits them with
+    that alpha held fixed: the envelope is the suffix-maximum hull of
+    log(error) vs N, and A is anchored so that A*exp(-q*N)/N^alpha bounds
+    every envelope point, a tight upper envelope of the whole trace.
+    Stores the hull on ``trace.envelope`` (row indices in N order) and
+    the fit on ``trace.fit``, and returns (A, q_hat).  Raises
+    InsufficientDataError, keeping the hull and leaving ``trace.fit`` as
+    it was, when the hull has fewer than ``MIN_ENVELOPE_POINTS`` points
+    or sits at fewer than three distinct N (rows a caller appended with a
+    repeated N), which fix no slope.
     """
     usable = [
         (i, r.N, math.log(r.error))
         for i, r in enumerate(trace.rows)
         if not r.saturated and 0.0 < r.error < math.inf and r.N >= 1
     ]
+    usable.sort(key=lambda row: row[1])  # stable: a repeated N keeps its rows
     index, ns, logs = np.array(usable).reshape(-1, 3).T
     hull, log_a, q_hat, _ = fit_rate(ns, logs, trace.law.alpha if trace.law else 1.0)
     trace.envelope = index[hull].astype(int).tolist()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbsaccel.catalog import make_sws
 from gibbsaccel.filters import (
     VALID_KINDS,
     FilterSpec,
@@ -30,7 +31,7 @@ from gibbsaccel.filters import (
     _hdaf_rows,
     _kept_euler_sigma_table,
 )
-from gibbsaccel.series import _weight_batches
+from gibbsaccel.series import _weight_batches, pointwise_error, trace_errors
 
 
 class TestEulerMu:
@@ -224,7 +225,7 @@ class TestErfcLog:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        degrees=st.lists(st.integers(0, 1600), min_size=1, max_size=6),
+        degrees=st.lists(st.integers(0, 1600), min_size=1, max_size=6).map(sorted),
         x_dist=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
     )
     def test_rows_are_erfclog_sigma(self, degrees, x_dist):
@@ -390,17 +391,23 @@ class TestHdaf:
         # same bits alone and in a batch with rows of other depths
         w = filter_weights(FilterSpec("hdaf"), N, x_dist)
         assert_hdaf_exact(w, N, x_dist)
-        batch = filter_weights(FilterSpec("hdaf"), [3, N, 900], x_dist)
-        assert np.array_equal(batch[4 : N + 5], w)
+        degrees = sorted([3, N, 900])
+        start = sum(M + 1 for M in degrees[: degrees.index(N)])
+        batch = filter_weights(FilterSpec("hdaf"), degrees, x_dist)
+        assert np.array_equal(batch[start : start + N + 1], w)
 
     def test_one_batch_matches_plain_loop_row_by_row(self):
-        # one list call at x_dist = 3, out of depth order: depth-0 rows
-        # (N*x_dist < 15), shallow rows, both sides of _HDAF_TEMME_DEPTH
-        # and a deep row (J = 300); each row is its one-degree call, bit
-        # for bit, and within 2^-48 of Q(J+1, s)
+        # one list call at x_dist = 3: depth-0 rows (N*x_dist < 15),
+        # shallow rows, both sides of _HDAF_TEMME_DEPTH and a deep row
+        # (J = 300); each row is its one-degree call, bit for bit, and
+        # within 2^-48 of Q(J+1, s).  The same rows out of depth order
+        # are a decreasing list, which raises.
         x_dist = 3.0
         J0 = _HDAF_TEMME_DEPTH
-        degrees = [0, 1, 3, 4, 5, 9, 12, 27, 1500, 5 * J0, 2, 5 * J0 - 1, 60]
+        shuffled = [0, 1, 3, 4, 5, 9, 12, 27, 1500, 5 * J0, 2, 5 * J0 - 1, 60]
+        with pytest.raises(ValueError, match="must not decrease"):
+            filter_weights(FilterSpec("hdaf"), shuffled, x_dist)
+        degrees = sorted(shuffled)
         depths = [math.floor(N * x_dist / 15) for N in degrees]
         assert {0, 300, J0 - 1, J0} <= set(depths)
         w = filter_weights(FilterSpec("hdaf"), degrees, x_dist)
@@ -607,7 +614,7 @@ class TestWeightBands:
 
     @pytest.mark.parametrize("kind", VALID_KINDS)
     def test_batch_of_bands_is_the_rows_slices(self, kind):
-        degrees, x_dist = [0, 40, 1500, 7, 900], 2.5
+        degrees, x_dist = [0, 7, 40, 900, 1500], 2.5
         los, his = weight_bands(FilterSpec(kind), degrees, x_dist)
         got = filter_weights(FilterSpec(kind), degrees, x_dist, (los, his))
         rows = [filter_weights(FilterSpec(kind), N, x_dist) for N in degrees]
@@ -660,6 +667,34 @@ class TestFilterWeights:
     def test_empty_degree_list_rejected(self, kind):
         with pytest.raises(ValueError, match="at least one degree"):
             filter_weights(FilterSpec(kind), [], 0.5)
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_decreasing_degree_list_rejected_before_any_array(self, kind):
+        # a list of degrees does not decrease: the top row's 2*10^6 weights,
+        # and the trace's fold at that degree, would take tens of megabytes
+        spec, sws = FilterSpec(kind), make_sws().series
+        calls = [
+            lambda: filter_weights(spec, [2_000_000, 5], 1.0),
+            lambda: weight_bands(spec, [2_000_000, 5], 1.0),
+            lambda: trace_errors(sws, 1.0, [2_000_000, 5], [spec]),
+        ]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="must not decrease"):
+                    call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
+        # a repeated degree is allowed: its rows are equal (a two-row Euler
+        # trace is dense, so its rows agree with the one-row sum to rounding)
+        row = filter_weights(spec, 5, 1.0)
+        assert np.array_equal(filter_weights(spec, [5, 5], 1.0), np.tile(row, 2))
+        (lo,), (hi,) = weight_bands(spec, [5], 1.0)
+        assert weight_bands(spec, [5, 5], 1.0) == ([lo, lo], [hi, hi])
+        ((first, second),) = trace_errors(sws, 1.0, [5, 5], [spec])
+        assert first == second == pytest.approx(pointwise_error(sws, 1.0, 5, spec))
 
     def test_degenerate_degree(self):
         for kind in ("identity", "euler", "erfclog", "hdaf"):
@@ -720,7 +755,7 @@ class TestWeightProperties:
         kind=st.sampled_from(["identity", "euler", "erfclog", "hdaf"]),
         degrees=st.lists(
             st.one_of(st.integers(0, 1), st.integers(0, 1500)), min_size=1, max_size=8
-        ),
+        ).map(sorted),
         x_dist=st.one_of(st.just(0.0), st.floats(0.0, math.pi)),
     )
     def test_degree_list_concatenates_rows(self, kind, degrees, x_dist):

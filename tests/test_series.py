@@ -336,15 +336,16 @@ class TestTraceErrors:
 
     def test_rows_across_weight_batches(self):
         # several weight batches, one of them a single row larger than a
-        # batch, and runs of rows that straddle a batch boundary
+        # batch, and runs of rows, a repeated degree among them, that
+        # straddle a batch boundary
         budget = series_module._WEIGHT_BATCH_ENTRIES
         half, third = budget // 2, budget // 3
-        degrees = [2, half, half, budget + 5, 3, third, third, third, third, 0]
+        degrees = [0, 2, 3, third, third, third, third, half - 9, half, budget + 5]
         sizes = [N + 1 for N in degrees]  # the batches of whole rows (Euler's)
         batches = [degrees[rows] for rows in series_module._weight_batches(sizes)]
         assert [budget + 5] in batches
-        assert [2, half] in batches and [half] in batches
-        assert sum(len(b) > 1 for b in batches) >= 3
+        assert [0, 2, 3, third, third] in batches and [third, third] in batches
+        assert [half - 9, half] in batches
         series = FourierSeries(
             coeff=lambda n: 1.0, n_max=budget + 5, exact_eval=lambda x: 0.0
         )

@@ -157,6 +157,15 @@ class TestFitEnvelope:
         with pytest.raises(AttributeError):
             row.error = 1.0
 
+    def test_rows_in_descending_order(self):
+        # the hull is taken in N order, not in the order rows were appended
+        config = ExperimentConfig("sws", xs=(1.9635,), n_min=5, n_max=50)
+        (trace,) = sweep_errors(config)
+        backward = ErrorTrace(trace.x, "euler", trace.rows[::-1], law=trace.law)
+        assert fit_envelope(backward) == trace.fit
+        hull = [backward.rows[i] for i in backward.envelope]
+        assert hull == [trace.rows[i] for i in trace.envelope]
+
     def test_degree_zero_row_never_fitted(self):
         trace = synthetic_trace(2.0, 0.5, range(1, 40))
         fit = fit_envelope(trace)
@@ -620,6 +629,26 @@ class TestCli:
         _, fields = parse_meta(text)
         assert "q_hat" in fields and "q_predicted" in fields
         assert fields["rel_gap"] < 0.05
+
+    def test_envelope_reads_rows_in_any_order(self, tmp_path, capsys):
+        # README's sweep with its N = 29 and N = 30 rows swapped, and with
+        # every row reversed: the refit is the original file's, line for line
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--fn", "sws", "--x", "1.9635", "--n-min", "5",
+              "--n-max", "50", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["envelope", "--in", str(out)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        lines = out.read_text().splitlines()
+        start = lines.index(",".join(SWEEP_HEADER)) + 1
+        head, rows = lines[:start], lines[start:]
+        k = [row.split(",")[2] for row in rows].index("29")
+        assert rows[k + 1].split(",")[2] == "30"
+        swapped = rows[:k] + [rows[k + 1], rows[k]] + rows[k + 2 :]
+        for order in (swapped, rows[::-1]):
+            out.write_text("\n".join(head + order) + "\n")
+            assert main(["envelope", "--in", str(out)]) == EXIT_OK
+            assert capsys.readouterr().out == expected
 
     def test_envelope_fits_delta_with_its_pole_alpha(self, tmp_path, capsys):
         # the refit is the sweep's own fit, with alpha 0, not 1
