@@ -31,17 +31,29 @@ J = floor(w/15) and its Poisson mean s = w*theta^2/2.  The check that
 ``filter_weights`` and ``weight_bands`` share (``_checked_rows``) forms
 each row's w once, and everything else reads it.
 
+Degrees.  A degree is an int N with 0 <= N < 2^53 (``_MAX_EXACT_INDEX``).
+A list of degrees is a 1-D list, tuple, range or integer array, or one
+int; it holds at least one degree and does not decrease (a degree may
+repeat).  ``_checked_degrees`` is the one check of this rule: it returns
+the degrees as a list and raises ValueError ("need at least one degree",
+"N must be >= 0", "... is not representable", "a list of degrees must
+not decrease", in that order of precedence) before any per-entry array
+is built; a 2-D array raises TypeError.  ``filter_weights``,
+``weight_bands`` and, in ``series``, ``trace_errors`` (with
+``filtered_partial_sum`` and ``pointwise_error``) and
+``saturation_floor`` all take their degrees through it.  The bound
+N <= n_max belongs to a series and is checked by
+``series.FourierSeries.coefficients``.
+
 ``filter_weights`` is the one entry point to the Erfc-Log and HDAF
-weights.  It takes one degree or a list of them, and a list of degrees
-does not decrease (a degree may repeat); for a list it weights every row
-in one pass (one Erfc-Log array call; one HDAF sum over the shallow rows
-and one expansion over the deep ones) and returns the rows concatenated,
-each bit-identical to its one-degree table.  An empty or decreasing list,
-a degree at or beyond 2^53, or, for Erfc-Log and HDAF, a top row with
-w/15 (HDAF's depth) at or beyond 2^53 raises ValueError before any array
-is built.  The Erfc-Log order and the HDAF depth grow with w, so one
-check on the top row covers every row, the HDAF rows come in depth
-order, and the kernels beneath ``filter_weights`` check nothing.
+weights.  For a list of degrees it weights every row in one pass (one
+Erfc-Log array call; one HDAF sum over the shallow rows and one
+expansion over the deep ones) and returns the rows concatenated, each
+bit-identical to its one-degree table.  For Erfc-Log and HDAF a top row
+with w/15 (HDAF's depth) at or beyond 2^53 also raises ValueError before
+any array is built.  The Erfc-Log order and the HDAF depth grow with w,
+so one check on the top row covers every row, the HDAF rows come in
+depth order, and the kernels beneath ``filter_weights`` check nothing.
 
 Both adaptive filters fall from 1 to 0 in a transition band, around
 theta = 1/2 (Erfc-Log) or the Poisson cut s = J+1 (HDAF).
@@ -518,13 +530,9 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
     return np.clip(poly, 0.0, 1.0, out=poly)
 
 
-def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:
-    """N, an int or a nondecreasing list of degrees, as a list, after the
-    checks that ``filter_weights`` documents on the degrees and the
-    distance; with each row's N as a float of at least 1 (theta's
-    divisor) and its width w = that N*x_dist, as arrays."""
-    if not x_dist >= 0:
-        raise ValueError("x_dist must be nonnegative")
+def _checked_degrees(N) -> list:
+    """N, a degree or a list of degrees (module docstring), as a list of
+    Python ints, after the checks that the module docstring states."""
     degrees = np.atleast_1d(N).tolist()
     if not degrees:
         raise ValueError("need at least one degree")
@@ -532,6 +540,19 @@ def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
         raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")
+    if degrees != sorted(degrees):
+        raise ValueError("a list of degrees must not decrease")
+    return degrees
+
+
+def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:
+    """N as a list (``_checked_degrees``), after the distance check that
+    ``filter_weights`` documents; with each row's N as a float of at
+    least 1 (theta's divisor) and its width w = that N*x_dist, as
+    arrays."""
+    if not x_dist >= 0:
+        raise ValueError("x_dist must be nonnegative")
+    degrees = _checked_degrees(N)
     divisors = np.maximum(degrees, 1.0)
     with np.errstate(over="ignore"):  # inf fails the check below, or is not read
         widths = divisors * x_dist
@@ -539,8 +560,6 @@ def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:
     depth = widths.max() / _HDAF_DEPTH_DIVISOR
     if spec.kind in ("erfclog", "hdaf") and not depth < _MAX_EXACT_INDEX:
         raise ValueError(f"{spec.kind}: N*x_dist/15 = {depth} is not representable")
-    if degrees != sorted(degrees):
-        raise ValueError("a list of degrees must not decrease")
     return degrees, divisors, widths
 
 
@@ -564,11 +583,11 @@ def weight_bands(
     every HDAF row of width w <= 4L, since s_hi >= 2L puts n_hi at or
     beyond N there.  A row's band depends on its N and x_dist alone, not
     on the other rows.  One vectorized pass over the rows, none for Euler
-    and identity or when the top HDAF row has w <= 4L.  ``degrees`` does
-    not decrease.  Raises the ValueError that ``filter_weights`` raises
-    for the same degrees (a decreasing list among them) and distance (a
-    NaN, negative or, for Erfc-Log and HDAF, infinite one), before any
-    array is built.
+    and identity or when the top HDAF row has w <= 4L.  ``degrees`` is a
+    list of degrees (module docstring).  Raises the ValueError that
+    ``filter_weights`` raises for the same degrees and distance (a NaN,
+    negative or, for Erfc-Log and HDAF, infinite one), before any array
+    is built.
     """
     degrees, N, widths = _checked_rows(spec, degrees, x_dist)
     L = _BAND_LOG_TOL
@@ -601,24 +620,23 @@ def filter_weights(
     """Weight table sigma(|n|) for |n| = 0..N at truncation degree N.
 
     The one entry point to the HDAF and Erfc-Log weights, which read
-    theta = n/N and each row's width (module docstring).  N is an int,
-    or a nondecreasing list of degrees (a degree may repeat), for which
-    the rows' weight vectors come back concatenated in order as one flat
-    array: one call weights a batch of a trace's rows, each entry
-    bit-identical to its per-N table.
+    theta = n/N and each row's width (module docstring).  N is a degree
+    or a list of degrees (module docstring), for which the rows' weight
+    vectors come back concatenated in order as one flat array: one call
+    weights a batch of a trace's rows, each entry bit-identical to its
+    per-N table.
     ``bands``, a list of lo and a list of hi with one entry per row
     (``weight_bands``), limits row r to its entries lo[r]..hi[r]; by
     default every row is whole.  Each weight is the same whatever the
     band.  Euler and identity ignore the value of ``x_dist``.  All
     weights are functions of |n|, so sigma(-theta) = sigma(theta) holds
     exactly.  Raises ValueError for a negative or NaN distance, for every
-    kind, for an empty or decreasing list of degrees, a negative degree,
-    or one at or beyond 2^53, and for a band that is not
-    0 <= lo <= hi <= N, before any array is built.  For Erfc-Log and
-    HDAF it also raises when the top row's width over 15 (HDAF's depth)
-    is not finite or reaches 2^53, before ``theta`` exists: that one
-    check covers every row, and every Erfc-Log order is then finite and
-    >= 1.  Neither kernel checks its arguments again.
+    kind, for degrees that break the module docstring's rule, and for a
+    band that is not 0 <= lo <= hi <= N, before any array is built.  For
+    Erfc-Log and HDAF it also raises when the top row's width over 15
+    (HDAF's depth) is not finite or reaches 2^53, before ``theta``
+    exists: that one check covers every row, and every Erfc-Log order is
+    then finite and >= 1.  Neither kernel checks its arguments again.
     """
     degrees, divisors, widths = _checked_rows(spec, N, x_dist)
     los, his = bands or ([0] * len(degrees), degrees)

@@ -258,8 +258,10 @@ class PenaltySample:
 
 
 def x_grid(resolution: int) -> np.ndarray:
-    """``resolution`` uniform points on [-pi, pi], ends included."""
-    if resolution < 2:
+    """``resolution`` uniform points on [-pi, pi], ends included.  Raises
+    TypeError for a resolution that is not an integer (2.5) and
+    ValueError for one below 2."""
+    if operator.index(resolution) < 2:
         raise ValueError("resolution must be >= 2")
     return -math.pi + math.tau * np.arange(resolution) / (resolution - 1)
 

@@ -54,7 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .filters import FilterSpec, filter_weights, mobius_reexpand, weight_bands
+from .filters import FilterSpec, _checked_degrees, filter_weights, mobius_reexpand
+from .filters import weight_bands
 from .rates import SingularitySet, periodic_distance
 
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory
@@ -95,7 +96,13 @@ class FourierSeries:
             raise ValueError("n_max must be >= 0")
 
     def coefficients(self, N: int) -> np.ndarray:
-        """c_n for n = -N..N as a complex array of length 2N+1."""
+        """c_n for n = -N..N as a complex array of length 2N+1.
+
+        The one check of a degree against the series: raises ValueError
+        unless 0 <= N <= n_max, before any array is built.
+        """
+        if not 0 <= N <= self.n_max:
+            raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
         ns = np.arange(-N, N + 1)
         c = np.asarray(self.coeff(ns), dtype=complex)
         return c if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
@@ -107,12 +114,10 @@ class FourierSeries:
         filter with weights sigma(|n|) gives sum sigma(n) a_n.  The phases
         take x reduced exactly into [-pi, pi] (``math.remainder``), so a
         large |x| loses no accuracy.  Raises ValueError for a non-finite
-        x and unless 0 <= N <= n_max.
+        x, and, as ``coefficients`` does, for N outside [0, n_max].
         """
         if not math.isfinite(x):
             raise ValueError(f"x={x} is not finite")
-        if not 0 <= N <= self.n_max:
-            raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
         c = self.coefficients(N)  # c[N + n] = c_n
         phase = np.exp(1j * np.arange(N + 1) * math.remainder(x, math.tau))
         a = c[N:] * phase + c[N::-1] * phase.conj()
@@ -155,18 +160,14 @@ def _filtered_sums(
     series: FourierSeries, x: float, degrees: list[int], specs: list[FilterSpec]
 ) -> list[list[complex]]:
     """``filtered_partial_sum`` for each spec (outer) and each N in degrees
-    (inner, nondecreasing, checked before the fold), every one a prefix
-    of a single fold at the largest N: Euler rows of a dense trace from
-    one re-expansion, every other row from weight tables."""
-    if not degrees:
-        raise ValueError("need at least one degree")
-    if min(degrees) < 0:
-        raise ValueError(f"truncation degree {min(degrees)} is negative")
-    if list(degrees) != sorted(degrees):  # degrees may be a range
-        raise ValueError("a list of degrees must not decrease")
+    (inner; a list of degrees as the ``filters`` module docstring states,
+    checked by ``filters._checked_degrees`` before the fold), every one a
+    prefix of a single fold at the largest N: Euler rows of a dense trace
+    from one re-expansion, every other row from weight tables."""
+    degrees = _checked_degrees(degrees)
     x_dist = series.real_singularity_distance(x)
-    a = series.folded(x, max(degrees))
-    dense = len(degrees) > 1 and max(degrees) ** 2 <= _DENSE_RATIO * (
+    a = series.folded(x, degrees[-1])
+    dense = len(degrees) > 1 and degrees[-1] ** 2 <= _DENSE_RATIO * (
         sum(degrees) + len(degrees)
     )
     return [
@@ -185,7 +186,6 @@ def _table_sums(
     per batch of bands, and each row the pairwise sum of a_0..a_{lo-1}
     (none when lo = 0) plus the pairwise sum of its weights times
     a_lo..a_hi."""
-    degrees = list(degrees)  # a range's slices are ranges, not degree lists
     los, his = weight_bands(spec, degrees, x_dist)
     add = np.add.reduce  # ndarray.sum's pairwise sum, without its wrapper
     sums = []
@@ -237,12 +237,12 @@ def trace_errors(
     the prefix a_0..a_N of that fold (see the module docstring for the
     two routes): every error is bit-identical to ``pointwise_error`` at
     that N, except the Euler rows of a dense trace, which agree with it
-    to well within a saturation floor.  ``degrees`` does not decrease (a
-    degree may repeat), as ``filters.filter_weights`` requires.  Raises
-    ValueError when the series has no exact evaluator, when x is not
-    finite or is a declared real singularity, when ``degrees`` is empty
-    or decreases (each before any array is built), or when a degree is
-    outside [0, n_max].
+    to well within a saturation floor.  ``degrees`` is a list of degrees
+    as the ``filters`` module docstring states.  Raises ValueError when
+    the series has no exact evaluator, when x is not finite or is a
+    declared real singularity, when ``degrees`` breaks that rule, or when
+    the top degree is beyond n_max (``FourierSeries.coefficients``), each
+    before any array is built.
     """
     if series.exact_eval is None:
         raise ValueError("series has no exact evaluator")
@@ -266,18 +266,16 @@ def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.n
 
     100 times machine epsilon times sum of |c_n| over |n| <= N;
     measured errors under this floor are roundoff, not truncation.  N is
-    an int, giving a float, or an integer array of degrees, giving the
-    floors of the same shape from one coefficient call at the largest
-    degree and a cumulative sum over |n|.  Raises ValueError, as
-    ``FourierSeries.folded`` does, unless every degree is in [0, n_max].
+    a degree, giving a float, or a list of degrees (the ``filters``
+    module docstring), giving an array of their floors, from one
+    coefficient call at the largest degree and a cumulative sum over
+    |n|.  Raises the ValueError of ``filters._checked_degrees``, and that
+    of ``FourierSeries.coefficients`` for a degree beyond n_max.
     """
-    degrees = np.asarray(N)
-    top = int(degrees.max())
-    for end in (int(degrees.min()), top):
-        if not 0 <= end <= series.n_max:
-            raise ValueError(f"truncation degree {end} outside [0, n_max={series.n_max}]")
+    top = _checked_degrees(N)[-1]
     mag = np.abs(series.coefficients(top))  # mag[top + n] = |c_n|
     pairs = mag[top + 1 :] + mag[:top][::-1]  # |c_n| + |c_-n|, n = 1..top
     totals = mag[top] + np.concatenate(([0.0], np.cumsum(pairs)))
-    floors = 100.0 * np.finfo(float).eps * totals[degrees]
+    # index by N as an array: a tuple index would select several axes
+    floors = 100.0 * np.finfo(float).eps * totals[np.asarray(N)]
     return float(floors) if floors.ndim == 0 else floors

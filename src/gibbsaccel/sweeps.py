@@ -105,12 +105,15 @@ class ExperimentConfig:
         return range(self.n_min, self.n_max + 1, self.n_stride)
 
     def validate(self) -> TestFunction:
-        """Check the request; returns the catalog entry it names."""
+        """Check the request; returns the catalog entry it names.  A sweep
+        names at least one filter and one x, and none of either twice."""
         if self.n_stride < 1:
             raise ConfigError("stride must be >= 1")
         degrees = self.degrees()
         if not degrees:
             raise ConfigError("empty truncation-degree range")
+        if not self.filters or not self.xs:
+            raise ConfigError("need at least one filter and one x")
         for k, kind in enumerate(self.filters):
             if kind not in VALID_KINDS:
                 raise ConfigError(f"unknown filter kind {kind!r}")
@@ -119,9 +122,11 @@ class ExperimentConfig:
         fn = _resolve_function(self.function_key, self.p, self.phi)
         if degrees[0] < 0 or degrees[-1] > fn.series.n_max:
             raise ConfigError(f"truncation degree outside [0, n_max={fn.series.n_max}]")
-        for x in self.xs:
+        for k, x in enumerate(self.xs):
             if not math.isfinite(x):
                 raise ConfigError(f"x={x} is not finite")
+            if x in self.xs[:k]:
+                raise ConfigError(f"x={x} named twice")
             if fn.series.singularities.real_distance(x) == 0.0:
                 raise ConfigError(f"x={x} sits on the real singularity")
         return fn
@@ -312,7 +317,8 @@ def rho_curve(
     exist.  All columns come from one ``rates.image_table`` call over the
     grid, bit-identical to ``rho_of_x`` point by point.  A resolution
     outside [2, ``DEFAULT_N_MAX``] is a ConfigError, raised before any
-    array is built.
+    array is built; one that is not an integer raises TypeError
+    (``rates.x_grid``).
     """
     if not 2 <= resolution <= DEFAULT_N_MAX:
         raise ConfigError(f"resolution must be in [2, {DEFAULT_N_MAX}]")

@@ -31,7 +31,12 @@ from gibbsaccel.filters import (
     _hdaf_rows,
     _kept_euler_sigma_table,
 )
-from gibbsaccel.series import _weight_batches, pointwise_error, trace_errors
+from gibbsaccel.series import (
+    _weight_batches,
+    pointwise_error,
+    saturation_floor,
+    trace_errors,
+)
 
 
 class TestEulerMu:
@@ -422,8 +427,8 @@ class TestHdaf:
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_batch_on_one_side_of_the_cut(self, side):
         # every entry of the batch on one side of the cut s = J+1, rows in
-        # falling depth; each row is its one-row call, bit for bit
-        x_dist, degrees = 3.0, [1500, 1200, 700]
+        # rising depth; each row is its one-row call, bit for bit
+        x_dist, degrees = 3.0, [700, 1200, 1500]
         rows, ss = [], []
         for N in degrees:
             J1 = math.floor(N * x_dist / 15) + 1.0
@@ -712,6 +717,60 @@ class TestFilterWeights:
 #: (7896 weights, degrees 5, 70, ..., 980): measured 1.08 MB for HDAF and
 #: 0.82 MB for Erfc-Log (137 and 103 bytes a weight), under bounds set
 #: when they were 1.25 MB and 0.95 MB.
+#: One list of degrees in each form that the ``filters`` module docstring
+#: accepts.
+DEGREE_FORMS = {
+    "list": [0, 15, 30, 45],
+    "tuple": (0, 15, 30, 45),
+    "range": range(0, 46, 15),
+    "int64": np.array([0, 15, 30, 45], dtype=np.int64),
+}
+
+
+def degree_callers(kind):
+    """Every public function that takes a list of degrees, at x = 1 on
+    the sawtooth (x_dist = 1)."""
+    spec, sws = FilterSpec(kind), make_sws().series
+    return {
+        "filter_weights": lambda N: filter_weights(spec, N, 1.0),
+        "weight_bands": lambda N: weight_bands(spec, N, 1.0),
+        "trace_errors": lambda N: trace_errors(sws, 1.0, N, [spec]),
+        "saturation_floor": lambda N: saturation_floor(sws, N),
+    }
+
+
+class TestDegreeLists:
+    """One rule for a list of degrees (``filters._checked_degrees``)."""
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    @pytest.mark.parametrize("caller", list(degree_callers("euler")))
+    def test_every_form_gives_the_same_result(self, caller, kind):
+        call = degree_callers(kind)[caller]
+        want = call(DEGREE_FORMS["list"])
+        for form, degrees in DEGREE_FORMS.items():
+            got = call(degrees)
+            assert type(got) is type(want), form
+            assert np.array_equal(got, want), form
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [
+            ([], "need at least one degree"),
+            ([3, -1], "N must be >= 0"),
+            ([5, 3], "a list of degrees must not decrease"),
+            ([2**53], "degree 9007199254740992 is not representable: need N < 2^53"),
+        ],
+        ids=["empty", "negative", "decreasing", "2^53"],
+    )
+    def test_every_caller_raises_the_same_error(self, degrees, message, kind):
+        for caller, call in degree_callers(kind).items():
+            for form in (list, tuple, np.array):
+                with pytest.raises(ValueError) as raised:
+                    call(form(degrees))
+                assert str(raised.value) == message, (caller, form)
+
+
 PEAK_BATCH_BYTES = {"hdaf": 1.40e6, "erfclog": 1.05e6}
 
 

@@ -393,6 +393,16 @@ class TestImageTable:
         with pytest.raises(ValueError):
             x_grid(1)
 
+    def test_grid_needs_an_integer_resolution(self):
+        # x_grid(2.5) would give [-pi, 1.047, 5.236], a point beyond pi
+        for call in (
+            lambda: x_grid(2.5),
+            lambda: acceleration_penalty_region(lorentzian_set(0.2), 4.5),
+        ):
+            with pytest.raises(TypeError):
+                call()
+        assert x_grid(np.int64(5)).tolist() == x_grid(5).tolist()
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -253,6 +253,22 @@ class TestSweepErrors:
         with pytest.raises(ConfigError):
             ExperimentConfig("heaviside", xs=(1.0,)).validate()
 
+    @pytest.mark.parametrize(
+        "filters, xs, message",
+        [
+            ((), (1.0,), "at least one filter"),
+            (("euler",), (), "one x"),
+            (("euler",), (1.0, 1.0), "x=1.0 named twice"),
+        ],
+        ids=["no-filter", "no-x", "repeated-x"],
+    )
+    def test_sweep_that_cannot_be_read_back_rejected(self, filters, xs, message):
+        # with no filter the sweep would fail inside; with no x, or an x
+        # twice, it would write a file that envelope cannot read
+        config = ExperimentConfig("sws", filters, xs, n_min=5, n_max=30)
+        with pytest.raises(ConfigError, match=message):
+            sweep_errors(config)
+
     def test_saturation_marks_tiny_errors(self):
         config = ExperimentConfig(
             "lorentzian", xs=(0.5,), p=0.05, n_min=2, n_max=60
@@ -537,6 +553,11 @@ class TestRhoCurve:
     def test_rejects_bad_resolution(self):
         with pytest.raises(ConfigError):
             rho_curve("sws", 1)
+
+    def test_rejects_non_integer_resolution(self):
+        # 2.5 points would put the last one beyond pi
+        with pytest.raises(TypeError):
+            rho_curve("sws", 2.5)
 
     @pytest.mark.parametrize("key", FUNCTION_KEYS)
     @pytest.mark.parametrize("p", [None, 0.8187])
