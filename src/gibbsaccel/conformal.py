@@ -155,10 +155,14 @@ def estimate_radius(series: PowerSeries) -> float:
     fitted too, on the upper hull of the last two thirds of the usable
     orders, and the radius is e^q.  Orders whose |b_n| is below
     ``RADIUS_NOISE_FLOOR`` times the largest one, at the end of the
-    series, are not usable.  Raises ValueError with fewer than 16 nonzero
-    coefficients, when every order >= 1 is below the noise floor, and
-    when fewer than three orders lie on the hull (growing coefficients,
-    a radius below 1, are one such case).
+    series, are not usable.  Where fewer than three orders of that tail
+    lie on its hull, the series reached roundoff within a few orders
+    (sws within 1e-3 of pi, where |b_n| falls like cos(x/2)^n), and the
+    fit reads the leading run of consecutive orders above the floor
+    instead, with alpha = 1.  Raises ValueError with fewer than 16
+    nonzero coefficients, when every order >= 1 is below the noise
+    floor, and when fewer than three orders lie on the hull of that run
+    too (growing coefficients, a radius below 1, are one such case).
     """
     mag = np.abs(series.coeffs)
     if np.count_nonzero(mag[1:]) < 16:
@@ -171,5 +175,9 @@ def estimate_radius(series: PowerSeries) -> float:
     tail = orders[len(orders) // 3 :]
     hull, _, q, _ = fit_rate(tail, np.log(mag[tail]))
     if np.isnan(q):  # fit_rate found fewer than 3 distinct orders on the hull
+        # roundoff came within a few orders: the leading run is the signal
+        lead = usable[usable - np.arange(len(usable)) == usable[0]]
+        hull, _, q, _ = fit_rate(lead, np.log(mag[lead]), 1.0)
+    if np.isnan(q):
         raise ValueError(f"only {hull.sum()} orders on the upper hull; need 3")
     return float(np.exp(q))

@@ -35,14 +35,15 @@ Degrees.  A degree is an int N with 0 <= N < 2^53 (``_MAX_EXACT_INDEX``).
 A list of degrees is a 1-D list, tuple, range or integer array, or one
 int; it holds at least one degree and does not decrease (a degree may
 repeat).  ``_checked_degrees`` is the one check of this rule: it returns
-the degrees as a list and raises ValueError ("need at least one degree",
-"N must be >= 0", "... is not representable", "a list of degrees must
-not decrease", in that order of precedence) before any per-entry array
-is built; a 2-D array raises TypeError.  ``filter_weights``,
-``weight_bands`` and, in ``series``, ``trace_errors`` (with
-``filtered_partial_sum`` and ``pointwise_error``) and
-``saturation_floor`` all take their degrees through it.  The bound
-N <= n_max belongs to a series and is checked by
+the degrees as a list, and before any per-entry array is built it
+raises, in this order of precedence, ValueError("need at least one
+degree"), TypeError("degree ... is not an integer", for 2.5) and
+ValueError("N must be >= 0", "... is not representable", "a list of
+degrees must not decrease"); a 2-D array raises TypeError.
+``filter_weights``, ``weight_bands`` and, in ``series``,
+``trace_errors`` (with ``filtered_partial_sum`` and
+``pointwise_error``) and ``saturation_floor`` all take their degrees
+through it.  The bound N <= n_max belongs to a series and is checked by
 ``series.FourierSeries.coefficients``.
 
 ``filter_weights`` is the one entry point to the Erfc-Log and HDAF
@@ -533,9 +534,14 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
 def _checked_degrees(N) -> list:
     """N, a degree or a list of degrees (module docstring), as a list of
     Python ints, after the checks that the module docstring states."""
-    degrees = np.atleast_1d(N).tolist()
+    array = np.atleast_1d(N)
+    degrees = array.tolist()
     if not degrees:
         raise ValueError("need at least one degree")
+    if array.dtype.kind not in "iub":  # an object array may hold ints past int64
+        for degree in degrees:
+            if not isinstance(degree, int):
+                raise TypeError(f"degree {degree} is not an integer")
     if min(degrees) < 0:
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array

@@ -21,12 +21,14 @@ cap alpha = 1, from the log branch at infinity of ``log2``, the one
 catalog entry whose inflated function is singular there.
 
 The law is declared once, in ``_constraints``: the cap, then the real
-image, then each off-axis image, each with its alpha, as floats for one
-x or as arrays for an array of x (``periodic_distance`` and
-``zeta_image_modulus`` take either).  ``rho_of_x`` takes the first
-minimum of that list at one point; ``image_table`` stacks it over a grid
-and takes the first ``argmin`` (``rho_curve``,
-``acceleration_penalty_region``), so the two agree bit for bit.
+image, then each off-axis image, each named by its ``rho`` CSV column
+(``"cap"``, ``"zeta_real"``, ``"zeta_off<j>"``) and with its alpha, as
+floats for one x or as arrays for an array of x (``periodic_distance``
+and ``zeta_image_modulus`` take either).  ``rho_of_x`` takes the first
+minimum of that list at one point and names the bound that binds;
+``image_table`` stacks it over a grid and takes the minimum
+(``rho_curve``, ``acceleration_penalty_region``), so the two agree bit
+for bit.
 
 The measured rate is fitted here too, by ``fit_rate``: one least-squares
 fit of log A - q*n - alpha*log n to the upper hull of a log-magnitude
@@ -47,11 +49,6 @@ import numpy as np
 
 #: The re-summation map is singular at 2, capping every achievable rate.
 METRIC_CAP = 2.0
-
-#: ``image_table`` codes for the dominating constraint; an off-axis
-#: singularity is coded by its index (>= 0) in ``SingularitySet.off_axis``.
-DOMINATED_BY_METRIC = -2
-DOMINATED_BY_REAL = -1
 
 #: The largest |tau| whose modulus r = e^|tau| still has a finite square
 #: r*r in ``zeta_image_modulus``; the image of a deeper pole,
@@ -136,18 +133,18 @@ class RatePrediction:
     Where the real image binds, q = -log cos(d/2) is computed from the
     distance d as -log1p(-2 sin^2(d/4)), not from the rounded rho: it
     stays positive and accurate to a few ulps as d -> 0, where rho
-    rounds to 1.  ``dominating`` codes the binding constraint as
-    ``image_table`` does: ``DOMINATED_BY_METRIC`` for the cap introduced
-    by the map, ``DOMINATED_BY_REAL`` for the on-axis singularity image,
-    or the index (>= 0) into the off-axis list.  ``alpha`` is the power
-    law of that constraint: the error falls like e^(-qN)/N^alpha.  At the
-    real singularity itself rho = 1 and q = 0: no pointwise acceleration
-    is possible.
+    rounds to 1.  ``dominating`` names the binding bound by its ``rho``
+    CSV column: ``"cap"`` for the cap introduced by the map,
+    ``"zeta_real"`` for the on-axis singularity image, or
+    ``"zeta_off<j>"`` for entry j of the off-axis list.  ``alpha`` is the
+    power law of that constraint: the error falls like e^(-qN)/N^alpha.
+    At the real singularity itself rho = 1 and q = 0: no pointwise
+    acceleration is possible.
     """
 
     rho: float
     q: float
-    dominating: int
+    dominating: str
     alpha: float
 
 
@@ -171,9 +168,9 @@ def zeta_image_modulus(r: float, theta):
         return 2.0 * r / denom
 
 
-def _constraints(sings: SingularitySet, x) -> list[tuple[int, float, float]]:
-    """Every bound on rho at x (float or array): its ``dominating`` code,
-    the bound and its alpha.
+def _constraints(sings: SingularitySet, x) -> list[tuple[str, float, float]]:
+    """Every bound on rho at x (float or array): its name (its ``rho``
+    CSV column), the bound and its alpha.
 
     In order: the metric cap, the real image (inf at d = pi), then each
     off-axis image.  A minimum over the list that keeps the first of
@@ -184,16 +181,16 @@ def _constraints(sings: SingularitySet, x) -> list[tuple[int, float, float]]:
     if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
         raise ValueError("x must be finite")
     # the cap's alpha is 1, from log2's log branch at infinity
-    bounds = [(DOMINATED_BY_METRIC, METRIC_CAP, 1.0)]
+    bounds = [("cap", METRIC_CAP, 1.0)]
     if sings.real_singularity is not None:
         image = zeta_image_modulus(1.0, sings.real_distance(x))
-        bounds.append((DOMINATED_BY_REAL, image, sings.real_alpha))
+        bounds.append(("zeta_real", image, sings.real_alpha))
     # sigma + i*tau maps to modulus e^|tau| at angle +-(x - sigma); the
     # modulus reads the angle only through cos, so its sign never matters;
     # each is a simple pole, alpha 0
     for j, s in enumerate(sings.off_axis):
         image = zeta_image_modulus(math.exp(abs(s.tau)), x - s.sigma)
-        bounds.append((j, image, 0.0))
+        bounds.append((f"zeta_off{j}", image, 0.0))
     return bounds
 
 
@@ -205,12 +202,12 @@ def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
     the crossover of the on-axis image through the cap at |x| = 2*pi/3
     when no other singularity interferes) emerges from the minimum.
     """
-    code, rho, alpha = min(_constraints(sings, x), key=operator.itemgetter(1))
-    if code == DOMINATED_BY_REAL:  # cos(d/2) = 1 - 2 sin^2(d/4)
+    name, rho, alpha = min(_constraints(sings, x), key=operator.itemgetter(1))
+    if name == "zeta_real":  # cos(d/2) = 1 - 2 sin^2(d/4)
         q = -math.log1p(-2.0 * math.sin(sings.real_distance(x) / 4.0) ** 2)
     else:
         q = math.log(rho)
-    return RatePrediction(rho, q, code, alpha)
+    return RatePrediction(rho, q, name, alpha)
 
 
 def delta_truncation_error(x: float, N: int) -> complex:
@@ -244,16 +241,15 @@ def delta_truncation_error(x: float, N: int) -> complex:
 class PenaltySample:
     """One grid point of an acceleration-penalty scan.
 
-    ``rho_raw`` is the raw series' own factor, 1 with a real singularity,
-    and ``flagged`` marks points where the accelerated factor is below it,
-    capped at 2: there Euler's sum converges more slowly than the
-    truncated series, except where a jump's terms cancel (the sawtooth's
-    at x = +-pi, ``penalty_flags``).
+    ``flagged`` marks points where the accelerated factor is below the
+    raw series' own factor (1 with a real singularity), capped at 2:
+    there Euler's sum converges more slowly than the truncated series,
+    except where a jump's terms cancel (the sawtooth's at x = +-pi,
+    ``penalty_flags``).
     """
 
     x: float
     rho_euler: float
-    rho_raw: float
     flagged: bool
 
 
@@ -268,27 +264,26 @@ def x_grid(resolution: int) -> np.ndarray:
 
 def image_table(
     sings: SingularitySet, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """``rho_of_x`` over an array of x: (rho, dominating, images).
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``rho_of_x`` over an array of x: (rho, images).
 
-    ``dominating`` holds ``DOMINATED_BY_METRIC``, ``DOMINATED_BY_REAL`` or
-    the off-axis index, the same integer code as ``RatePrediction.dominating``;
-    ``images`` holds one array per declared singularity, the real one
-    first: ``zeta_image_modulus`` of its image (inf at the real image's
-    pole d = pi).  Both read ``_constraints``, so every value is
-    bit-identical to ``rho_of_x`` at that x.
+    ``images`` maps each declared singularity's ``rho`` CSV column name
+    (``_constraints``), the real one first, to ``zeta_image_modulus`` of
+    its image (inf at the real image's pole d = pi).  Both read
+    ``_constraints``, so every value is bit-identical to ``rho_of_x`` at
+    that x.
     """
     xs = np.asarray(xs, dtype=float)
-    codes, bounds, _ = zip(*_constraints(sings, xs))
+    names, bounds, _ = zip(*_constraints(sings, xs))
     table = np.stack(np.broadcast_arrays(xs, *bounds)[1:])
-    return table.min(axis=0), np.array(codes)[table.argmin(axis=0)], list(table[1:])
+    return table.min(axis=0), dict(zip(names[1:], table[1:]))
 
 
-def penalty_flags(sings: SingularitySet, rho: np.ndarray) -> tuple[float, np.ndarray]:
+def penalty_flags(sings: SingularitySet, rho: np.ndarray) -> np.ndarray:
     """The acceleration penalty over the rho of an ``image_table``.
 
-    Returns the raw series' factor and a flag per point where rho is below
-    it, capped at ``METRIC_CAP`` since no Euler rate passes 2.  The raw
+    Returns a flag per point where rho is below the raw series' factor,
+    capped at ``METRIC_CAP`` since no Euler rate passes 2.  The raw
     factor is 1 (an algebraic rate) when a real singularity is declared,
     else exp(min|tau|).  Without one, a flag therefore falls exactly where
     an off-axis image binds below exp(min|tau|); with one, nothing is
@@ -298,7 +293,7 @@ def penalty_flags(sings: SingularitySet, rho: np.ndarray) -> tuple[float, np.nda
     """
     real = sings.real_singularity is not None
     rho_raw = 1.0 if real else math.exp(min(abs(s.tau) for s in sings.off_axis))
-    return rho_raw, rho < min(rho_raw, METRIC_CAP)
+    return rho < min(rho_raw, METRIC_CAP)
 
 
 def acceleration_penalty_region(
@@ -316,11 +311,8 @@ def acceleration_penalty_region(
         raise ValueError("penalty scan needs at least one off-axis singularity")
     xs = x_grid(resolution)
     rho = image_table(sings, xs)[0]
-    rho_raw, flagged = penalty_flags(sings, rho)
-    return [
-        PenaltySample(x, r, rho_raw, f)
-        for x, r, f in zip(xs.tolist(), rho.tolist(), flagged.tolist())
-    ]
+    samples = zip(xs.tolist(), rho.tolist(), penalty_flags(sings, rho).tolist())
+    return [PenaltySample(x, r, f) for x, r, f in samples]
 
 
 def fit_rate(ns, logs, alpha: float | None = None):

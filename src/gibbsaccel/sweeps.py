@@ -311,28 +311,26 @@ def rho_curve(
     """CSV of the predicted convergence factor over a uniform x grid.
 
     Columns: x, rho, then the image modulus of each declared singularity
-    (``zeta_real`` first when present, then one ``zeta_off<j>`` per
-    declared off-axis entry, which stands for its conjugate pair), and a
-    penalty flag (``rates.penalty_flags``) when off-axis singularities
-    exist.  All columns come from one ``rates.image_table`` call over the
-    grid, bit-identical to ``rho_of_x`` point by point.  A resolution
-    outside [2, ``DEFAULT_N_MAX``] is a ConfigError, raised before any
-    array is built; one that is not an integer raises TypeError
+    under the name ``rates.image_table`` gives it (``zeta_real`` first
+    when present, then one ``zeta_off<j>`` per declared off-axis entry,
+    which stands for its conjugate pair), and a penalty flag
+    (``rates.penalty_flags``) when off-axis singularities exist.  All
+    columns come from one ``rates.image_table`` call over the grid,
+    bit-identical to ``rho_of_x`` point by point.  A resolution outside
+    [2, ``DEFAULT_N_MAX``] is a ConfigError, raised before any array is
+    built; one that is not an integer raises TypeError
     (``rates.x_grid``).
     """
     if not 2 <= resolution <= DEFAULT_N_MAX:
         raise ConfigError(f"resolution must be in [2, {DEFAULT_N_MAX}]")
     sings = _resolve_function(function_key, p, phi).series.singularities
-    header = ["x", "rho"]
-    if sings.real_singularity is not None:
-        header.append("zeta_real")
-    header += [f"zeta_off{j}" for j in range(len(sings.off_axis))]
     xs = x_grid(resolution)
-    rho, _, images = image_table(sings, xs)
-    columns = [xs, rho, *images]
+    rho, images = image_table(sings, xs)
+    header = ["x", "rho", *images]
+    columns = [xs, rho, *images.values()]
     if sings.off_axis:
         header.append("penalty")
-        columns.append(penalty_flags(sings, rho)[1].astype(int))
+        columns.append(penalty_flags(sings, rho).astype(int))
     rows = list(zip(*(column.tolist() for column in columns)))
     comments = _echo(function_key, p, phi, meta_line(resolution=resolution))
     return render_csv(comments, header, rows)

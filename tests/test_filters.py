@@ -530,9 +530,9 @@ class TestHdaf:
     def test_unrepresentable_depth_rejected(self):
         with pytest.raises(ValueError):
             filter_weights(FilterSpec("hdaf"), 100, math.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not representable"):
             # depth 200e15/15 >= 2^53; the rows at 5 and 40 are representable
-            filter_weights(FilterSpec("hdaf"), [5, 200, 40], 1e15)
+            filter_weights(FilterSpec("hdaf"), [5, 40, 200], 1e15)
 
     def test_unrepresentable_depth_rejected_before_allocation(self):
         # 10^17 + 1 weights would need petabytes; the degree check must come
@@ -754,19 +754,24 @@ class TestDegreeLists:
 
     @pytest.mark.parametrize("kind", VALID_KINDS)
     @pytest.mark.parametrize(
-        "degrees, message",
+        "degrees, error, message",
         [
-            ([], "need at least one degree"),
-            ([3, -1], "N must be >= 0"),
-            ([5, 3], "a list of degrees must not decrease"),
-            ([2**53], "degree 9007199254740992 is not representable: need N < 2^53"),
+            ([], ValueError, "need at least one degree"),
+            ([2.5], TypeError, "degree 2.5 is not an integer"),
+            ([3, -1], ValueError, "N must be >= 0"),
+            ([5, 3], ValueError, "a list of degrees must not decrease"),
+            (
+                [2**53],
+                ValueError,
+                "degree 9007199254740992 is not representable: need N < 2^53",
+            ),
         ],
-        ids=["empty", "negative", "decreasing", "2^53"],
+        ids=["empty", "non-integer", "negative", "decreasing", "2^53"],
     )
-    def test_every_caller_raises_the_same_error(self, degrees, message, kind):
+    def test_every_caller_raises_the_same_error(self, degrees, error, message, kind):
         for caller, call in degree_callers(kind).items():
             for form in (list, tuple, np.array):
-                with pytest.raises(ValueError) as raised:
+                with pytest.raises(error) as raised:
                     call(form(degrees))
                 assert str(raised.value) == message, (caller, form)
 

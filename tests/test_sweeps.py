@@ -489,10 +489,14 @@ def reference_rho_curve(function_key, resolution, p=None, phi=None):
             row.append(zeta_image_modulus(1.0, sings.real_distance(x)))
         for s in sings.off_axis:
             row.append(zeta_image_modulus(math.exp(abs(s.tau)), x - s.sigma))
+        # the binding bound is named by its column, which holds rho
+        name = pred.dominating
+        assert (METRIC_CAP if name == "cap" else row[header.index(name)]) == pred.rho
         if sings.off_axis:
             flagged = pred.rho < min(rho_raw, METRIC_CAP)
             if not real:  # the cap-free rule: an off-axis image binds
-                assert flagged == (pred.rho < rho_raw and pred.dominating >= 0)
+                off_axis = pred.dominating.startswith("zeta_off")
+                assert flagged == (pred.rho < rho_raw and off_axis)
             row.append(int(flagged))
         rows.append(row)
     comments = [meta_line(fn=function_key), meta_line(resolution=resolution)]
