@@ -20,9 +20,9 @@ provided:
   The weight is Q(J+1, s), the regularized upper incomplete gamma
   function: below depth J = 83 the finite sum exp(-s) * sum_{j<=J}
   s^j/j! by Horner's rule, from it on Temme's uniform expansion on the
-  Cody erfc, with a checked-in table of its Taylor coefficients
-  (``tools/temme_table.py``).  Neither has a convergence loop, and both
-  are within 2^-48 of mpmath.
+  Cody erfc, whose Taylor coefficients ``_temme_coefficients`` derives
+  at import by an exact recurrence.  Neither has a convergence loop, and
+  both are within 2^-48 of mpmath.
 
 An adaptive row is its width.  Both adaptive weights depend only on
 theta = n/N and on the row's width w = N*x_dist, a degree-0 row counting
@@ -36,10 +36,11 @@ A list of degrees is a 1-D list, tuple, range or integer array, or one
 int; it holds at least one degree and does not decrease (a degree may
 repeat).  ``_checked_degrees`` is the one check of this rule: it returns
 the degrees as a list, and before any per-entry array is built it
-raises, in this order of precedence, ValueError("need at least one
-degree"), TypeError("degree ... is not an integer", for 2.5) and
-ValueError("N must be >= 0", "... is not representable", "a list of
-degrees must not decrease"); a 2-D array raises TypeError.
+raises, in this order of precedence, TypeError("a list of degrees must
+be 1-D"), ValueError("need at least one degree"), TypeError("degree
+... is not an integer", naming the first non-integral entry, as 2.5 in
+[1, 2.5], else the first non-int) and ValueError("N must be >= 0",
+"... is not representable", "a list of degrees must not decrease").
 ``filter_weights``, ``weight_bands`` and, in ``series``,
 ``trace_errors`` (with ``filtered_partial_sum`` and
 ``pointwise_error``) and ``saturation_floor`` all take their degrees
@@ -198,49 +199,42 @@ _HDAF_TEMME_DEPTH = math.floor(2.0 * _BAND_LOG_TOL)
 #: 1/j! for j below ``_HDAF_TEMME_DEPTH``, each correctly rounded.
 _INV_FACTORIALS = [1 / math.factorial(j) for j in range(_HDAF_TEMME_DEPTH)]
 
-#: d_{k,n}, the eta^n Taylor coefficient of Temme's C_k(eta), row k
-#: (DLMF 8.12.12), correctly rounded; printed by tools/temme_table.py.
-_TEMME_D = (
-    (
-        -0.3333333333333333, 0.08333333333333333, -0.014814814814814815,
-        0.0011574074074074073, 0.0003527336860670194, -0.0001787551440329218,
-        3.919263178522438e-05, -2.185448510679992e-06, -1.85406221071516e-06,
-        8.296711340953087e-07, -1.7665952736826078e-07,
-    ),
-    (
-        -0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
-        -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
-        -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
-        4.647127802807434e-09, 1.378633446915721e-07,
-    ),
-    (
-        0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
-        2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
-        -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
-        -6.298992138380055e-07, 1.4280614206064242e-07,
-    ),
-    (
-        0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
-        0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
-        1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
-        -2.7861080291528143e-11, -1.6958404091930278e-07,
-    ),
-    (
-        -0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
-        -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
-        1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
-        8.907507532205309e-07, -2.292934834000805e-07,
-    ),
-    (
-        -0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
-        -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
-        -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
-        -3.252473551298454e-10, 3.4652846491085265e-07,
-    ),
-)
+def _temme_coefficients() -> list:
+    """d_{k,n}, the eta^n Taylor coefficient of Temme's C_k(eta), for
+    k = 0..5 and n = 0..10, each correctly rounded (``_temme_weights``).
 
-#: ``_TEMME_D`` for ``_horner`` in 1/a: rows k = K-1..0, each a column.
-_TEMME_ROWS = np.array(_TEMME_D)[::-1, :, None]
+    Three exact steps, in integers scaled by 2^256:
+
+    1. mu(eta) = sum_m a_m eta^m solves eta (1 + mu) = mu mu', the
+       eta-derivative of eta^2/2 = mu - log(1 + mu); so a_1 = 1 and
+       (m+1) a_m = a_{m-1} - sum_{i+j=m+1; i,j>=2} j a_i a_j;
+    2. d_{0,n} = [eta^(n+1)] eta/mu, since C_0 = 1/mu - 1/eta;
+    3. d_{k,n} = (n+2) d_{k-1,n+2} - d_{k-1,1} d_{0,n}: DLMF 8.12.12,
+       C_k = C_{k-1}'/eta + (-1)^k gamma_k/mu, whose 1/eta terms cancel,
+       so that Stirling's coefficient (-1)^k gamma_k is -d_{k-1,1}.
+
+    Row k reads row k-1 to n+2, so row 0 runs to n = 20 and mu to eta^22.
+    Each step rounds down at 2^-256, far below a double's last bit, and
+    the true division by 2^256 rounds each d_{k,n} to the nearest double.
+    """
+    one = 1 << 256
+    a, c = [0, one], [one]  # mu = sum_m a_m eta^m, eta/mu = sum_n c_n eta^n
+    for m in range(2, 23):
+        conv = sum(j * a[m + 1 - j] * a[j] for j in range(2, m))
+        a.append((a[m - 1] * one - conv) // ((m + 1) * one))
+        c.append(-sum(a[i + 1] * c[m - 1 - i] for i in range(1, m)) // one)
+    rows = [c[1:]]
+    for _ in range(5):
+        d = rows[-1]
+        rows.append(
+            [(n + 2) * d[n + 2] - d[1] * c[n + 1] // one for n in range(len(d) - 2)]
+        )
+    return [[v / one for v in row[:11]] for row in rows]
+
+
+#: Temme's coefficients for ``_horner`` in 1/a: rows k = 5..0, each a
+#: column; built once, at import.
+_TEMME_ROWS = np.array(_temme_coefficients())[::-1, :, None]
 
 #: 1/(2m+3) for m = 7..0: mu - log(1 + mu) = t*mu - 2 t^3 (1/3 + t^2/5 + ...)
 #: with t = mu/(2+mu), to 2^-54 relative for |t| <= 1/8.
@@ -535,13 +529,16 @@ def _checked_degrees(N) -> list:
     """N, a degree or a list of degrees (module docstring), as a list of
     Python ints, after the checks that the module docstring states."""
     array = np.atleast_1d(N)
+    if array.ndim != 1:
+        raise TypeError("a list of degrees must be 1-D")
     degrees = array.tolist()
     if not degrees:
         raise ValueError("need at least one degree")
     if array.dtype.kind not in "iub":  # an object array may hold ints past int64
-        for degree in degrees:
-            if not isinstance(degree, int):
-                raise TypeError(f"degree {degree} is not an integer")
+        bad = [degree for degree in degrees if not isinstance(degree, int)]
+        if bad:  # [1, 2.5] is a float array: name 2.5, not 1.0
+            first = min(bad, key=lambda d: isinstance(d, float) and d.is_integer())
+            raise TypeError(f"degree {first} is not an integer")
     if min(degrees) < 0:
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array

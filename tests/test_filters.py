@@ -758,6 +758,8 @@ class TestDegreeLists:
         [
             ([], ValueError, "need at least one degree"),
             ([2.5], TypeError, "degree 2.5 is not an integer"),
+            ([1, 2.5], TypeError, "degree 2.5 is not an integer"),
+            ([[1, 2]], TypeError, "a list of degrees must be 1-D"),
             ([3, -1], ValueError, "N must be >= 0"),
             ([5, 3], ValueError, "a list of degrees must not decrease"),
             (
@@ -766,7 +768,10 @@ class TestDegreeLists:
                 "degree 9007199254740992 is not representable: need N < 2^53",
             ),
         ],
-        ids=["empty", "non-integer", "negative", "decreasing", "2^53"],
+        ids=[
+            "empty", "non-integer", "non-integral", "2-D", "negative", "decreasing",
+            "2^53",
+        ],
     )
     def test_every_caller_raises_the_same_error(self, degrees, error, message, kind):
         for caller, call in degree_callers(kind).items():

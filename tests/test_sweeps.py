@@ -915,12 +915,15 @@ class TestCli:
 
     def test_cli_import_loads_neither_scipy_nor_mpmath(self):
         # both are test-only dependencies; scipy.special alone would add
-        # about 0.3 s and 25 MB to every CLI start
+        # about 0.3 s and 25 MB to every CLI start.  Nor fractions (which
+        # imports decimal): filters derives Temme's table in ints, where a
+        # Fraction build would add 4-9 ms
         src = str(Path(gibbsaccel.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        modules = ("scipy", "mpmath", "fractions", "decimal")
         code = (
             "import sys, gibbsaccel.cli; "
-            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+            f"print(sorted(m for m in {modules} if m in sys.modules))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
