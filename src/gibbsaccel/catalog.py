@@ -71,8 +71,9 @@ def delta_coeff(n):
 def log2_coeff(n):
     """Alternating harmonic coefficients (-1)^(n+1)/n for n >= 1, else 0."""
     if type(n) is int:
-        # the sign from parity: +-1 is exact, so the quotient is (-1)^(n+1)/n
-        return complex((1.0 if n & 1 else -1.0) / n) if n > 0 else 0j
+        # the sign from parity: +-1 is exact, so the quotient is (-1)^(n+1)/n;
+        # adding 0j gives it a +0.0 imaginary part without a call
+        return (1.0 if n & 1 else -1.0) / n + 0j if n > 0 else 0j
     n = np.asarray(n)
     sign = np.where(n % 2 == 1, 1.0, -1.0)
     return (np.where(n > 0, sign, 0.0) * _reciprocal(n)).astype(complex)
@@ -129,10 +130,11 @@ def make_lorentzian(
     if not math.isfinite(phi):
         raise ValueError(f"pole phase phi={phi} is not finite")
     phi = math.remainder(phi, math.tau)  # exact, as for x in ``folded``
+    w = -1j * phi  # the int path's exponent is w*n, the bits of -1j*n*phi
 
     def coeff(n):
         if type(n) is int:
-            return p ** abs(n) * cmath.exp(-1j * n * phi)
+            return p ** abs(n) * cmath.exp(w * n)
         n = np.asarray(n)
         return p ** np.abs(n) * np.exp(-1j * n * phi)
 

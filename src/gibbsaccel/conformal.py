@@ -35,6 +35,13 @@ compares the two constructions of the table: the sum of
 ``recoefficient``'s b_m, by the row recurrence, with ``accelerate_sum``
 at c = 2, by the binomial tails.
 
+``recoefficient`` keeps its last re-expansion, one entry keyed by the
+series object, c and N, held until a call with another key.  A caller
+that re-expands a series at c = 2 and then checks it at the same N
+(``euler_equivalence_check`` calls ``recoefficient``) runs the kernel
+once: the check sums the b the caller already holds.  ``accelerate_sum``
+never re-expands, so it neither reads nor replaces the entry.
+
 A ``PowerSeries`` holds a_0..a_N as one read-only complex array; the
 functions here read a prefix view of it, and ``MobiusMap`` is no more
 than the checked parameter c of T_c.  ``estimate_radius`` measures the
@@ -44,7 +51,9 @@ that ``sweeps.fit_envelope`` applies to error traces.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,9 +115,14 @@ MOBIUS2 = MobiusMap(2.0)
 
 
 def _prefix(series: PowerSeries, N: int) -> np.ndarray:
-    """a_0..a_N, a read-only view; raises ValueError unless 0 <= N <= n_max."""
-    if not 0 <= N <= series.n_max:
-        raise ValueError(f"N={N} outside [0, n_max={series.n_max}]")
+    """a_0..a_N, a read-only view.  Raises TypeError for a degree N that
+    is not an integer (2.5), before any cache is read, and ValueError
+    unless 0 <= N <= n_max."""
+    try:
+        if not 0 <= operator.index(N) <= series.n_max:
+            raise ValueError(f"N={N} outside [0, n_max={series.n_max}]")
+    except TypeError:
+        raise TypeError(f"degree {N} is not an integer") from None
     return series.coeffs[: N + 1]
 
 
@@ -120,8 +134,22 @@ def recoefficient(series: PowerSeries, mapping: MobiusMap, N: int) -> PowerSerie
     per step, O(N^2) flops and O(N) memory).  Order m never reads a_n for
     n > m: the output prefix never changes when more input terms become
     available.
+
+    The last re-expansion is kept (``_reexpanded``): a second call on
+    the same series object, c and N returns the same b without running
+    the kernel again, so ``euler_equivalence_check`` after a c = 2 call
+    on its series and N costs only its sums.
     """
-    return PowerSeries(mobius_reexpand(_prefix(series, N), mapping.c))
+    # N is checked before the cache reads it, since 2.0 == 2 as a key
+    return _reexpanded(series, mapping.c, _prefix(series, N).size - 1)
+
+
+@lru_cache(maxsize=1)
+def _reexpanded(series: PowerSeries, c: float, N: int) -> PowerSeries:
+    """``recoefficient``'s b for a checked N.  The key is the series (by
+    identity, so a reference to it), c and N; the one entry holds them
+    and b, 16(N+1) bytes, until a call with another key replaces it."""
+    return PowerSeries(mobius_reexpand(series.coeffs[: N + 1], c))
 
 
 def accelerate_sum(series: PowerSeries, mapping: MobiusMap, N: int) -> complex:
@@ -142,7 +170,10 @@ def euler_equivalence_check(series: PowerSeries, N: int) -> float:
     The sum of ``recoefficient``'s b_m against ``accelerate_sum`` at
     c = 2, sigma_E . a with the binomial Euler table: two independent
     constructions of the same weights, so the residual is pure
-    floating-point noise, below 1e-14 times sum |a_n|.
+    floating-point noise, below 1e-14 times sum |a_n|.  Right after a
+    ``recoefficient`` call on this series at c = 2 and this N, its b
+    comes from that call's kept entry, so the check runs no re-expansion;
+    otherwise it runs one and keeps it in place of the last.
     """
     mapped = np.sum(recoefficient(series, MOBIUS2, N).coeffs)
     return abs(complex(mapped) - accelerate_sum(series, MOBIUS2, N))

@@ -37,10 +37,11 @@ int; it holds at least one degree and does not decrease (a degree may
 repeat).  ``_checked_degrees`` is the one check of this rule: it returns
 the degrees as a list, and before any per-entry array is built it
 raises, in this order of precedence, TypeError("a list of degrees must
-be 1-D"), ValueError("need at least one degree"), TypeError("degree
-... is not an integer", naming the first non-integral entry, as 2.5 in
-[1, 2.5], else the first non-int) and ValueError("N must be >= 0",
-"... is not representable", "a list of degrees must not decrease").
+be 1-D", a ragged one such as [[1], [2, 3]] too), ValueError("need at
+least one degree"), TypeError("degree ... is not an integer", naming the
+first non-integral entry, as 2.5 in [1, 2.5], else the first non-int)
+and ValueError("N must be >= 0", "... is not representable", "a list of
+degrees must not decrease").
 ``filter_weights``, ``weight_bands`` and, in ``series``,
 ``trace_errors`` (with ``filtered_partial_sum`` and
 ``pointwise_error``) and ``saturation_floor`` all take their degrees
@@ -528,8 +529,11 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
 def _checked_degrees(N) -> list:
     """N, a degree or a list of degrees (module docstring), as a list of
     Python ints, after the checks that the module docstring states."""
-    array = np.atleast_1d(N)
-    if array.ndim != 1:
+    try:
+        array = np.atleast_1d(N)
+    except ValueError:  # numpy's own error for a ragged list, as [[1], [2, 3]]
+        array = None
+    if array is None or array.ndim != 1:
         raise TypeError("a list of degrees must be 1-D")
     degrees = array.tolist()
     if not degrees:

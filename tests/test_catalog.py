@@ -313,9 +313,22 @@ ENTRIES = [
     ("sws+lorentzian", {}),
     ("sws+lorentzian", {"p": 0.9}),
 ]
-ENTRY_IDS = [
-    key + "".join(f"-{k}={v}" for k, v in params.items()) for key, params in ENTRIES
+#: Lorentzian entries at more phases and depths, for the bit-for-bit check
+#: of the int path, which multiplies a bound -1j*phi by n.
+PHASED = [
+    ("lorentzian", {"p": p, "phi": phi})
+    for p in (0.5, 0.99)
+    for phi in (-math.pi / 3, 0.0, 2.5, -3.0, 7.0)
 ]
+
+
+def entry_ids(entries):
+    return [
+        key + "".join(f"-{k}={v}" for k, v in params.items()) for key, params in entries
+    ]
+
+
+ENTRY_IDS = entry_ids(ENTRIES)
 
 
 def closed_form(key, n, p=None, phi=None):
@@ -329,6 +342,7 @@ def closed_form(key, n, p=None, phi=None):
         return complex((-1.0) ** (n + 1) / n) if n > 0 else 0j
     if key == "lorentzian":
         p, phi = p or math.exp(-0.2), math.pi if phi is None else phi
+        phi = math.remainder(phi, math.tau)  # the factory's reduction
         return p ** abs(n) * cmath.exp(-1j * n * phi)
     p = p or 0.5
     return sawtooth + p ** abs(n) * cmath.exp(-1j * n * math.pi)
@@ -368,7 +382,9 @@ class TestScalarPath:
                 want = coeff(np.array([index]))[0]
                 assert bits(complex(value)) == bits(complex(want)), (n, type(index))
 
-    @pytest.mark.parametrize("key, params", ENTRIES, ids=ENTRY_IDS)
+    @pytest.mark.parametrize(
+        "key, params", ENTRIES + PHASED, ids=entry_ids(ENTRIES + PHASED)
+    )
     def test_bit_for_bit_against_closed_form(self, key, params):
         coeff = get_function(key, **params).series.coeff
         for n in [*range(-500, 501), 10**6, -(10**6), 2 * 10**6]:

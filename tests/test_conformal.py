@@ -17,9 +17,14 @@ from gibbsaccel.conformal import (
     euler_equivalence_check,
     recoefficient,
 )
-from gibbsaccel.filters import FilterSpec
+from gibbsaccel.filters import FilterSpec, mobius_reexpand
 from gibbsaccel.rates import zeta_image_modulus
 from gibbsaccel.series import filtered_partial_sum
+
+
+def bits(values):
+    """The exact bits of an array of complex values, signed zeros included."""
+    return [(z.real.hex(), z.imag.hex()) for z in values.tolist()]
 
 
 def mobius_coeffs(c, K):
@@ -288,6 +293,88 @@ class TestBlockRecurrence:
         got = np.array(recoefficient(PowerSeries(a), MobiusMap(3.0), 1100).coeffs)
         want = reference_recoefficient(a, 3.0, 1100)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(a).sum()
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """A list that grows by one entry, (N, c), per ``mobius_reexpand`` run."""
+    runs = []
+
+    def counting(a, c):
+        runs.append((a.size - 1, c))
+        return kernel(a, c)
+
+    kernel = conformal.mobius_reexpand
+    monkeypatch.setattr(conformal, "mobius_reexpand", counting)
+    return runs
+
+
+class TestKeptReexpansion:
+    """``recoefficient`` keeps its last re-expansion, keyed by the series
+    object, c and N."""
+
+    def test_check_after_a_c2_call_runs_no_kernel(self, kernel_runs):
+        series = log2_series(100)
+        b = recoefficient(series, MOBIUS2, 100)
+        residual = euler_equivalence_check(series, 100)
+        assert kernel_runs == [(100, 2.0)]
+        mapped = complex(np.sum(b.coeffs))
+        assert residual == abs(mapped - accelerate_sum(series, MOBIUS2, 100))
+
+    def test_check_after_a_c3_call_runs_its_own(self, kernel_runs):
+        series = log2_series(100)
+        recoefficient(series, MobiusMap(3.0), 100)
+        euler_equivalence_check(series, 100)
+        assert kernel_runs == [(100, 3.0), (100, 2.0)]
+
+    def test_another_series_or_degree_runs_again(self, kernel_runs):
+        series, twin = log2_series(100), log2_series(100)
+        assert np.array_equal(series.coeffs, twin.coeffs)
+        first = recoefficient(series, MOBIUS2, 100)
+        assert recoefficient(series, MOBIUS2, 100) is first
+        recoefficient(twin, MOBIUS2, 100)
+        recoefficient(twin, MOBIUS2, 99)
+        recoefficient(series, MOBIUS2, 100)
+        assert kernel_runs == [(100, 2.0), (100, 2.0), (99, 2.0), (100, 2.0)]
+
+    @pytest.mark.parametrize("c", [2.0, 3.0, 2.5])
+    def test_kept_b_is_the_kernel_output(self, c):
+        rng = np.random.default_rng(int(10 * c))
+        series = PowerSeries(rng.standard_normal(201) + 1j * rng.standard_normal(201))
+        for N in (0, 1, 64, 65, 200):
+            want = mobius_reexpand(series.coeffs[: N + 1], c)
+            for _ in range(2):  # the run, then the kept entry
+                got = recoefficient(series, MobiusMap(c), N).coeffs
+                assert not got.flags.writeable
+                assert bits(got) == bits(want), N
+
+    def test_float_degree_is_refused_after_the_int_one(self):
+        series = log2_series(10)
+        recoefficient(series, MOBIUS2, 2)
+        with pytest.raises(TypeError, match="^degree 2.0 is not an integer$"):
+            recoefficient(series, MOBIUS2, 2.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, N: recoefficient(s, MOBIUS2, N),
+            lambda s, N: accelerate_sum(s, MOBIUS2, N),
+            euler_equivalence_check,
+        ],
+        ids=["recoefficient", "accelerate_sum", "euler_equivalence_check"],
+    )
+    def test_non_integer_degree_names_itself(self, call):
+        with pytest.raises(TypeError, match="^degree 2.5 is not an integer$"):
+            call(log2_series(10), 2.5)
+
+    def test_numpy_integer_and_bool_degrees(self):
+        series = log2_series(10)
+        want = recoefficient(series, MOBIUS2, 3).coeffs
+        assert bits(recoefficient(series, MOBIUS2, np.int64(3)).coeffs) == bits(want)
+        assert recoefficient(series, MOBIUS2, True).n_max == 1
+        assert accelerate_sum(series, MOBIUS2, np.int32(3)) == accelerate_sum(
+            series, MOBIUS2, 3
+        )
 
 
 class TestAccelerateSum:

@@ -739,6 +739,10 @@ def degree_callers(kind):
     }
 
 
+RAGGED_LIST = [[1], [2, 3]]
+RAGGED_TUPLE = [(1,), (2, 3)]
+
+
 class TestDegreeLists:
     """One rule for a list of degrees (``filters._checked_degrees``)."""
 
@@ -760,6 +764,8 @@ class TestDegreeLists:
             ([2.5], TypeError, "degree 2.5 is not an integer"),
             ([1, 2.5], TypeError, "degree 2.5 is not an integer"),
             ([[1, 2]], TypeError, "a list of degrees must be 1-D"),
+            (RAGGED_LIST, TypeError, "a list of degrees must be 1-D"),
+            (RAGGED_TUPLE, TypeError, "a list of degrees must be 1-D"),
             ([3, -1], ValueError, "N must be >= 0"),
             ([5, 3], ValueError, "a list of degrees must not decrease"),
             (
@@ -769,13 +775,15 @@ class TestDegreeLists:
             ),
         ],
         ids=[
-            "empty", "non-integer", "non-integral", "2-D", "negative", "decreasing",
-            "2^53",
+            "empty", "non-integer", "non-integral", "2-D", "ragged-list",
+            "ragged-tuple", "negative", "decreasing", "2^53",
         ],
     )
     def test_every_caller_raises_the_same_error(self, degrees, error, message, kind):
+        # numpy builds no array of a ragged list: only its list and tuple forms
+        ragged = degrees in (RAGGED_LIST, RAGGED_TUPLE)
         for caller, call in degree_callers(kind).items():
-            for form in (list, tuple, np.array):
+            for form in (list, tuple) if ragged else (list, tuple, np.array):
                 with pytest.raises(error) as raised:
                     call(form(degrees))
                 assert str(raised.value) == message, (caller, form)
