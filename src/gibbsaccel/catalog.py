@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import PowerSeries
+from .filters import _checked_degree
 from .rates import Singularity, SingularitySet
 from .series import FourierSeries
 
@@ -84,9 +85,11 @@ def log2_series(n_max: int = 64) -> PowerSeries:
 
     Its inflated form is log(1+z), singular at z = -1, so the plain
     partial sums converge only like 1/N while the re-summed series gains
-    a geometric factor of 2 (or 3 with the balanced map).
+    a geometric factor of 2 (or 3 with the balanced map).  ``n_max`` is
+    checked by the degree rule (``filters._checked_degree``), so 2.5
+    raises TypeError rather than building a degree-3 series.
     """
-    return PowerSeries(log2_coeff(np.arange(n_max + 1)))
+    return PowerSeries(log2_coeff(np.arange(_checked_degree(n_max) + 1)))
 
 
 def _check_p(p: float) -> None:

@@ -51,13 +51,12 @@ that ``sweeps.fit_envelope`` applies to error traces.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .filters import _euler_sigma_table, mobius_reexpand
+from .filters import _checked_degree, _euler_sigma_table, mobius_reexpand
 from .rates import fit_rate
 
 #: Relative noise floor for radius estimation; re-expanded coefficients
@@ -115,14 +114,12 @@ MOBIUS2 = MobiusMap(2.0)
 
 
 def _prefix(series: PowerSeries, N: int) -> np.ndarray:
-    """a_0..a_N, a read-only view.  Raises TypeError for a degree N that
-    is not an integer (2.5), before any cache is read, and ValueError
-    unless 0 <= N <= n_max."""
-    try:
-        if not 0 <= operator.index(N) <= series.n_max:
-            raise ValueError(f"N={N} outside [0, n_max={series.n_max}]")
-    except TypeError:
-        raise TypeError(f"degree {N} is not an integer") from None
+    """a_0..a_N, a read-only view.  N is checked by the degree rule
+    (``filters._checked_degree``: TypeError for 2.5, True or [3],
+    ValueError for -1 or 2^53) before any cache is read, and then
+    N <= n_max, else ValueError."""
+    if _checked_degree(N) > series.n_max:
+        raise ValueError(f"N={N} outside [0, n_max={series.n_max}]")
     return series.coeffs[: N + 1]
 
 

@@ -31,22 +31,35 @@ J = floor(w/15) and its Poisson mean s = w*theta^2/2.  The check that
 ``filter_weights`` and ``weight_bands`` share (``_checked_rows``) forms
 each row's w once, and everything else reads it.
 
-Degrees.  A degree is an int N with 0 <= N < 2^53 (``_MAX_EXACT_INDEX``).
-A list of degrees is a 1-D list, tuple, range or integer array, or one
-int; it holds at least one degree and does not decrease (a degree may
-repeat).  ``_checked_degrees`` is the one check of this rule: it returns
-the degrees as a list, and before any per-entry array is built it
-raises, in this order of precedence, TypeError("a list of degrees must
-be 1-D", a ragged one such as [[1], [2, 3]] too), ValueError("need at
-least one degree"), TypeError("degree ... is not an integer", naming the
-first non-integral entry, as 2.5 in [1, 2.5], else the first non-int)
-and ValueError("N must be >= 0", "... is not representable", "a list of
-degrees must not decrease").
+Degrees.  A degree is an int N with 0 <= N < 2^53 (``_MAX_EXACT_INDEX``):
+a Python or numpy integer, never a bool (Python's, numpy's or a bool
+array's).  A list of degrees is a 1-D list, tuple, range or integer
+array, or one int; it holds at least one degree and does not decrease (a
+degree may repeat).  ``_checked_degrees`` is the one check of this rule:
+it returns the degrees as a list (a plain int without touching numpy),
+and before any per-entry array is built it raises, in this order of
+precedence, TypeError("a list of degrees must be 1-D", a ragged one such
+as [[1], [2, 3]] too), ValueError("need at least one degree"),
+TypeError("degree ... is not an integer", naming by repr the first
+non-integral entry, as 2.5 in [1, 2.5], else the first non-int, as '3'
+or True) and ValueError("N must be >= 0", "... is not representable", "a
+list of degrees must not decrease").
 ``filter_weights``, ``weight_bands`` and, in ``series``,
 ``trace_errors`` (with ``filtered_partial_sum`` and
-``pointwise_error``) and ``saturation_floor`` all take their degrees
-through it.  The bound N <= n_max belongs to a series and is checked by
-``series.FourierSeries.coefficients``.
+``pointwise_error``) and ``saturation_floor`` take a list of degrees
+through it.  Where one degree is expected, ``_checked_degree`` reads it
+through the same check, after refusing anything with a length, so that
+a list, even [3], a string or an array raises TypeError("degree [3] is
+not an integer"): the Euler tables' M (``_euler_mu_row``,
+``_euler_sigma_table``, ``euler_mu``, ``euler_sigma``, each before its
+cache, and their indices k and j, whose upper bounds k <= M and
+j <= M+1 stay their own), in ``series`` ``FourierSeries(n_max=...)``,
+``coefficients`` and ``folded``, in ``catalog`` ``log2_series``, in
+``conformal`` ``recoefficient``, ``accelerate_sum`` and
+``euler_equivalence_check``, and in ``rates``
+``delta_truncation_error``.  The bound N <= n_max belongs to a series and
+is checked, after the rule, by ``series.FourierSeries.coefficients`` and
+by ``conformal``'s ``_prefix``.
 
 ``filter_weights`` is the one entry point to the Erfc-Log and HDAF
 weights.  For a list of degrees it weights every row in one pass (one
@@ -269,9 +282,10 @@ def euler_mu(M: int, k: int) -> float:
 
     Accurate to a few ulps wherever the value is a normal double, at any M;
     values below the smallest normal double lose relative accuracy and
-    round to 0 far in the tails.
+    round to 0 far in the tails.  M and k are checked by the degree rule
+    (module docstring), and k <= M, before any row is built or read.
     """
-    if not 0 <= k <= M:
+    if _checked_degree(M) < _checked_degree(k):
         raise ValueError(f"k={k} outside [0, M={M}]")
     return float(_last_euler_mu_row(M)[k])
 
@@ -283,12 +297,13 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     outward from k = floor(M*p), next to the mode, where the row is
     largest, and the row is normalized by its sum.  No start value such
     as 2^-M is formed, so nothing underflows before the tails themselves
-    do.  At p = 1/2 the odds factor is exactly 1.  Not cached: it is an
+    do.  At p = 1/2 the odds factor is exactly 1.  M is checked by the
+    degree rule (module docstring), so 2**60 raises "not representable"
+    rather than allocating.  Not cached: it is an
     intermediate of ``_euler_sigma_table``, which caches the small tables
     (``euler_mu`` keeps only its last row).
     """
-    if M < 0:
-        raise ValueError("M must be >= 0")
+    _checked_degree(M)
     if not 0.0 < p < 1.0:
         raise ValueError(f"success probability p={p} outside (0, 1)")
     odds = p / (1.0 - p)
@@ -322,7 +337,7 @@ def _euler_sigma_table(M: int, p: float = 0.5) -> np.ndarray:
     larger one is rebuilt by every call, so the cache never holds more
     than a few megabytes.
     """
-    if M <= _KEPT_TABLE_MAX_M:
+    if _checked_degree(M) <= _KEPT_TABLE_MAX_M:  # before a cache reads 2.0 as 2
         return _kept_euler_sigma_table(M, p)
     return _build_euler_sigma_table(M, p)
 
@@ -340,15 +355,15 @@ _kept_euler_sigma_table = lru_cache(maxsize=256)(_build_euler_sigma_table)
 def euler_sigma(j: int, M: int) -> float:
     """Euler filter weight sigma_E(j/(M+1)): 1 at j=0, 0 at j=M+1.
 
-    The 0 at j = M+1 is not in the table, which holds sigma(0..M); it is
-    returned here once the table is built, so a negative M still raises.
-    Above M = ``_KEPT_TABLE_MAX_M`` every call builds the whole table;
+    The 0 at j = M+1 is not in the table, which holds sigma(0..M), and is
+    returned without one.  M and j are checked by the degree rule (module
+    docstring), and j <= M+1, before any table is built or read.  Above
+    M = ``_KEPT_TABLE_MAX_M`` every call builds the whole table;
     ``filter_weights`` returns a row in one call.
     """
-    if not 0 <= j <= M + 1:
+    if _checked_degree(M) + 1 < _checked_degree(j):
         raise ValueError(f"j={j} outside [0, M+1={M + 1}]")
-    sigma = _euler_sigma_table(M)
-    return float(sigma[j]) if j <= M else 0.0
+    return float(_euler_sigma_table(M)[j]) if j <= M else 0.0
 
 
 def _rational(t: np.ndarray, coeffs) -> np.ndarray:
@@ -529,6 +544,8 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
 def _checked_degrees(N) -> list:
     """N, a degree or a list of degrees (module docstring), as a list of
     Python ints, after the checks that the module docstring states."""
+    if type(N) is int and 0 <= N < _MAX_EXACT_INDEX:  # one plain degree: no numpy
+        return [N]
     try:
         array = np.atleast_1d(N)
     except ValueError:  # numpy's own error for a ragged list, as [[1], [2, 3]]
@@ -538,11 +555,11 @@ def _checked_degrees(N) -> list:
     degrees = array.tolist()
     if not degrees:
         raise ValueError("need at least one degree")
-    if array.dtype.kind not in "iub":  # an object array may hold ints past int64
-        bad = [degree for degree in degrees if not isinstance(degree, int)]
+    if array.dtype.kind not in "iu":  # an object array may hold ints past int64
+        bad = [d for d in degrees if isinstance(d, bool) or not isinstance(d, int)]
         if bad:  # [1, 2.5] is a float array: name 2.5, not 1.0
             first = min(bad, key=lambda d: isinstance(d, float) and d.is_integer())
-            raise TypeError(f"degree {first} is not an integer")
+            raise TypeError(f"degree {first!r} is not an integer")
     if min(degrees) < 0:
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
@@ -550,6 +567,16 @@ def _checked_degrees(N) -> list:
     if degrees != sorted(degrees):
         raise ValueError("a list of degrees must not decrease")
     return degrees
+
+
+def _checked_degree(N) -> int:
+    """N, one degree (module docstring), as a Python int.  Nothing with a
+    length is one degree: a list of degrees, even of one, a string or an
+    array, even a 0-d one, raises TypeError("degree [3] is not an integer")
+    before the rule reads it."""
+    if type(N) is not int and hasattr(N, "__len__"):
+        raise TypeError(f"degree {N!r} is not an integer")
+    return _checked_degrees(N)[0]
 
 
 def _checked_rows(spec: FilterSpec, N, x_dist: float) -> tuple:

@@ -47,6 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .filters import _checked_degree
+
 #: The re-summation map is singular at 2, capping every achievable rate.
 METRIC_CAP = 2.0
 
@@ -222,11 +224,10 @@ def delta_truncation_error(x: float, N: int) -> complex:
     (A frequently quoted two-term form with exponent N+1 and numerator
     u^{N+1} drops the cross term of the (1 - w/2) factor and does not
     reproduce the filtered sum for general N; this one is exact.)
-    Raises TypeError for a degree N that is not an integer (2.5) and
-    ValueError for a negative one.
+    N is checked by the degree rule (``filters._checked_degree``):
+    TypeError for 2.5, True or [3], ValueError for -1 or 2^53.
     """
-    if operator.index(N) < 0:
-        raise ValueError(f"truncation degree {N} is negative")
+    _checked_degree(N)
     if periodic_distance(x, 0.0) == 0.0:
         raise ValueError("truncation error is singular at x = 0 (mod 2*pi)")
     err = 0j

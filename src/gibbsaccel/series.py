@@ -54,8 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .filters import FilterSpec, _checked_degrees, filter_weights, mobius_reexpand
-from .filters import weight_bands
+from .filters import FilterSpec, _checked_degree, _checked_degrees, filter_weights
+from .filters import mobius_reexpand, weight_bands
 from .rates import SingularitySet, periodic_distance
 
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory
@@ -82,8 +82,9 @@ class FourierSeries:
     the index array.  ``exact_eval`` is the optional closed form of the
     summed function, used as ground truth in error measurements.
     ``singularities`` defaults to the empty set, and the adaptive filters
-    then measure the distance from 0.  General periods are out of scope;
-    rescale the argument to 2*pi first.
+    then measure the distance from 0.  ``n_max`` is a degree, checked by
+    the degree rule (``filters._checked_degree``) on construction.
+    General periods are out of scope; rescale the argument to 2*pi first.
     """
 
     coeff: Callable[[int | np.ndarray], complex | np.ndarray]
@@ -92,16 +93,17 @@ class FourierSeries:
     singularities: SingularitySet = SingularitySet()
 
     def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
+        _checked_degree(self.n_max)
 
     def coefficients(self, N: int) -> np.ndarray:
         """c_n for n = -N..N as a complex array of length 2N+1.
 
-        The one check of a degree against the series: raises ValueError
-        unless 0 <= N <= n_max, before any array is built.
+        The one check of a degree against the series: N passes the degree
+        rule (``filters._checked_degree``: TypeError for 2.5, True or
+        [3], ValueError for -1 or 2^53) and then N <= n_max, else
+        ValueError, before ``np.arange`` builds any array.
         """
-        if not 0 <= N <= self.n_max:
+        if (N := _checked_degree(N)) > self.n_max:
             raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
         ns = np.arange(-N, N + 1)
         c = np.asarray(self.coeff(ns), dtype=complex)
@@ -114,7 +116,8 @@ class FourierSeries:
         filter with weights sigma(|n|) gives sum sigma(n) a_n.  The phases
         take x reduced exactly into [-pi, pi] (``math.remainder``), so a
         large |x| loses no accuracy.  Raises ValueError for a non-finite
-        x, and, as ``coefficients`` does, for N outside [0, n_max].
+        x, and, as ``coefficients`` does, TypeError or ValueError for an N
+        that is not a degree or is beyond n_max.
         """
         if not math.isfinite(x):
             raise ValueError(f"x={x} is not finite")

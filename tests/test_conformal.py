@@ -371,7 +371,8 @@ class TestKeptReexpansion:
         series = log2_series(10)
         want = recoefficient(series, MOBIUS2, 3).coeffs
         assert bits(recoefficient(series, MOBIUS2, np.int64(3)).coeffs) == bits(want)
-        assert recoefficient(series, MOBIUS2, True).n_max == 1
+        with pytest.raises(TypeError, match="^degree True is not an integer$"):
+            recoefficient(series, MOBIUS2, True)
         assert accelerate_sum(series, MOBIUS2, np.int32(3)) == accelerate_sum(
             series, MOBIUS2, 3
         )

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsaccel.catalog import make_sws
+from gibbsaccel import filters as filters_module
+from gibbsaccel.catalog import log2_series, make_sws
+from gibbsaccel.conformal import (
+    MOBIUS2,
+    accelerate_sum,
+    euler_equivalence_check,
+    recoefficient,
+)
 from gibbsaccel.filters import (
     VALID_KINDS,
     FilterSpec,
@@ -25,13 +32,18 @@ from gibbsaccel.filters import (
     _CODY_SMALL,
     _HDAF_TEMME_DEPTH,
     _KEPT_TABLE_MAX_M,
+    _checked_degree,
+    _checked_degrees,
     _erfc,
     _euler_mu_row,
     _euler_sigma_table,
     _hdaf_rows,
     _kept_euler_sigma_table,
+    _last_euler_mu_row,
 )
+from gibbsaccel.rates import delta_truncation_error
 from gibbsaccel.series import (
+    FourierSeries,
     _weight_batches,
     pointwise_error,
     saturation_floor,
@@ -100,7 +112,7 @@ class TestEulerSigma:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             euler_sigma(4, 2)
-        with pytest.raises(ValueError, match="M must be >= 0"):
+        with pytest.raises(ValueError, match="^N must be >= 0$"):
             euler_sigma(0, -1)
 
     def test_large_tables_are_not_kept(self):
@@ -773,10 +785,12 @@ class TestDegreeLists:
                 ValueError,
                 "degree 9007199254740992 is not representable: need N < 2^53",
             ),
+            ([True], TypeError, "degree True is not an integer"),
+            (["3"], TypeError, "degree '3' is not an integer"),
         ],
         ids=[
             "empty", "non-integer", "non-integral", "2-D", "ragged-list",
-            "ragged-tuple", "negative", "decreasing", "2^53",
+            "ragged-tuple", "negative", "decreasing", "2^53", "bool", "str",
         ],
     )
     def test_every_caller_raises_the_same_error(self, degrees, error, message, kind):
@@ -787,6 +801,115 @@ class TestDegreeLists:
                 with pytest.raises(error) as raised:
                     call(form(degrees))
                 assert str(raised.value) == message, (caller, form)
+
+
+def scalar_degree_callers():
+    """Every public entry point that takes one degree (Euler's k and j
+    too), each with its n_max far above the valid degrees used here."""
+    sws, log2 = make_sws().series, log2_series(10)
+    return {
+        "coefficients": sws.coefficients,
+        "folded": lambda N: sws.folded(1.0, N),
+        "FourierSeries": lambda N: FourierSeries(lambda n: 1.0, N).n_max,
+        "log2_series": lambda N: log2_series(N).coeffs,
+        "_euler_mu_row": _euler_mu_row,
+        "_euler_sigma_table": _euler_sigma_table,
+        "euler_mu": lambda M: euler_mu(M, 0),
+        "euler_mu k": lambda k: euler_mu(5, k),
+        "euler_sigma": lambda M: euler_sigma(0, M),
+        "euler_sigma j": lambda j: euler_sigma(j, 5),
+        "recoefficient": lambda N: recoefficient(log2, MOBIUS2, N).coeffs,
+        "accelerate_sum": lambda N: accelerate_sum(log2, MOBIUS2, N),
+        "euler_equivalence_check": lambda N: euler_equivalence_check(log2, N),
+        "delta_truncation_error": lambda N: delta_truncation_error(1.0, N),
+    }
+
+
+class TestScalarDegrees:
+    """One rule for one degree (``filters._checked_degree``), the same
+    at every entry point; only each one's n_max bound is its own."""
+
+    @pytest.mark.parametrize(
+        "N, error, message",
+        [
+            (2.5, TypeError, "degree 2.5 is not an integer"),
+            (np.float64(3.0), TypeError, "degree 3.0 is not an integer"),
+            (True, TypeError, "degree True is not an integer"),
+            (np.True_, TypeError, "degree True is not an integer"),
+            ("3", TypeError, "degree '3' is not an integer"),
+            ([3], TypeError, "degree [3] is not an integer"),
+            (np.array(3), TypeError, "degree array(3) is not an integer"),
+            (-1, ValueError, "N must be >= 0"),
+            (
+                2**53,
+                ValueError,
+                "degree 9007199254740992 is not representable: need N < 2^53",
+            ),
+        ],
+        ids=[
+            "2.5", "float64", "True", "np.True_", "str", "list", "0-d", "-1", "2^53"
+        ],
+    )
+    def test_every_entry_point_raises_the_same_error(self, N, error, message):
+        for caller, call in scalar_degree_callers().items():
+            with pytest.raises(error) as raised:
+                call(N)
+            assert str(raised.value) == message, caller
+
+    @pytest.mark.parametrize("caller", list(scalar_degree_callers()))
+    def test_numpy_integers_are_degrees(self, caller):
+        call = scalar_degree_callers()[caller]
+        want = call(3)
+        for N in (np.int64(3), np.uint8(3)):
+            assert np.array_equal(call(N), want), type(N)
+
+    def test_half_integer_degrees_build_nothing(self):
+        # each once returned a value: six coefficients at n = +-0.5, +-1.5,
+        # +-2.5, and a degree-3 series
+        with pytest.raises(TypeError, match="^degree 2.5 is not an integer$"):
+            make_sws().series.coefficients(2.5)
+        with pytest.raises(TypeError, match="^degree 2.5 is not an integer$"):
+            log2_series(2.5)
+        with pytest.raises(TypeError, match="^degree 2.5 is not an integer$"):
+            make_sws(n_max=2.5)
+
+    def test_numpy_bool_is_no_degree_of_a_list_caller(self):
+        # once read as the degree-1 row
+        with pytest.raises(TypeError, match="^degree True is not an integer$"):
+            filter_weights(FilterSpec("euler"), np.True_, 1.0)
+
+    def test_huge_table_is_refused_by_the_rule(self):
+        # numpy's "array is too big" before the rule checked M
+        with pytest.raises(ValueError, match=f"^degree {2**60} is not representable"):
+            euler_mu(2**60, 0)
+
+    def test_euler_indices_are_checked_before_any_table(self):
+        before = (_kept_euler_sigma_table.cache_info(), _last_euler_mu_row.cache_info())
+        with pytest.raises(TypeError, match="^degree 1.5 is not an integer$"):
+            euler_mu(3, 1.5)
+        with pytest.raises(TypeError, match="^degree 1.5 is not an integer$"):
+            euler_sigma(1.5, 3)
+        after = (_kept_euler_sigma_table.cache_info(), _last_euler_mu_row.cache_info())
+        assert after == before
+        with pytest.raises(ValueError, match=r"^k=5 outside \[0, M=4\]$"):
+            euler_mu(4, 5)
+        with pytest.raises(ValueError, match=r"^j=4 outside \[0, M\+1=3\]$"):
+            euler_sigma(4, 2)
+
+    def test_float_degree_is_refused_after_the_int_one(self):
+        # 2.0 == 2 as a cache key: the rule runs before either cache
+        assert euler_mu(2, 0) == 0.25 and _euler_sigma_table(2)[1] == 0.75
+        with pytest.raises(TypeError, match="^degree 2.0 is not an integer$"):
+            euler_mu(2.0, 0)
+        with pytest.raises(TypeError, match="^degree 2.0 is not an integer$"):
+            _euler_sigma_table(2.0)
+
+    def test_plain_int_skips_numpy(self, monkeypatch):
+        def no_numpy(N):
+            raise AssertionError("a plain int reached numpy")
+
+        monkeypatch.setattr(filters_module.np, "atleast_1d", no_numpy)
+        assert _checked_degrees(7) == [7] and _checked_degree(7) == 7
 
 
 PEAK_BATCH_BYTES = {"hdaf": 1.40e6, "erfclog": 1.05e6}

@@ -325,7 +325,7 @@ class TestDeltaTruncationError:
 
     def test_degree_must_be_a_nonnegative_integer(self):
         # a series has no degree -5 or 2.5 to truncate at
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match="^N must be >= 0$"):
             delta_truncation_error(1.0, -5)
         with pytest.raises(TypeError):
             delta_truncation_error(1.0, 2.5)

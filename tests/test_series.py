@@ -523,5 +523,5 @@ class TestInvariants:
         assert first == second
 
     def test_negative_n_max_rejected(self):
-        with pytest.raises(ValueError, match="n_max"):
+        with pytest.raises(ValueError, match="^N must be >= 0$"):
             FourierSeries(coeff=lambda n: 1.0, n_max=-1)
