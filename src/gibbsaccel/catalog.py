@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,10 +195,19 @@ def get_function(
 
     ``p`` sets the pole depth of the Lorentzian-bearing entries and
     ``phi`` the phase of "lorentzian"; a value left as None takes the
-    factory's default (``make_lorentzian``, ``make_composite``).  Raises
-    KeyError for an unknown key and ValueError for a p outside (0, 1), a
-    non-finite phi, or a p or phi given to an entry that has none.
+    factory's default (``make_lorentzian``, ``make_composite``).  Equal
+    arguments, by position or by keyword, return the identical frozen
+    entry, so its series' kept coefficients (``FourierSeries.coefficients``)
+    serve every later call; the last 16 entries asked for are kept.
+    Raises KeyError for an unknown key and ValueError for a p outside
+    (0, 1), a non-finite phi, or a p or phi given to an entry that has
+    none, on every call: an error is never kept.
     """
+    return _kept_entry(key, p, phi)
+
+
+@lru_cache(maxsize=16)
+def _kept_entry(key: str, p: float | None, phi: float | None) -> TestFunction:
     if key not in _ENTRIES:
         raise KeyError(f"unknown function key {key!r}; expected one of {FUNCTION_KEYS}")
     factory, takes = _ENTRIES[key]

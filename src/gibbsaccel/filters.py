@@ -43,7 +43,11 @@ as [[1], [2, 3]] too), ValueError("need at least one degree"),
 TypeError("degree ... is not an integer", naming by repr the first
 non-integral entry, as 2.5 in [1, 2.5], else the first non-int, as '3'
 or True) and ValueError("N must be >= 0", "... is not representable", "a
-list of degrees must not decrease").
+list of degrees must not decrease").  A bool among a list's or a tuple's
+ints, which numpy casts to 0 or 1, is found by one pass over the entries'
+types, made only when the lowest degree reads 0 or 1 (as [True, 2] or
+[np.True_, 2] do: "degree True is not an integer"); an array or a range
+keeps no such entry, so it needs none.
 ``filter_weights``, ``weight_bands`` and, in ``series``,
 ``trace_errors`` (with ``filtered_partial_sum`` and
 ``pointwise_error``) and ``saturation_floor`` take a list of degrees
@@ -560,7 +564,14 @@ def _checked_degrees(N) -> list:
         if bad:  # [1, 2.5] is a float array: name 2.5, not 1.0
             first = min(bad, key=lambda d: isinstance(d, float) and d.is_integer())
             raise TypeError(f"degree {first!r} is not an integer")
-    if min(degrees) < 0:
+    low = min(degrees)
+    # numpy casts a bool among a list's ints to 0 or 1, so a list whose
+    # lowest degree is 0 or 1 has its entries' types read, once
+    if low <= 1 and type(N) in (list, tuple):
+        if not {bool, np.bool_}.isdisjoint(map(type, N)):
+            first = next(d for d in N if type(d) in (bool, np.bool_))
+            raise TypeError(f"degree {bool(first)!r} is not an integer")
+    if low < 0:
         raise ValueError("N must be >= 0")
     if not max(degrees) < _MAX_EXACT_INDEX:  # before any per-entry array
         raise ValueError(f"degree {max(degrees)} is not representable: need N < 2^53")

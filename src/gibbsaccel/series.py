@@ -1,14 +1,25 @@
 """Two-sided Fourier series and their raw / filtered partial sums.
 
-Coefficients are supplied by a generator function (closed form in n)
-rather than a stored array, so very large truncation degrees cost nothing
-up front.  The generator takes the whole index range at once as an integer
-array, so a sum over |n| <= N is a handful of array operations.  A sum is
-folded onto the one-sided terms a_n = c_n e^{inx} + c_-n e^{-inx},
-n = 0..N (``FourierSeries.folded``), weighted, and reduced over those N+1
-terms with numpy's pairwise summation: the rounding error is about
-log2(N+1)*eps*sum|c_n|, below the saturation floor of 100*eps*sum|c_n|,
-and results are bit-identical from run to run with the same numpy build.
+Coefficients are supplied by a generator function, a closed form in n
+and a pure function of it, which takes the whole index range at once as
+an integer array, so a sum over |n| <= N is a handful of array
+operations.  A series keeps what its generator returned: one read-only
+table of c_{-T..T} at the largest degree T asked for, with the running
+totals sum |c_n| that the saturation floors read, so every later fold or
+floor up to T slices it and calls nothing.  The c_n do not depend on x,
+and a catalog entry is one object per function (``catalog.get_function``),
+so many traces of one function, at many x, compute them once.  Degrees
+above ``_KEPT_MAX_N`` = 2048 keep nothing: each such call computes its
+coefficients afresh, so a sweep near n_max = 2,000,000 holds no table
+of that size after it returns.  A kept c_n has the bits of a fresh call
+at any degree, so no output depends on what was asked for before.
+
+A sum is folded onto the one-sided terms a_n = c_n e^{inx} +
+c_-n e^{-inx}, n = 0..N (``FourierSeries.folded``), weighted, and reduced
+over those N+1 terms with numpy's pairwise summation: the rounding error
+is about log2(N+1)*eps*sum|c_n|, below the saturation floor of
+100*eps*sum|c_n|, and results are bit-identical from run to run with the
+same numpy build.
 
 A trace of degrees at one x (``trace_errors``) folds once, at its top
 degree, and each N sums the prefix a_0..a_N of that fold: the folded
@@ -49,7 +60,7 @@ terms do not depend on N.  A filter's rows then take one of two routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -71,6 +82,13 @@ _DENSE_RATIO = 64
 #: Terms per block of the blocked prefix sums of a re-expansion.
 _PREFIX_BLOCK = 64
 
+#: Largest degree whose coefficients a series keeps (``FourierSeries``):
+#: its table holds 4097 coefficients and 2049 totals, 82 KB.  It is the
+#: bound of the kept Euler tables (``filters._KEPT_TABLE_MAX_M``), above
+#: the top degree of every sweep and comparison at the sizes they run;
+#: a larger degree, as in a sweep near n_max = 2,000,000, keeps nothing.
+_KEPT_MAX_N = 2048
+
 
 @dataclass(frozen=True)
 class FourierSeries:
@@ -79,7 +97,9 @@ class FourierSeries:
     ``coeff(ns)`` takes an int or an integer ndarray of indices with
     |n| <= n_max and returns c_n with the same shape (a complex for an
     int); a constant callable such as ``lambda n: 1.0`` is broadcast to
-    the index array.  ``exact_eval`` is the optional closed form of the
+    the index array.  ``coeff`` must be a pure function of n: the series
+    keeps the c_n it computed (``coefficients``) and never calls it again
+    for them.  ``exact_eval`` is the optional closed form of the
     summed function, used as ground truth in error measurements.
     ``singularities`` defaults to the empty set, and the adaptive filters
     then measure the distance from 0.  ``n_max`` is a degree, checked by
@@ -91,23 +111,62 @@ class FourierSeries:
     n_max: int
     exact_eval: Callable[[float], complex] | None = None
     singularities: SingularitySet = SingularitySet()
+    # the kept table: empty, or [c_{-T..T}, running totals 0..T] at the
+    # largest degree T <= _KEPT_MAX_N asked for, both read-only; not an
+    # init field, so ``dataclasses.replace`` starts a series empty
+    _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _checked_degree(self.n_max)
 
     def coefficients(self, N: int) -> np.ndarray:
-        """c_n for n = -N..N as a complex array of length 2N+1.
+        """c_n for n = -N..N as a read-only complex array of length 2N+1.
 
         The one check of a degree against the series: N passes the degree
         rule (``filters._checked_degree``: TypeError for 2.5, True or
         [3], ValueError for -1 or 2^53) and then N <= n_max, else
-        ValueError, before ``np.arange`` builds any array.
+        ValueError, before ``np.arange`` builds any array.  Up to
+        ``_KEPT_MAX_N`` the result is a slice of the kept table, built by
+        one ``coeff`` call at the largest degree asked for so far, so a
+        smaller degree calls nothing; beyond it every call computes its
+        coefficients afresh and keeps nothing.  Both are the same
+        elementwise closed form, so each c_n has the same bits either way.
         """
+        if (N := self._checked(N)) > _KEPT_MAX_N:
+            return self._generate(N)
+        c = self._kept_table(N)[0]
+        top = len(c) // 2
+        return c[top - N : top + N + 1]
+
+    def _checked(self, N) -> int:
+        """N after the degree rule and the bound N <= n_max."""
         if (N := _checked_degree(N)) > self.n_max:
             raise ValueError(f"truncation degree {N} outside [0, n_max={self.n_max}]")
+        return N
+
+    def _generate(self, N: int) -> np.ndarray:
+        """c_{-N..N} from one ``coeff`` call, read-only (a view, so an
+        array that ``coeff`` returns as it is stays writeable)."""
         ns = np.arange(-N, N + 1)
         c = np.asarray(self.coeff(ns), dtype=complex)
-        return c if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
+        c = c.view() if c.shape == ns.shape else np.broadcast_to(c, ns.shape)
+        c.flags.writeable = False
+        return c
+
+    def _kept_table(self, N: int) -> list:
+        """The kept table, rebuilt at N when it stops short of N."""
+        if not self._kept or len(self._kept[1]) <= N:
+            c = self._generate(N)
+            self._kept[:] = c, _running_totals(np.abs(c))
+        return self._kept
+
+    def _totals(self, N: int) -> np.ndarray:
+        """|c_0| + sum_{1<=n<=k} (|c_n| + |c_-n|) for k = 0..N at least,
+        read-only, checked as ``coefficients``: the kept totals up to
+        ``_KEPT_MAX_N``, fresh ones beyond it."""
+        if (N := self._checked(N)) > _KEPT_MAX_N:
+            return _running_totals(np.abs(self._generate(N)))
+        return self._kept_table(N)[1]
 
     def folded(self, x: float, N: int) -> np.ndarray:
         """The one-sided terms a_0 = c_0, a_n = c_n e^{inx} + c_-n e^{-inx}.
@@ -270,15 +329,27 @@ def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.n
     100 times machine epsilon times sum of |c_n| over |n| <= N;
     measured errors under this floor are roundoff, not truncation.  N is
     a degree, giving a float, or a list of degrees (the ``filters``
-    module docstring), giving an array of their floors, from one
-    coefficient call at the largest degree and a cumulative sum over
-    |n|.  Raises the ValueError of ``filters._checked_degrees``, and that
+    module docstring), giving an array of their floors.  Each indexes
+    the running totals |c_0| + sum_{1<=n<=N} (|c_n| + |c_-n|), a
+    sequential cumulative sum that the series keeps with its coefficient
+    table (``FourierSeries.coefficients``), so a floor costs no
+    coefficient call once the table reaches the top degree; above
+    ``_KEPT_MAX_N`` the totals are summed afresh from one call.  Raises
+    the TypeError or ValueError of ``filters._checked_degrees``, and that
     of ``FourierSeries.coefficients`` for a degree beyond n_max.
     """
-    top = _checked_degrees(N)[-1]
-    mag = np.abs(series.coefficients(top))  # mag[top + n] = |c_n|
-    pairs = mag[top + 1 :] + mag[:top][::-1]  # |c_n| + |c_-n|, n = 1..top
-    totals = mag[top] + np.concatenate(([0.0], np.cumsum(pairs)))
+    totals = series._totals(_checked_degrees(N)[-1])
     # index by N as an array: a tuple index would select several axes
     floors = 100.0 * np.finfo(float).eps * totals[np.asarray(N)]
     return float(floors) if floors.ndim == 0 else floors
+
+
+def _running_totals(mag: np.ndarray) -> np.ndarray:
+    """|c_0| + sum_{1<=n<=k} (|c_n| + |c_-n|) for k = 0..N, read-only, from
+    mag[N + n] = |c_n|: a sequential cumulative sum, so the totals of a
+    smaller degree are a prefix of these, bit for bit."""
+    top = len(mag) // 2
+    pairs = mag[top + 1 :] + mag[:top][::-1]  # |c_n| + |c_-n|, n = 1..top
+    totals = mag[top] + np.concatenate(([0.0], np.cumsum(pairs)))
+    totals.flags.writeable = False
+    return totals

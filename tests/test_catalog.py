@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import mpmath
@@ -236,6 +237,27 @@ class TestRegistry:
     def test_parameter_the_entry_lacks(self, key, params):
         with pytest.raises(ValueError, match="has no pole"):
             get_function(key, **params)
+
+    def test_equal_arguments_give_the_identical_entry(self):
+        for key, params in (("sws", {}), ("lorentzian", {"p": 0.8, "phi": 1.0})):
+            entry = get_function(key, **params)
+            assert get_function(key, **params) is entry
+            assert get_function(key, params.get("p"), params.get("phi")) is entry
+        assert get_function("sws+lorentzian", p=0.5) is get_function("sws+lorentzian", 0.5)
+        assert get_function("lorentzian", p=0.8) is not get_function("lorentzian", p=0.7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.series.n_max = 5
+
+    def test_bad_arguments_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(KeyError, match="heaviside"):
+                get_function("heaviside")
+            with pytest.raises(ValueError, match="outside"):
+                get_function("lorentzian", p=1.5)
+            with pytest.raises(ValueError, match="not finite"):
+                get_function("lorentzian", phi=math.nan)
+            with pytest.raises(ValueError, match="has no pole"):
+                get_function("sws", p=0.5)
 
     def test_unknown_key_before_parameters(self):
         with pytest.raises(KeyError):

@@ -725,10 +725,6 @@ class TestFilterWeights:
         assert w.tolist() == [erfclog_sigma(n / 10, p) for n in range(11)]
 
 
-#: Peak bytes that tracemalloc sees in one full weight batch at x_dist = 3
-#: (7896 weights, degrees 5, 70, ..., 980): measured 1.08 MB for HDAF and
-#: 0.82 MB for Erfc-Log (137 and 103 bytes a weight), under bounds set
-#: when they were 1.25 MB and 0.95 MB.
 #: One list of degrees in each form that the ``filters`` module docstring
 #: accepts.
 DEGREE_FORMS = {
@@ -801,6 +797,28 @@ class TestDegreeLists:
                 with pytest.raises(error) as raised:
                     call(form(degrees))
                 assert str(raised.value) == message, (caller, form)
+
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [
+            ([True, 2], "degree True is not an integer"),
+            ([np.True_, 2], "degree True is not an integer"),
+            ([False, 2, 3], "degree False is not an integer"),
+            ([0, 2, np.False_], "degree False is not an integer"),
+            ([2, 5, True, -1], "degree True is not an integer"),
+        ],
+        ids=["bool", "numpy-bool", "false", "decreasing", "negative"],
+    )
+    def test_bool_among_ints_is_refused(self, degrees, message, kind):
+        # numpy casts such a list to the ints 0 and 1, so only a list's or a
+        # tuple's own entries show the bool (an array of it holds ints)
+        for caller, call in degree_callers(kind).items():
+            for form in (list, tuple):
+                with pytest.raises(TypeError) as raised:
+                    call(form(degrees))
+                assert str(raised.value) == message, (caller, form)
+        assert _checked_degrees(np.array([True, 2])) == [1, 2]
 
 
 def scalar_degree_callers():
@@ -912,6 +930,10 @@ class TestScalarDegrees:
         assert _checked_degrees(7) == [7] and _checked_degree(7) == 7
 
 
+#: Peak bytes that tracemalloc sees in one full weight batch at x_dist = 3
+#: (7896 weights, degrees 5, 70, ..., 980): measured 1.08 MB for HDAF and
+#: 0.82 MB for Erfc-Log (137 and 103 bytes a weight), under bounds of
+#: 1.40e6 and 1.05e6 bytes.
 PEAK_BATCH_BYTES = {"hdaf": 1.40e6, "erfclog": 1.05e6}
 
 

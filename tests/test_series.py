@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from test_filters import exact_euler_tails
 
+import gibbsaccel.catalog as catalog_module
 import gibbsaccel.series as series_module
+import gibbsaccel.sweeps as sweeps_module
 from gibbsaccel.catalog import (
     FUNCTION_KEYS,
     get_function,
@@ -146,6 +149,128 @@ class TestSaturationFloor:
             with pytest.raises(ValueError, match=r"outside \[0, n_max=10\]"):
                 saturation_floor(series, N)
         assert saturation_floor(series, np.array([0, 10])).shape == (2,)
+
+
+def counting_series(coeff=None, n_max=10_000):
+    """A series on ``coeff`` (the sawtooth's by default) that records the
+    argument of every call its generator gets."""
+    calls = []
+    coeff = coeff or make_sws().series.coeff
+
+    def counted(n):
+        calls.append(n)
+        return coeff(n)
+
+    return FourierSeries(counted, n_max), calls
+
+
+def bits(c):
+    return np.ascontiguousarray(c).view(np.uint64).tolist()
+
+
+def direct_floors(series, degrees):
+    """The floors as summed before the series kept a table: the magnitudes
+    of one fresh coefficient call at the top degree, |c_0| plus a running
+    sum of |c_n| + |c_-n|."""
+    top = max(degrees)
+    mag = np.abs(series.coeff(np.arange(-top, top + 1)).astype(complex))
+    pairs = mag[top + 1 :] + mag[:top][::-1]
+    totals = mag[top] + np.concatenate(([0.0], np.cumsum(pairs)))
+    return 100.0 * np.finfo(float).eps * totals[np.asarray(degrees)]
+
+
+class TestKeptTable:
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_slices_equal_a_fresh_call(self, key):
+        # the kept values are the same elementwise closed form, so a slice
+        # of a larger table has the bits of a call at its own degree
+        entry = get_function(key).series
+        for first, then in ((1500, 37), (37, 1500), (0, 2048), (2048, 1)):
+            series = dataclasses.replace(entry)  # an empty table
+            for N in (first, then, first):
+                want = entry.coeff(np.arange(-N, N + 1)).astype(complex)
+                assert bits(series.coefficients(N)) == bits(want)
+
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_floors_equal_the_direct_sum(self, key):
+        series = dataclasses.replace(get_function(key).series)
+        for degrees in ([0], [0, 0, 1, 2], [0, 5, 300], [0, 1600], [3, 40], [0, 2048]):
+            got = saturation_floor(series, degrees)
+            assert got.tolist() == direct_floors(series, degrees).tolist()
+            assert saturation_floor(series, degrees[-1]) == got[-1]
+
+    def test_returned_arrays_are_read_only(self):
+        series, _ = counting_series()
+        for N in (0, 30, series_module._KEPT_MAX_N + 1):
+            c = series.coefficients(N)
+            with pytest.raises(ValueError, match="read-only"):
+                c[0] = 1.0
+        assert series.coefficients(30)[30] == 0  # c_0, unchanged
+
+    def test_generator_output_stays_writeable(self):
+        # the table is a read-only view: the generator's own array is not
+        # frozen by the series that kept it
+        values = np.arange(-5, 6).astype(complex)
+        series = FourierSeries(lambda n: values, 5)
+        assert not series.coefficients(5).flags.writeable
+        assert values.flags.writeable
+
+    def test_one_call_per_larger_degree(self):
+        series, calls = counting_series()
+        for N in (40, 10, 40, 0, 300, 299, 300):
+            series.coefficients(N)
+            series.folded(0.7, N)
+            saturation_floor(series, [0, N])
+        assert [len(ns) for ns in calls] == [81, 601]
+
+    def test_replace_starts_empty(self):
+        series = get_function("sws").series
+        series.coefficients(50)
+        other, calls = counting_series(make_delta().series.coeff)
+        swapped = dataclasses.replace(series, coeff=other.coeff)
+        assert swapped == dataclasses.replace(series, coeff=other.coeff)
+        assert swapped.coefficients(5).tolist() == [1.0] * 11 and len(calls) == 1
+        assert series.coefficients(5)[6] == 1j  # the sawtooth's c_1, still kept
+
+    def test_degrees_above_the_bound_keep_nothing(self):
+        bound = series_module._KEPT_MAX_N
+        series, calls = counting_series()
+        for N in (bound + 1, bound + 1, bound):
+            series.coefficients(N)
+        saturation_floor(series, [5, bound + 1])
+        series.coefficients(bound)  # kept since the third call
+        above, kept = 2 * bound + 3, 2 * bound + 1
+        assert [len(ns) for ns in calls] == [above, above, kept, above]
+
+    def test_far_delta_sweep_peak_does_not_rise(self):
+        # 160.0 MB at N = 2,000,000 with the table and without it: above the
+        # bound nothing is kept, and each coefficient array is freed as soon
+        # as its magnitudes are taken
+        config = ExperimentConfig(
+            "delta", xs=(0.003,), n_min=1_999_000, n_max=2_000_000, n_stride=1000
+        )
+        sweep_errors(config)
+        tracemalloc.start()
+        try:
+            sweep_errors(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 161e6
+
+    def test_sweep_makes_one_array_call(self, monkeypatch):
+        # one call at the top degree serves the floors and every x's fold
+        series, calls = counting_series()
+        entry = catalog_module.TestFunction(
+            dataclasses.replace(make_sws().series, coeff=series.coeff)
+        )
+        monkeypatch.setattr(sweeps_module, "get_function", lambda *args, **kw: entry)
+        config = ExperimentConfig(
+            "sws", filters=("euler", "hdaf"), xs=(0.5, 1.5, 2.5), n_min=5, n_max=300
+        )
+        traces = sweep_errors(config)
+        assert len(traces) == 6
+        assert [len(ns) for ns in calls] == [601]
 
 
 class TestFilteredPartialSum:
