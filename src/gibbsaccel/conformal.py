@@ -18,9 +18,12 @@ T[m, n] = T[m-1, n]/c + ((c-1)/c) T[m-1, n-1] from T[1] = (0, (c-1)/c),
 so B steps of it are one convolution with the Binomial(B, (c-1)/c) pmf.
 ``recoefficient`` wraps the array kernel ``filters.mobius_reexpand``,
 which advances B = 64 orders per step: one correlation of row m with
-the coefficients, one small matrix product with the Binomial(i, p)
-pmfs for i < B, and one convolution to row m + B.  That is O(N^2)
-flops, N/B Python steps and O(N) memory, with no N x N table held.
+the coefficients and one small matrix product with the Binomial(i, p)
+pmfs for i < B.  The rows m = 1 + kB depend on c alone, so the kernel
+keeps them per c up to order 2048 (``filters._KEPT_TABLE_MAX_M``) and
+builds each, one convolution from the row before it, once; rows past
+that order cost one convolution on every call.  That is O(N^2) flops,
+N/B Python steps and O(N) memory, with no N x N table held.
 
 With p = (c-1)/c, T_c[m, n] = p^n (1-p)^(m-n) C(m-1, n-1) is the
 probability that the n-th success of Bernoulli(p) trials falls on trial

@@ -24,11 +24,12 @@ The law is declared once, in ``_constraints``: the cap, then the real
 image, then each off-axis image, each named by its ``rho`` CSV column
 (``"cap"``, ``"zeta_real"``, ``"zeta_off<j>"``) and with its alpha, as
 floats for one x or as arrays for an array of x (``periodic_distance``
-and ``zeta_image_modulus`` take either).  ``rho_of_x`` takes the first
-minimum of that list at one point and names the bound that binds;
-``image_table`` stacks it over a grid and takes the minimum
-(``rho_curve``, ``acceleration_penalty_region``), so the two agree bit
-for bit.
+and ``zeta_image_modulus`` take either), with the distance d to the
+real singularity that the real image read.  ``rho_of_x`` takes the first
+minimum of that list at one point, names the bound that binds and reads
+q from that same d; ``image_table`` stacks it over a grid and takes the
+minimum (``rho_curve``, ``acceleration_penalty_region``), so the two
+agree bit for bit.
 
 The measured rate is fitted here too, by ``fit_rate``: one least-squares
 fit of log A - q*n - alpha*log n to the upper hull of a log-magnitude
@@ -170,9 +171,11 @@ def zeta_image_modulus(r: float, theta):
         return 2.0 * r / denom
 
 
-def _constraints(sings: SingularitySet, x) -> list[tuple[str, float, float]]:
+def _constraints(sings: SingularitySet, x) -> tuple[list, float | None]:
     """Every bound on rho at x (float or array): its name (its ``rho``
-    CSV column), the bound and its alpha.
+    CSV column), the bound and its alpha; and the distance d from x to the
+    real singularity, None when there is none, which the real image reads
+    and ``rho_of_x`` reads again for q.
 
     In order: the metric cap, the real image (inf at d = pi), then each
     off-axis image.  A minimum over the list that keeps the first of
@@ -184,16 +187,15 @@ def _constraints(sings: SingularitySet, x) -> list[tuple[str, float, float]]:
         raise ValueError("x must be finite")
     # the cap's alpha is 1, from log2's log branch at infinity
     bounds = [("cap", METRIC_CAP, 1.0)]
-    if sings.real_singularity is not None:
-        image = zeta_image_modulus(1.0, sings.real_distance(x))
-        bounds.append(("zeta_real", image, sings.real_alpha))
+    if (d := sings.real_distance(x)) is not None:
+        bounds.append(("zeta_real", zeta_image_modulus(1.0, d), sings.real_alpha))
     # sigma + i*tau maps to modulus e^|tau| at angle +-(x - sigma); the
     # modulus reads the angle only through cos, so its sign never matters;
     # each is a simple pole, alpha 0
     for j, s in enumerate(sings.off_axis):
         image = zeta_image_modulus(math.exp(abs(s.tau)), x - s.sigma)
         bounds.append((f"zeta_off{j}", image, 0.0))
-    return bounds
+    return bounds, d
 
 
 def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
@@ -204,9 +206,10 @@ def rho_of_x(sings: SingularitySet, x: float) -> RatePrediction:
     the crossover of the on-axis image through the cap at |x| = 2*pi/3
     when no other singularity interferes) emerges from the minimum.
     """
-    name, rho, alpha = min(_constraints(sings, x), key=operator.itemgetter(1))
+    bounds, d = _constraints(sings, x)
+    name, rho, alpha = min(bounds, key=operator.itemgetter(1))
     if name == "zeta_real":  # cos(d/2) = 1 - 2 sin^2(d/4)
-        q = -math.log1p(-2.0 * math.sin(sings.real_distance(x) / 4.0) ** 2)
+        q = -math.log1p(-2.0 * math.sin(d / 4.0) ** 2)
     else:
         q = math.log(rho)
     return RatePrediction(rho, q, name, alpha)
@@ -275,7 +278,7 @@ def image_table(
     that x.
     """
     xs = np.asarray(xs, dtype=float)
-    names, bounds, _ = zip(*_constraints(sings, xs))
+    names, bounds, _ = zip(*_constraints(sings, xs)[0])
     table = np.stack(np.broadcast_arrays(xs, *bounds)[1:])
     return table.min(axis=0), dict(zip(names[1:], table[1:]))
 

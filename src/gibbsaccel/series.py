@@ -46,10 +46,14 @@ terms do not depend on N.  A filter's rows then take one of two routes.
   (``filters.mobius_reexpand``), so one re-expansion at the top degree
   and its prefix sums give every row.  A trace is dense when it has
   more than one row and N_max^2 <= 64 * sum(N + 1): a re-expansion
-  costs about 0.9 ns * N_max^2 (2.2 ms at N = 1600), a cold Euler table
-  about 30 us plus 30 ns per entry, before its product and sum.  The
-  cache of tables holds 256 degrees, and a sweep of a few hundred
-  distinct degrees misses it.  The prefix sums are blocked, a running
+  costs about 0.4 ns * N_max^2 (1.0 ms at N = 1600, 74 us at N = 400),
+  with the block rows of the Möbius(2) table kept across calls
+  (``filters.mobius_reexpand``), a cold Euler table about 30 us plus
+  30 ns per entry, before its product and sum.  The cache of tables
+  holds 256 degrees, and a sweep of a few hundred distinct degrees
+  misses it.  The ratio 64 was set when a re-expansion cost about twice
+  as much; it stays, since moving a row from one route to the other
+  changes its last bits.  The prefix sums are blocked, a running
   sum inside each 64-block plus a running sum of the pairwise block
   totals, so the rounding error grows with 64 + N/64 terms rather than
   N.  These rows agree with the per-N sum to well within a saturation
@@ -249,6 +253,9 @@ def _table_sums(
     (none when lo = 0) plus the pairwise sum of its weights times
     a_lo..a_hi."""
     los, his = weight_bands(spec, degrees, x_dist)
+    # each batch goes on as a list, which bench/tracing.py records as JSON,
+    # not as the range that a slice of a sweep's range would be
+    degrees = list(degrees)
     add = np.add.reduce  # ndarray.sum's pairwise sum, without its wrapper
     sums = []
     for rows in _weight_batches([hi - lo + 1 for lo, hi in zip(los, his)]):
@@ -338,9 +345,12 @@ def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.n
     the TypeError or ValueError of ``filters._checked_degrees``, and that
     of ``FourierSeries.coefficients`` for a degree beyond n_max.
     """
-    totals = series._totals(_checked_degrees(N)[-1])
-    # index by N as an array: a tuple index would select several axes
-    floors = 100.0 * np.finfo(float).eps * totals[np.asarray(N)]
+    degrees = _checked_degrees(N)
+    totals = series._totals(degrees[-1])
+    # a range reads its totals as a slice, anything else indexes them as an
+    # array: a tuple index would select several axes
+    index = slice(N.start, N.stop, N.step) if type(degrees) is range else np.asarray(N)
+    floors = 100.0 * np.finfo(float).eps * totals[index]
     return float(floors) if floors.ndim == 0 else floors
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -156,15 +158,17 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
     its ``envelope``, which the CSV writers report as a skipped fit.
     """
     fn = config.validate()
-    degrees = list(config.degrees())
-    floors = saturation_floor(fn.series, np.array(degrees))
+    degrees = config.degrees()  # a range: each layer checks it in O(1)
+    floors = saturation_floor(fn.series, degrees)
     specs = [FilterSpec(kind) for kind in config.filters]
     traces = []
     for x in config.xs:
         errors = trace_errors(fn.series, x, degrees, specs)
         saturated = (np.array(errors) < floors).tolist()
         for kind, errs, sat in zip(config.filters, errors, saturated):
-            traces.append(ErrorTrace(x, kind, list(map(ErrorRow, degrees, errs, sat))))
+            # tuple.__new__ is ErrorRow's own constructor, less its call overhead
+            rows = map(tuple.__new__, repeat(ErrorRow), zip(degrees, errs, sat))
+            traces.append(ErrorTrace(x, kind, list(rows)))
     fit_traces(fn.series.singularities, traces)
     return traces
 
@@ -212,7 +216,7 @@ def fit_envelope(trace: ErrorTrace) -> tuple[float, float]:
         for i, r in enumerate(trace.rows)
         if not r.saturated and 0.0 < r.error < math.inf and r.N >= 1
     ]
-    usable.sort(key=lambda row: row[1])  # stable: a repeated N keeps its rows
+    usable.sort(key=itemgetter(1))  # stable: a repeated N keeps its rows
     index, ns, logs = np.array(usable).reshape(-1, 3).T
     hull, log_a, q_hat, _ = fit_rate(ns, logs, trace.law.alpha if trace.law else 1.0)
     trace.envelope = index[hull].astype(int).tolist()

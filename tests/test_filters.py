@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -27,19 +29,23 @@ from gibbsaccel.filters import (
     weight_bands,
 )
 from gibbsaccel.filters import (
+    _BLOCK,
     _CODY_FAR,
     _CODY_HUGE,
     _CODY_SMALL,
     _HDAF_TEMME_DEPTH,
     _KEPT_TABLE_MAX_M,
+    _binomial_steps,
     _checked_degree,
     _checked_degrees,
     _erfc,
     _euler_mu_row,
     _euler_sigma_table,
     _hdaf_rows,
+    _kept_block_rows,
     _kept_euler_sigma_table,
     _last_euler_mu_row,
+    mobius_reexpand,
 )
 from gibbsaccel.rates import delta_truncation_error
 from gibbsaccel.series import (
@@ -49,6 +55,7 @@ from gibbsaccel.series import (
     saturation_floor,
     trace_errors,
 )
+from gibbsaccel.sweeps import ExperimentConfig, sweep_errors
 
 
 class TestEulerMu:
@@ -820,6 +827,42 @@ class TestDegreeLists:
                 assert str(raised.value) == message, (caller, form)
         assert _checked_degrees(np.array([True, 2])) == [1, 2]
 
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    @pytest.mark.parametrize(
+        "degrees",
+        [range(5, 0, -1), range(0), range(-1, 5), range(2**53 - 2, 2**53 + 2)],
+        ids=["decreasing", "empty", "negative", "2^53"],
+    )
+    def test_range_raises_what_its_list_raises(self, degrees, kind):
+        for caller, call in degree_callers(kind).items():
+            with pytest.raises((TypeError, ValueError)) as want:
+                call(list(degrees))
+            with pytest.raises(want.type) as got:
+                call(degrees)
+            assert str(got.value) == str(want.value), caller
+
+    def test_a_valid_range_is_returned_as_it_is(self):
+        for degrees in (range(2, 401, 5), range(0, 1), range(0, 2**53, 2**52)):
+            assert _checked_degrees(degrees) is degrees
+
+    def test_a_sweep_range_is_checked_without_numpy(self, monkeypatch):
+        # a dense Euler sweep: its floors and its one re-expansion read the
+        # range itself; a weight table's batch would go on as a list
+        calls = []
+        atleast_1d = np.atleast_1d
+
+        def spy(*args, **kwargs):
+            if sys._getframe(1).f_code is _checked_degrees.__code__:
+                calls.append(args)
+            return atleast_1d(*args, **kwargs)
+
+        monkeypatch.setattr(filters_module.np, "atleast_1d", spy)
+        config = ExperimentConfig("sws", ("euler",), (1.1,), 2, 400, 5)
+        assert sweep_errors(config)[0].fit is not None
+        assert calls == []
+        saturation_floor(make_sws().series, list(config.degrees()))
+        assert len(calls) == 1  # the spy sees a list's check
+
 
 def scalar_degree_callers():
     """Every public entry point that takes one degree (Euler's k and j
@@ -1015,3 +1058,92 @@ class TestFilterOrderSanity:
         # observed drop is orders of magnitude beyond any fixed power
         assert errors[-1] < errors[0] * 1e-6
         assert errors[-1] < 1e-8
+
+
+def unkept_reexpand(a: np.ndarray, c: float) -> np.ndarray:
+    """``mobius_reexpand`` as it was before its block rows were kept: every
+    call convolves its way from T[1] to each block's row."""
+    N = a.size - 1
+    steps = _binomial_steps(c)
+    head, step = steps[:_BLOCK, :_BLOCK], steps[_BLOCK]
+    padded = np.zeros(N + _BLOCK, dtype=complex)
+    padded[: N + 1] = a
+    b = np.empty(N + _BLOCK, dtype=complex)
+    b[0] = a[0]
+    pairs = b.view(float).reshape(-1, 2)
+    row = np.array([0.0, (c - 1.0) / c])
+    for m in range(1, N + 1, _BLOCK):
+        lagged = np.correlate(padded[: m + _BLOCK], row)
+        np.matmul(head, lagged.view(float).reshape(-1, 2), out=pairs[m : m + _BLOCK])
+        if m + _BLOCK <= N:
+            row = np.convolve(row, step)
+    return b[: N + 1]
+
+
+#: The rows of order 1 + kB <= _KEPT_TABLE_MAX_M: 32.
+KEPT_ROWS = _KEPT_TABLE_MAX_M // _BLOCK
+
+
+class TestKeptBlockRows:
+    """The Möbius(c) block rows that ``mobius_reexpand`` keeps per c."""
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 3.0, 7.0])
+    def test_bit_identical_to_the_unkept_recurrence(self, c):
+        _kept_block_rows.cache_clear()
+        a = make_sws().series.folded(1.1, 2200)
+        degrees = [0, 1, 63, 64, 65, 129, 2048, 2049, 2200]
+        for N in degrees + degrees[::-1]:  # rising, then falling
+            got, want = mobius_reexpand(a[: N + 1], c), unkept_reexpand(a[: N + 1], c)
+            assert got.tobytes() == want.tobytes(), (c, N)
+
+    def test_kept_rows_are_read_only(self):
+        a = make_sws().series.folded(1.1, 2048)
+        mobius_reexpand(a, 2.0)
+        rows = _kept_block_rows(2.0)[0]
+        assert type(rows) is tuple and len(rows) == KEPT_ROWS
+        for row in rows:
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+
+    def test_nothing_is_kept_past_the_bound(self):
+        a = make_sws().series.folded(1.1, 20000)
+        b = mobius_reexpand(a, 2.0)
+        assert np.isfinite(b).all()
+        assert len(_kept_block_rows(2.0)[0]) <= KEPT_ROWS
+        # the orders past the bound read rows computed from the last kept one
+        assert b[:2300].tobytes() == unkept_reexpand(a[:2300], 2.0).tobytes()
+
+    def test_at_most_16_values_of_c_are_kept(self):
+        a = make_sws().series.folded(1.1, 200)
+        for c in np.linspace(1.1, 9.0, 20).tolist():
+            mobius_reexpand(a, c)
+        assert _kept_block_rows.cache_info().currsize <= 16
+
+    def test_threads_read_whole_rows(self):
+        # readers that race to grow the kept rows of one c each see a whole
+        # tuple, so every re-expansion keeps the bits of the unkept one
+        _kept_block_rows.cache_clear()
+        a = make_sws().series.folded(0.7, 2200)
+        degrees = [2200, 5, 700, 2048, 64, 1300, 129, 2049]
+        want = {N: unkept_reexpand(a[: N + 1], 2.5).tobytes() for N in degrees}
+        bad = []
+
+        def work(shift):
+            for N in degrees[shift:] + degrees[:shift]:
+                if mobius_reexpand(a[: N + 1], 2.5).tobytes() != want[N]:
+                    bad.append(N)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bad == []
+        assert len(_kept_block_rows(2.5)[0]) <= KEPT_ROWS

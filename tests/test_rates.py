@@ -189,6 +189,18 @@ class TestRhoOfX:
                 exact = -mpmath.log(mpmath.cos(mpmath.mpf(d) / 2))
                 assert abs((pred.q - exact) / exact) <= 1e-15, x
 
+    def test_real_distance_is_read_once(self, monkeypatch):
+        calls = []
+        distance = SingularitySet.real_distance
+
+        def counting(self, x):
+            calls.append(x)
+            return distance(self, x)
+
+        monkeypatch.setattr(SingularitySet, "real_distance", counting)
+        assert rho_of_x(SAWTOOTH_SET, 0.5).dominating == "zeta_real"
+        assert calls == [0.5]
+
     def test_at_singularity_marker(self):
         pred = rho_of_x(SAWTOOTH_SET, 0.0)
         assert pred.rho == 1.0
