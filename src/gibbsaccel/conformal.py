@@ -46,7 +46,9 @@ once: the check sums the b the caller already holds.  ``accelerate_sum``
 never re-expands, so it neither reads nor replaces the entry.
 
 A ``PowerSeries`` holds a_0..a_N as one read-only complex array; the
-functions here read a prefix view of it, and ``MobiusMap`` is no more
+functions here read a prefix view of it, so the kernel, which computes
+in its input's dtype, takes its complex path here (``series`` hands it
+the float64 fold of a real function instead).  ``MobiusMap`` is no more
 than the checked parameter c of T_c.  ``estimate_radius`` measures the
 rate of the re-expanded coefficients with ``rates.fit_rate``, the fit
 that ``sweeps.fit_envelope`` applies to error traces.

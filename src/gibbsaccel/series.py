@@ -19,7 +19,13 @@ c_-n e^{-inx}, n = 0..N (``FourierSeries.folded``), weighted, and reduced
 over those N+1 terms with numpy's pairwise summation: the rounding error
 is about log2(N+1)*eps*sum|c_n|, below the saturation floor of
 100*eps*sum|c_n|, and results are bit-identical from run to run with the
-same numpy build.
+same numpy build.  A real function has c_-n == conj(c_n), and then every
+a_n is real: the series finds, once per kept table, the degree through
+which that holds, and up to it the fold is float64 and every sum, prefix
+sum and re-expansion after it runs in real arithmetic, at half the
+memory and about half the time of complex128.  Every catalog entry but
+``log2`` (c_1 = 1, c_-1 = 0) is such a series at every degree; any
+other series folds and sums in complex128.
 
 A trace of degrees at one x (``trace_errors``) folds once, at its top
 degree, and each N sums the prefix a_0..a_N of that fold: the folded
@@ -45,15 +51,16 @@ terms do not depend on N.  A filter's rows then take one of two routes.
   b_0 + ... + b_N with b the Möbius(2) re-expansion of the fold
   (``filters.mobius_reexpand``), so one re-expansion at the top degree
   and its prefix sums give every row.  A trace is dense when it has
-  more than one row and N_max^2 <= 64 * sum(N + 1): a re-expansion
-  costs about 0.4 ns * N_max^2 (1.0 ms at N = 1600, 74 us at N = 400),
-  with the block rows of the Möbius(2) table kept across calls
-  (``filters.mobius_reexpand``), a cold Euler table about 30 us plus
-  30 ns per entry, before its product and sum.  The cache of tables
-  holds 256 degrees, and a sweep of a few hundred distinct degrees
-  misses it.  The ratio 64 was set when a re-expansion cost about twice
-  as much; it stays, since moving a row from one route to the other
-  changes its last bits.  The prefix sums are blocked, a running
+  more than one row and N_max^2 <= 128 * sum(N + 1).  The rule weighs
+  the re-expansion of a real fold, about 0.16 ns * N_max^2 (0.41 ms at
+  N = 1600, 92 us at 800, 41 us at 400), with the block rows of the
+  Möbius(2) table kept across calls, against cold Euler tables, about
+  20 us a row plus 20 ns an entry with their product and sum: every CLI
+  command is a fresh process, and the cache of tables holds 256
+  degrees, which a sweep of a few hundred distinct degrees misses.  A
+  trace whose tables are warm, as a sweep's 16 degrees 100..1600/100
+  repeated over many x (ratio 188), costs about a third of that and
+  stays on the tables.  The prefix sums are blocked, a running
   sum inside each 64-block plus a running sum of the pairwise block
   totals, so the rounding error grows with 64 + N/64 terms rather than
   N.  These rows agree with the per-N sum to well within a saturation
@@ -78,10 +85,10 @@ from .rates import SingularitySet, periodic_distance
 _WEIGHT_BATCH_ENTRIES = 2**13
 
 #: A trace is dense, and its Euler rows come from one re-expansion, when
-#: N_max^2 <= _DENSE_RATIO * sum(N + 1): about the cost of a weight table
-#: entry with its product and sum over that of one N_max^2 unit of the
-#: re-expansion.
-_DENSE_RATIO = 64
+#: N_max^2 <= _DENSE_RATIO * sum(N + 1): about the cost of a cold weight
+#: table entry with its product and sum (20 ns) over that of one N_max^2
+#: unit of a real re-expansion (0.16 ns).
+_DENSE_RATIO = 128
 
 #: Terms per block of the blocked prefix sums of a re-expansion.
 _PREFIX_BLOCK = 64
@@ -93,6 +100,11 @@ _PREFIX_BLOCK = 64
 #: a larger degree, as in a sweep near n_max = 2,000,000, keeps nothing.
 _KEPT_MAX_N = 2048
 
+#: Pairs c_n, c_-n per step of the conjugate-symmetry check
+#: (``_symmetric_through``), which bounds its temporaries above
+#: ``_KEPT_MAX_N``.
+_SYMMETRY_CHUNK = 2**12
+
 
 @dataclass(frozen=True)
 class FourierSeries:
@@ -102,8 +114,9 @@ class FourierSeries:
     |n| <= n_max and returns c_n with the same shape (a complex for an
     int); a constant callable such as ``lambda n: 1.0`` is broadcast to
     the index array.  ``coeff`` must be a pure function of n: the series
-    keeps the c_n it computed (``coefficients``) and never calls it again
-    for them.  ``exact_eval`` is the optional closed form of the
+    keeps the c_n it computed (``coefficients``), with the degree through
+    which c_-n == conj(c_n) (``folded``), and never calls it again for
+    them.  ``exact_eval`` is the optional closed form of the
     summed function, used as ground truth in error measurements.
     ``singularities`` defaults to the empty set, and the adaptive filters
     then measure the distance from 0.  ``n_max`` is a degree, checked by
@@ -115,9 +128,10 @@ class FourierSeries:
     n_max: int
     exact_eval: Callable[[float], complex] | None = None
     singularities: SingularitySet = SingularitySet()
-    # the kept table: empty, or [c_{-T..T}, running totals 0..T] at the
-    # largest degree T <= _KEPT_MAX_N asked for, both read-only; not an
-    # init field, so ``dataclasses.replace`` starts a series empty
+    # the kept table: empty, or [c_{-T..T}, running totals 0..T, the degree
+    # through which c_-n == conj(c_n)] at the largest degree T <=
+    # _KEPT_MAX_N asked for, the arrays read-only; not an init field, so
+    # ``dataclasses.replace`` starts a series empty
     _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -161,7 +175,7 @@ class FourierSeries:
         """The kept table, rebuilt at N when it stops short of N."""
         if not self._kept or len(self._kept[1]) <= N:
             c = self._generate(N)
-            self._kept[:] = c, _running_totals(np.abs(c))
+            self._kept[:] = c, _running_totals(np.abs(c)), _symmetric_through(c)
         return self._kept
 
     def _totals(self, N: int) -> np.ndarray:
@@ -178,14 +192,24 @@ class FourierSeries:
         The partial sum over |n| <= N at x is sum a_n for n = 0..N, and a
         filter with weights sigma(|n|) gives sum sigma(n) a_n.  The phases
         take x reduced exactly into [-pi, pi] (``math.remainder``), so a
-        large |x| loses no accuracy.  Raises ValueError for a non-finite
-        x, and, as ``coefficients`` does, TypeError or ValueError for an N
-        that is not a degree or is beyond n_max.
+        large |x| loses no accuracy.  When c_-n == conj(c_n) for every
+        n <= N (a real function, as every catalog entry but ``log2``),
+        the terms are real and come back as float64, a_0 = Re c_0 and
+        a_n = 2 Re(c_n e^{inx}): each the real part of the complex fold,
+        whose imaginary part is exactly zero (a zero's sign aside).  Any
+        other series folds in complex128.  Raises ValueError for a
+        non-finite x, and, as ``coefficients`` does, TypeError or
+        ValueError for an N that is not a degree or is beyond n_max.
         """
         if not math.isfinite(x):
             raise ValueError(f"x={x} is not finite")
         c = self.coefficients(N)  # c[N + n] = c_n
+        N = len(c) // 2
         phase = np.exp(1j * np.arange(N + 1) * math.remainder(x, math.tau))
+        if N <= (self._kept[2] if N <= _KEPT_MAX_N else _symmetric_through(c)):
+            a = (c[N:] * phase).real * 2.0
+            a[0] = c[N].real
+            return a
         a = c[N:] * phase + c[N::-1] * phase.conj()
         a[0] = c[N]
         return a
@@ -203,12 +227,14 @@ class FourierSeries:
 
 def filtered_partial_sum(
     series: FourierSeries, x: float, N: int, spec: FilterSpec
-) -> complex:
+) -> float | complex:
     """Filtered partial sum sum sigma(|n|) c_n exp(inx) over |n| <= N.
 
     Summed over the N+1 folded terms (``folded``) by the same path as
     every row of ``trace_errors``: sum sigma(n) a_n over the row's band
     lo..hi (``filters.weight_bands``) plus the plain sum of a_0..a_{lo-1}.
+    A float when the fold is real (c_-n == conj(c_n) for every n <= N),
+    else a complex.
     A row whose band is the whole row is exactly sum sigma(n) a_n; a
     narrower Erfc-Log or HDAF row differs from it by at most
     2^-60*sum|a_n| plus rounding.  Raises ValueError for a non-finite x
@@ -224,7 +250,7 @@ def filtered_partial_sum(
 
 def _filtered_sums(
     series: FourierSeries, x: float, degrees: list[int], specs: list[FilterSpec]
-) -> list[list[complex]]:
+) -> list[list[float | complex]]:
     """``filtered_partial_sum`` for each spec (outer) and each N in degrees
     (inner; a list of degrees as the ``filters`` module docstring states,
     checked by ``filters._checked_degrees`` before the fold), every one a
@@ -246,8 +272,8 @@ def _filtered_sums(
 
 def _table_sums(
     spec: FilterSpec, a: np.ndarray, degrees: list[int], x_dist: float
-) -> list[complex]:
-    """The sums at each N in degrees from weight tables.  Each row reads
+) -> list[float | complex]:
+    """The sums at each N in degrees from weight tables, in a's dtype.  Each row reads
     only its band lo..hi (``weight_bands``): one ``filter_weights`` call
     per batch of bands, and each row the pairwise sum of a_0..a_{lo-1}
     (none when lo = 0) plus the pairwise sum of its weights times
@@ -269,15 +295,16 @@ def _table_sums(
     return np.array(sums).tolist()
 
 
-def _euler_prefix_sums(a: np.ndarray, degrees: list[int]) -> list[complex]:
+def _euler_prefix_sums(a: np.ndarray, degrees: list[int]) -> list[float | complex]:
     """The Euler sums at each N in degrees, b_0 + ... + b_N with b the
-    Möbius(2) re-expansion of a, from blocked prefix sums of b."""
+    Möbius(2) re-expansion of a, from blocked prefix sums of b, in a's
+    dtype."""
     b = mobius_reexpand(a, 2.0)
-    blocks = np.zeros(-(-b.size // _PREFIX_BLOCK) * _PREFIX_BLOCK, dtype=complex)
+    blocks = np.zeros(-(-b.size // _PREFIX_BLOCK) * _PREFIX_BLOCK, dtype=b.dtype)
     blocks[: b.size] = b  # not np.pad, which costs more than the prefix sums
     blocks = blocks.reshape(-1, _PREFIX_BLOCK)
     inside = np.cumsum(blocks, axis=1)
-    before = np.zeros(len(blocks), dtype=complex)  # sum of the earlier blocks
+    before = np.zeros(len(blocks), dtype=b.dtype)  # sum of the earlier blocks
     np.cumsum(blocks.sum(axis=1)[:-1], out=before[1:])
     block, offset = np.divmod(np.array(degrees), _PREFIX_BLOCK)
     return (before[block] + inside[block, offset]).tolist()
@@ -352,6 +379,24 @@ def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.n
     index = slice(N.start, N.stop, N.step) if type(degrees) is range else np.asarray(N)
     floors = 100.0 * np.finfo(float).eps * totals[index]
     return float(floors) if floors.ndim == 0 else floors
+
+
+def _symmetric_through(c: np.ndarray) -> int:
+    """The largest K <= N such that c_-n == conj(c_n) for every n <= K, of
+    c = c_{-N..N}; -1 when c_0 is not real.  Compared _SYMMETRY_CHUNK
+    pairs at a time, up to the first chunk with a pair that differs, so
+    no temporary is the size of c."""
+    top = len(c) // 2
+    if c[top].imag != 0:
+        return -1
+    for start in range(1, top + 1, _SYMMETRY_CHUNK):
+        stop = min(start + _SYMMETRY_CHUNK, top + 1)
+        pos = c[top + start : top + stop]  # c_n, n = start..stop-1
+        neg = c[top - stop + 1 : top - start + 1][::-1]  # c_-n
+        differ = np.flatnonzero((pos.real != neg.real) | (pos.imag != -neg.imag))
+        if differ.size:
+            return start + int(differ[0]) - 1
+    return top
 
 
 def _running_totals(mag: np.ndarray) -> np.ndarray:

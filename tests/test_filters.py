@@ -1066,15 +1066,16 @@ def unkept_reexpand(a: np.ndarray, c: float) -> np.ndarray:
     N = a.size - 1
     steps = _binomial_steps(c)
     head, step = steps[:_BLOCK, :_BLOCK], steps[_BLOCK]
-    padded = np.zeros(N + _BLOCK, dtype=complex)
+    padded = np.zeros(N + _BLOCK, dtype=a.dtype)
     padded[: N + 1] = a
-    b = np.empty(N + _BLOCK, dtype=complex)
+    b = np.empty(N + _BLOCK, dtype=a.dtype)
     b[0] = a[0]
-    pairs = b.view(float).reshape(-1, 2)
+    k = a.dtype.itemsize // 8  # 2 for (re, im) pairs, 1 for real input
+    parts = b.view(float).reshape(-1, k)
     row = np.array([0.0, (c - 1.0) / c])
     for m in range(1, N + 1, _BLOCK):
         lagged = np.correlate(padded[: m + _BLOCK], row)
-        np.matmul(head, lagged.view(float).reshape(-1, 2), out=pairs[m : m + _BLOCK])
+        np.matmul(head, lagged.view(float).reshape(-1, k), out=parts[m : m + _BLOCK])
         if m + _BLOCK <= N:
             row = np.convolve(row, step)
     return b[: N + 1]
@@ -1095,6 +1096,18 @@ class TestKeptBlockRows:
         for N in degrees + degrees[::-1]:  # rising, then falling
             got, want = mobius_reexpand(a[: N + 1], c), unkept_reexpand(a[: N + 1], c)
             assert got.tobytes() == want.tobytes(), (c, N)
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 3.0])
+    def test_real_input_is_the_real_part_of_complex_input(self, c):
+        a = make_sws().series.folded(1.1, 2200)
+        assert a.dtype == np.float64
+        for N in (0, 1, 63, 64, 65, 260, 1600, 2200):
+            got = mobius_reexpand(a[: N + 1], c)
+            want = mobius_reexpand(a[: N + 1].astype(complex), c)
+            assert got.dtype == np.float64
+            tol = 1e-16 * np.abs(a[: N + 1]).sum()
+            assert np.abs(got - want.real).max() <= tol, N
+            assert (want.imag == 0.0).all()
 
     def test_kept_rows_are_read_only(self):
         a = make_sws().series.folded(1.1, 2048)

@@ -97,6 +97,15 @@ class TestArraySum:
         assert saturation_floor(series, 10) == 100.0 * np.finfo(float).eps * 21.0
 
 
+def complex_fold(series, x, N):
+    """c_n e^{inx} + c_-n e^{-inx} for n = 0..N in complex128, a_0 = c_0."""
+    c = series.coefficients(N)  # c[N + n] = c_n
+    phase = np.exp(1j * np.arange(N + 1) * math.remainder(x, math.tau))
+    a = c[N:] * phase + c[N::-1] * phase.conj()
+    a[0] = c[N]
+    return a
+
+
 class TestFolded:
     def test_matches_two_sided_terms(self):
         sws = make_sws().series
@@ -119,6 +128,49 @@ class TestFolded:
     def test_non_finite_x_rejected(self, x):
         with pytest.raises(ValueError, match="not finite"):
             make_sws().series.folded(x, 3)
+
+    @pytest.mark.parametrize(
+        "key, params",
+        [
+            ("sws", {}),
+            ("delta", {}),
+            ("lorentzian", {"p": math.exp(-0.2), "phi": math.pi}),
+            ("lorentzian", {"p": math.exp(-0.2), "phi": 7.0}),
+            ("sws+lorentzian", {"p": 0.5}),
+        ],
+    )
+    def test_real_function_folds_in_float64(self, key, params):
+        # c_-n == conj(c_n), so the complex fold's imaginary part is exactly
+        # zero and the float64 fold is its real part
+        series = get_function(key, **params).series
+        for N, x in itertools.product((0, 1, 2048, 2049, 5000), (0.3, 1.1, 2.5, 3.0)):
+            a = series.folded(x, N)
+            want = complex_fold(series, x, N)
+            assert a.dtype == np.float64, (N, x)
+            assert (want.imag == 0.0).all(), (N, x)
+            assert np.array_equal(a, want.real), (N, x)
+
+    @pytest.mark.parametrize("K", [1, 2, 2048, 2049, 4096, 4097, 4098, 6000])
+    def test_real_through_the_last_symmetric_degree(self, K):
+        # c_-K breaks the symmetry: below K the fold is real, from K on
+        # complex, whatever degree was folded before (kept table or not)
+        def coeff(n):
+            n = np.asarray(n, dtype=float)
+            return np.where(n == -K, 2.0, 1.0 / (1.0 + n * n))
+
+        series = FourierSeries(coeff=coeff, n_max=7000)
+        for N in (7000, K + 1, K, K - 1, 0, K - 1, K, 7000):
+            want = np.float64 if N < K else np.complex128
+            assert series.folded(0.4, N).dtype == want, N
+
+    @pytest.mark.parametrize("N", [1, 2048, 2049, 5000])
+    def test_other_series_fold_in_complex128(self, N):
+        series = random_series(np.random.default_rng(5), 5000)
+        for x in (0.3, 2.5):
+            for s in (get_function("log2").series, series):
+                a = s.folded(x, N)
+                assert a.dtype == np.complex128
+                assert a.tobytes() == complex_fold(s, x, N).tobytes()
 
 
 class TestSaturationFloor:
@@ -274,6 +326,13 @@ class TestKeptTable:
 
 
 class TestFilteredPartialSum:
+    @pytest.mark.parametrize("kind", VALID_KINDS)
+    def test_a_real_series_sums_to_a_float(self, kind):
+        spec = FilterSpec(kind)
+        for key, N in itertools.product(FUNCTION_KEYS, (0, 7, 300)):
+            value = filtered_partial_sum(get_function(key).series, 1.1, N, spec)
+            assert type(value) is (complex if key == "log2" and N else float), key
+
     def test_identity_filter_is_plain_sum(self):
         sws = make_sws().series
         for x in (0.3, 1.1, 2.9):
@@ -561,7 +620,15 @@ class TestDenseEulerRoute:
         series = get_function(key).series
         for x, degrees in itertools.product(
             (0.05, 0.3, 1.1, 2.0, 2.9, 3.1),
-            (list(range(2, 401)), list(range(2, 1601, 5))),
+            # every N, every 5th, and 25-row traces up to N = 1490 as in the
+            # compare-far benchmark
+            (
+                list(range(2, 401)),
+                list(range(2, 1601, 5)),
+                list(range(3, 801, 33)),
+                list(range(4, 1157, 48)),
+                list(range(2, 1491, 62)),
+            ),
         ):
             (sums,) = _filtered_sums(series, x, degrees, [EULER])
             a = series.folded(x, degrees[-1])
@@ -599,11 +666,11 @@ class TestDenseEulerRoute:
                 assert abs(value - single) <= saturation_floor(series, N)
 
     def test_density_rule(self, weight_kinds):
-        # dense when N_max^2 <= 64 * sum(N + 1): 128^2 = 64 * (127 + 129)
-        series = make_sws(n_max=200).series
+        # dense when N_max^2 <= 128 * sum(N + 1): 256^2 = 128 * (255 + 257)
+        series = make_sws(n_max=300).series
         for degrees, euler_calls in (
-            ([126, 128], []),
-            ([125, 128], ["euler"]),
+            ([254, 256], []),
+            ([253, 256], ["euler"]),
             ([0], ["euler"]),  # one row is never dense
         ):
             weight_kinds.clear()
