@@ -20,8 +20,9 @@ so B steps of it are one convolution with the Binomial(B, (c-1)/c) pmf.
 which advances B = 64 orders per step: one correlation of row m with
 the coefficients and one small matrix product with the Binomial(i, p)
 pmfs for i < B.  The rows m = 1 + kB depend on c alone, so the kernel
-keeps them per c up to order 2048 (``filters._KEPT_TABLE_MAX_M``) and
-builds each, one convolution from the row before it, once; rows past
+reads those up to order 2048 (``filters._KEPT_TABLE_MAX_M``) from one
+cache of 512 rows, an entry per c and row (``filters._block_row``),
+which builds each by one convolution from the row before it; rows past
 that order cost one convolution on every call.  That is O(N^2) flops,
 N/B Python steps and O(N) memory, with no N x N table held.
 

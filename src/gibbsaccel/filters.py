@@ -37,12 +37,12 @@ array's).  A list of degrees is a 1-D list, tuple, range or integer
 array, or one int; it holds at least one degree and does not decrease (a
 degree may repeat).  ``_checked_degrees`` is the one check of this rule:
 it returns the degrees as a list (a plain int without touching numpy),
-except a range with step >= 1, start >= 0, at least one entry and its
-last entry below 2^53, which keeps the rule by its ends alone: it is
-checked in O(1), with no numpy call, and returned as it is, so a
-sweep's degrees (``sweeps.ExperimentConfig.degrees``) pass every layer
-without an array.  Any other range takes the path of its list and
-raises what its list raises.  Before any per-entry array is built it
+except a range.  A range is read by its ends alone, in O(1) and with no
+numpy call: one with at least one entry and 0 <= first <= last < 2^53
+keeps the rule and is returned as it is, so a sweep's degrees
+(``sweeps.ExperimentConfig.degrees``) pass every layer without an
+array, and any other takes the path of the list of its two ends, which
+raises what its whole list raises.  Before any per-entry array is built it
 raises, in this order of precedence, TypeError("a list of degrees must
 be 1-D", a ragged one such as [[1], [2, 3]] too), ValueError("need at
 least one degree"),
@@ -100,9 +100,9 @@ once.  It is an array function with no package imports, so both
 (``recoefficient``, on a complex ``PowerSeries``) use it; it computes
 in the dtype of its input.
 The row of the table that starts each block of 64 orders depends on c
-alone, so those rows are kept per c, up to order ``_KEPT_TABLE_MAX_M``
-(``_block_rows``), and a call builds only the rows no call has built
-before.
+alone, so the rows up to order ``_KEPT_TABLE_MAX_M`` are kept, one cache
+entry per c and row (``_block_row``), and a call builds only the rows
+it does not find there.
 
 Argument conventions differ on purpose: Euler weights take the integer
 index j directly (arguments j/(M+1)); Erfc-Log and HDAF take
@@ -211,6 +211,10 @@ _KEPT_TABLE_MAX_M = 2048
 #: Orders of the Möbius re-expansion that ``mobius_reexpand`` advances per step.
 _BLOCK = 64
 
+#: Block rows T[1 + kB] kept per c (``_block_row``): the 32 of order
+#: at most ``_KEPT_TABLE_MAX_M``.
+_KEPT_BLOCKS = _KEPT_TABLE_MAX_M // _BLOCK
+
 #: L = 60 log 2: an Erfc-Log or HDAF weight outside its row's band
 #: (``weight_bands``) is within e^-L = 2^-60 of 1 below it, or at most
 #: 2^-60 above it.
@@ -299,11 +303,13 @@ def euler_mu(M: int, k: int) -> float:
     Accurate to a few ulps wherever the value is a normal double, at any M;
     values below the smallest normal double lose relative accuracy and
     round to 0 far in the tails.  M and k are checked by the degree rule
-    (module docstring), and k <= M, before any row is built or read.
+    (module docstring), and k <= M, before the row is built.  Every call
+    builds the whole row of M+1 weights; ``_euler_mu_row`` returns that
+    row in one call.
     """
     if _checked_degree(M) < _checked_degree(k):
         raise ValueError(f"k={k} outside [0, M={M}]")
-    return float(_last_euler_mu_row(M)[k])
+    return float(_euler_mu_row(M)[k])
 
 
 def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
@@ -316,8 +322,7 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     do.  At p = 1/2 the odds factor is exactly 1.  M is checked by the
     degree rule (module docstring), so 2**60 raises "not representable"
     rather than allocating.  Not cached: it is an
-    intermediate of ``_euler_sigma_table``, which caches the small tables
-    (``euler_mu`` keeps only its last row).
+    intermediate of ``_euler_sigma_table``, which caches the small tables.
     """
     _checked_degree(M)
     if not 0.0 < p < 1.0:
@@ -334,11 +339,6 @@ def _euler_mu_row(M: int, p: float = 0.5) -> np.ndarray:
     mu = row / row.sum()
     mu.flags.writeable = False
     return mu
-
-
-#: ``euler_mu``'s row: a loop over k at one M builds it once, and it
-#: holds 8(M+1) bytes until the next M.
-_last_euler_mu_row = lru_cache(maxsize=1)(_euler_mu_row)
 
 
 def _euler_sigma_table(M: int, p: float = 0.5) -> np.ndarray:
@@ -563,9 +563,10 @@ def _checked_degrees(N) -> list | range:
     that the module docstring states."""
     if type(N) is int and 0 <= N < _MAX_EXACT_INDEX:  # one plain degree: no numpy
         return [N]
-    if type(N) is range and N and N.step > 0 and N.start >= 0:  # O(1), no numpy
-        if N[-1] < _MAX_EXACT_INDEX:
+    if type(N) is range:  # read by its ends: O(1), no numpy
+        if N and 0 <= N[0] <= N[-1] < _MAX_EXACT_INDEX:
             return N
+        N = [N[0], N[-1]] if N else []  # raises what the whole list raises
     try:
         array = np.atleast_1d(N)
     except ValueError:  # numpy's own error for a ragged list, as [[1], [2, 3]]
@@ -746,43 +747,20 @@ def _binomial_steps(c: float) -> np.ndarray:
     return steps
 
 
-@lru_cache(maxsize=16)
-def _kept_block_rows(c: float) -> list:
-    """The rows T[1 + kB] of the Möbius(c) table kept for c, k = 0, 1, ...,
-    as the one entry of a list: a tuple of read-only arrays, T[1] first
-    (``_block_rows``)."""
-    first = np.array([0.0, (c - 1.0) / c])
-    first.flags.writeable = False
-    return [(first,)]
-
-
-def _block_rows(c: float, count: int):
-    """The rows T[1 + kB] for k < count, each row the one before it
-    convolved with the Binomial(B, (c-1)/c) pmf, so every row has the same
-    bits whether it was kept or not.
-
-    Rows of order 1 + kB <= ``_KEPT_TABLE_MAX_M`` (32 rows, 254 KB) are
-    kept per c, for the 16 values of c that ``_binomial_steps`` keeps
-    (4 MB at most); the rest are computed from the last kept row on
-    every call and kept nowhere.  The kept rows grow by a copy that is
-    published whole, a new tuple in place of the old, so a reader never
-    sees a half-built one; two threads that grow them at once publish
-    equal rows, and a shorter tuple published last costs only a rebuild.
-    """
-    bound = _KEPT_TABLE_MAX_M // _BLOCK  # the rows of order 1 + kB <= the bound
-    kept = _kept_block_rows(c)
-    rows, step = kept[0], _binomial_steps(c)[_BLOCK]
-    if len(rows) < min(count, bound):
-        grown = list(rows)
-        while len(grown) < min(count, bound):
-            grown.append(np.convolve(grown[-1], step))
-            grown[-1].flags.writeable = False
-        rows = kept[0] = tuple(grown)
-    yield from rows[:count]
-    row = rows[-1]
-    for _ in range(len(rows), count):
-        row = np.convolve(row, step)
-        yield row
+@lru_cache(maxsize=16 * _KEPT_BLOCKS)
+def _block_row(c: float, k: int) -> np.ndarray:
+    """T[1 + kB], the row of the Möbius(c) table that starts block k,
+    read-only: T[1] = (0, (c-1)/c), and each later row the one before it
+    convolved with the Binomial(B, (c-1)/c) pmf.  ``mobius_reexpand``
+    reads it only for k < ``_KEPT_BLOCKS``, 32 rows a value of c
+    (254 KB), so the cache holds the rows of 16 values of c (4 MB); a
+    row is evicted alone, and its rebuild has the same bits."""
+    if k == 0:
+        row = np.array([0.0, (c - 1.0) / c])
+    else:
+        row = np.convolve(_block_row(c, k - 1), _binomial_steps(c)[_BLOCK])
+    row.flags.writeable = False
+    return row
 
 
 def mobius_reexpand(a: np.ndarray, c: float) -> np.ndarray:
@@ -797,12 +775,13 @@ def mobius_reexpand(a: np.ndarray, c: float) -> np.ndarray:
     with G_l = sum_k T[m, k] a_{k+l} (one correlation over the zero-padded
     coefficients), b_{m+i} = sum_l Binomial(i, p)(l) G_l for i < B (one
     B x B matrix product), and T[m+B] is T[m] convolved with the
-    Binomial(B, p) pmf.  Those rows T[1 + kB] depend on c alone: they are
-    kept per c up to order ``_KEPT_TABLE_MAX_M`` (``_block_rows``), each
-    built once with the same bits as when it is built afresh, and the
-    rows past it are convolved afresh on every call.  That is O(N^2)
-    flops, N/B Python steps and O(N) memory besides the kept rows, which
-    take a fifth (N = 260) to a third (N = 1600) off a call's time.
+    Binomial(B, p) pmf.  Those rows T[1 + kB] depend on c alone: the 32
+    up to order ``_KEPT_TABLE_MAX_M`` are read from ``_block_row``, which
+    keeps them for 16 values of c and builds each one convolution from
+    the row before it, and the rows past that order are convolved afresh
+    from row 31 on every call.  That is O(N^2) flops, N/B Python steps
+    and O(N) memory besides the kept rows, which take a fifth (N = 260)
+    to a third (N = 1600) off a call's time.
     b has a's dtype, float64 for a real a and complex128 for a complex
     one, and both products run on float arrays, b as (N + B, k) floats
     with k = 1 or 2 (re, im): a real a costs about half a complex one
@@ -814,7 +793,8 @@ def mobius_reexpand(a: np.ndarray, c: float) -> np.ndarray:
     so b_0 + ... + b_N is the Euler-Knopp weighted sum at degree N.
     """
     N = a.size - 1
-    head = _binomial_steps(c)[:_BLOCK, :_BLOCK]
+    steps = _binomial_steps(c)
+    head, step = steps[:_BLOCK, :_BLOCK], steps[_BLOCK]
     dtype = np.result_type(a, float)
     padded = np.zeros(N + _BLOCK, dtype=dtype)  # the last block reads past a_N
     padded[: N + 1] = a
@@ -825,8 +805,8 @@ def mobius_reexpand(a: np.ndarray, c: float) -> np.ndarray:
     # milliseconds with several BLAS threads.
     k = dtype.itemsize // 8
     parts = b.view(float).reshape(-1, k)
-    starts = range(1, N + 1, _BLOCK)
-    for m, row in zip(starts, _block_rows(c, len(starts))):
+    for block, m in enumerate(range(1, N + 1, _BLOCK)):
+        row = _block_row(c, block) if block < _KEPT_BLOCKS else np.convolve(row, step)
         lagged = np.correlate(padded[: m + _BLOCK], row)  # G_0..G_{B-1}
         np.matmul(head, lagged.view(float).reshape(-1, k), out=parts[m : m + _BLOCK])
     return b[: N + 1]

@@ -100,11 +100,6 @@ _PREFIX_BLOCK = 64
 #: a larger degree, as in a sweep near n_max = 2,000,000, keeps nothing.
 _KEPT_MAX_N = 2048
 
-#: Pairs c_n, c_-n per step of the conjugate-symmetry check
-#: (``_symmetric_through``), which bounds its temporaries above
-#: ``_KEPT_MAX_N``.
-_SYMMETRY_CHUNK = 2**12
-
 
 @dataclass(frozen=True)
 class FourierSeries:
@@ -383,20 +378,11 @@ def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.n
 
 def _symmetric_through(c: np.ndarray) -> int:
     """The largest K <= N such that c_-n == conj(c_n) for every n <= K, of
-    c = c_{-N..N}; -1 when c_0 is not real.  Compared _SYMMETRY_CHUNK
-    pairs at a time, up to the first chunk with a pair that differs, so
-    no temporary is the size of c."""
+    c = c_{-N..N}; -1 when c_0 is not real.  One compare of c_0..c_N with
+    conj(c_0..c_-N), whose temporaries hold N+1 entries each."""
     top = len(c) // 2
-    if c[top].imag != 0:
-        return -1
-    for start in range(1, top + 1, _SYMMETRY_CHUNK):
-        stop = min(start + _SYMMETRY_CHUNK, top + 1)
-        pos = c[top + start : top + stop]  # c_n, n = start..stop-1
-        neg = c[top - stop + 1 : top - start + 1][::-1]  # c_-n
-        differ = np.flatnonzero((pos.real != neg.real) | (pos.imag != -neg.imag))
-        if differ.size:
-            return start + int(differ[0]) - 1
-    return top
+    differ = np.flatnonzero(c[top:] != c[top::-1].conj())
+    return int(differ[0]) - 1 if differ.size else top
 
 
 def _running_totals(mag: np.ndarray) -> np.ndarray:

@@ -14,14 +14,13 @@ tool = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(tool)
 
 #: Everything the package keeps between calls: catalog entries with their
-#: coefficient tables, Euler tables and rows, Möbius block rows and steps,
-#: and the last re-expansion.
+#: coefficient tables, Euler tables, Möbius block rows (one entry per c and
+#: row) and steps, and the last re-expansion.
 CACHES = (
     catalog._kept_entry,
-    filters._last_euler_mu_row,
     filters._kept_euler_sigma_table,
     filters._binomial_steps,
-    filters._kept_block_rows,
+    filters._block_row,
     conformal._reexpanded,
 )
 

@@ -36,15 +36,14 @@ from gibbsaccel.filters import (
     _HDAF_TEMME_DEPTH,
     _KEPT_TABLE_MAX_M,
     _binomial_steps,
+    _block_row,
     _checked_degree,
     _checked_degrees,
     _erfc,
     _euler_mu_row,
     _euler_sigma_table,
     _hdaf_rows,
-    _kept_block_rows,
     _kept_euler_sigma_table,
-    _last_euler_mu_row,
     mobius_reexpand,
 )
 from gibbsaccel.rates import delta_truncation_error
@@ -76,7 +75,7 @@ class TestEulerMu:
         assert row[0] == pytest.approx(2.0**-1000, rel=1e-13)
 
     def test_matches_row_as_m_changes(self):
-        # euler_mu keeps only the last row it built
+        # every euler_mu call reads a fresh row of its own M
         for M in (7, 300, 7, 8, 300):
             assert [euler_mu(M, k) for k in range(M + 1)] == _euler_mu_row(M).tolist()
 
@@ -845,6 +844,26 @@ class TestDegreeLists:
         for degrees in (range(2, 401, 5), range(0, 1), range(0, 2**53, 2**52)):
             assert _checked_degrees(degrees) is degrees
 
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [
+            (range(2**53 - 10**5, 2**53 + 1), "degree 9007199254740992 is not"),
+            (range(-3, 10**5), "N must be >= 0"),
+            (range(10**5, 0, -1), "a list of degrees must not decrease"),
+        ],
+        ids=["2^53", "negative", "decreasing"],
+    )
+    def test_a_bad_range_is_refused_by_its_ends(self, degrees, message):
+        # refused from its two ends: no entry of the range is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                _checked_degrees(degrees)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_a_sweep_range_is_checked_without_numpy(self, monkeypatch):
         # a dense Euler sweep: its floors and its one re-expansion read the
         # range itself; a weight table's batch would go on as a list
@@ -944,14 +963,22 @@ class TestScalarDegrees:
         with pytest.raises(ValueError, match=f"^degree {2**60} is not representable"):
             euler_mu(2**60, 0)
 
-    def test_euler_indices_are_checked_before_any_table(self):
-        before = (_kept_euler_sigma_table.cache_info(), _last_euler_mu_row.cache_info())
+    def test_euler_indices_are_checked_before_any_table(self, monkeypatch):
+        rows = []
+
+        def counted_row(*args):
+            rows.append(args)
+            return _euler_mu_row(*args)
+
+        monkeypatch.setattr(filters_module, "_euler_mu_row", counted_row)
+        before = _kept_euler_sigma_table.cache_info()
         with pytest.raises(TypeError, match="^degree 1.5 is not an integer$"):
             euler_mu(3, 1.5)
         with pytest.raises(TypeError, match="^degree 1.5 is not an integer$"):
             euler_sigma(1.5, 3)
-        after = (_kept_euler_sigma_table.cache_info(), _last_euler_mu_row.cache_info())
-        assert after == before
+        assert _kept_euler_sigma_table.cache_info() == before
+        assert rows == []
+        assert euler_mu(2, 0) == 0.25 and rows == [(2,)]  # the probe sees a row
         with pytest.raises(ValueError, match=r"^k=5 outside \[0, M=4\]$"):
             euler_mu(4, 5)
         with pytest.raises(ValueError, match=r"^j=4 outside \[0, M\+1=3\]$"):
@@ -1086,11 +1113,12 @@ KEPT_ROWS = _KEPT_TABLE_MAX_M // _BLOCK
 
 
 class TestKeptBlockRows:
-    """The Möbius(c) block rows that ``mobius_reexpand`` keeps per c."""
+    """The Möbius(c) block rows that ``_block_row`` keeps for
+    ``mobius_reexpand``, one cache entry per c and row."""
 
     @pytest.mark.parametrize("c", [1.5, 2.0, 3.0, 7.0])
     def test_bit_identical_to_the_unkept_recurrence(self, c):
-        _kept_block_rows.cache_clear()
+        _block_row.cache_clear()
         a = make_sws().series.folded(1.1, 2200)
         degrees = [0, 1, 63, 64, 65, 129, 2048, 2049, 2200]
         for N in degrees + degrees[::-1]:  # rising, then falling
@@ -1110,33 +1138,46 @@ class TestKeptBlockRows:
             assert (want.imag == 0.0).all()
 
     def test_kept_rows_are_read_only(self):
+        _block_row.cache_clear()
         a = make_sws().series.folded(1.1, 2048)
         mobius_reexpand(a, 2.0)
-        rows = _kept_block_rows(2.0)[0]
-        assert type(rows) is tuple and len(rows) == KEPT_ROWS
-        for row in rows:
+        assert _block_row.cache_info().currsize == KEPT_ROWS
+        for k in range(KEPT_ROWS):
+            row = _block_row(2.0, k)
+            assert row.shape == (2 + _BLOCK * k,)
             assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[0] = 1.0
 
     def test_nothing_is_kept_past_the_bound(self):
+        _block_row.cache_clear()
         a = make_sws().series.folded(1.1, 20000)
         b = mobius_reexpand(a, 2.0)
         assert np.isfinite(b).all()
-        assert len(_kept_block_rows(2.0)[0]) <= KEPT_ROWS
+        assert _block_row.cache_info().currsize == KEPT_ROWS
         # the orders past the bound read rows computed from the last kept one
         assert b[:2300].tobytes() == unkept_reexpand(a[:2300], 2.0).tobytes()
 
     def test_at_most_16_values_of_c_are_kept(self):
-        a = make_sws().series.folded(1.1, 200)
-        for c in np.linspace(1.1, 9.0, 20).tolist():
+        # 20 values of c at N = 2200 ask for 640 rows: the cache holds the
+        # last 512, and the first c's rows, evicted one by one, come back
+        # with the bits of the unkept recurrence
+        _block_row.cache_clear()
+        a = make_sws().series.folded(1.1, 2200)
+        cs = np.linspace(1.1, 9.0, 20).tolist()
+        for c in cs:
             mobius_reexpand(a, c)
-        assert _kept_block_rows.cache_info().currsize <= 16
+        assert _block_row.cache_info().currsize == 16 * KEPT_ROWS
+        misses = _block_row.cache_info().misses
+        b = mobius_reexpand(a, cs[0])
+        assert _block_row.cache_info().misses == misses + KEPT_ROWS
+        assert b.tobytes() == unkept_reexpand(a, cs[0]).tobytes()
+        assert _block_row.cache_info().currsize == 16 * KEPT_ROWS
 
     def test_threads_read_whole_rows(self):
-        # readers that race to grow the kept rows of one c each see a whole
-        # tuple, so every re-expansion keeps the bits of the unkept one
-        _kept_block_rows.cache_clear()
+        # threads that race to build the kept rows of one c each read whole
+        # rows, so every re-expansion keeps the bits of the unkept one
+        _block_row.cache_clear()
         a = make_sws().series.folded(0.7, 2200)
         degrees = [2200, 5, 700, 2048, 64, 1300, 129, 2049]
         want = {N: unkept_reexpand(a[: N + 1], 2.5).tobytes() for N in degrees}
@@ -1159,4 +1200,4 @@ class TestKeptBlockRows:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert bad == []
-        assert len(_kept_block_rows(2.5)[0]) <= KEPT_ROWS
+        assert _block_row.cache_info().currsize == KEPT_ROWS
