@@ -20,6 +20,13 @@ the same shape.  It tests for an int first and returns the closed form
 in plain Python, touching no numpy, so per-term callers stay cheap.
 Anything else takes the array path: a numpy integer scalar is a 0-d
 index and gets a 0-d result, bit-identical to its entry of the array.
+
+Every entry declares its Euler terms too (``FourierSeries.euler_terms``):
+the Möbius(2) re-expansion b_0..b_N of its fold at x in closed form, in
+O(N), from two pieces.  A log term (``_log_term``) is the re-expansion
+of -log(1 - z e^{ix}) or -log(1 + z e^{ix}) ("sws", "log2"), and a pole
+pair (``_pole_pair``) that of 1 + sum (q^n + conj(q)^n) z^n ("delta",
+"lorentzian"); "sws+lorentzian" is the sum of its two parts' terms.
 """
 
 from __future__ import annotations
@@ -93,6 +100,102 @@ def log2_series(n_max: int = 64) -> PowerSeries:
     return PowerSeries(log2_coeff(np.arange(_checked_degree(n_max) + 1)))
 
 
+def _log_modulus(square: float, rest: float) -> float:
+    """log|u| from |u|^2 and 1 - |u|^2, each a sum of nonnegative terms:
+    by log1p near |u| = 1, as ``rates.rho_of_x`` forms q, and by log near
+    0, so it is good to a few ulps either way; -inf at u = 0."""
+    if rest < 0.5:
+        return 0.5 * math.log1p(-rest)
+    return 0.5 * math.log(square) if square else -math.inf
+
+
+def _log_term(theta: float, N: int, sign: float = 1.0) -> tuple:
+    """|u|^m / m and m theta/2 for m = 1..N, u = (1 + sign e^{i theta})/2:
+    the Möbius(2) re-expansion of -log(1 - sign z e^{i theta}), the sum of
+    sign^n (z e^{i theta})^n / n over n >= 1, for sign = +-1 and
+    |theta| <= pi.
+
+    Under z = w/(2-w), 1 - sign z e^{i theta} = (1 - wu)/(1 - w/2), so
+    b_0 = 0 and b_m = (u^m - 2^-m)/m, and the 2^-m/m cancel in a real
+    function's conjugate pair.  u = r e^{i theta/2} with r = cos(theta/2)
+    >= 0 for sign 1, so u^m = |u|^m e^{i m theta/2}, and u = -i r
+    e^{i theta/2} with r = sin(theta/2) for sign -1, so u^m carries the
+    factor (-i sgn theta)^m too, which the caller takes exactly: no
+    rounded pi enters the angle.  |u|^m is exp(m log|u|)
+    (``_log_modulus``, with 1 - r^2 the square of the other half-angle
+    function): a power of the rounded |u| would carry m times its
+    rounding.
+    """
+    half = theta / 2.0
+    if sign > 0:
+        r, rest = math.cos(half), math.sin(half)
+    else:
+        r, rest = math.sin(half), math.cos(half)
+    log_abs = _log_modulus(r * r, rest * rest)
+    m = np.arange(1.0, N + 1.0)
+    return np.exp(m * log_abs) / m, m * half
+
+
+def _pole_pair(p: float, theta: float, N: int) -> np.ndarray:
+    """b_0..b_N of the Möbius(2) re-expansion of the fold of c_n = p^|n|
+    e^{-in phi} at x = phi + theta, 1 + sum_{n>=1} (q^n + conj(q)^n) z^n
+    with q = p e^{i theta}, 0 < p <= 1 and |theta| <= pi, as a float64
+    array.
+
+    Under z = w/(2-w), 1/(1 - zq) = (1 - w/2)/(1 - wu) with u = (1+q)/2,
+    so b_0 = 1 and b_m = Re(q u^(m-1)) = p |u|^(m-1) cos(theta + (m-1) arg u).
+    1 + q = e^{i theta/2} ((1+p) cos(theta/2) - i(1-p) sin(theta/2)), so
+    |u|^2 and 1 - |u|^2 = ((1-p)(3+p) + 4p sin^2(theta/2))/4 are sums of
+    nonnegative terms (``_log_modulus``), each power as in ``_log_term``;
+    arg u is theta/2 exactly at p = 1.  |u| > 0, as cos(theta/2) > 0 for
+    a float |theta| <= pi, so the power at m - 1 = 0 is 1.
+    """
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    square = ((1.0 + p) ** 2 * c * c + (1.0 - p) ** 2 * s * s) / 4.0
+    rest = ((1.0 - p) * (3.0 + p) + 4.0 * p * s * s) / 4.0
+    log_abs = _log_modulus(square, rest)
+    arg = theta / 2.0 - math.atan2((1.0 - p) * s, (1.0 + p) * c)
+    k = np.arange(float(N))
+    b = np.empty(N + 1)
+    b[0] = 1.0
+    b[1:] = p * np.exp(k * log_abs) * np.cos(theta + k * arg)
+    return b
+
+
+def sws_euler_terms(x: float, N: int) -> np.ndarray:
+    """The Möbius(2) re-expansion of the sawtooth's fold at x in [-pi, pi]:
+    its inflated series is i log(1 - z e^{-ix}) - i log(1 - z e^{ix}),
+    so b_m = i(u^m - conj(u)^m)/m = -2 |u|^m sin(mx/2)/m (``_log_term``)."""
+    size, angle = _log_term(x, N)
+    b = np.zeros(N + 1)
+    b[1:] = -2.0 * size * np.sin(angle)
+    return b
+
+
+def delta_euler_terms(x: float, N: int) -> np.ndarray:
+    """The Möbius(2) re-expansion of the periodized delta's fold at x in
+    [-pi, pi]: the pole pair of ``_pole_pair`` at p = 1."""
+    return _pole_pair(1.0, x, N)
+
+
+def log2_euler_terms(x: float, N: int) -> np.ndarray:
+    """The Möbius(2) re-expansion of the fold of ``log2_coeff`` at x in
+    [-pi, pi], log(1 + z e^{ix}): minus the ``_log_term`` of sign -1,
+    b_m = (2^-m - u^m)/m, with u^m's factor (-i sgn x)^m a power of -i
+    taken by its exponent mod 4.  Complex, as the fold is, but at N = 0,
+    where the fold is the real c_0 = 0 and so is b_0."""
+    if N == 0:
+        return np.zeros(1)
+    size, angle = _log_term(x, N, -1.0)
+    m = np.arange(1, N + 1)
+    b = np.zeros(N + 1, dtype=complex)
+    b.real[1:] = size * np.cos(angle)
+    b.imag[1:] = size * np.sin(angle)
+    b[1:] *= np.array([-1.0, 1j, 1.0, -1j])[m * (1 if x > 0 else 3) % 4]
+    b.real[1:] += np.ldexp(1.0 / m, -m)
+    return b
+
+
 def _check_p(p: float) -> None:
     if not 0.0 < p < 1.0:
         raise ValueError(f"pole depth parameter p={p} outside (0, 1)")
@@ -107,7 +210,7 @@ class TestFunction:
 
 def make_sws(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     jump = SingularitySet(real_singularity=0.0)
-    return TestFunction(FourierSeries(sws_coeff, n_max, sws, jump))
+    return TestFunction(FourierSeries(sws_coeff, n_max, sws, jump, sws_euler_terms))
 
 
 def make_delta(n_max: int = DEFAULT_N_MAX) -> TestFunction:
@@ -115,7 +218,9 @@ def make_delta(n_max: int = DEFAULT_N_MAX) -> TestFunction:
     # exact evaluator is identically zero on the sweepable domain; its
     # inflated series, the sum of (z e^(ix))^n, has a simple pole: alpha 0
     pole = SingularitySet(real_singularity=0.0, real_alpha=0.0)
-    return TestFunction(FourierSeries(delta_coeff, n_max, lambda x: 0.0 + 0j, pole))
+    return TestFunction(FourierSeries(
+        delta_coeff, n_max, lambda x: 0.0 + 0j, pole, delta_euler_terms
+    ))
 
 
 def make_lorentzian(
@@ -145,8 +250,11 @@ def make_lorentzian(
     def value(x: float) -> float:
         return (1.0 - p * p) / ((1.0 + p * p) - 2.0 * p * math.cos(x - phi))
 
+    def euler_terms(x: float, N: int) -> np.ndarray:
+        return _pole_pair(p, math.remainder(x - phi, math.tau), N)
+
     poles = SingularitySet(off_axis=(Singularity(phi, -math.log(p)),))
-    return TestFunction(FourierSeries(coeff, n_max, value, poles))
+    return TestFunction(FourierSeries(coeff, n_max, value, poles, euler_terms))
 
 
 def make_composite(p: float = 0.5, n_max: int = DEFAULT_N_MAX) -> TestFunction:
@@ -158,6 +266,7 @@ def make_composite(p: float = 0.5, n_max: int = DEFAULT_N_MAX) -> TestFunction:
         n_max,
         lambda x: sws(x) + pole.exact_eval(x),
         SingularitySet(0.0, off_axis=pole.singularities.off_axis),
+        lambda x, N: sws_euler_terms(x, N) + pole.euler_terms(x, N),
     ))
 
 
@@ -173,6 +282,7 @@ def make_log2(n_max: int = DEFAULT_N_MAX) -> TestFunction:
         n_max,
         lambda x: cmath.log(1.0 + cmath.exp(1j * x)),
         SingularitySet(real_singularity=math.pi),
+        log2_euler_terms,
     ))
 
 

@@ -29,9 +29,20 @@ other series folds and sums in complex128.
 
 A trace of degrees at one x (``trace_errors``) folds once, at its top
 degree, and each N sums the prefix a_0..a_N of that fold: the folded
-terms do not depend on N.  A filter's rows then take one of two routes.
+terms do not depend on N.  The Euler sum at N is also b_0 + ... + b_N,
+with b the Möbius(2) re-expansion of the fold, whose b_m reads only
+a_0..a_m.  A filter's rows take one of three routes.
 
-* Weight tables (every kind; the one-degree sums and sparse traces):
+* Declared terms (every Euler row of a series that declares
+  ``euler_terms``, as every catalog entry does; one-degree sums and
+  traces alike): b_0..b_N at the top degree from the closed form, O(N)
+  rather than the O(N^2) of a re-expansion, and each row a blocked
+  prefix sum of them.  The fold is built only when another filter of
+  the call needs it.  Each b_m, and so each row, has the same bits
+  whatever the top degree, so every row equals ``pointwise_error``'s sum
+  at its N bit for bit.
+* Weight tables (Erfc-Log, HDAF and identity rows; the Euler rows of a
+  series without declared terms in one-degree sums and sparse traces):
   each row reads only its band lo..hi (``filters.weight_bands``; the
   whole row 0..N for Euler and identity, and for the Erfc-Log and HDAF
   rows where no weight can be left out), and one ``filter_weights``
@@ -47,25 +58,25 @@ terms do not depend on N.  A filter's rows then take one of two routes.
   whose band is the whole row is summed exactly as the whole row and is
   bit-identical to it.  Every row equals ``pointwise_error``'s sum at
   its N bit for bit.
-* One re-expansion (Euler rows of a dense trace): the Euler sum at N is
-  b_0 + ... + b_N with b the Möbius(2) re-expansion of the fold
-  (``filters.mobius_reexpand``), so one re-expansion at the top degree
-  and its prefix sums give every row.  A trace is dense when it has
-  more than one row and N_max^2 <= 128 * sum(N + 1).  The rule weighs
-  the re-expansion of a real fold, about 0.16 ns * N_max^2 (0.41 ms at
-  N = 1600, 92 us at 800, 41 us at 400), with the block rows of the
-  Möbius(2) table kept across calls, against cold Euler tables, about
-  20 us a row plus 20 ns an entry with their product and sum: every CLI
-  command is a fresh process, and the cache of tables holds 256
-  degrees, which a sweep of a few hundred distinct degrees misses.  A
-  trace whose tables are warm, as a sweep's 16 degrees 100..1600/100
+* One re-expansion (the Euler rows of a dense trace of a series without
+  declared terms): b is ``filters.mobius_reexpand`` of the fold at the
+  top degree, and its prefix sums give every row.  A trace is dense
+  when it has more than one row and N_max^2 <= 128 * sum(N + 1).  The
+  rule weighs the re-expansion of a real fold, about 0.16 ns * N_max^2
+  (0.41 ms at N = 1600, 92 us at 800, 41 us at 400), with the block rows
+  of the Möbius(2) table kept across calls, against cold Euler tables,
+  about 20 us a row plus 20 ns an entry with their product and sum:
+  every CLI command is a fresh process, and the cache of tables holds
+  256 degrees, which a sweep of a few hundred distinct degrees misses.
+  A trace whose tables are warm, as a sweep's 16 degrees 100..1600/100
   repeated over many x (ratio 188), costs about a third of that and
-  stays on the tables.  The prefix sums are blocked, a running
-  sum inside each 64-block plus a running sum of the pairwise block
-  totals, so the rounding error grows with 64 + N/64 terms rather than
-  N.  These rows agree with the per-N sum to well within a saturation
-  floor, not bit for bit; the same degree reads the same value from
-  every dense trace.
+  stays on the tables.  These rows agree with the per-N sum to well
+  within a saturation floor, not bit for bit; the same degree reads the
+  same value from every dense trace.
+
+The prefix sums of b are blocked, a running sum inside each 64-block
+plus a running sum of the pairwise block totals, so the rounding error
+grows with 64 + N/64 terms rather than N.
 """
 
 from __future__ import annotations
@@ -116,6 +127,13 @@ class FourierSeries:
     ``singularities`` defaults to the empty set, and the adaptive filters
     then measure the distance from 0.  ``n_max`` is a degree, checked by
     the degree rule (``filters._checked_degree``) on construction.
+    ``euler_terms(x, N)``, optional, returns b_0..b_N of the Möbius(2)
+    re-expansion of the fold at x (``filters.mobius_reexpand`` of
+    ``folded(x, N)``, up to rounding) in the fold's dtype, each b_m the
+    same bits for every N >= m; it is called with x reduced into
+    [-pi, pi] and N checked, and every Euler sum of the series is a
+    prefix sum of it (module docstring).  It belongs to ``coeff``: a
+    ``dataclasses.replace`` with another ``coeff`` must replace it too.
     General periods are out of scope; rescale the argument to 2*pi first.
     """
 
@@ -123,6 +141,7 @@ class FourierSeries:
     n_max: int
     exact_eval: Callable[[float], complex] | None = None
     singularities: SingularitySet = SingularitySet()
+    euler_terms: Callable[[float, int], np.ndarray] | None = None
     # the kept table: empty, or [c_{-T..T}, running totals 0..T, the degree
     # through which c_-n == conj(c_n)] at the largest degree T <=
     # _KEPT_MAX_N asked for, the arrays read-only; not an init field, so
@@ -225,9 +244,11 @@ def filtered_partial_sum(
 ) -> float | complex:
     """Filtered partial sum sum sigma(|n|) c_n exp(inx) over |n| <= N.
 
-    Summed over the N+1 folded terms (``folded``) by the same path as
-    every row of ``trace_errors``: sum sigma(n) a_n over the row's band
-    lo..hi (``filters.weight_bands``) plus the plain sum of a_0..a_{lo-1}.
+    Summed by the same path as every row of ``trace_errors``: for Euler
+    on a series with declared terms (``FourierSeries.euler_terms``), the
+    blocked sum of b_0..b_N; else over the N+1 folded terms (``folded``),
+    sum sigma(n) a_n over the row's band lo..hi
+    (``filters.weight_bands``) plus the plain sum of a_0..a_{lo-1}.
     A float when the fold is real (c_-n == conj(c_n) for every n <= N),
     else a complex.
     A row whose band is the whole row is exactly sum sigma(n) a_n; a
@@ -248,18 +269,28 @@ def _filtered_sums(
 ) -> list[list[float | complex]]:
     """``filtered_partial_sum`` for each spec (outer) and each N in degrees
     (inner; a list of degrees as the ``filters`` module docstring states,
-    checked by ``filters._checked_degrees`` before the fold), every one a
-    prefix of a single fold at the largest N: Euler rows of a dense trace
-    from one re-expansion, every other row from weight tables."""
+    checked by ``filters._checked_degrees`` first, then x and the top
+    degree as ``folded`` checks them), every one a prefix at the largest
+    N: Euler rows from the declared terms when the series has them, else
+    from one re-expansion of the fold in a dense trace, and every other
+    row from weight tables on the fold (module docstring)."""
     degrees = _checked_degrees(degrees)
-    x_dist = series.real_singularity_distance(x)
-    a = series.folded(x, degrees[-1])
-    dense = len(degrees) > 1 and degrees[-1] ** 2 <= _DENSE_RATIO * (
+    x_dist = series.real_singularity_distance(x)  # raises for a non-finite x
+    top = series._checked(degrees[-1])
+    kinds = {spec.kind for spec in specs}
+    declared = "euler" in kinds and series.euler_terms is not None
+    a = None if declared and kinds == {"euler"} else series.folded(x, top)
+    if declared:
+        b = series.euler_terms(math.remainder(x, math.tau), top)
+    elif "euler" in kinds and len(degrees) > 1 and top**2 <= _DENSE_RATIO * (
         sum(degrees) + len(degrees)
-    )
+    ):
+        b = mobius_reexpand(a, 2.0)
+    else:
+        b = None
     return [
-        _euler_prefix_sums(a, degrees)
-        if dense and spec.kind == "euler"
+        _prefix_sums(b, degrees)
+        if b is not None and spec.kind == "euler"
         else _table_sums(spec, a, degrees, x_dist)
         for spec in specs
     ]
@@ -290,19 +321,21 @@ def _table_sums(
     return np.array(sums).tolist()
 
 
-def _euler_prefix_sums(a: np.ndarray, degrees: list[int]) -> list[float | complex]:
+def _prefix_sums(b: np.ndarray, degrees: list[int]) -> list[float | complex]:
     """The Euler sums at each N in degrees, b_0 + ... + b_N with b the
-    Möbius(2) re-expansion of a, from blocked prefix sums of b, in a's
-    dtype."""
-    b = mobius_reexpand(a, 2.0)
+    Möbius(2) re-expansion of the fold, from blocked prefix sums of b, in
+    b's dtype."""
     blocks = np.zeros(-(-b.size // _PREFIX_BLOCK) * _PREFIX_BLOCK, dtype=b.dtype)
     blocks[: b.size] = b  # not np.pad, which costs more than the prefix sums
     blocks = blocks.reshape(-1, _PREFIX_BLOCK)
-    inside = np.cumsum(blocks, axis=1)
+    inside = np.cumsum(blocks, axis=1).ravel()  # inside[N]: its block up to N
     before = np.zeros(len(blocks), dtype=b.dtype)  # sum of the earlier blocks
     np.cumsum(blocks.sum(axis=1)[:-1], out=before[1:])
-    block, offset = np.divmod(np.array(degrees), _PREFIX_BLOCK)
-    return (before[block] + inside[block, offset]).tolist()
+    if type(degrees) is range:  # np.arange is quicker than np.array of a range
+        ns = np.arange(degrees.start, degrees.stop, degrees.step)
+    else:
+        ns = np.array(degrees)
+    return (before[ns // _PREFIX_BLOCK] + inside[ns]).tolist()
 
 
 def _weight_batches(sizes: list[int]) -> list[slice]:
@@ -324,11 +357,12 @@ def trace_errors(
 ) -> list[list[float]]:
     """|f(x) - filtered partial sum| for each spec (outer) and N (inner).
 
-    The coefficients are folded once, at the largest N, and each N sums
-    the prefix a_0..a_N of that fold (see the module docstring for the
-    two routes): every error is bit-identical to ``pointwise_error`` at
-    that N, except the Euler rows of a dense trace, which agree with it
-    to well within a saturation floor.  ``degrees`` is a list of degrees
+    Each N sums a prefix of one set of terms at the largest N: the
+    declared Euler terms, or the fold (see the module docstring for the
+    three routes).  Every error is bit-identical to ``pointwise_error`` at
+    that N, except the Euler rows of a dense trace of a series without
+    declared terms, which agree with it to well within a saturation
+    floor.  ``degrees`` is a list of degrees
     as the ``filters`` module docstring states.  Raises ValueError when
     the series has no exact evaluator, when x is not finite or is a
     declared real singularity, when ``degrees`` breaks that rule, or when

@@ -147,9 +147,10 @@ def sweep_errors(config: ExperimentConfig) -> list[ErrorTrace]:
     """Measure pointwise errors for every (x, filter) pair in the config.
 
     Each x folds the coefficients once, at the top degree, and every
-    filter and N sums a prefix of that fold (``series.trace_errors``);
-    the rows are bit-identical to per-N ``pointwise_error`` sums, except
-    the Euler rows of a dense trace, which come from one re-expansion and
+    filter and N sums a prefix of that fold, or of the declared Euler
+    terms (``series.trace_errors``); the rows are bit-identical to per-N
+    ``pointwise_error`` sums, except the Euler rows of a dense trace of a
+    series without declared terms, which come from one re-expansion and
     agree with them to well within a saturation floor.  Rows
     are produced in ascending N for each trace and traces in the order
     (x outer, filter inner), so identical configs give identical output.

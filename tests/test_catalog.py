@@ -1,12 +1,15 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from test_series import DENSE_TOL_FLOORS
 
 import gibbsaccel.catalog
+import gibbsaccel.series as series_module
 from gibbsaccel.catalog import (
     FUNCTION_KEYS,
     delta_coeff,
@@ -20,10 +23,19 @@ from gibbsaccel.catalog import (
     sws_coeff,
 )
 from gibbsaccel.conformal import MOBIUS2, PowerSeries, estimate_radius, recoefficient
-from gibbsaccel.filters import FilterSpec
-from gibbsaccel.series import filtered_partial_sum, saturation_floor
+from gibbsaccel.filters import FilterSpec, mobius_reexpand
+from gibbsaccel.rates import delta_truncation_error
+from gibbsaccel.series import _filtered_sums, filtered_partial_sum, saturation_floor
 
 IDENTITY = FilterSpec("identity")
+EULER = FilterSpec("euler")
+
+#: A declared re-expansion term may differ from the exact one, and from
+#: the re-expansion of the rounded fold, by this many saturation floors at
+#: its degree: each power carries the rounding of m*arg u, about m ulps of
+#: the angle, as the fold's phases carry that of n*x.  Measured worst case
+#: 0.005 (log2 at x = 1.9635; 0.003 for the re-expanded fold).
+TERM_TOL_FLOORS = 0.01
 
 
 class TestSawtooth:
@@ -431,3 +443,110 @@ class TestBoundParameters:
             s.exact_eval(0.7)
         with pytest.raises(AssertionError, match="checked again"):
             make_composite(0.5)
+
+
+def exact_fold(key, x, N, p=None, phi=None):
+    """a_0..a_N, a_n = c_n e^{inx} + c_-n e^{-inx}, at 40 digits, for the
+    coefficients of ``closed_form`` with x, p and phi taken exactly: the
+    sawtooth's i/n gives -2 Im(e^{inx})/n, the delta's 1 gives
+    2 Re(e^{inx}), the pole's p^|n| e^{-in phi} gives 2 Re(q^n) with
+    q = p e^{i(x - phi)}, each power by recurrence, and log2's c_n is
+    one-sided."""
+    if key == "lorentzian":
+        p, phi = p or math.exp(-0.2), math.pi if phi is None else phi
+        phi = math.remainder(phi, math.tau)
+    else:
+        p, phi = p or 0.5, math.pi
+    with mpmath.workdps(40):
+        turn = mpmath.expj(mpmath.mpf(x))
+        pole_turn = mpmath.mpf(p) * turn * mpmath.expj(-mpmath.mpf(phi))
+        power, pole, fold = turn, pole_turn, [mpmath.mpf(key not in ("sws", "log2"))]
+        for n in range(1, N + 1):
+            sawtooth, pair = -2 * power.imag / n, 2 * pole.real
+            fold.append({
+                "sws": sawtooth,
+                "delta": 2 * power.real,
+                "log2": (-1) ** (n + 1) * power / n,
+                "lorentzian": pair,
+                "sws+lorentzian": sawtooth + pair,
+            }[key])
+            power *= turn
+            pole *= pole_turn
+        return fold
+
+
+#: Binary digits kept below the point by ``exact_reexpansion``'s integers.
+EXACT_SCALE = 200
+
+
+def exact_reexpansion(key, params, x, N):
+    """b_0..b_N of the Möbius(2) re-expansion of the fold at x and the
+    Euler sums b_0 + ... + b_N, each correctly rounded from integers.
+
+    The fold a_n = c_n e^{inx} + c_-n e^{-inx} is formed at 40 digits and
+    scaled to integers A_n = a_n 2^200; then 2^m b_m = sum_n C(m-1, n-1)
+    A_n, the first entry of the (m-1)-th pairwise sum of A_1..A_N, is
+    exact, and so is every running total.  Nothing here reads the
+    library's fold, re-expansion or closed forms."""
+    fold = exact_fold(key, x, N, **params)
+    with mpmath.workdps(40):
+        unit = mpmath.mpf(2) ** EXACT_SCALE
+        # a real function's fold is real: its imaginary parts are the
+        # 40-digit rounding of zero
+        parts = (mpmath.re, mpmath.im) if key == "log2" else (mpmath.re,)
+        scaled = [[int(mpmath.nint(part(a) * unit)) for a in fold] for part in parts]
+    terms, rows = 0, 0
+    for A, part in zip(scaled, (1, 1j)):
+        heads = [A[0] << N]  # 2^(200 + N) b_m
+        sums = np.array(A[1:] + [0], dtype=object)
+        for m in range(1, N + 1):
+            heads.append(int(sums[0]) << (N - m))
+            sums = sums[:-1] + sums[1:]
+        scale = 1 << (EXACT_SCALE + N)
+        terms = terms + part * np.array([h / scale for h in heads])
+        rows = rows + part * np.array([t / scale for t in itertools.accumulate(heads)])
+    return terms, rows
+
+
+class TestEulerTerms:
+    """Each entry's declared Möbius(2) re-expansion (``euler_terms``)
+    against an independent 40-digit one of its exact coefficients, and
+    against ``filters.mobius_reexpand`` of its fold."""
+
+    XS = (0.3, 1.1, 1.9635, 2.5, 3.1, math.pi, -2.2)
+    N = 1600
+
+    @pytest.mark.parametrize("key, params", ENTRIES, ids=ENTRY_IDS)
+    def test_terms_and_rows_against_mpmath(self, key, params):
+        # the entries with parameters bind them at a quarter of the depth
+        series = get_function(key, **params).series
+        N = self.N // 4 if params else self.N
+        floors = saturation_floor(series, np.arange(1, N + 1))
+        for x in self.XS:
+            exact_b, exact_rows = exact_reexpansion(key, params, x, N)
+            b = series.euler_terms(x, N)
+            fold = series.folded(x, N)
+            assert b.dtype == fold.dtype and b.shape == (N + 1,)
+            assert b[0] == exact_b[0]
+            assert np.max(np.abs(b - exact_b)[1:] / floors) <= TERM_TOL_FLOORS, x
+            (rows,) = _filtered_sums(series, x, range(N + 1), [EULER])
+            worst = np.max(np.abs(np.subtract(rows, exact_rows))[1:] / floors)
+            assert worst <= DENSE_TOL_FLOORS, x
+            # the dense route of a series without declared terms: the
+            # re-expansion of the rounded fold
+            old = mobius_reexpand(fold, 2.0)
+            assert np.max(np.abs(b - old)[1:] / floors) <= TERM_TOL_FLOORS, x
+            old_rows = series_module._prefix_sums(old, range(N + 1))
+            worst = np.max(np.abs(np.subtract(rows, old_rows))[1:] / floors)
+            assert worst <= DENSE_TOL_FLOORS, x
+
+    def test_delta_rows_are_the_exact_tails(self):
+        # the Euler sum of the delta is 0 minus the tail that
+        # rates.delta_truncation_error writes in closed form
+        series = get_function("delta").series
+        degrees = range(1, self.N + 1)
+        floors = saturation_floor(series, degrees)
+        for x in self.XS:
+            (rows,) = _filtered_sums(series, x, degrees, [EULER])
+            tails = [delta_truncation_error(x, N) for N in degrees]
+            assert np.max(np.abs(np.add(rows, tails)) / floors) <= DENSE_TOL_FLOORS, x

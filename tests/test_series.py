@@ -665,9 +665,27 @@ class TestDenseEulerRoute:
                 single = filtered_partial_sum(series, x, N, EULER)
                 assert abs(value - single) <= saturation_floor(series, N)
 
+    @pytest.mark.parametrize("key", ["sws", "lorentzian", "log2"])
+    def test_undeclared_rows_match_exact_integer_tails(self, key, weight_kinds):
+        # the catalog's coefficients without their declared terms take the
+        # re-expansion of the fold
+        series = dataclasses.replace(get_function(key).series, euler_terms=None)
+        for x, degrees in itertools.product(
+            (0.05, 1.1, 3.1), (list(range(2, 401)), list(range(2, 1601, 5)))
+        ):
+            (sums,) = _filtered_sums(series, x, degrees, [EULER])
+            a = series.folded(x, degrees[-1])
+            ref = [exact_euler_sum(a, N) for N in degrees]
+            floors = saturation_floor(series, np.array(degrees))
+            worst = np.max(np.abs(np.subtract(sums, ref)) / floors)
+            assert worst <= DENSE_TOL_FLOORS, (x, degrees[1] - degrees[0])
+        assert weight_kinds == []
+
     def test_density_rule(self, weight_kinds):
-        # dense when N_max^2 <= 128 * sum(N + 1): 256^2 = 128 * (255 + 257)
-        series = make_sws(n_max=300).series
+        # without declared terms, dense when N_max^2 <= 128 * sum(N + 1):
+        # 256^2 = 128 * (255 + 257)
+        declared = make_sws(n_max=300).series
+        series = dataclasses.replace(declared, euler_terms=None)
         for degrees, euler_calls in (
             ([254, 256], []),
             ([253, 256], ["euler"]),
@@ -676,6 +694,64 @@ class TestDenseEulerRoute:
             weight_kinds.clear()
             _filtered_sums(series, 1.0, degrees, [EULER, IDENTITY])
             assert weight_kinds == euler_calls + ["identity"]
+            # with them, no Euler row reads a weight table
+            weight_kinds.clear()
+            _filtered_sums(declared, 1.0, degrees, [EULER, IDENTITY])
+            assert weight_kinds == ["identity"]
+
+
+class TestDeclaredEulerTerms:
+    """Euler rows of a series that declares its re-expansion
+    (``FourierSeries.euler_terms``): prefix sums of those terms."""
+
+    @pytest.mark.parametrize("key", FUNCTION_KEYS)
+    def test_every_row_is_its_one_degree_sum(self, key, weight_kinds):
+        # bit for bit, whatever the trace's top degree and stride
+        series = get_function(key).series
+        for x, degrees in itertools.product(
+            (0.3, 2.0, -2.9),
+            (
+                range(0, 41),
+                range(2, 401, 5),
+                range(100, 1601, 100),
+                [3, 63, 64, 65, 1599],
+                [1000, 1000, 2048],
+            ),
+        ):
+            (errors,) = trace_errors(series, x, degrees, [EULER])
+            assert errors == [pointwise_error(series, x, N, EULER) for N in degrees]
+        assert weight_kinds == []
+
+    def test_fold_built_only_for_other_filters(self, monkeypatch):
+        series = get_function("sws").series
+        folds = []
+
+        def counting(self, x, N):
+            folds.append(N)
+            return original(self, x, N)
+
+        original = FourierSeries.folded
+        monkeypatch.setattr(FourierSeries, "folded", counting)
+        trace_errors(series, 1.0, [5, 300], [EULER])
+        filtered_partial_sum(series, 1.0, 300, EULER)
+        assert folds == []
+        trace_errors(series, 1.0, [5, 300], [EULER, IDENTITY])
+        assert folds == [300]
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_checks_come_before_the_terms(self, x, monkeypatch):
+        # a non-finite x, then a degree beyond n_max, raise as the fold
+        # does, before the declared terms are asked for
+        def refuse(x, N):
+            raise AssertionError("terms built")
+
+        series = dataclasses.replace(make_sws(n_max=50).series, euler_terms=refuse)
+        with pytest.raises(ValueError, match="not finite"):
+            filtered_partial_sum(series, x, 51, EULER)
+        with pytest.raises(ValueError, match="outside"):
+            filtered_partial_sum(series, 1.0, 51, EULER)
+        with pytest.raises(TypeError, match="not an integer"):
+            filtered_partial_sum(series, x, 2.5, EULER)
 
 
 class TestInvariants:
