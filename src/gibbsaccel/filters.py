@@ -12,9 +12,13 @@ provided:
   (see ``conformal``).
 * Erfc-Log: a compactly supported erfc-based weight with a logarithmic
   correction and a spatially varying order p.  numpy has no erfc;
-  ``_erfc`` evaluates W. J. Cody's rational approximations in numpy, to
-  a relative error of at most 7.7e-16 against mpmath for |x| < 26.543,
-  and within 2^-52 of the correctly rounded value everywhere.
+  ``_erfc`` evaluates W. J. Cody's rational approximations in numpy and
+  multiplies them by the Gaussian exp(-x^2) its caller passes: Erfc-Log
+  and Temme's expansion below hold x^2 before they take its root, so
+  each of their weights takes one exp.  Given the correctly rounded
+  Gaussian, its relative error against mpmath is at most 6.6e-16 for
+  |x| < 26.543, and it is within 2^-52 of the correctly rounded value
+  everywhere.
 * HDAF: a truncated-exponential-series weight with an x-adaptive
   truncation depth (fixed shape parameters alpha = 1, kappa = 1/15).
   The weight is Q(J+1, s), the regularized upper incomplete gamma
@@ -398,29 +402,32 @@ def _horner(t: np.ndarray, coeffs) -> np.ndarray:
     return acc
 
 
-def _erfc(x) -> np.ndarray:
-    """erfc of a float or float array, by Cody's rational approximations.
+def _erfc(x, gauss) -> np.ndarray:
+    """erfc of a float or float array, by Cody's rational approximations,
+    given ``gauss`` = exp(-x^2), which every caller already holds.
 
     One boolean mask per range of |x| selects its entries, and that
     range's rational function runs once over them.  NaN is not above
     0.46875, so it falls in the range |x| <= 0.46875 and stays NaN; from
     Cody's cut 26.543 on (and at +-inf) erfc(|x|) is 0.  Outside
-    |x| <= 0.46875, exp(-x^2) is exp(-s^2) exp(-(x-s)(x+s)) with s = x
-    truncated to a multiple of 1/16: s^2 is exact, so the large exponent
-    carries no rounding error (Cody's splitting).  A negative x reflects
-    as 2 - erfc(|x|).  Each entry's value depends on that entry alone, so
-    a 0-d or one-entry call is bit-identical to the same entry of any
-    array.  Against mpmath the relative error is at most 7.7e-16 for
-    |x| < 26.543, and every value is within 2^-52 of the correctly
-    rounded one.
-    The error against the exact value reaches 1.35 * 2^-52 for x in
-    (-0.85, -0.47), where 2 - erfc(|x|) adds its own rounding to that
-    of erfc(|x|) near 1/2.
+    |x| <= 0.46875 Cody's rational function is multiplied by ``gauss``,
+    which the caller forms from the x^2 it takes the root of, so no exp
+    is taken here.  A negative x reflects as 2 - erfc(|x|).  Each entry's
+    value depends on that entry and its Gaussian alone, so a 0-d or
+    one-entry call is bit-identical to the same entry of any array.
+    Given the correctly rounded exp(-x^2), the relative error against
+    mpmath is at most 6.6e-16 for |x| < 26.543, and every value is within
+    2^-52 of the correctly rounded one.
+    The error against the exact value reaches 1.26 * 2^-52 (passing
+    2^-52 only for x in (-0.74, -0.36)), where the value, in (1.4, 1.7),
+    adds the rounding of 2 - erfc(|x|) or 1 - x R(x^2) to that of the
+    rational function.
     """
     x = np.asarray(x, dtype=float)
     y = np.abs(x)
-    small = ~(y > _CODY_SMALL)
-    mid = ~small & (y <= _CODY_FAR)
+    scaled = y > _CODY_SMALL
+    small = ~scaled
+    mid = scaled & (y <= _CODY_FAR)
     far = (y > _CODY_FAR) & (y < _CODY_HUGE)
     out = np.zeros_like(y)
     t = x[small]
@@ -428,11 +435,8 @@ def _erfc(x) -> np.ndarray:
     out[mid] = _rational(y[mid], _CODY_ERFC_MID)
     t = y[far]
     out[far] = (_FRAC_SQRT_PI - _rational(t * t, _CODY_ERFC_FAR)) / t
-    split = mid | far
-    t = y[split]
-    s = np.floor(t * 16.0) / 16.0
-    out[split] *= np.exp(-s * s) * np.exp((s - t) * (t + s))
-    return np.where(~small & (x < 0.0), 2.0 - out, out)
+    np.multiply(out, gauss, out=out, where=scaled)
+    return np.subtract(2.0, out, out=out, where=x < -_CODY_SMALL)
 
 
 def erfclog_sigma(theta, p):
@@ -465,11 +469,13 @@ def erfclog_sigma(theta, p):
 
 def _erfclog(at: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``erfclog_sigma``'s weights at |theta| = ``at`` in [0, 1] and positive
-    finite orders ``p``, with no checks: both callers ensure them."""
+    finite orders ``p``, with no checks: both callers ensure them.
+    z = p*log(1-4 tb^2), minus the square of the erfc argument, is formed
+    once, and exp(z) is ``_erfc``'s Gaussian."""
     tb = at - 0.5
     with np.errstate(divide="ignore"):  # log(0) at theta = 0 and |theta| = 1
-        arg = np.copysign(np.sqrt(np.log1p(-4.0 * tb * tb) * -p), tb)
-    return 0.5 * _erfc(arg)
+        z = np.log1p(-4.0 * tb * tb) * p
+    return 0.5 * _erfc(np.copysign(np.sqrt(-z), tb), np.exp(z))
 
 
 def _hdaf_rows(theta, widths: np.ndarray, sizes: list) -> np.ndarray:
@@ -529,11 +535,14 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
     = f, eta of the sign of mu (Temme, SIAM J. Math. Anal. 1979; DLMF
     8.12).  Each row's coefficients of eta^n, sum_k d_{k,n} a^-k over
     sqrt(2 pi a), come from Horner's rule in 1/a, elementwise, so they
-    depend on that row's a alone.  mu = (s-a)/a is exact to rounding
-    near the cut, and for |t| <= 1/8, t = mu/(2+mu), f is the series in
-    t, so that neither cancels.  Beyond |eta| = 2 the polynomial only has
-    to stay finite: exp(-a*eta^2/2) <= e^-168 there.  Each weight is
-    clamped to [0, 1]; at s = 0 it is exactly 1.
+    depend on that row's a alone, and ``np.repeat`` spreads them over
+    the row's entries.  mu = (s-a)/a is exact to rounding near the cut,
+    and for |t| <= 1/8, t = mu/(2+mu), f is the series in t, so that
+    neither cancels.  exp(-a*f), taken once, is both the series' factor
+    and the Gaussian of the erfc, whose argument is the root of a*f.
+    Beyond |eta| = 2 the polynomial only has to stay finite:
+    exp(-a*eta^2/2) <= e^-168 there.  Each weight is clamped to [0, 1];
+    at s = 0 it is exactly 1.
     """
     a_rows = np.array(depths, dtype=float) + 1.0
     coef = _horner(1.0 / a_rows, _TEMME_ROWS) / np.sqrt(math.tau * a_rows)
@@ -547,13 +556,13 @@ def _temme_weights(s: np.ndarray, depths: list, sizes: list) -> np.ndarray:
     del t, u, near
     af = a * f
     eta = np.clip(np.copysign(np.sqrt(2.0 * f), mu), -2.0, 2.0)
-    rows = np.repeat(np.arange(len(depths)), sizes)
-    poly = coef[-1].take(rows)
+    poly = np.repeat(coef[-1], sizes)
     for c in coef[-2::-1]:
         poly *= eta
-        poly += c.take(rows)
-    poly *= np.exp(-af)
-    poly += 0.5 * _erfc(np.copysign(np.sqrt(af), mu))
+        poly += np.repeat(c, sizes)
+    gauss = np.exp(-af)
+    poly *= gauss
+    poly += 0.5 * _erfc(np.copysign(np.sqrt(af), mu), gauss)
     return np.clip(poly, 0.0, 1.0, out=poly)
 
 

@@ -9,9 +9,12 @@ totals sum |c_n| that the saturation floors read, so every later fold or
 floor up to T slices it and calls nothing.  The c_n do not depend on x,
 and a catalog entry is one object per function (``catalog.get_function``),
 so many traces of one function, at many x, compute them once.  Degrees
-above ``_KEPT_MAX_N`` = 2048 keep nothing: each such call computes its
-coefficients afresh, so a sweep near n_max = 2,000,000 holds no table
-of that size after it returns.  A kept c_n has the bits of a fresh call
+above ``filters._KEPT_TABLE_MAX_M`` = 2048, the bound of the kept Euler
+tables and above the top degree of every sweep and comparison at the
+sizes they run, keep nothing (the table at 2048 holds 4097 coefficients
+and 2049 totals, 82 KB): each such call computes its coefficients
+afresh, so a sweep near n_max = 2,000,000 holds no table of that size
+after it returns.  A kept c_n has the bits of a fresh call
 at any degree, so no output depends on what was asked for before.
 
 A sum is folded onto the one-sided terms a_n = c_n e^{inx} +
@@ -87,8 +90,8 @@ from typing import Callable
 
 import numpy as np
 
-from .filters import FilterSpec, _checked_degree, _checked_degrees, filter_weights
-from .filters import mobius_reexpand, weight_bands
+from .filters import _KEPT_TABLE_MAX_M, FilterSpec, _checked_degree, _checked_degrees
+from .filters import filter_weights, mobius_reexpand, weight_bands
 from .rates import SingularitySet, periodic_distance
 
 #: Weights per batched ``filter_weights`` call; bounds the batch's memory
@@ -103,14 +106,6 @@ _DENSE_RATIO = 128
 
 #: Terms per block of the blocked prefix sums of a re-expansion.
 _PREFIX_BLOCK = 64
-
-#: Largest degree whose coefficients a series keeps (``FourierSeries``):
-#: its table holds 4097 coefficients and 2049 totals, 82 KB.  It is the
-#: bound of the kept Euler tables (``filters._KEPT_TABLE_MAX_M``), above
-#: the top degree of every sweep and comparison at the sizes they run;
-#: a larger degree, as in a sweep near n_max = 2,000,000, keeps nothing.
-_KEPT_MAX_N = 2048
-
 
 @dataclass(frozen=True)
 class FourierSeries:
@@ -144,8 +139,8 @@ class FourierSeries:
     euler_terms: Callable[[float, int], np.ndarray] | None = None
     # the kept table: empty, or [c_{-T..T}, running totals 0..T, the degree
     # through which c_-n == conj(c_n)] at the largest degree T <=
-    # _KEPT_MAX_N asked for, the arrays read-only; not an init field, so
-    # ``dataclasses.replace`` starts a series empty
+    # _KEPT_TABLE_MAX_M asked for, the arrays read-only; not an init field,
+    # so ``dataclasses.replace`` starts a series empty
     _kept: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -158,13 +153,13 @@ class FourierSeries:
         rule (``filters._checked_degree``: TypeError for 2.5, True or
         [3], ValueError for -1 or 2^53) and then N <= n_max, else
         ValueError, before ``np.arange`` builds any array.  Up to
-        ``_KEPT_MAX_N`` the result is a slice of the kept table, built by
+        ``_KEPT_TABLE_MAX_M`` the result is a slice of the kept table, built by
         one ``coeff`` call at the largest degree asked for so far, so a
         smaller degree calls nothing; beyond it every call computes its
         coefficients afresh and keeps nothing.  Both are the same
         elementwise closed form, so each c_n has the same bits either way.
         """
-        if (N := self._checked(N)) > _KEPT_MAX_N:
+        if (N := self._checked(N)) > _KEPT_TABLE_MAX_M:
             return self._generate(N)
         c = self._kept_table(N)[0]
         top = len(c) // 2
@@ -195,8 +190,8 @@ class FourierSeries:
     def _totals(self, N: int) -> np.ndarray:
         """|c_0| + sum_{1<=n<=k} (|c_n| + |c_-n|) for k = 0..N at least,
         read-only, checked as ``coefficients``: the kept totals up to
-        ``_KEPT_MAX_N``, fresh ones beyond it."""
-        if (N := self._checked(N)) > _KEPT_MAX_N:
+        ``_KEPT_TABLE_MAX_M``, fresh ones beyond it."""
+        if (N := self._checked(N)) > _KEPT_TABLE_MAX_M:
             return _running_totals(np.abs(self._generate(N)))
         return self._kept_table(N)[1]
 
@@ -220,7 +215,7 @@ class FourierSeries:
         c = self.coefficients(N)  # c[N + n] = c_n
         N = len(c) // 2
         phase = np.exp(1j * np.arange(N + 1) * math.remainder(x, math.tau))
-        if N <= (self._kept[2] if N <= _KEPT_MAX_N else _symmetric_through(c)):
+        if N <= (self._kept[2] if N <= _KEPT_TABLE_MAX_M else _symmetric_through(c)):
             a = (c[N:] * phase).real * 2.0
             a[0] = c[N].real
             return a
@@ -397,7 +392,7 @@ def saturation_floor(series: FourierSeries, N: int | np.ndarray) -> float | np.n
     sequential cumulative sum that the series keeps with its coefficient
     table (``FourierSeries.coefficients``), so a floor costs no
     coefficient call once the table reaches the top degree; above
-    ``_KEPT_MAX_N`` the totals are summed afresh from one call.  Raises
+    ``_KEPT_TABLE_MAX_M`` the totals are summed afresh from one call.  Raises
     the TypeError or ValueError of ``filters._checked_degrees``, and that
     of ``FourierSeries.coefficients`` for a degree beyond n_max.
     """

@@ -36,4 +36,5 @@ def test_cold_and_warm_passes_agree():
     keys, kinds = len(catalog.FUNCTION_KEYS), len(filters.VALID_KINDS)
     assert families.count("sweep") == keys * kinds * len(tool.RANGES)
     assert families.count("resum") == keys * len(tool.RESUM_CS) * len(tool.RESUM_NS)
+    assert families.count("weights") == len(tool.WEIGHT_KINDS) * len(tool.WEIGHT_XS)
     assert families.count("readme") == 5

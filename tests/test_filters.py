@@ -291,20 +291,23 @@ def _kernel_points() -> np.ndarray:
 
 
 class TestErfcKernel:
-    """Cody's rational erfc against mpmath at 40 digits."""
+    """Cody's rational erfc against mpmath at 40 digits, each point given
+    the Gaussian exp(-x^2) that a caller passes."""
 
     @pytest.fixture(scope="class")
     def reference(self):
+        # the exact erfc and the correctly rounded exp(-x^2)
         xs = _kernel_points()
         with mpmath.workdps(40):
             exact = [mpmath.erfc(mpmath.mpf(x)) for x in xs.tolist()]
-        return xs, exact
+            gauss = [float(mpmath.exp(-mpmath.mpf(x) ** 2)) for x in xs.tolist()]
+        return xs, exact, np.array(gauss)
 
     def test_relative_error_below_the_cut(self, reference):
         # every |x| <= 10, and on to Cody's cut XBIG = 26.543, past which
         # erfc is near the smallest normal double and is returned as 0
-        xs, exact = reference
-        got = _erfc(xs)
+        xs, exact, gauss = reference
+        got = _erfc(xs, gauss)
         worst = max(
             abs((mpmath.mpf(v) - e) / e)
             for x, v, e in zip(xs.tolist(), got.tolist(), exact)
@@ -315,29 +318,34 @@ class TestErfcKernel:
     def test_absolute_error_one_ulp_of_one(self, reference):
         # against the correctly rounded value: 2 - erfc(|x|) alone rounds
         # by up to half an ulp of 1 on the reflected side
-        xs, exact = reference
+        xs, exact, gauss = reference
         rounded = np.array([float(e) for e in exact])
-        assert np.abs(_erfc(xs) - rounded).max() <= 2.0**-52
+        assert np.abs(_erfc(xs, gauss) - rounded).max() <= 2.0**-52
 
     def test_special_values(self):
-        got = _erfc(np.array([0.0, -0.0, 40.0, -40.0, math.inf, -math.inf]))
+        xs = np.array([0.0, -0.0, 40.0, -40.0, math.inf, -math.inf])
+        got = _erfc(xs, np.exp(-xs * xs))
         assert got.tolist() == [1.0, 1.0, 0.0, 2.0, 0.0, 2.0]
-        assert math.isnan(_erfc(math.nan))
+        assert math.isnan(_erfc(math.nan, math.nan))
 
     def test_entries_independent_of_the_batch(self):
         # every range edge and both its neighbours, and NaN inside the
-        # array; compared as bits, so NaN and -0.0 count
+        # array, each entry with its Gaussian from the same array;
+        # compared as bits, so NaN and -0.0 count
         edges = _kernel_edges()
         xs = np.concatenate([_kernel_points()[::7], edges, [math.nan, math.inf]])
-        got = _erfc(xs)
+        gauss = np.exp(-xs * xs)
+        got = _erfc(xs, gauss)
         bits = got.view(np.int64)
-        singles = np.array([float(_erfc(x)) for x in xs.tolist()])
+        pairs = list(zip(xs.tolist(), gauss.tolist()))
+        singles = np.array([float(_erfc(x, g)) for x, g in pairs])
         assert singles.view(np.int64).tolist() == bits.tolist()
-        zero_d = np.array([_erfc(np.array(x))[()] for x in xs.tolist()])
+        zero_d = np.array([_erfc(np.array(x), np.array(g))[()] for x, g in pairs])
         assert zero_d.view(np.int64).tolist() == bits.tolist()
         order = np.random.default_rng(3).permutation(xs.size)
-        assert _erfc(xs[order]).view(np.int64).tolist() == bits[order].tolist()
-        column = _erfc(xs.reshape(-1, 1))
+        permuted = _erfc(xs[order], gauss[order])
+        assert permuted.view(np.int64).tolist() == bits[order].tolist()
+        column = _erfc(xs.reshape(-1, 1), gauss.reshape(-1, 1))
         assert column.shape == (xs.size, 1)
         assert column.ravel().view(np.int64).tolist() == bits.tolist()
         assert np.isnan(got[-2]) and got[-1] == 0.0
@@ -360,6 +368,51 @@ class TestErfcKernel:
                     arg = 2.0 * math.sqrt(p) * tb * math.sqrt(-math.log1p(-t2) / t2)
                 expected.append(0.5 * math.erfc(max(-40.0, min(40.0, arg))))
         assert np.abs(got - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("x_dist", [1.5, 2.2, 3.0])
+    def test_banded_erfclog_rows_match_mpmath(self, x_dist):
+        # compare-far's rows and bands, against mpmath at the library's own
+        # theta = n/N and order p = 1 + N*x_dist/(2 pi)
+        spec, degrees = FilterSpec("erfclog"), list(range(3, 1501, 62))
+        bands = weight_bands(spec, degrees, x_dist)
+        got = filter_weights(spec, degrees, x_dist, bands)
+        expected = []
+        with mpmath.workdps(30):
+            for N, lo, hi in zip(degrees, *bands):
+                p = 1.0 + N * x_dist / math.tau
+                for n in range(lo, hi + 1):
+                    tb = mpmath.mpf(n / N) - 0.5
+                    arg = mpmath.sqrt(-p * mpmath.log1p(-4 * tb * tb))
+                    expected.append(float(mpmath.erfc(arg if tb >= 0 else -arg) / 2))
+        assert len(expected) == got.size
+        assert np.abs(got - expected).max() <= 2.0**-52
+
+
+class TestOneExpPerWeight:
+    """Each Erfc-Log and Temme weight takes one exp, whose value is also
+    ``_erfc``'s Gaussian: one np.exp call per batch."""
+
+    @pytest.mark.parametrize(
+        "kind, degrees",
+        [("erfclog", list(range(3, 1501, 62))), ("hdaf", list(range(415, 1501, 62)))],
+    )
+    @pytest.mark.parametrize("banded", [False, True])
+    def test_one_exp_call_per_batch(self, kind, degrees, banded, monkeypatch):
+        # every HDAF row is deep, so none takes the finite sum's exp
+        x_dist = 3.0
+        assert kind == "erfclog" or degrees[0] * x_dist // 15 >= _HDAF_TEMME_DEPTH
+        spec = FilterSpec(kind)
+        bands = weight_bands(spec, degrees, x_dist) if banded else None
+        calls = []
+        exp = np.exp
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting)
+        w = filter_weights(spec, degrees, x_dist, bands)
+        assert calls == [w.size]
 
 
 #: Largest distance of an HDAF weight from Q(J+1, s), at the library's own s,

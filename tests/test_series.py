@@ -19,7 +19,13 @@ from gibbsaccel.catalog import (
     make_delta,
     make_sws,
 )
-from gibbsaccel.filters import VALID_KINDS, FilterSpec, filter_weights, weight_bands
+from gibbsaccel.filters import (
+    _KEPT_TABLE_MAX_M,
+    VALID_KINDS,
+    FilterSpec,
+    filter_weights,
+    weight_bands,
+)
 from gibbsaccel.rates import delta_truncation_error, rho_of_x
 from gibbsaccel.series import (
     FourierSeries,
@@ -253,7 +259,7 @@ class TestKeptTable:
 
     def test_returned_arrays_are_read_only(self):
         series, _ = counting_series()
-        for N in (0, 30, series_module._KEPT_MAX_N + 1):
+        for N in (0, 30, _KEPT_TABLE_MAX_M + 1):
             c = series.coefficients(N)
             with pytest.raises(ValueError, match="read-only"):
                 c[0] = 1.0
@@ -285,7 +291,7 @@ class TestKeptTable:
         assert series.coefficients(5)[6] == 1j  # the sawtooth's c_1, still kept
 
     def test_degrees_above_the_bound_keep_nothing(self):
-        bound = series_module._KEPT_MAX_N
+        bound = _KEPT_TABLE_MAX_M
         series, calls = counting_series()
         for N in (bound + 1, bound + 1, bound):
             series.coefficients(N)

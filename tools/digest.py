@@ -11,6 +11,11 @@ The families, each one ``<sha256> <family>`` line:
   ``accelerate_sum`` and ``estimate_radius`` (or the ValueError it
   raises) of the key's fold at x = 1.1, for c in {1.5, 2, 3} and N in
   {50, 100, 200};
+* ``weights <kind> <x_dist>``: the whole rows that
+  ``filters.filter_weights`` returns for erfclog and hdaf at x_dist in
+  {0.3, 1.5, 3.0}, over N = 3..1500/62 and 1000..20000/1900, which take
+  HDAF rows past Temme's depth 83 at every distance; a change to a weight
+  kernel shows here even where a sweep's rows do not move;
 * ``readme <command>``: the exit code, stdout and written files of each
   ``gibbsaccel`` command in README's CLI block, run in order through
   ``cli.main`` in one temporary directory.
@@ -37,6 +42,9 @@ RANGES = ((2, 400, 5), (100, 1600, 100), (3, 1500, 62), (0, 40, 1))
 RESUM_X = 1.1
 RESUM_CS = (1.5, 2.0, 3.0)
 RESUM_NS = (50, 100, 200)
+WEIGHT_KINDS = ("erfclog", "hdaf")
+WEIGHT_XS = (0.3, 1.5, 3.0)
+WEIGHT_DEGREES = sorted([*range(3, 1501, 62), *range(1000, 20001, 1900)])
 
 
 def _sha(*parts: bytes) -> str:
@@ -59,7 +67,7 @@ def digests(readme: Path) -> dict[str, str]:
     """The SHA-256 of every family, by family name, in a fixed order."""
     from gibbsaccel import cli, conformal
     from gibbsaccel.catalog import FUNCTION_KEYS, get_function
-    from gibbsaccel.filters import VALID_KINDS
+    from gibbsaccel.filters import VALID_KINDS, FilterSpec, filter_weights
     from gibbsaccel.sweeps import ExperimentConfig, sweep_csv, sweep_errors
 
     commands = readme_commands(readme)
@@ -81,6 +89,9 @@ def digests(readme: Path) -> dict[str, str]:
         out[f"resum {key} c={c} N={N}"] = _sha(
             b.coeffs.tobytes(), repr(total).encode(), radius.encode()
         )
+    for kind, x in itertools.product(WEIGHT_KINDS, WEIGHT_XS):
+        rows = filter_weights(FilterSpec(kind), WEIGHT_DEGREES, x)
+        out[f"weights {kind} {x}"] = _sha(rows.tobytes())
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
